@@ -863,7 +863,8 @@ def _run_reduce3d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                "orth_last": table.rows[-1].orthogonal_mass,
                "max_err_ratio": max(ratios) if ratios else 0.0,
                "max_energy_drift": max(r.energy_drift for r in table.rows)}
-    detail = {"rows": [dataclasses.asdict(row) for row in table.rows]}
+    detail = {"energy_stride": confined3d.ENERGY_STRIDE,
+              "rows": [dataclasses.asdict(row) for row in table.rows]}
     return metrics, detail, ["reduction.csv"]
 
 

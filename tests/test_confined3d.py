@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from quasi1d import confined3d, gpe1d, transverse
-from quasi1d.errors import DomainError, GridTooSmallError, InterfaceError
+from quasi1d.errors import (DomainError, GridTooSmallError, InterfaceError,
+                            ResolutionError)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,89 @@ def test_evolution_guards(separable_setup):
     with pytest.raises(DomainError):
         confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile,
                              None, 0.1, -1e-3)
+
+
+def _unfused_strang(psi0, a, v_perp, v_par, t_final, dt, sample_stride):
+    """Reference: both phase half-steps of every step, allocating FFTs."""
+    grid = psi0.grid
+    n_steps = max(1, round(t_final / dt))
+    dt = t_final / n_steps
+    g = 8.0 * math.pi * a * grid.epsilon**2
+    conf = confined3d._confinement(grid, v_perp)[None, :, :]
+    kin = np.exp(-1j * dt * grid.k_squared())
+    psi, t, samples = psi0.values.copy(), psi0.time, [psi0.values.copy()]
+    for i in range(1, n_steps + 1):
+        v = conf + np.asarray(confined3d._v_par_values(v_par, t + 0.5 * dt, grid))
+        psi = psi * np.exp(-0.5j * dt * (v + g * np.abs(psi) ** 2))
+        psi = np.fft.ifftn(kin * np.fft.fftn(psi))
+        psi = psi * np.exp(-0.5j * dt * (v + g * np.abs(psi) ** 2))
+        t = psi0.time + i * dt
+        if i % sample_stride == 0 or i == n_steps:
+            samples.append(psi.copy())
+    return psi, samples
+
+
+def _axial_static(t, x, y1, y2):
+    return 0.5 * x**2
+
+
+def _axial_shaking(t, x, y1, y2):
+    return (0.5 + np.sin(40.0 * t)) * x**2 + 0.3 * y1 * x
+
+
+@pytest.mark.parametrize("a, v_par", [(0.5, _axial_static), (0.0, _axial_static),
+                                      (0.5, _axial_shaking)],
+                         ids=["static", "a0", "time_dependent"])
+def test_fused_steps_match_unfused_strang(separable_setup, a, v_par):
+    grid, mode, phi0 = separable_setup
+    psi0 = confined3d.product_state(phi0, mode, grid)
+    psi0.time = 0.3
+    stride = 7                                   # does not divide ENERGY_STRIDE
+    assert confined3d.ENERGY_STRIDE % stride
+    traj = confined3d.evolve_3d(psi0, a, transverse.harmonic_profile, v_par,
+                                0.05, 1e-3, sample_stride=stride)
+    ref_final, ref_samples = _unfused_strang(
+        psi0, a, transverse.harmonic_profile, v_par, 0.05, 1e-3, stride)
+
+    def rel(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    assert rel(traj.final.values, ref_final) <= 1e-12
+    assert len(traj.samples) == len(ref_samples) == 9
+    for sample, ref in zip(traj.samples, ref_samples):
+        assert rel(sample.values, ref) <= 1e-12
+    n_steps = 50
+    assert traj.times.size == traj.norms.size == n_steps + 1
+    assert traj.times[-1] == pytest.approx(0.35, abs=1e-14)
+    assert traj.energy_times[0] == traj.times[0]
+    assert traj.energy_times[-1] == traj.times[-1]
+    assert traj.energies.size == traj.energy_times.size
+    # start, stride multiples 16/32/48, samples 7..49, last step
+    expected = sorted({0, 16, 32, 48, n_steps} | set(range(stride, n_steps, stride)))
+    np.testing.assert_array_equal(traj.energy_times, traj.times[expected])
+    assert traj.energies[-1] == pytest.approx(
+        confined3d.energy_3d(traj.final, a, transverse.harmonic_profile, v_par),
+        rel=1e-12)
+
+
+def test_non_finite_field_names_its_step(separable_setup):
+    grid, mode, phi0 = separable_setup
+    psi0 = confined3d.product_state(phi0, mode, grid)
+    dt = 1e-3
+
+    def v_par(t, x, y1, y2):
+        # step 12 is the first whose phase uses t_11 + dt/2 >= 0.0112
+        return np.nan if t >= 0.0112 else 0.0
+
+    with pytest.raises(ResolutionError, match="step 12 "):
+        confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile, v_par,
+                             0.05, dt)
+    values = psi0.values.copy()
+    values[3, 4, 5] = np.nan
+    bad = confined3d.Field3D(grid, values)
+    with pytest.raises(ResolutionError, match="step 1 "):
+        confined3d.evolve_3d(bad, 0.0, transverse.harmonic_profile, None,
+                             0.05, dt)
 
 
 def test_reduction_sweep_converges():
