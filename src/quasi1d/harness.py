@@ -105,9 +105,12 @@ class _Section:
         if value is None or value == "":
             return default
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise self.fail(key, f"not a number: {value!r}") from None
+        if not math.isfinite(number):
+            raise self.fail(key, f"not a finite number: {value!r}")
+        return number
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         value = self.raw(key)
@@ -134,9 +137,12 @@ class _Section:
         if value is None or value == "":
             return default
         try:
-            return [float(p) for p in value.replace(",", " ").split()]
+            numbers = [float(p) for p in value.replace(",", " ").split()]
         except ValueError:
             raise self.fail(key, f"not a number list: {value!r}") from None
+        if not all(math.isfinite(number) for number in numbers):
+            raise self.fail(key, f"not a finite number list: {value!r}")
+        return numbers
 
 
 def _locate_key(text: str, section: str, key: str) -> int | None:
@@ -559,9 +565,12 @@ def _parse_threshold(sec: _Section, key: str, token: str) -> float:
     if raw in ("false", "no"):
         return 0.0
     try:
-        return float(token)
+        threshold = float(token)
     except ValueError:
         raise sec.fail(key, f"threshold is not a number: {token!r}") from None
+    if not math.isfinite(threshold):
+        raise sec.fail(key, f"threshold is not a finite number: {token!r}")
+    return threshold
 
 
 def _parse_assertion(sec: _Section, key: str, value: str) -> tuple:
@@ -593,7 +602,9 @@ def _evaluate_assertions(cfg: ScenarioConfig, metrics: dict) -> list:
                              "note": "unknown metric"})
                 continue
             actual = metrics[key]
-            if op == "~":
+            if math.isnan(actual):
+                passed = False          # NaN fails every comparison, != too
+            elif op == "~":
                 passed = abs(actual - threshold) <= tol
             else:
                 passed = bool(_OPS[op](actual, threshold))
@@ -626,10 +637,17 @@ def _versions() -> dict:
 
 
 def _to_jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """Plain JSON values, recursively; non-finite floats become null."""
+    if isinstance(value, dict):
+        return {k: _to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -969,11 +987,8 @@ def _parse_pair(sec: _Section) -> tuple:
 def _weight_bounds_hold() -> bool:
     for big_n in (10, 100, 1000):
         for xi in (0.05, 0.1, 0.2):
-            if not manybody.WeightTable.build(big_n, xi).bounds_report()[
-                    "first_ok"]:
-                return False
-            if not manybody.WeightTable.build(big_n, xi).bounds_report()[
-                    "second_ok"]:
+            report = manybody.WeightTable.build(big_n, xi).bounds_report()
+            if not (report["first_ok"] and report["second_ok"]):
                 return False
     return True
 
@@ -997,11 +1012,12 @@ def _quad_form_check(sec: _Section, seed: int) -> float | None:
     rng = np.random.default_rng(seed + 1)
     worst = math.inf
     for _ in range(n_samples):
-        psi = manybody.random_symmetric_state(2, ham.dim, rng)
-        worst = min(worst, manybody.pair_indicator_form(psi, ham, corr))
+        # no name holds the state, so the last one is freed before the next
+        # dim^2 tensor is drawn
+        worst = min(worst, manybody.pair_indicator_form(
+            manybody.random_symmetric_state(2, ham.dim, rng), ham, corr))
     flat = manybody.product_state_mb(np.ones(ham.dim), 2)
-    worst = min(worst, manybody.pair_indicator_form(flat, ham, corr))
-    return worst
+    return min(worst, manybody.pair_indicator_form(flat, ham, corr))
 
 
 _RUNNERS = {"scatter": _run_scatter, "trap": _run_trap,
@@ -1044,7 +1060,7 @@ def run_scenario(cfg: ScenarioConfig, root: str | Path | None = None) -> Scenari
     summary = {
         "scenario": cfg.kind,
         "name": cfg.name,
-        "metrics": {k: _to_jsonable(v) for k, v in sorted(metrics.items())},
+        "metrics": metrics,
         "artifacts": artifacts,
         "assertions": assertion_rows,
         "all_assertions_passed": ok,
@@ -1052,12 +1068,12 @@ def run_scenario(cfg: ScenarioConfig, root: str | Path | None = None) -> Scenari
                             "versions": _versions()},
     }
     if extra:
-        summary["detail"] = {k: _to_jsonable(v) for k, v in extra.items()}
+        summary["detail"] = extra
     if admissibility is not None:
         summary["admissibility"] = admissibility.as_dict()
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True,
-                                       default=_to_jsonable) + "\n",
+    summary_path.write_text(json.dumps(_to_jsonable(summary), indent=2,
+                                       sort_keys=True, allow_nan=False) + "\n",
                             encoding="utf-8")
     return ScenarioResult(ok=ok, metrics=metrics, assertions=assertion_rows,
                           out_dir=out_dir, summary_path=summary_path,

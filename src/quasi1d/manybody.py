@@ -73,20 +73,50 @@ class ManyBodyState:
         return ManyBodyState(self.n_particles, self.dim, self.tensor / self.norm())
 
 
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
+def _permutation_sum(tensor: np.ndarray) -> np.ndarray:
+    """Sum of ``tensor`` over all N! permutations of its axes, unscaled.
+
+    Built by cosets: once the sum is symmetric in the first m - 1 axes, the
+    m cyclic shifts of the first m axes extend it to all of S_m, so the cost
+    is 1, 3 or 6 full-size adds for N = 2, 3, 4 instead of N! strided ones.
+    """
     n = tensor.ndim
-    out = np.zeros_like(tensor)
-    for perm in itertools.permutations(range(n)):
-        out += tensor.transpose(perm)
-    return out / math.factorial(n)
+    out = tensor + tensor.swapaxes(0, 1)
+    for m in range(3, n + 1):
+        part = out
+        shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
+                  for shift in range(1, m)]
+        out = part + part.transpose(shifts[0])
+        for perm in shifts[1:]:
+            out += part.transpose(perm)
+    return out
+
+
+def symmetrize(tensor: np.ndarray) -> np.ndarray:
+    """Average of ``tensor`` over all permutations of its axes."""
+    out = _permutation_sum(tensor)
+    out /= math.factorial(tensor.ndim)
+    return out
 
 
 def random_symmetric_state(n_particles: int, dim: int,
                            rng: np.random.Generator) -> ManyBodyState:
-    """Symmetrized complex-Gaussian tensor, normalized."""
+    """Symmetrized complex-Gaussian tensor, normalized.
+
+    The real and imaginary parts are drawn, in that order, into one complex
+    buffer; the 1/N! of the permutation average cancels in the normalization,
+    which is done in place.
+    """
     shape = (dim,) * n_particles
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ManyBodyState(n_particles, dim, symmetrize(raw)).normalized()
+    raw = np.empty(shape, dtype=complex)
+    raw.real = rng.standard_normal(shape)
+    raw.imag = rng.standard_normal(shape)
+    tensor = _permutation_sum(raw)
+    # dividing the float view by the real norm gives the bits of the complex
+    # division at a fraction of its cost
+    parts = tensor.reshape(-1).view(np.float64)
+    parts /= np.linalg.norm(tensor.ravel())
+    return ManyBodyState(n_particles, dim, tensor)
 
 
 def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
@@ -111,10 +141,15 @@ def _check_orbital(state: ManyBodyState, orbital: np.ndarray) -> np.ndarray:
 
 
 def _apply_p(tensor: np.ndarray, orb: np.ndarray, slot: int) -> np.ndarray:
+    """p = |phi><phi| on one slot, contracted through a contiguous view.
+
+    The tensor is read as (d**slot, d, rest), so the slot is the middle axis
+    and the result comes out C-contiguous without any axis moves.
+    """
     d = orb.size
-    moved = np.moveaxis(tensor, slot, 0).reshape(d, -1)
-    projected = np.outer(orb, orb.conj() @ moved)
-    return np.moveaxis(projected.reshape((d,) + tensor.shape[1:]), 0, slot)
+    view = tensor.reshape(d**slot, d, -1)
+    coef = orb.conj() @ view
+    return (orb[None, :, None] * coef[:, None, :]).reshape(tensor.shape)
 
 
 def projector_components(state: ManyBodyState, orbital: np.ndarray) -> list[np.ndarray]:
@@ -122,21 +157,20 @@ def projector_components(state: ManyBodyState, orbital: np.ndarray) -> list[np.n
 
     Built by running over slots and collecting p/q choices with exactly k
     q-factors; numerically stable because only sums of projections appear.
+    Each slot costs one projection per component, and the q-parts are formed
+    in place in the previous slot's buffers, so every component is a
+    C-contiguous array of its own.
     """
     orb = _check_orbital(state, orbital)
     comps = [state.tensor]
     for slot in range(state.n_particles):
         p_parts = [_apply_p(c, orb, slot) for c in comps]
-        new = []
-        for k in range(len(comps) + 1):
-            acc = None
-            if k < len(comps):
-                acc = p_parts[k]
-            if k > 0:
-                q_part = comps[k - 1] - p_parts[k - 1]
-                acc = q_part if acc is None else acc + q_part
-            new.append(acc)
-        comps = new
+        # the input tensor is the caller's; later buffers are ours to reuse
+        q_parts = [np.subtract(c, p, out=c if slot else None)
+                   for c, p in zip(comps, p_parts)]
+        for k in range(1, len(p_parts)):
+            q_parts[k - 1] += p_parts[k]
+        comps = [p_parts[0]] + q_parts
     return comps
 
 
@@ -300,6 +334,7 @@ class HamiltonianSpec:
     pair_range: float | None = None
     _pair_matrix: np.ndarray | None = None
     _distances: np.ndarray | None = None
+    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2)
 
     def __post_init__(self) -> None:
         if self.pair_potential is not None and self.pair_range is not None:
@@ -332,6 +367,20 @@ class HamiltonianSpec:
             self._pair_matrix = np.asarray(
                 self.pair_potential(self.pair_distances()), dtype=float)
         return self._pair_matrix
+
+    def _pair_form_arrays(self, corr: CorrectionProfile) -> tuple:
+        """Indicator of |z1 - z2| < R and (w_mu - U) / 2 on site pairs.
+
+        Both depend only on the grid and the correction profile, so they are
+        cached for the last ``corr`` seen and rebuilt for any other one.
+        """
+        if self._pair_form is None or self._pair_form[0] is not corr:
+            dist = self.pair_distances()
+            sol = corr.solution
+            half_wu = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
+            half_wu *= 0.5
+            self._pair_form = (corr, dist < corr.outer_radius, half_wu)
+        return self._pair_form[1:]
 
 
 def line_hamiltonian(grid: Grid1D,
@@ -423,24 +472,30 @@ def orbital_from_fields(phi: Field1D, mode: TransverseMode | None) -> np.ndarray
 
 
 def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
-    """E_psi = <psi, H psi> / N minus the confinement offset."""
+    """E_psi = <psi, H psi> / N minus the confinement offset.
+
+    The kinetic term of each slot is the FFT over that slot's axes, squared
+    in place in one reused buffer and contracted with |k|^2 on that slot.
+    Potential and pair terms use exact marginals of |psi|^2.
+    """
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
     n = state.n_particles
+    d = ham.dim
     sp_ndim = len(ham.sp_shape)
     full = state.tensor.reshape(ham.sp_shape * n)
-    slot_size = ham.dim
+    ksq = ham.ksq.ravel()
 
     total = 0.0
-    density = np.abs(state.tensor) ** 2
+    density = np.abs(state.tensor)
+    density **= 2
+    psi_hat = np.empty(full.shape, dtype=complex)    # C order, whatever psi's
+    power = psi_hat.reshape(-1).view(np.float64)    # interleaved re, im
     for slot in range(n):
         axes = tuple(range(slot * sp_ndim, (slot + 1) * sp_ndim))
-        psi_hat = np.fft.fftn(full, axes=axes)
-        shape = [1] * full.ndim
-        for i, ax in enumerate(axes):
-            shape[ax] = ham.sp_shape[i]
-        total += float(np.sum(ham.ksq.reshape(shape)
-                              * np.abs(psi_hat) ** 2)) / slot_size
+        np.fft.fftn(full, axes=axes, out=psi_hat)
+        np.square(power, out=power)
+        total += float(np.sum(ksq @ power.reshape(d**slot, d, -1))) / d
         dens_slot = density.sum(axis=tuple(i for i in range(n) if i != slot))
         total += float(ham.v_diag @ dens_slot)
 
@@ -470,39 +525,52 @@ def alpha_functional(state: ManyBodyState, phi: Field1D, weights: WeightTable,
 # pair-correlation checks
 
 
+def _derivative_matrix(n: int, spacing: float) -> np.ndarray:
+    """n x n spectral first derivative ifft(i k fft(I)) on a periodic axis.
+
+    It uses the fftfreq wavenumbers of the FFT derivative, Nyquist mode
+    included, so applying it by matmul equals that derivative to round-off.
+    """
+    k = 2.0 * math.pi * np.fft.fftfreq(n, spacing)
+    return np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+
+
 def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
                         corr: CorrectionProfile) -> float:
     """||1_{|z1-z2|<R} grad_1 psi||^2 + <psi, (w_mu - U) psi> / 2 for N = 2.
 
     Non-negative in the continuum because the compensated profile has zero
-    scattering length; evaluated here exactly on the grid.
+    scattering length; evaluated here exactly on the grid.  The mask and
+    (w_mu - U) / 2 come from the Hamiltonian's cache; grad_1 is applied one
+    axis at a time by its differentiation matrix, and |grad_1 psi|^2 is
+    accumulated in one real buffer.
     """
     if state.n_particles != 2:
         raise DomainError("the pair quadratic form is defined for N = 2")
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
-    sp_ndim = len(ham.sp_shape)
-    full = state.tensor.reshape(ham.sp_shape * 2)
+    mask, half_wu = ham._pair_form_arrays(corr)
+    psi = state.tensor
 
-    dist = ham.pair_distances()
-    mask = dist < corr.outer_radius
+    sq = np.abs(psi).ravel()          # |psi|^2 first, then |grad_1 psi|^2
+    sq **= 2
+    potential = float(np.vdot(half_wu, sq))
 
-    grad_sq = np.zeros((ham.dim, ham.dim))
-    for axis in range(sp_ndim):
-        k_axis = 2.0 * math.pi * np.fft.fftfreq(ham.sp_shape[axis],
-                                                ham.spacings[axis])
-        shape = [1] * full.ndim
-        shape[axis] = ham.sp_shape[axis]
-        grad = np.fft.ifftn(1j * k_axis.reshape(shape)
-                            * np.fft.fftn(full, axes=(axis,)), axes=(axis,))
-        grad_sq += np.abs(grad.reshape(ham.dim, ham.dim)) ** 2
-
-    density = np.abs(state.tensor) ** 2
-    sol = corr.solution
-    w_vals = sol.potential.scaled(dist, sol.mu)
-    u_vals = corr.u_potential(dist)
-    return float(np.sum(mask * grad_sq)
-                 + 0.5 * np.sum((w_vals - u_vals) * density))
+    grad = np.empty(psi.shape, dtype=complex)       # C order, whatever psi's
+    parts = grad.reshape(-1).view(np.float64)       # interleaved re, im
+    lead = 1
+    for axis, n_axis in enumerate(ham.sp_shape):
+        deriv = _derivative_matrix(n_axis, ham.spacings[axis])
+        np.matmul(deriv, psi.reshape(lead, n_axis, -1),
+                  out=grad.reshape(lead, n_axis, -1))
+        np.square(parts, out=parts)
+        if axis == 0:
+            np.add(parts[0::2], parts[1::2], out=sq)
+        else:
+            sq += parts[0::2]
+            sq += parts[1::2]
+        lead *= n_axis
+    return float(np.sum(sq, where=mask.ravel())) + potential
 
 
 def correlation_diagnostic(state: ManyBodyState, phi: Field1D,

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from quasi1d import cli, harness, snapshots
 from quasi1d.errors import ConfigError, InterfaceError
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def write_ini(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
@@ -167,6 +169,20 @@ def test_section_diagnostics_carry_file_and_line(tmp_path):
     assert "[scatter] height" in str(err)
 
 
+def test_non_finite_numbers_are_config_errors(tmp_path):
+    path = write_ini(tmp_path, SCATTER_INI)
+    for bad in ("nan", "inf", "-inf", "Infinity"):
+        with pytest.raises(ConfigError, match=r"\[scatter\] height: not a "
+                                              r"finite number"):
+            harness.load_config(path, [f"scatter.height={bad}"])
+    cfg = harness.load_config(path, ["scatter.radii=1 nan 2"])
+    with pytest.raises(ConfigError, match="not a finite number list"):
+        cfg.section("scatter").get_floats("radii")
+    for threshold in ("< nan", "> inf", "~ 0 inf", "~ nan 1"):
+        with pytest.raises(ConfigError, match="threshold is not a finite"):
+            harness.load_config(path, [f"assert.a={threshold}"])
+
+
 # ---------------------------------------------------------------------------
 # potentials and couplings through the mini-spec grammar
 
@@ -241,6 +257,40 @@ def test_assertion_approx_and_booleans(tmp_path):
         "assert": {"plane_phase_err": "~ 0 1e-6", "steps": "== true"}})
     result = harness.run_scenario(cfg, tmp_path)
     assert result.ok
+
+
+def test_nan_metric_fails_every_assertion(tmp_path, monkeypatch):
+    ops = {"lt": "< 1", "le": "<= 1", "gt": "> 1", "ge": ">= 1",
+           "eq": "== 1", "ne": "!= 1", "approx": "~ 1 1e300"}
+    cfg = harness.from_mapping("evolve1d", {
+        "evolve1d": {"length": 16.0, "n": 32, "t_final": 0.01, "dt": 0.01},
+        "assert": {**ops, "big": "> 0", "finite": "== 2"}})
+    metrics = {key: math.nan for key in ops}
+    metrics.update({"big": math.inf, "finite": np.float64(2.0)})
+    detail = {"rows": [{"err": math.nan, "drift": -math.inf, "n": 3}],
+              "scale": np.float64(math.inf)}
+    monkeypatch.setitem(harness._RUNNERS, "evolve1d",
+                        lambda cfg, out_dir: (dict(metrics), detail, []))
+    result = harness.run_scenario(cfg, tmp_path)
+    rows = {row["metric"]: row for row in result.assertions}
+    assert not result.ok
+    for key in ops:
+        assert rows[key]["passed"] is False, key
+    assert rows["big"]["passed"] and rows["finite"]["passed"]
+
+    def reject(token):
+        raise AssertionError(f"summary.json is not strict JSON: {token}")
+
+    summary = json.loads(result.summary_path.read_text(encoding="utf-8"),
+                         parse_constant=reject)
+    assert all(summary["metrics"][key] is None for key in ops)
+    assert summary["metrics"]["big"] is None
+    assert summary["metrics"]["finite"] == 2.0
+    assert all(summary["assertions"][i]["value"] is None
+               for i, row in enumerate(summary["assertions"])
+               if row["metric"] in ops)
+    assert summary["detail"] == {"rows": [{"err": None, "drift": None,
+                                           "n": 3}], "scale": None}
 
 
 def test_assertion_grammar_errors():
@@ -426,6 +476,17 @@ def test_cli_validate(tmp_path, capsys):
                                                         "delta = 0.5"),
                     name="bad_delta.ini")
     assert cli.main(["validate", bad]) == 2
+
+
+def test_cli_non_finite_override_exits_2(tmp_path, capsys):
+    config = str(CONFIG_DIR / "counting_triplet.ini")
+    for override, key in (("count.b=inf", "b"), ("count.length=nan", "length")):
+        code = cli.main(["count", config, "--set", override,
+                         "--output", str(tmp_path)])
+        assert code == 2, override
+        err = capsys.readouterr().err
+        assert "counting_triplet.ini:" in err
+        assert f"[count] {key}: not a finite number" in err
 
 
 def test_cli_seed_flag(tmp_path):

@@ -1,5 +1,6 @@
 """Counting formalism: projector algebra, weights, condensation bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -319,3 +320,162 @@ def test_correlation_diagnostic_is_finite(rng, bump_correction):
                                             bump_correction, ham)
     assert math.isfinite(value)
     assert value >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# kernels against the direct recipes they replace
+
+
+def permutation_average(tensor):
+    perms = list(itertools.permutations(range(tensor.ndim)))
+    return sum(tensor.transpose(perm) for perm in perms) / len(perms)
+
+
+def complex_draw(gen, shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n,dim", [(2, 7), (3, 5), (4, 4)])
+def test_symmetrize_matches_permutation_sum(n, dim):
+    raw = complex_draw(np.random.default_rng(11), (dim,) * n)
+    before = raw.copy()
+    got = manybody.symmetrize(raw)
+    assert np.max(np.abs(got - permutation_average(raw))) < 1e-14
+    assert np.array_equal(raw, before)
+
+
+@pytest.mark.parametrize("n,dim", [(2, 9), (3, 6), (4, 4)])
+def test_random_state_follows_seed_recipe(n, dim):
+    state = manybody.random_symmetric_state(n, dim, np.random.default_rng(5))
+    ref = permutation_average(complex_draw(np.random.default_rng(5),
+                                           (dim,) * n))
+    ref /= np.linalg.norm(ref.ravel())
+    assert np.max(np.abs(state.tensor - ref)) < 1e-14
+
+
+def subset_components(tensor, orb):
+    """P_k psi as the sum over slot sets S, |S| = k, of prod_S q prod_rest p."""
+    def p_slot(t, slot):
+        moved = np.moveaxis(t, slot, 0).reshape(orb.size, -1)
+        projected = np.outer(orb, orb.conj() @ moved)
+        return np.moveaxis(projected.reshape((orb.size,) + t.shape[1:]),
+                           0, slot)
+
+    n = tensor.ndim
+    comps = [np.zeros_like(tensor) for _ in range(n + 1)]
+    for outside in itertools.product((False, True), repeat=n):
+        term = tensor
+        for slot, is_q in enumerate(outside):
+            p_term = p_slot(term, slot)
+            term = term - p_term if is_q else p_term
+        comps[sum(outside)] += term
+    return comps
+
+
+@pytest.mark.parametrize("n,dim", [(2, 8), (3, 5), (4, 4)])
+def test_projector_components_match_moveaxis_reference(n, dim):
+    gen = np.random.default_rng(3)
+    state = manybody.random_symmetric_state(n, dim, gen)
+    orb = complex_draw(gen, dim)
+    orb /= np.linalg.norm(orb)
+    before = state.tensor.copy()
+    comps = manybody.projector_components(state, orb)
+    assert np.array_equal(state.tensor, before)
+    refs = subset_components(state.tensor, orb)
+    for got, ref in zip(comps, refs):
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) < 1e-14
+    fortran = manybody.ManyBodyState(n, dim, np.asfortranarray(state.tensor))
+    for got, ref in zip(manybody.projector_components(fortran, orb), refs):
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def fft_energy_per_particle(state, ham):
+    """The per-slot FFT recipe with full-size |.|^2 weights."""
+    n = state.n_particles
+    sp_ndim = len(ham.sp_shape)
+    full = state.tensor.reshape(ham.sp_shape * n)
+    density = np.abs(state.tensor) ** 2
+    total = 0.0
+    for slot in range(n):
+        axes = tuple(range(slot * sp_ndim, (slot + 1) * sp_ndim))
+        shape = [1] * full.ndim
+        for i, ax in enumerate(axes):
+            shape[ax] = ham.sp_shape[i]
+        power = np.abs(np.fft.fftn(full, axes=axes)) ** 2
+        total += np.sum(ham.ksq.reshape(shape) * power) / ham.dim
+        others = tuple(i for i in range(n) if i != slot)
+        total += ham.v_diag @ density.sum(axis=others)
+    w_mat = ham.pair_matrix()
+    if w_mat is not None:
+        for i, j in itertools.combinations(range(n), 2):
+            others = tuple(s for s in range(n) if s not in (i, j))
+            total += np.sum(w_mat * (density.sum(axis=others) if others
+                                     else density))
+    return float(total) / n - ham.e0_shift
+
+
+def test_energy_per_particle_matches_fft_reference():
+    gen = np.random.default_rng(9)
+    grid = gpe1d.Grid1D(6.0, 10)
+    line = manybody.line_hamiltonian(
+        grid, v_par=lambda t, x: 0.3 * np.cos(x),
+        pair_potential=lambda r: np.exp(-r**2), b_effective=1.0)
+    base = transverse.ground_state_2d(transverse.harmonic_profile,
+                                      extent=12.0, n=12, boundary_tol=1e-3)
+    confined = manybody.confined_hamiltonian(
+        gpe1d.Grid1D(6.0, 4), transverse.rescale_mode(base, 0.5),
+        transverse.harmonic_profile, v_par=lambda t, x: 0.5 * x**2)
+    box = manybody.box_hamiltonian(2.0, 4, pair_potential=lambda r: 1.0 / (1.0 + r))
+    cases = [(line, 2), (line, 3), (line, 4), (confined, 2), (box, 2)]
+    for ham, n in cases:
+        state = manybody.random_symmetric_state(n, ham.dim, gen)
+        ref = fft_energy_per_particle(state, ham)
+        # a Fortran-ordered copy must read the same: buffers are C order
+        fortran = manybody.ManyBodyState(n, ham.dim,
+                                         np.asfortranarray(state.tensor))
+        for layout in (state, fortran):
+            assert manybody.energy_per_particle(layout, ham) == \
+                pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def fft_pair_form(state, ham, corr):
+    """The pair form with grad_1 by per-axis FFTs and per-call potentials."""
+    full = state.tensor.reshape(ham.sp_shape * 2)
+    grad_sq = np.zeros((ham.dim, ham.dim))
+    for axis, n_axis in enumerate(ham.sp_shape):
+        k = 2.0 * math.pi * np.fft.fftfreq(n_axis, ham.spacings[axis])
+        shape = [1] * full.ndim
+        shape[axis] = n_axis
+        grad = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(full, axis=axis),
+                           axis=axis)
+        grad_sq += np.abs(grad.reshape(ham.dim, ham.dim)) ** 2
+    dist = ham.pair_distances()
+    sol = corr.solution
+    w_minus_u = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
+    return float(np.sum(grad_sq[dist < corr.outer_radius])
+                 + 0.5 * np.sum(w_minus_u * np.abs(state.tensor) ** 2))
+
+
+def test_pair_form_matches_fft_reference(rng, bump_correction):
+    ham = manybody.box_hamiltonian(1.8, 12)
+    flat = manybody.product_state_mb(np.ones(ham.dim), 2)
+    psi = manybody.random_symmetric_state(2, ham.dim, rng)
+    # the transpose of a symmetric state is itself, in Fortran order
+    swapped = manybody.ManyBodyState(2, ham.dim, psi.tensor.T)
+    for state in (psi, swapped, flat):
+        got = manybody.pair_indicator_form(state, ham, bump_correction)
+        ref = fft_pair_form(state, ham, bump_correction)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_pair_form_cache_follows_the_correction(rng, bump_correction):
+    ham = manybody.box_hamiltonian(1.8, 12)
+    other = scattering.build_correction(bump_correction.solution, 0.6)
+    assert other.outer_radius != bump_correction.outer_radius
+    state = manybody.random_symmetric_state(2, ham.dim, rng)
+    first = manybody.pair_indicator_form(state, ham, bump_correction)
+    second = manybody.pair_indicator_form(state, ham, other)
+    assert second == pytest.approx(fft_pair_form(state, ham, other), rel=1e-12)
+    assert abs(second - first) > 1e-6 * abs(first)
+    assert manybody.pair_indicator_form(state, ham, bump_correction) == first
