@@ -13,25 +13,25 @@ for shrinking eps it converges to the cubic 1d dynamics with coupling
 b = 8 pi a int |chi|^4.
 
 The 3d dynamics uses the time-splitting spectral scheme of Bao, Jaksch &
-Markowich (J. Comput. Phys. 187, 2003): Strang splitting of the pointwise
-phase and the spectral kinetic step.  Adjacent phase half-steps are fused
-into one factor, so a step costs one phase and two in-place FFTs; the
-energy is recorded every ENERGY_STRIDE steps.
+Markowich (J. Comput. Phys. 187, 2003), on the fused Strang loop of gpe1d:
+one phase and two in-place FFTs per step, the energy every ENERGY_STRIDE
+steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, InterfaceError, ResolutionError
-from .gpe1d import Field1D, Grid1D, energy_1d, evolve_1d, phase_distance
+from .errors import DomainError, GridTooSmallError, InterfaceError
+from .gpe1d import (Field, Grid1D, Trajectory, _energy, _strang_loop, evolve_1d,
+                    gaussian_packet, phase_distance)
 from .transverse import TransverseMode, coupling_b, ground_state_2d, rescale_mode
 
-__all__ = ["ENERGY_STRIDE", "Grid3D", "Field3D", "Trajectory3D", "make_grid",
+__all__ = ["ENERGY_STRIDE", "Grid3D", "Field3D", "make_grid",
            "product_state", "evolve_3d", "energy_3d", "extract_profile",
            "ReductionScenario", "ReductionRow", "ReductionTable",
            "reduction_sweep"]
@@ -85,10 +85,9 @@ class Grid3D:
         return self.dx * self.dy * self.dy
 
     def k_squared(self) -> np.ndarray:
-        kx = 2.0 * math.pi * np.fft.fftfreq(self.n_x, self.dx)
-        ky = 2.0 * math.pi * np.fft.fftfreq(self.n_y, self.dy)
-        return (kx[:, None, None] ** 2 + ky[None, :, None] ** 2
-                + ky[None, None, :] ** 2)
+        kx2 = self.x_grid().k_squared()
+        ky2 = Grid1D(self.extent_y, self.n_y).k_squared()
+        return kx2[:, None, None] + ky2[None, :, None] + ky2[None, None, :]
 
     def x_grid(self) -> Grid1D:
         return Grid1D(self.length_x, self.n_x)
@@ -101,17 +100,7 @@ def make_grid(length_x: float, n_x: int, base_extent_y: float, n_y: int,
     return Grid3D(length_x, n_x, base_extent_y * epsilon, n_y, epsilon)
 
 
-@dataclass(eq=False)
-class Field3D:
-    grid: Grid3D
-    values: np.ndarray         # (n_x, n_y, n_y) complex
-    time: float = 0.0
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.dvol)
-
-    def normalized(self) -> "Field3D":
-        return Field3D(self.grid, self.values / self.norm(), self.time)
+Field3D = Field               # values (n_x, n_y, n_y) complex on a Grid3D
 
 
 def _check_mode_grid(mode: TransverseMode, grid: Grid3D) -> None:
@@ -125,14 +114,14 @@ def _check_mode_grid(mode: TransverseMode, grid: Grid3D) -> None:
         raise InterfaceError("transverse mode grid does not match the 3d box")
 
 
-def product_state(phi: Field1D, mode: TransverseMode, grid: Grid3D) -> Field3D:
+def product_state(phi: Field, mode: TransverseMode, grid: Grid3D) -> Field:
     """psi(x, y) = Phi(x) chi_eps(y), normalized on the 3d grid."""
     _check_mode_grid(mode, grid)
     if phi.grid.n != grid.n_x or not math.isclose(phi.grid.length, grid.length_x,
                                                   rel_tol=1e-12):
         raise InterfaceError("longitudinal grid does not match the 3d box")
     values = phi.values[:, None, None] * mode.chi[None, :, :]
-    return Field3D(grid, values.astype(complex), phi.time).normalized()
+    return Field(grid, values.astype(complex), phi.time).normalized()
 
 
 def _confinement(grid: Grid3D,
@@ -152,130 +141,41 @@ def _v_par_values(v_par: Potential3D, t: float, grid: Grid3D):
     return v_par(t, x, y1, y2)
 
 
-@dataclass(eq=False)
-class Trajectory3D:
-    """Per-step times and norms; energies at `energy_times` only."""
-
-    times: np.ndarray
-    norms: np.ndarray
-    energies: np.ndarray
-    energy_times: np.ndarray
-    final: Field3D
-    samples: list[Field3D] = field(default_factory=list)
-
-    def max_norm_drift(self) -> float:
-        return float(np.max(np.abs(self.norms - self.norms[0])))
-
-    def max_energy_drift(self) -> float:
-        return float(np.max(np.abs(self.energies - self.energies[0])))
-
-
-def energy_3d(psi: Field3D, a: float,
+def energy_3d(psi: Field, a: float,
               v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
               v_par: Potential3D = None) -> float:
     """<psi, (-Laplace + V_conf + V_par + (g/2)|psi|^2) psi>, g = 8 pi a eps^2."""
     grid = psi.grid
-    g = 8.0 * math.pi * a * grid.epsilon**2
-    psi_hat = np.fft.fftn(psi.values)
-    kinetic = float(np.sum(grid.k_squared() * np.abs(psi_hat) ** 2)) \
-        * grid.dvol / psi.values.size
-    density = np.abs(psi.values) ** 2
-    pot = _confinement(grid, v_perp)[None, :, :] + np.asarray(
-        _v_par_values(v_par, psi.time, grid))
-    potential = float(np.sum(pot * density)) * grid.dvol
-    interaction = 0.5 * g * float(np.sum(density**2)) * grid.dvol
-    return kinetic + potential + interaction
+    return _energy(psi.values, grid.k_squared(), grid.dvol,
+                   _confinement(grid, v_perp)[None, :, :],
+                   _v_par_values(v_par, psi.time, grid),
+                   8.0 * math.pi * a * grid.epsilon**2)
 
 
-def evolve_3d(psi0: Field3D, a: float,
+def evolve_3d(psi0: Field, a: float,
               v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
               v_par: Potential3D, t_final: float, dt: float,
-              sample_stride: int = 0) -> Trajectory3D:
+              sample_stride: int = 0) -> Trajectory:
     """Strang splitting with the full 3d spectral kinetic step.
 
-    Step i is the phase half-step with V_i = V_conf + V_par(t_{i-1} + dt/2),
-    the kinetic step, and a second phase half-step with V_i.  A phase
-    factor keeps |psi|, so the closing half-step of step i and the opening
-    half-step of step i+1 are applied as one factor
-    exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  The half-step is closed
-    only where the field is read: every ENERGY_STRIDE steps, at each
-    sample and at the last step.  Norms are recorded at every step, energies
-    at `energy_times` only; a non-finite field raises ResolutionError at the
-    step where it appears.
+    Runs gpe1d's fused loop with V_static = V_conf and v(t) = V_par(t).
+    Norms are recorded at every step; energies every ENERGY_STRIDE steps,
+    at each sample and at the last step; a non-finite field raises
+    ResolutionError at the step where it appears.
     """
     if t_final <= 0.0 or dt <= 0.0:
         raise DomainError("t_final and dt must be positive")
     if a < 0.0:
         raise DomainError("scattering length must be non-negative")
     grid = psi0.grid
-    n_steps = max(1, round(t_final / dt))
-    dt = t_final / n_steps
-    g = 8.0 * math.pi * a * grid.epsilon**2
-
-    conf = _confinement(grid, v_perp)[None, :, :]
-    kin = np.exp(-1j * dt * grid.k_squared())
-
-    def v_axial(t: float) -> np.ndarray:
-        return np.asarray(_v_par_values(v_par, t, grid))
-
-    psi = np.array(psi0.values, dtype=complex, order="C")
-    rho = psi.real**2 + psi.imag**2
-    theta = np.empty_like(rho)
-    factor = np.empty_like(psi)
-
-    def apply_phase(h: float, vp: np.ndarray) -> None:
-        # psi *= exp(-i h (V_conf + vp + g rho)); rho is |psi|^2 and stays valid
-        np.multiply(rho, g, out=theta)
-        np.add(theta, conf, out=theta)
-        np.add(theta, vp, out=theta)
-        np.multiply(theta, -h, out=theta)
-        np.cos(theta, out=factor.real)
-        np.sin(theta, out=factor.imag)
-        np.multiply(psi, factor, out=psi)
-
-    t = psi0.time
-    times = np.empty(n_steps + 1)
-    norms = np.empty(n_steps + 1)
-    times[0] = t
-    norms[0] = math.sqrt(float(np.sum(rho)) * grid.dvol)
-    energies = [energy_3d(psi0, a, v_perp, v_par)]
-    energy_times = [t]
-    samples = [Field3D(grid, psi.copy(), t)] if sample_stride else []
-
-    v_cur = v_axial(t + 0.5 * dt)
-    h, v = 0.5 * dt, v_cur
-    for i in range(1, n_steps + 1):
-        apply_phase(h, v)
-        np.fft.fftn(psi, out=psi)
-        psi *= kin
-        np.fft.ifftn(psi, out=psi)
-        np.square(psi.real, out=rho)
-        np.square(psi.imag, out=theta)
-        rho += theta
-        mass = float(np.sum(rho))
-        t = psi0.time + i * dt
-        if not math.isfinite(mass):
-            raise ResolutionError(f"non-finite field at step {i} (t = {t:g})")
-        times[i] = t
-        norms[i] = math.sqrt(mass * grid.dvol)
-        last = i == n_steps
-        sample = bool(sample_stride) and (i % sample_stride == 0 or last)
-        v_next = None if last else v_axial(t + 0.5 * dt)
-        if sample or last or i % ENERGY_STRIDE == 0:
-            apply_phase(0.5 * dt, v_cur)
-            energies.append(energy_3d(Field3D(grid, psi, t), a, v_perp, v_par))
-            energy_times.append(t)
-            if sample:
-                samples.append(Field3D(grid, psi.copy(), t))
-            h, v = 0.5 * dt, v_next
-        else:
-            h, v = dt, 0.5 * (v_cur + v_next)
-        v_cur = v_next
-    return Trajectory3D(times, norms, np.array(energies), np.array(energy_times),
-                        Field3D(grid, psi, t), samples)
+    return _strang_loop(psi0, t_final, dt, grid.k_squared(),
+                        _confinement(grid, v_perp)[None, :, :],
+                        lambda t: _v_par_values(v_par, t, grid),
+                        8.0 * math.pi * a * grid.epsilon**2, ENERGY_STRIDE,
+                        sample_stride)
 
 
-def extract_profile(psi: Field3D, mode: TransverseMode):
+def extract_profile(psi: Field, mode: TransverseMode):
     """Project on the transverse mode and strip the confinement phase.
 
     Returns (Phi_eff, orthogonal_mass): Phi_eff(x) = exp(i E0 t) *
@@ -286,7 +186,7 @@ def extract_profile(psi: Field3D, mode: TransverseMode):
     da = grid.dy * grid.dy
     coeff = np.tensordot(psi.values, mode.chi, axes=([1, 2], [0, 1])) * da
     coeff = coeff * np.exp(1j * mode.E0 * psi.time)
-    phi_eff = Field1D(grid.x_grid(), coeff, psi.time)
+    phi_eff = Field(grid.x_grid(), coeff, psi.time)
     captured = float(np.sum(np.abs(coeff) ** 2)) * grid.dx
     # discrete Cauchy-Schwarz keeps captured <= ||psi||^2; clamp round-off
     orthogonal_mass = max(0.0, float(psi.norm() ** 2) - captured)
@@ -349,8 +249,6 @@ def reduction_sweep(scenario: ReductionScenario,
     eps_values = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise DomainError("eps_list must be strictly decreasing")
-
-    from .gpe1d import gaussian_packet  # local import keeps module deps one-way
 
     base_mode = ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
                                 n=scenario.mode_n)

@@ -136,12 +136,16 @@ class _Section:
         value = self.raw(key)
         if value is None or value == "":
             return default
+        return self.numbers(key, value)
+
+    def numbers(self, key: str, text: str) -> list[float]:
+        """Finite numbers separated by commas or blanks, read from `text`."""
         try:
-            numbers = [float(p) for p in value.replace(",", " ").split()]
+            numbers = [float(p) for p in text.replace(",", " ").split()]
         except ValueError:
-            raise self.fail(key, f"not a number list: {value!r}") from None
+            raise self.fail(key, f"not a number list: {text!r}") from None
         if not all(math.isfinite(number) for number in numbers):
-            raise self.fail(key, f"not a finite number list: {value!r}")
+            raise self.fail(key, f"not a finite number list: {text!r}")
         return numbers
 
 
@@ -311,9 +315,7 @@ def _validate_scatter(sec: _Section) -> None:
 
 def _validate_trap(sec: _Section) -> None:
     _parse_v_perp(sec.raw("potential", "harmonic"), sec)
-    n = sec.get_int("n", 128)
-    if n < 16 or n % 2:
-        raise sec.fail("n", "grid size must be even and at least 16")
+    _grid_size(sec, "n", 128, least=16)
     if sec.get_float("extent", 16.0) <= 0:
         raise sec.fail("extent", "extent must be positive")
     eps = sec.get_float("epsilon")
@@ -331,7 +333,7 @@ def _validate_evolve1d(sec: _Section) -> None:
         raise sec.fail("dt", "positive dt required")
     _resolve_coupling(sec)
     _parse_v_par(sec.raw("v_par", "none"), length, sec)
-    _parse_initial(sec, gpe1d.Grid1D(length, sec.get_int("n", 256)))
+    _parse_initial(sec, gpe1d.Grid1D(length, _grid_size(sec, "n", 256)))
 
 
 def _validate_reduce3d(sec: _Section) -> None:
@@ -350,6 +352,15 @@ def _validate_reduce3d(sec: _Section) -> None:
         raise sec.fail("dt_ref", "positive dt_ref required")
     length = sec.get_float("length_x", 16.0)
     _parse_v_par(sec.raw("v_par", "none"), length, sec)
+    for key, default in (("n_x", 128), ("n_y", 48), ("mode_n", 96)):
+        _grid_size(sec, key, default)
+
+
+def _grid_size(sec: _Section, key: str, default: int, least: int = 4) -> int:
+    n = sec.get_int(key, default)
+    if n < least or n % 2:
+        raise sec.fail(key, f"grid size must be even and at least {least}")
+    return n
 
 
 def _validate_count(sec: _Section) -> None:
@@ -369,6 +380,12 @@ def _validate_count(sec: _Section) -> None:
     beta = sec.get_float("beta_tilde")
     if beta is not None:
         _check_window(sec, "beta_tilde", beta, 1.0 / 3.0, 1.0, BETA_WINDOW)
+    # the runner reads these only after the output directory exists
+    for key in ("length", "b", "epsilon", "extent", "pair_height", "pair_mu",
+                "quad_height", "quad_mu", "quad_beta_tilde", "quad_length"):
+        sec.get_float(key)
+    _parse_v_par(sec.raw("v_par", "none"), sec.get_float("length", 2.0 * math.pi),
+                 sec)
 
 
 def _validate_admissibility_section(sec: _Section) -> None:
@@ -404,7 +421,10 @@ def _parse_radial_potential(sec: _Section) -> scattering.RadialPotential:
     if name == "zero":
         return scattering.zero_potential()
     if name == "file":
-        table = np.loadtxt(rest, delimiter=",", ndmin=2)
+        try:
+            table = np.loadtxt(rest, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise sec.fail("potential", f"cannot read {rest}: {exc}") from None
         if table.shape[1] != 2:
             raise sec.fail("potential", f"{rest}: expected two CSV columns "
                                         f"(r, w)")
@@ -414,18 +434,17 @@ def _parse_radial_potential(sec: _Section) -> scattering.RadialPotential:
 
 def _parse_v_perp(spec: str, sec: _Section) -> Callable:
     name, _, rest = spec.partition(":")
+    params = sec.numbers("potential", rest)
     if name == "harmonic":
-        c = float(rest) if rest else 1.0
+        c = params[0] if params else 1.0
         return lambda y1, y2: c * (y1**2 + y2**2)
     if name == "shifted":
-        c = float(rest) if rest else 0.0
+        c = params[0] if params else 0.0
         return lambda y1, y2: y1**2 + y2**2 + c
     if name == "well":
-        try:
-            depth, radius = (float(p) for p in rest.split(","))
-        except ValueError:
-            raise sec.fail("potential",
-                           f"well spec needs depth,radius: {spec!r}") from None
+        if len(params) != 2:
+            raise sec.fail("potential", f"well spec needs depth,radius: {spec!r}")
+        depth, radius = params
         # smooth edge: a hard indicator rings under the spectral operator
         width = 0.25 * radius
         return lambda y1, y2: depth * 0.5 * (
@@ -437,22 +456,22 @@ def _parse_v_par(spec: str | None, length: float, sec: _Section) -> Callable | N
     if spec in (None, "", "none"):
         return None
     name, _, rest = spec.partition(":")
+    params = sec.numbers("v_par", rest)
     if name == "harmonic":
-        c = float(rest) if rest else 1.0
+        c = params[0] if params else 1.0
         return lambda t, x: c * x**2
     if name == "cosine":
-        parts = [float(p) for p in rest.split(",")] if rest else [1.0]
-        amp = parts[0]
-        mode = parts[1] if len(parts) > 1 else 1.0
+        amp = params[0] if params else 1.0
+        mode = params[1] if len(params) > 1 else 1.0
         q = 2.0 * math.pi * mode / length
         return lambda t, x: amp * np.cos(q * x)
     raise sec.fail("v_par", f"unknown axial potential {spec!r}")
 
 
-def _parse_initial(sec: _Section, grid: gpe1d.Grid1D) -> gpe1d.Field1D:
+def _parse_initial(sec: _Section, grid: gpe1d.Grid1D) -> gpe1d.Field:
     spec = sec.raw("initial", "gaussian")
     name, _, rest = spec.partition(":")
-    params = [float(p) for p in rest.split(",")] if rest else []
+    params = sec.numbers("initial", rest)
     if name == "gaussian":
         sigma = params[0] if params else 1.0
         x0 = params[1] if len(params) > 1 else 0.0
@@ -463,7 +482,7 @@ def _parse_initial(sec: _Section, grid: gpe1d.Grid1D) -> gpe1d.Field1D:
         return gpe1d.plane_wave(grid, mode)
     if name == "constant":
         values = np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex)
-        return gpe1d.Field1D(grid, values, 0.0)
+        return gpe1d.Field(grid, values, 0.0)
     raise sec.fail("initial", f"unknown initial state {spec!r}")
 
 
@@ -817,8 +836,8 @@ def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                "energy_drift": traj.max_energy_drift()}
     initial_spec = sec.raw("initial", "gaussian")
     if initial_spec.startswith("plane") and v_par is None:
-        _, _, rest = initial_spec.partition(":")
-        mode_idx = int(float(rest.split(",")[0])) if rest else 1
+        params = sec.numbers("initial", initial_spec.partition(":")[2])
+        mode_idx = int(params[0]) if params else 1
         k0 = 2.0 * math.pi * mode_idx / grid.length
         omega = k0**2 + b / grid.length
         exact = phi0.values * np.exp(-1j * omega * traj.times[-1])
@@ -920,7 +939,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                                             v_par, pair, b_eff,
                                             pair_range=pair_mu)
     phi = gpe1d.ground_state_1d(grid, v_par=v_par, b=ham.b_effective) \
-        if (v_par is not None or ham.b_effective) else gpe1d.Field1D(
+        if (v_par is not None or ham.b_effective) else gpe1d.Field(
             grid, np.full(grid.n, 1.0 / math.sqrt(grid.length),
                           dtype=complex), 0.0)
     orbital = manybody.orbital_from_fields(phi, mode)

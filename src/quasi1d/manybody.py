@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InterfaceError, ResolutionError
-from .gpe1d import Field1D, Grid1D, energy_1d
+from .gpe1d import Field, Grid1D, energy_1d
 from .scattering import CorrectionProfile
 from .transverse import TransverseMode
 
@@ -461,7 +461,7 @@ def confined_hamiltonian(x_grid: Grid1D, mode: TransverseMode,
                            pair_range=pair_range)
 
 
-def orbital_from_fields(phi: Field1D, mode: TransverseMode | None) -> np.ndarray:
+def orbital_from_fields(phi: Field, mode: TransverseMode | None) -> np.ndarray:
     """Plain-normalized grid orbital Phi (x) chi_eps(y), flattened."""
     line = phi.values * math.sqrt(phi.grid.dx)
     if mode is None:
@@ -508,7 +508,7 @@ def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
     return total / n - ham.e0_shift
 
 
-def alpha_functional(state: ManyBodyState, phi: Field1D, weights: WeightTable,
+def alpha_functional(state: ManyBodyState, phi: Field, weights: WeightTable,
                      ham: HamiltonianSpec,
                      mode: TransverseMode | None = None) -> float:
     """Counting expectation of m_hat plus the energy-per-particle gap."""
@@ -573,7 +573,7 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
     return float(np.sum(sq, where=mask.ravel())) + potential
 
 
-def correlation_diagnostic(state: ManyBodyState, phi: Field1D,
+def correlation_diagnostic(state: ManyBodyState, phi: Field,
                            weights: WeightTable, corr: CorrectionProfile,
                            ham: HamiltonianSpec,
                            mode: TransverseMode | None = None) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "solve_zero_energy",
     "CorrectionProfile",
     "build_correction",
-    "eval_scattering_pair",
     "neutrality_residual",
     "shell_coupling",
     "g_norm_diagnostics",
@@ -470,12 +469,6 @@ def build_correction(sol: ScatteringSolution, beta_tilde: float,
                              shell_wavenumber=u, shell_sin_coeff=A, shell_cos_coeff=B,
                              tangency_value_residual=value_residual,
                              tangency_slope_residual=slope_residual)
-
-
-def eval_scattering_pair(corr: CorrectionProfile, r):
-    """Pointwise (f, g) = (f, 1 - f) of the compensated profile."""
-    f = corr.f(r)
-    return f, 1.0 - f
 
 
 def neutrality_residual(corr: CorrectionProfile, inner_scale: float = 1.0) -> float:

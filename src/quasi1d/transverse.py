@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError, ResolutionError
+from .gpe1d import Grid1D, _kinetic_energy
 
 __all__ = ["TransverseMode", "ground_state_2d", "coupling_b", "rescale_mode",
            "harmonic_profile"]
@@ -54,10 +55,8 @@ class TransverseMode:
 
 
 def _rayleigh(chi: np.ndarray, v: np.ndarray, k2: np.ndarray, da: float) -> float:
-    chi_hat = np.fft.fft2(chi)
-    kinetic = float(np.sum(k2 * np.abs(chi_hat) ** 2)) * da / chi.size
     potential = float(np.sum(v * np.abs(chi) ** 2)) * da
-    return kinetic + potential
+    return _kinetic_energy(chi, k2, da) + potential
 
 
 def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -77,17 +76,14 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     to ``boundary_tol`` relative to its peak, otherwise the box does not
     contain the mode.
     """
-    if n < 4 or n % 2:
-        raise DomainError("transverse grid needs an even n >= 4")
-    h = extent / n
-    y = (np.arange(n) - n // 2) * h
-    y1, y2 = np.meshgrid(y, y, indexing="ij")
+    axis = Grid1D(extent, n)            # DomainError unless n is even and >= 4
+    y1, y2 = np.meshgrid(axis.x, axis.x, indexing="ij")
     v = np.asarray(v_perp(y1, y2), dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError("transverse potential takes non-finite values on the grid")
-    k = 2.0 * math.pi * np.fft.fftfreq(n, h)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    da = h * h
+    k2 = axis.k_squared()
+    k2 = k2[:, None] + k2[None, :]
+    da = axis.dx * axis.dx
 
     def apply_h(state: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(k2 * np.fft.fft2(state)).real + v * state

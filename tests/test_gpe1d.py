@@ -178,3 +178,100 @@ def test_sampling_stride():
     assert traj.samples[0].time == 0.0
     assert traj.samples[1].time == pytest.approx(0.05)
     assert traj.samples[-1].time == pytest.approx(0.1)
+
+
+def _unfused_strang_1d(phi0, v_par, b, t_final, dt, sample_stride):
+    """Reference: both phase half-steps of every step, allocating FFTs;
+    energies with the derivative taken in real space."""
+    grid = phi0.grid
+    n_steps = max(1, round(t_final / dt))
+    dt = t_final / n_steps
+    kin = np.exp(-1j * dt * grid.k**2)
+
+    def energy(psi, t):
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
+        rho = np.abs(psi) ** 2
+        return float(np.sum(np.abs(dpsi) ** 2 + v_par(t, grid.x) * rho
+                            + 0.5 * b * rho**2)) * grid.dx
+
+    psi, t = phi0.values.copy(), phi0.time
+    samples, energies = [psi.copy()], [energy(psi, t)]
+    for i in range(1, n_steps + 1):
+        v = v_par(t + 0.5 * dt, grid.x)
+        psi = psi * np.exp(-0.5j * dt * (v + b * np.abs(psi) ** 2))
+        psi = np.fft.ifft(kin * np.fft.fft(psi))
+        psi = psi * np.exp(-0.5j * dt * (v + b * np.abs(psi) ** 2))
+        t = phi0.time + i * dt
+        energies.append(energy(psi, t))
+        if i % sample_stride == 0 or i == n_steps:
+            samples.append(psi.copy())
+    return psi, samples, np.array(energies)
+
+
+def test_evolve_matches_unfused_strang():
+    grid = gpe1d.Grid1D(16.0, 128)
+    phi0 = gpe1d.gaussian_packet(grid, sigma=1.2, k0=1.5)
+    phi0.time = 0.3
+
+    def v_par(t, x):
+        return (0.5 + np.sin(9.0 * t)) * 0.05 * x**2 + 0.3 * np.cos(x)
+
+    traj = gpe1d.evolve_1d(phi0, 0.2, 1e-3, v_par=v_par, b=1.5, sample_stride=7)
+    ref_final, ref_samples, ref_energies = _unfused_strang_1d(
+        phi0, v_par, 1.5, 0.2, 1e-3, 7)
+
+    def rel(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    assert rel(traj.final.values, ref_final) <= 1e-12
+    assert len(traj.samples) == len(ref_samples) == 30   # 0, 7..196, 200
+    for sample, ref in zip(traj.samples, ref_samples):
+        assert rel(sample.values, ref) <= 1e-12
+    assert traj.times.size == traj.norms.size == 201
+    np.testing.assert_array_equal(traj.energy_times, traj.times)
+    np.testing.assert_allclose(traj.energies, ref_energies, rtol=1e-12)
+
+
+def _random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    return gpe1d.Field(grid, values).normalized()
+
+
+def test_norm_conservation_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(half_n=st.integers(2, 64), dt=st.floats(1e-4, 0.05),
+                      b=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    def check(half_n, dt, b, seed):
+        phi0 = _random_field(gpe1d.Grid1D(8.0, 2 * half_n), seed)
+        traj = gpe1d.evolve_1d(phi0, 20 * dt, dt, v_par=lambda t, x: np.cos(x + t),
+                               b=b)
+        assert traj.max_norm_drift() < 1e-13
+
+    check()
+
+
+def test_time_reversal_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(half_n=st.integers(2, 64),
+                      dt=st.floats(1e-4, 0.05) | st.floats(-0.05, -1e-4),
+                      b=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    def check(half_n, dt, b, seed):
+        phi = start = _random_field(gpe1d.Grid1D(8.0, 2 * half_n), seed)
+        v = lambda t, x: 0.3 * x**2 + np.sin(t) * x
+        for _ in range(10):
+            phi = gpe1d.strang_step(phi, dt, v, b=b)
+        for _ in range(10):
+            phi = gpe1d.strang_step(phi, -dt, v, b=b)
+        assert np.max(np.abs(phi.values - start.values)) < 1e-10
+        assert abs(phi.time - start.time) < 1e-12
+
+    check()

@@ -487,6 +487,29 @@ def test_cli_non_finite_override_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "counting_triplet.ini:" in err
         assert f"[count] {key}: not a finite number" in err
+    assert not (tmp_path / "counting_triplet").exists()
+
+
+@pytest.mark.parametrize("config, override", [
+    ("harmonic_trap", "trap.potential=harmonic:abc"),
+    ("gpe_packet", "evolve1d.initial=gaussian:x"),
+    ("gpe_packet", "evolve1d.v_par=cosine:zz"),
+    ("barrier_scattering", "scatter.potential=file:{tmp}/missing.csv"),
+    ("gpe_packet", "evolve1d.n=7"),
+    ("reduction_sweep", "reduce3d.n_x=7"),
+    ("reduction_sweep", "reduce3d.n_y=2"),
+    ("reduction_sweep", "reduce3d.mode_n=5"),
+])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
+    section, _, key = override.partition("=")[0].partition(".")
+    code = cli.main([section, str(CONFIG_DIR / f"{config}.ini"),
+                     "--set", override.format(tmp=tmp_path),
+                     "--output", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {CONFIG_DIR / config}.ini:" in err
+    assert f"[{section}] {key}: " in err
+    assert not (tmp_path / config).exists()
 
 
 def test_cli_seed_flag(tmp_path):

@@ -221,9 +221,6 @@ def test_profile_shape(barrier_correction):
     core = np.linspace(1e-5, corr.mu, 100)
     j = corr.solution.j_at(core)
     assert np.all(corr.f(core) >= j - 1e-14)
-    # complement identity
-    f2, g2 = scattering.eval_scattering_pair(corr, r)
-    np.testing.assert_array_equal(g2, 1.0 - f2)
 
 
 def test_correction_potential_shape(barrier_correction):
