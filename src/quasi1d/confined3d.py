@@ -197,7 +197,7 @@ def extract_profile(psi: Field, mode: TransverseMode):
 # reduction sweep
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ReductionScenario:
     """Shared setup for a family of runs at decreasing eps.
 
@@ -207,9 +207,9 @@ class ReductionScenario:
     depend on the transverse coordinates for the comparison to make sense.
     """
 
-    a: float
+    a: float = 0.0
     v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    v_par_1d: Callable[[float, np.ndarray], np.ndarray] | None
+    v_par: Callable[[float, np.ndarray], np.ndarray] | None
     t_final: float
     dt_ref: float              # step used at eps_ref, scaled with (eps/eps_ref)^2
     eps_ref: float
@@ -256,7 +256,7 @@ def reduction_sweep(scenario: ReductionScenario,
     x_grid = Grid1D(scenario.length_x, scenario.n_x)
     phi0 = gaussian_packet(x_grid, sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
 
-    v_par_1d = scenario.v_par_1d
+    v_par_1d = scenario.v_par
     if v_par_1d is None:
         v_par_3d = None
     else:

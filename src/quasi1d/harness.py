@@ -7,6 +7,12 @@ A scenario file is flat key-value INI with one section per concern:
     [admissibility] optional (N, eps) sequence report
     [assert]        optional postconditions, `metric = <op> <threshold>`
 
+Loading parses every section once into frozen typed specs, all a run reads,
+so every key is checked before any artifact is written.  A section's keys
+are its spec's fields, and other keys and sections are errors; [assert] keys
+are free metric names.  Diagnostics cite the file's own line, even under
+--set; a key that only --set supplies is cited as `<file>:--set`.
+
 Every run writes a summary.json carrying the metrics, the assertion verdicts
 and a reproducibility block (config hash, seed, library versions), plus CSV
 tables with unit-annotated headers.  Identical config and seed give byte
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -54,94 +61,95 @@ def output_root(override: str | None = None) -> Path:
     return Path(os.environ.get("QUASI1D_OUTPUT_ROOT", "quasi1d_out"))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
+    """A scenario parsed at load: everything a run reads, already typed."""
+
     kind: str
     name: str
     seed: int
     path: str
-    text: str
-    parser: configparser.ConfigParser
+    text: str                     # the effective INI text the hash covers
+    spec: object                  # ScatterSpec, TrapSpec, ... by kind
+    admissibility: AdmissibilityReport | None
+    assertions: tuple             # (metric, op, threshold, tol) per row
 
     @property
     def sha256(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
-    def section(self, name: str) -> "_Section":
-        return _Section(self, name)
 
-    def has_section(self, name: str) -> bool:
-        return self.parser.has_section(name)
-
-
+@dataclass(eq=False)
 class _Section:
     """Typed accessors over one INI section with file:line diagnostics."""
 
-    def __init__(self, cfg: ScenarioConfig, name: str) -> None:
-        self.cfg = cfg
-        self.name = name
-
-    def _where(self, key: str) -> str:
-        line = _locate_key(self.cfg.text, self.name, key)
-        at = f"{self.cfg.path}:{line}" if line else self.cfg.path
-        return f"{at} [{self.name}] {key}"
+    parser: configparser.ConfigParser
+    path: str
+    source: str | None            # the file's own text; None without a file
+    name: str
 
     def fail(self, key: str, why: str) -> ConfigError:
-        return ConfigError(f"{self._where(key)}: {why}")
+        """Error citing the key's file line, or --set for an override's key."""
+        at = self.path
+        if self.source is not None:
+            line = _locate_key(self.source, self.name, key)
+            if line:
+                at += f":{line}"
+            elif self.parser.has_option(self.name, key):
+                at += ":--set"
+        return ConfigError(f"{at} [{self.name}] {key}: {why}")
 
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        if self.cfg.parser.has_option(self.name, key):
-            return self.cfg.parser.get(self.name, key).strip()
-        return default
+    def read(self, spec: type, omit: tuple = ()) -> dict:
+        """Each field of the dataclass `spec` from the key of its name; no
+        other key may appear.  Absent or empty keys read as the field default
+        (or None); float, int, bool and tuple[float, ...] fields are typed."""
+        if not self.parser.has_section(self.name):
+            raise ConfigError(f"{self.path}: missing [{self.name}] section")
+        fields = [f for f in dataclasses.fields(spec) if f.name not in omit]
+        known = {f.name for f in fields}
+        for key in self.parser.options(self.name):
+            if key not in known:
+                raise self.fail(key, "unknown key; expected one of "
+                                     + ", ".join(sorted(known)))
+        convert = {"float": self._float, "int": self._int, "bool": self._bool,
+                   "tuple[float, ...]": self.numbers}
+        values = {}
+        for f in fields:
+            text = self.parser.get(self.name, f.name, fallback="").strip()
+            kind = f.type.removesuffix(" | None")
+            if not text:
+                values[f.name] = (None if f.default is dataclasses.MISSING
+                                  else f.default)
+            elif kind in convert:
+                values[f.name] = convert[kind](f.name, text)
+            else:
+                values[f.name] = text
+        return values
 
-    def require(self, key: str) -> str:
-        value = self.raw(key)
-        if value is None or value == "":
-            raise self.fail(key, "required key is missing")
-        return value
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        value = self.raw(key)
-        if value is None or value == "":
-            return default
+    def _float(self, key: str, text: str) -> float:
         try:
-            number = float(value)
+            number = float(text)
         except ValueError:
-            raise self.fail(key, f"not a number: {value!r}") from None
+            raise self.fail(key, f"not a number: {text!r}") from None
         if not math.isfinite(number):
-            raise self.fail(key, f"not a finite number: {value!r}")
+            raise self.fail(key, f"not a finite number: {text!r}")
         return number
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        value = self.raw(key)
-        if value is None or value == "":
-            return default
+    def _int(self, key: str, text: str) -> int:
         try:
-            return int(value)
+            return int(text)
         except ValueError:
-            raise self.fail(key, f"not an integer: {value!r}") from None
+            raise self.fail(key, f"not an integer: {text!r}") from None
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        value = self.raw(key)
-        if value is None or value == "":
-            return default
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise self.fail(key, f"not a boolean: {value!r}")
+    def _bool(self, key: str, text: str) -> bool:
+        if text.lower() not in self.parser.BOOLEAN_STATES:
+            raise self.fail(key, f"not a boolean: {text!r}")
+        return self.parser.BOOLEAN_STATES[text.lower()]
 
-    def get_floats(self, key: str, default: list | None = None) -> list | None:
-        value = self.raw(key)
-        if value is None or value == "":
-            return default
-        return self.numbers(key, value)
-
-    def numbers(self, key: str, text: str) -> list[float]:
+    def numbers(self, key: str, text: str) -> tuple[float, ...]:
         """Finite numbers separated by commas or blanks, read from `text`."""
         try:
-            numbers = [float(p) for p in text.replace(",", " ").split()]
+            numbers = tuple(float(p) for p in text.replace(",", " ").split())
         except ValueError:
             raise self.fail(key, f"not a number list: {text!r}") from None
         if not all(math.isfinite(number) for number in numbers):
@@ -155,8 +163,9 @@ def _locate_key(text: str, section: str, key: str) -> int | None:
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip()
-        elif current == section and "=" in stripped:
-            if stripped.split("=", 1)[0].strip() == key:
+        elif current == section:
+            option = configparser.ConfigParser.OPTCRE.match(stripped)
+            if option and option.group("option").strip().lower() == key:
                 return lineno
     return None
 
@@ -184,24 +193,6 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         parser.set(section, key.strip(), value.strip())
 
 
-def _finish_config(parser: configparser.ConfigParser, path: str,
-                   fallback_name: str) -> ScenarioConfig:
-    if not parser.has_section("scenario"):
-        raise ConfigError(f"{path}: missing [scenario] section")
-    cfg = ScenarioConfig(kind="", name="", seed=0, path=path,
-                         text=_serialize_parser(parser), parser=parser)
-    scen = cfg.section("scenario")
-    kind = scen.require("kind")
-    if kind not in SCENARIO_KINDS:
-        raise scen.fail("kind", f"unknown kind {kind!r}; "
-                                f"expected one of {', '.join(SCENARIO_KINDS)}")
-    cfg.kind = kind
-    cfg.name = scen.raw("name") or fallback_name
-    cfg.seed = scen.get_int("seed", 0)
-    validate_config(cfg)
-    return cfg
-
-
 def load_config(path: str | Path, overrides=None) -> ScenarioConfig:
     """Parse and statically validate a scenario file.
 
@@ -220,12 +211,8 @@ def load_config(path: str | Path, overrides=None) -> ScenarioConfig:
         # configparser errors already carry line-level context
         raise ConfigError(f"config parse failure: {exc}") from exc
     apply_overrides(parser, overrides)
-    cfg = _finish_config(parser, str(p), p.stem)
-    if overrides:
-        return cfg
-    # keep the raw text for line-accurate diagnostics when unmodified
-    cfg.text = raw
-    return cfg
+    text = _serialize_parser(parser) if overrides else raw
+    return validate_config(parser, str(p), text, source=raw, name=p.stem)
 
 
 def from_mapping(kind: str, values: dict, name: str = "adhoc",
@@ -236,56 +223,107 @@ def from_mapping(kind: str, values: dict, name: str = "adhoc",
     well-defined as for file-based runs.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    parser.add_section("scenario")
-    parser.set("scenario", "kind", kind)
-    parser.set("scenario", "name", name)
-    parser.set("scenario", "seed", str(seed))
-    for section, mapping in values.items():
-        if not parser.has_section(section):
-            parser.add_section(section)
-        for key, val in mapping.items():
-            parser.set(section, key, str(val))
-    return _finish_config(parser, "<flags>", name)
+    parser.read_dict({"scenario": {"kind": kind, "name": name, "seed": seed}})
+    parser.read_dict(values)
+    return validate_config(parser, "<flags>", _serialize_parser(parser),
+                           name=name)
+
+
+@dataclass(init=False, repr=False, eq=False)
+class _Header:
+    """The keys of [scenario]; only the fields are read, nothing is built."""
+
+    kind: str
+    name: str | None = None       # default: validate_config's name
+    seed: int = 0
+
+
+def validate_config(parser: configparser.ConfigParser, path: str, text: str,
+                    source: str | None = None,
+                    name: str = "adhoc") -> ScenarioConfig:
+    """Parse every section into its typed value; the only check a config gets.
+
+    ``text`` is hashed for reproducibility, ``source`` (the file's own text)
+    gives diagnostics their lines and ``name`` is the default scenario name."""
+    section = functools.partial(_Section, parser, path, source)
+    scen = section("scenario")
+    header = scen.read(_Header)
+    kind = header["kind"]
+    if kind not in SCENARIO_KINDS:
+        raise scen.fail("kind", f"unknown kind {kind!r}; "
+                                f"expected one of {', '.join(SCENARIO_KINDS)}")
+    for title in parser.sections():
+        if title not in ("scenario", kind, "admissibility", "assert"):
+            raise ConfigError(f"{path}: unknown section [{title}]")
+    spec = {"scatter": _parse_scatter, "trap": _parse_trap,
+            "evolve1d": _parse_evolve1d, "reduce3d": _parse_reduce3d,
+            "count": _parse_count}[kind](section(kind))
+    admissibility = (_parse_admissibility(section("admissibility"))
+                     if parser.has_section("admissibility") else None)
+    assertions = (_parse_assertions(section("assert"))
+                  if parser.has_section("assert") else ())
+    return ScenarioConfig(kind=kind, name=header["name"] or name,
+                          seed=header["seed"], path=path, text=text, spec=spec,
+                          admissibility=admissibility, assertions=assertions)
 
 
 # ---------------------------------------------------------------------------
-# static validation
+# specs: one frozen dataclass per kind, whose fields are the section's keys
 
 
-def _check_window(sec: _Section, key: str, value: float, lo: float, hi: float,
-                  window: str) -> None:
-    if not lo < value < hi:
+def _check_window(sec: _Section, key: str, value: float | None, lo: float,
+                  hi: float, window: str) -> None:
+    if value is not None and not lo < value < hi:
         raise sec.fail(key, f"{value} outside the admissible window {window}")
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Static checks: required sections, parameter windows, consistency."""
-    if cfg.kind and not cfg.has_section(cfg.kind):
-        raise ConfigError(f"{cfg.path}: missing [{cfg.kind}] section for "
-                          f"kind = {cfg.kind}")
-    sec = cfg.section(cfg.kind)
-    if cfg.kind == "scatter":
-        _validate_scatter(sec)
-    elif cfg.kind == "trap":
-        _validate_trap(sec)
-    elif cfg.kind == "evolve1d":
-        _validate_evolve1d(sec)
-    elif cfg.kind == "reduce3d":
-        _validate_reduce3d(sec)
-    elif cfg.kind == "count":
-        _validate_count(sec)
-    if cfg.has_section("admissibility"):
-        _validate_admissibility_section(cfg.section("admissibility"))
-    if cfg.has_section("assert"):
-        for key, value in cfg.parser.items("assert"):
-            _parse_assertion(cfg.section("assert"), key, value)
+def _positive(sec: _Section, v: dict, *keys: str) -> None:
+    for key in keys:
+        if v[key] is None or v[key] <= 0:
+            raise sec.fail(key, f"positive {key} required")
 
 
-def _resolve_mu(sec: _Section) -> float:
+def _grid_size(sec: _Section, v: dict, *keys: str, least: int = 4) -> None:
+    for key in keys:
+        if v[key] < least or v[key] % 2:
+            raise sec.fail(key, f"grid size must be even and at least {least}")
+
+
+@dataclass(frozen=True, eq=False)
+class ScatterSpec:
+    """[scatter]; potential: square_barrier, smooth_bump, zero, file:<csv>."""
+
+    potential: scattering.RadialPotential
+    height: float = 10.0
+    radius: float = 1.0
+    mu: float | None = None       # or epsilon^2 / n_particles; None in a sweep
+    epsilon: float | None = None
+    n_particles: float | None = None
+    mu_list: tuple[float, ...] | None = None
+    beta_tilde: float | None = None
+    ode_tol: float = 1e-10
+    bisect_tol: float = 1e-12
+    radial_table: bool = False
+
+
+def _parse_scatter(sec: _Section) -> ScatterSpec:
+    v = sec.read(ScatterSpec)
+    if v["mu_list"] is None:
+        v["mu"] = _resolve_mu(sec, v)
+    elif any(mu <= 0 for mu in v["mu_list"]):
+        raise sec.fail("mu_list", "every mu in the sweep must be positive")
+    v["potential"] = _parse_radial_potential(
+        sec, v["potential"] or "square_barrier", v["height"], v["radius"])
+    _check_window(sec, "beta_tilde", v["beta_tilde"], 1.0 / 3.0, 1.0,
+                  BETA_WINDOW)
+    if v["beta_tilde"] is None and v["mu_list"] is not None:
+        raise sec.fail("mu_list", "a mu sweep needs beta_tilde")
+    return ScatterSpec(**v)
+
+
+def _resolve_mu(sec: _Section, v: dict) -> float:
     """mu directly, or epsilon^2 / n_particles; both given must agree."""
-    mu = sec.get_float("mu")
-    eps = sec.get_float("epsilon")
-    n = sec.get_float("n_particles")
+    mu, eps, n = v["mu"], v["epsilon"], v["n_particles"]
     if eps is not None and n is not None:
         derived = eps * eps / n
         if mu is not None and not math.isclose(mu, derived, rel_tol=1e-9):
@@ -299,121 +337,150 @@ def _resolve_mu(sec: _Section) -> float:
     return mu
 
 
-def _validate_scatter(sec: _Section) -> None:
-    mu_list = sec.get_floats("mu_list")
-    if mu_list is None:
-        _resolve_mu(sec)
-    elif any(mu <= 0 for mu in mu_list):
-        raise sec.fail("mu_list", "every mu in the sweep must be positive")
-    _parse_radial_potential(sec)
-    beta = sec.get_float("beta_tilde")
-    if beta is not None:
-        _check_window(sec, "beta_tilde", beta, 1.0 / 3.0, 1.0, BETA_WINDOW)
-    elif mu_list is not None:
-        raise sec.fail("mu_list", "a mu sweep needs beta_tilde")
+@dataclass(frozen=True, eq=False)
+class TrapSpec:
+    """[trap]; potential: harmonic[:c], shifted:c or well:depth,radius."""
+
+    potential: Callable
+    n: int = 128
+    extent: float = 16.0
+    tol: float = 1e-13
+    epsilon: float | None = None
+    chi_slice: bool = False
 
 
-def _validate_trap(sec: _Section) -> None:
-    _parse_v_perp(sec.raw("potential", "harmonic"), sec)
-    _grid_size(sec, "n", 128, least=16)
-    if sec.get_float("extent", 16.0) <= 0:
-        raise sec.fail("extent", "extent must be positive")
-    eps = sec.get_float("epsilon")
-    if eps is not None and eps <= 0:
-        raise sec.fail("epsilon", "epsilon must be positive")
+def _parse_trap(sec: _Section) -> TrapSpec:
+    v = sec.read(TrapSpec)
+    v["potential"] = _parse_v_perp(v["potential"] or "harmonic", sec)
+    _grid_size(sec, v, "n", least=16)
+    _positive(sec, v, "extent")
+    _check_window(sec, "epsilon", v["epsilon"], 0.0, math.inf, "(0, inf)")
+    return TrapSpec(**v)
 
 
-def _validate_evolve1d(sec: _Section) -> None:
-    length = sec.get_float("length", 16.0)
-    if length <= 0:
-        raise sec.fail("length", "length must be positive")
-    if sec.get_float("t_final") is None or sec.get_float("t_final") <= 0:
-        raise sec.fail("t_final", "positive t_final required")
-    if sec.get_float("dt") is None or sec.get_float("dt") <= 0:
-        raise sec.fail("dt", "positive dt required")
-    _resolve_coupling(sec)
-    _parse_v_par(sec.raw("v_par", "none"), length, sec)
-    _parse_initial(sec, gpe1d.Grid1D(length, _grid_size(sec, "n", 256)))
+@dataclass(frozen=True, eq=False)
+class Evolve1dSpec:
+    """[evolve1d]: the line's grid, initial state, coupling and steps."""
+
+    t_final: float
+    dt: float
+    initial: tuple  # gaussian[:sigma,x0,k0] (default), plane[:mode], constant
+    length: float = 16.0
+    n: int = 256
+    b: float | None = None        # resolved: b, 8 pi a quartic, or 0
+    a: float | None = None
+    quartic: float | None = None
+    v_par: Callable | None = None
+    sample_stride: int = 0
+    convergence: bool = False
+    snapshots: bool = False
 
 
-def _validate_reduce3d(sec: _Section) -> None:
-    eps_list = sec.get_floats("eps_list")
+def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
+    v = sec.read(Evolve1dSpec)
+    _positive(sec, v, "length", "t_final", "dt")
+    v["b"] = _resolve_coupling(sec, v)
+    v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
+    _grid_size(sec, v, "n")
+    v["initial"] = _parse_initial(sec, v["initial"] or "gaussian")
+    return Evolve1dSpec(**v)
+
+
+def _resolve_coupling(sec: _Section, v: dict) -> float:
+    b, a, quartic = v["b"], v["a"], v["quartic"]
+    if b is not None:
+        if a is not None:
+            raise sec.fail("b", "give either b or the a, quartic pair")
+        return b
+    if a is not None:
+        if quartic is None:
+            raise sec.fail("quartic", "quartic required alongside a")
+        if a < 0:
+            raise sec.fail("a", "scattering length must be non-negative")
+        return 8.0 * math.pi * a * quartic
+    return 0.0
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Reduce3dSpec(confined3d.ReductionScenario):
+    """A reduction scenario with harmonic v_perp (no key) and its eps sweep."""
+
+    eps_list: tuple[float, ...]
+
+
+def _parse_reduce3d(sec: _Section) -> Reduce3dSpec:
+    v = sec.read(Reduce3dSpec, omit=("v_perp",))
+    eps_list = v["eps_list"]
     if not eps_list:
         raise sec.fail("eps_list", "at least one epsilon required")
     if any(e <= 0 for e in eps_list) or any(
             b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise sec.fail("eps_list", "epsilons must be positive and strictly "
                                    "decreasing")
-    if sec.get_float("a", 0.0) < 0:
+    if v["a"] < 0:
         raise sec.fail("a", "scattering length must be non-negative")
-    if sec.get_float("t_final") is None or sec.get_float("t_final") <= 0:
-        raise sec.fail("t_final", "positive t_final required")
-    if sec.get_float("dt_ref") is None or sec.get_float("dt_ref") <= 0:
-        raise sec.fail("dt_ref", "positive dt_ref required")
-    length = sec.get_float("length_x", 16.0)
-    _parse_v_par(sec.raw("v_par", "none"), length, sec)
-    for key, default in (("n_x", 128), ("n_y", 48), ("mode_n", 96)):
-        _grid_size(sec, key, default)
+    _positive(sec, v, "t_final", "dt_ref")
+    v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
+    _grid_size(sec, v, "n_x", "n_y", "mode_n")
+    if v["eps_ref"] is None:            # the first eps of the sweep
+        v["eps_ref"] = eps_list[0]
+    return Reduce3dSpec(v_perp=transverse.harmonic_profile, **v)
 
 
-def _grid_size(sec: _Section, key: str, default: int, least: int = 4) -> int:
-    n = sec.get_int(key, default)
-    if n < least or n % 2:
-        raise sec.fail(key, f"grid size must be even and at least {least}")
-    return n
+@dataclass(frozen=True, eq=False)
+class CountSpec:
+    """[count]: the counting run, its one-particle grid and the pair form."""
+
+    n_particles: int
+    xi: float
+    samples: int = 100
+    grid: str = "line"            # line or confined
+    length: float = 2.0 * math.pi
+    dim: int | None = None        # 32 on the line, 16 confined
+    n_y: int = 12                 # confined only, as extent and epsilon
+    extent: float = 12.0
+    epsilon: float = 0.5
+    b: float = 0.0
+    v_par: Callable | None = None     # line only
+    beta_tilde: float | None = None   # checked against its window only
+    pair_height: float | None = None
+    pair_mu: float | None = None
+    quad_height: float | None = None  # given: sample the pair quadratic form
+    quad_mu: float = 0.64
+    quad_beta_tilde: float = 0.9
+    quad_length: float = 1.8
+    quad_n: int = 12
+    quad_samples: int = 10
 
 
-def _validate_count(sec: _Section) -> None:
-    n = sec.get_int("n_particles")
-    if n is None or not 2 <= n <= manybody.MAX_PARTICLES:
+def _parse_count(sec: _Section) -> CountSpec:
+    v = sec.read(CountSpec)
+    if not 2 <= (v["n_particles"] or 0) <= manybody.MAX_PARTICLES:
         raise sec.fail("n_particles",
                        f"n_particles must be 2..{manybody.MAX_PARTICLES}")
-    xi = sec.get_float("xi")
-    if xi is None:
+    if v["xi"] is None:
         raise sec.fail("xi", "xi required")
-    _check_window(sec, "xi", xi, 0.0, 0.5, XI_WINDOW)
-    if sec.get_int("samples", 100) < 1:
+    _check_window(sec, "xi", v["xi"], 0.0, 0.5, XI_WINDOW)
+    if v["samples"] < 1:
         raise sec.fail("samples", "at least one sample required")
-    grid_kind = sec.raw("grid", "line")
-    if grid_kind not in ("line", "confined"):
-        raise sec.fail("grid", f"unknown grid kind {grid_kind!r}")
-    beta = sec.get_float("beta_tilde")
-    if beta is not None:
-        _check_window(sec, "beta_tilde", beta, 1.0 / 3.0, 1.0, BETA_WINDOW)
-    # the runner reads these only after the output directory exists
-    for key in ("length", "b", "epsilon", "extent", "pair_height", "pair_mu",
-                "quad_height", "quad_mu", "quad_beta_tilde", "quad_length"):
-        sec.get_float(key)
-    _parse_v_par(sec.raw("v_par", "none"), sec.get_float("length", 2.0 * math.pi),
-                 sec)
-
-
-def _validate_admissibility_section(sec: _Section) -> None:
-    delta = sec.get_float("delta")
-    if delta is None:
-        raise sec.fail("delta", "delta required")
-    _check_window(sec, "delta", delta, 0.0, 0.4, DELTA_WINDOW)
-    n_values = sec.get_floats("n_values")
-    eps_values = sec.get_floats("eps_values")
-    if not n_values or not eps_values:
-        raise sec.fail("n_values", "n_values and eps_values required")
-    if len(n_values) != len(eps_values):
-        raise sec.fail("eps_values", "n_values and eps_values lengths differ")
-    d = sec.get_float("d")
-    beta = sec.get_float("beta_tilde")
-    if (d is None) != (beta is None):
-        raise sec.fail("d", "d and beta_tilde must be given together")
+    if v["grid"] not in ("line", "confined"):
+        raise sec.fail("grid", f"unknown grid kind {v['grid']!r}")
+    _check_window(sec, "beta_tilde", v["beta_tilde"], 1.0 / 3.0, 1.0,
+                  BETA_WINDOW)
+    if v["dim"] is None:
+        v["dim"] = 32 if v["grid"] == "line" else 16
+    _grid_size(sec, v, "dim", "n_y")
+    v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
+    return CountSpec(**v)
 
 
 # ---------------------------------------------------------------------------
 # mini-spec parsers shared by scenario kinds
 
 
-def _parse_radial_potential(sec: _Section) -> scattering.RadialPotential:
-    spec = sec.raw("potential", "square_barrier")
+def _parse_radial_potential(sec: _Section, spec: str, height: float,
+                            radius: float) -> scattering.RadialPotential:
     name, _, rest = spec.partition(":")
-    height = sec.get_float("height", 10.0)
-    radius = sec.get_float("radius", 1.0)
     if name == "square_barrier":
         return scattering.square_barrier(height, radius)
     if name == "smooth_bump":
@@ -468,39 +535,21 @@ def _parse_v_par(spec: str | None, length: float, sec: _Section) -> Callable | N
     raise sec.fail("v_par", f"unknown axial potential {spec!r}")
 
 
-def _parse_initial(sec: _Section, grid: gpe1d.Grid1D) -> gpe1d.Field:
-    spec = sec.raw("initial", "gaussian")
+def _parse_initial(sec: _Section, spec: str) -> tuple:
     name, _, rest = spec.partition(":")
     params = sec.numbers("initial", rest)
     if name == "gaussian":
-        sigma = params[0] if params else 1.0
-        x0 = params[1] if len(params) > 1 else 0.0
-        k0 = params[2] if len(params) > 2 else 0.0
-        return gpe1d.gaussian_packet(grid, sigma=sigma, x0=x0, k0=k0)
+        return (name, *(params + (1.0, 0.0, 0.0)[len(params):])[:3])
     if name == "plane":
-        mode = int(params[0]) if params else 1
-        return gpe1d.plane_wave(grid, mode)
+        return name, int(params[0]) if params else 1
     if name == "constant":
-        values = np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex)
-        return gpe1d.Field(grid, values, 0.0)
+        return (name,)
     raise sec.fail("initial", f"unknown initial state {spec!r}")
 
 
-def _resolve_coupling(sec: _Section) -> float:
-    b = sec.get_float("b")
-    a = sec.get_float("a")
-    quartic = sec.get_float("quartic")
-    if b is not None:
-        if a is not None:
-            raise sec.fail("b", "give either b or the a, quartic pair")
-        return b
-    if a is not None:
-        if quartic is None:
-            raise sec.fail("quartic", "quartic required alongside a")
-        if a < 0:
-            raise sec.fail("a", "scattering length must be non-negative")
-        return 8.0 * math.pi * a * quartic
-    return 0.0
+def _flat_field(grid: gpe1d.Grid1D) -> gpe1d.Field:
+    values = np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex)
+    return gpe1d.Field(grid, values, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +608,32 @@ def validate_admissibility(sequence, delta: float, d: float | None = None,
                                admissible=decreasing, window=window)
 
 
-def _admissibility_from_config(cfg: ScenarioConfig) -> AdmissibilityReport:
-    sec = cfg.section("admissibility")
-    n_values = sec.get_floats("n_values")
-    eps_values = sec.get_floats("eps_values")
-    return validate_admissibility(list(zip(n_values, eps_values)),
-                                  sec.get_float("delta"),
-                                  d=sec.get_float("d"),
-                                  beta_tilde=sec.get_float("beta_tilde"))
+@dataclass(init=False, repr=False, eq=False)
+class _AdmissibilityKeys:
+    """The keys of [admissibility], as _Header."""
+
+    delta: float
+    n_values: tuple[float, ...] = ()
+    eps_values: tuple[float, ...] = ()
+    d: float | None = None
+    beta_tilde: float | None = None
+
+
+def _parse_admissibility(sec: _Section) -> AdmissibilityReport:
+    v = sec.read(_AdmissibilityKeys)
+    if v["delta"] is None:
+        raise sec.fail("delta", "delta required")
+    _check_window(sec, "delta", v["delta"], 0.0, 0.4, DELTA_WINDOW)
+    if len(v["n_values"]) != len(v["eps_values"]):
+        raise sec.fail("eps_values", "n_values and eps_values lengths differ")
+    if (v["d"] is None) != (v["beta_tilde"] is None):
+        raise sec.fail("d", "d and beta_tilde must be given together")
+    try:
+        return validate_admissibility(zip(v["n_values"], v["eps_values"]),
+                                      v["delta"], d=v["d"],
+                                      beta_tilde=v["beta_tilde"])
+    except ConfigError as exc:
+        raise sec.fail("n_values", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -592,42 +659,44 @@ def _parse_threshold(sec: _Section, key: str, token: str) -> float:
     return threshold
 
 
-def _parse_assertion(sec: _Section, key: str, value: str) -> tuple:
-    parts = value.split()
-    if len(parts) == 3 and parts[0] == "~":
-        target = _parse_threshold(sec, key, parts[1])
-        tol = _parse_threshold(sec, key, parts[2])
-        if tol < 0:
-            raise sec.fail(key, "approx tolerance must be non-negative")
-        return "~", target, tol
-    if len(parts) != 2 or parts[0] not in _OPS:
-        raise sec.fail(key, f"assertion must read '<op> <threshold>' or "
-                            f"'~ <target> <tol>' with op in {sorted(_OPS)}: "
-                            f"got {value!r}")
-    return parts[0], _parse_threshold(sec, key, parts[1]), None
-
-
-def _evaluate_assertions(cfg: ScenarioConfig, metrics: dict) -> list:
+def _parse_assertions(sec: _Section) -> tuple:
+    """(metric, op, threshold, tol) per key; the keys are free metric names."""
     rows = []
-    if cfg.has_section("assert"):
-        sec = cfg.section("assert")
-        for key, value in cfg.parser.items("assert"):
-            op, threshold, tol = _parse_assertion(sec, key, value)
-            row = {"metric": key, "op": op, "threshold": threshold}
-            if tol is not None:
-                row["tol"] = tol
-            if key not in metrics:
-                rows.append({**row, "value": None, "passed": False,
-                             "note": "unknown metric"})
-                continue
-            actual = metrics[key]
-            if math.isnan(actual):
-                passed = False          # NaN fails every comparison, != too
-            elif op == "~":
-                passed = abs(actual - threshold) <= tol
-            else:
-                passed = bool(_OPS[op](actual, threshold))
-            rows.append({**row, "value": actual, "passed": passed})
+    for key, value in sec.parser.items(sec.name):
+        parts = value.split()
+        if len(parts) == 3 and parts[0] == "~":
+            target, tol = (_parse_threshold(sec, key, p) for p in parts[1:])
+            if tol < 0:
+                raise sec.fail(key, "approx tolerance must be non-negative")
+            rows.append((key, "~", target, tol))
+        elif len(parts) == 2 and parts[0] in _OPS:
+            rows.append((key, parts[0], _parse_threshold(sec, key, parts[1]),
+                         None))
+        else:
+            raise sec.fail(key, f"assertion must read '<op> <threshold>' or "
+                                f"'~ <target> <tol>' with op in {sorted(_OPS)}: "
+                                f"got {value!r}")
+    return tuple(rows)
+
+
+def _evaluate_assertions(assertions: tuple, metrics: dict) -> list:
+    rows = []
+    for key, op, threshold, tol in assertions:
+        row = {"metric": key, "op": op, "threshold": threshold}
+        if tol is not None:
+            row["tol"] = tol
+        if key not in metrics:
+            rows.append({**row, "value": None, "passed": False,
+                         "note": "unknown metric"})
+            continue
+        actual = metrics[key]
+        if math.isnan(actual):
+            passed = False          # NaN fails every comparison, != too
+        elif op == "~":
+            passed = abs(actual - threshold) <= tol
+        else:
+            passed = bool(_OPS[op](actual, threshold))
+        rows.append({**row, "value": actual, "passed": passed})
     return rows
 
 
@@ -683,10 +752,9 @@ def _barrier_closed_form(w: scattering.RadialPotential) -> float | None:
     return w.radius - math.tanh(k * w.radius) / k
 
 
-def _scatter_metrics(w: scattering.RadialPotential, mu: float,
-                     beta: float | None, ode_tol: float,
-                     bisect_tol: float) -> tuple:
-    sol = scattering.solve_zero_energy(w, mu, tol=ode_tol)
+def _scatter_metrics(spec: ScatterSpec, mu: float) -> tuple:
+    w, beta = spec.potential, spec.beta_tilde
+    sol = scattering.solve_zero_energy(w, mu, tol=spec.ode_tol)
     metrics = {"mu": mu, "a": sol.a, "a_mu": sol.a_mu,
                "identity_residual": sol.identity_residual,
                "ode_steps": float(sol.steps)}
@@ -695,7 +763,7 @@ def _scatter_metrics(w: scattering.RadialPotential, mu: float,
         metrics["closed_form_err"] = abs(sol.a - closed)
     if beta is None:
         return sol, None, metrics
-    corr = scattering.build_correction(sol, beta, bisect_tol=bisect_tol)
+    corr = scattering.build_correction(sol, beta, bisect_tol=spec.bisect_tol)
     neutral = scattering.neutrality_residual(corr)
     coupling = scattering.shell_coupling(corr)
     target = corr.kappa * 8.0 * math.pi * sol.a
@@ -724,20 +792,12 @@ def _scatter_metrics(w: scattering.RadialPotential, mu: float,
 
 
 def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
-    sec = cfg.section("scatter")
-    w = _parse_radial_potential(sec)
-    ode_tol = sec.get_float("ode_tol", 1e-10)
-    bisect_tol = sec.get_float("bisect_tol", 1e-12)
-    beta = sec.get_float("beta_tilde")
-    mu_list = sec.get_floats("mu_list")
+    spec = cfg.spec
     artifacts = []
     extra = {}
 
-    if mu_list is not None:
-        if beta is None:
-            raise sec.fail("mu_list", "a mu sweep needs beta_tilde")
-        per_mu = [_scatter_metrics(w, mu, beta, ode_tol, bisect_tol)[2]
-                  for mu in mu_list]
+    if spec.mu_list is not None:
+        per_mu = [_scatter_metrics(spec, mu)[2] for mu in spec.mu_list]
         ratios = [m["r_over_mu_beta"] for m in per_mu]
         mean_ratio = sum(ratios) / len(ratios)
         metrics = {
@@ -775,13 +835,12 @@ def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         extra["per_mu"] = per_mu
         return metrics, extra, artifacts
 
-    mu = _resolve_mu(sec)
-    sol, corr, metrics = _scatter_metrics(w, mu, beta, ode_tol, bisect_tol)
-    if corr is not None and sec.get_bool("radial_table", False):
+    sol, corr, metrics = _scatter_metrics(spec, spec.mu)
+    if corr is not None and spec.radial_table:
         rr = np.linspace(0.0, 1.05 * corr.outer_radius, 513)
         f_vals = corr.f(rr)
         u_vals = corr.u_potential(rr)
-        w_vals = w.scaled(rr, mu)
+        w_vals = spec.potential.scaled(rr, spec.mu)
         _write_csv(out_dir / "radial_table.csv",
                    ["r [length]", "f [1]", "g [1]",
                     "w_mu [1/length^2]", "u [1/length^2]"],
@@ -793,22 +852,18 @@ def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 
 
 def _run_trap(cfg: ScenarioConfig, out_dir: Path) -> tuple:
-    sec = cfg.section("trap")
-    v_perp = _parse_v_perp(sec.raw("potential", "harmonic"), sec)
-    mode = transverse.ground_state_2d(v_perp,
-                                      extent=sec.get_float("extent", 16.0),
-                                      n=sec.get_int("n", 128),
-                                      tol=sec.get_float("tol", 1e-13))
+    spec = cfg.spec
+    mode = transverse.ground_state_2d(spec.potential, extent=spec.extent,
+                                      n=spec.n, tol=spec.tol)
     metrics = {"e0": mode.E0, "quartic": mode.quartic,
                "b_per_a": 8.0 * math.pi * mode.quartic}
     artifacts = []
-    eps = sec.get_float("epsilon")
-    if eps is not None:
-        scaled = transverse.rescale_mode(mode, eps)
+    if spec.epsilon is not None:
+        scaled = transverse.rescale_mode(mode, spec.epsilon)
         metrics["e0_scaled"] = scaled.E0
         metrics["quartic_identity_err"] = abs(
-            eps**2 * scaled.quartic - mode.quartic)
-    if sec.get_bool("chi_slice", False):
+            spec.epsilon**2 * scaled.quartic - mode.quartic)
+    if spec.chi_slice:
         axis = mode.axis()
         mid = mode.n // 2
         _write_csv(out_dir / "chi_slice.csv",
@@ -820,35 +875,29 @@ def _run_trap(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 
 
 def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
-    sec = cfg.section("evolve1d")
-    grid = gpe1d.Grid1D(sec.get_float("length", 16.0), sec.get_int("n", 256))
-    phi0 = _parse_initial(sec, grid)
-    v_par = _parse_v_par(sec.raw("v_par", "none"), grid.length, sec)
-    b = _resolve_coupling(sec)
-    stride = sec.get_int("sample_stride", 0)
-    traj = gpe1d.evolve_1d(phi0, sec.get_float("t_final"), sec.get_float("dt"),
-                           v_par=v_par, b=b, sample_stride=stride)
+    spec = cfg.spec
+    grid = gpe1d.Grid1D(spec.length, spec.n)
+    name, *params = spec.initial
+    phi0 = {"gaussian": gpe1d.gaussian_packet, "plane": gpe1d.plane_wave,
+            "constant": _flat_field}[name](grid, *params)
+    traj = gpe1d.evolve_1d(phi0, spec.t_final, spec.dt, v_par=spec.v_par,
+                           b=spec.b, sample_stride=spec.sample_stride)
     steps = float(len(traj.times) - 1)
-    metrics = {"b": b, "steps": steps,
+    metrics = {"b": spec.b, "steps": steps,
                "final_time": traj.times[-1],
                "norm_drift": traj.max_norm_drift(),
                "norm_drift_per_step": traj.max_norm_drift() / max(steps, 1.0),
                "energy_drift": traj.max_energy_drift()}
-    initial_spec = sec.raw("initial", "gaussian")
-    if initial_spec.startswith("plane") and v_par is None:
-        params = sec.numbers("initial", initial_spec.partition(":")[2])
-        mode_idx = int(params[0]) if params else 1
-        k0 = 2.0 * math.pi * mode_idx / grid.length
-        omega = k0**2 + b / grid.length
+    if name == "plane" and spec.v_par is None:
+        k0 = 2.0 * math.pi * params[0] / grid.length
+        omega = k0**2 + spec.b / grid.length
         exact = phi0.values * np.exp(-1j * omega * traj.times[-1])
         metrics["plane_phase_err"] = float(
             np.max(np.abs(traj.final.values - exact)))
-    if sec.get_bool("convergence", False):
+    if spec.convergence:
         # global error halves twice per dt halving for the symmetric split
-        dt0 = sec.get_float("dt")
-        t_final = sec.get_float("t_final")
-        finals = [gpe1d.evolve_1d(phi0, t_final, dt0 / den,
-                                  v_par=v_par, b=b).final.values
+        finals = [gpe1d.evolve_1d(phi0, spec.t_final, spec.dt / den,
+                                  v_par=spec.v_par, b=spec.b).final.values
                   for den in (1.0, 2.0, 16.0)]
         scale = math.sqrt(grid.dx)
         err_coarse = float(np.linalg.norm(finals[0] - finals[2])) * scale
@@ -859,7 +908,7 @@ def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     _write_csv(out_dir / "timeseries.csv",
                ["t [time]", "norm [1]", "energy [energy]"], rows)
     artifacts = ["timeseries.csv"]
-    if sec.get_bool("snapshots", False):
+    if spec.snapshots:
         for idx, sample in enumerate(traj.samples):
             name = f"snap_{idx:05d}.bin"
             snapshots.write_snapshot(out_dir / name, sample.values,
@@ -869,24 +918,7 @@ def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 
 
 def _run_reduce3d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
-    sec = cfg.section("reduce3d")
-    eps_list = sec.get_floats("eps_list")
-    length_x = sec.get_float("length_x", 16.0)
-    scenario = confined3d.ReductionScenario(
-        a=sec.get_float("a", 0.0),
-        v_perp=transverse.harmonic_profile,
-        v_par_1d=_parse_v_par(sec.raw("v_par", "none"), length_x, sec),
-        t_final=sec.get_float("t_final"),
-        dt_ref=sec.get_float("dt_ref"),
-        eps_ref=sec.get_float("eps_ref", eps_list[0]),
-        length_x=length_x,
-        n_x=sec.get_int("n_x", 128),
-        base_extent_y=sec.get_float("base_extent_y", 13.0),
-        n_y=sec.get_int("n_y", 48),
-        mode_n=sec.get_int("mode_n", 96),
-        phi0_sigma=sec.get_float("phi0_sigma", 1.0),
-        phi0_k0=sec.get_float("phi0_k0", 0.0))
-    table = confined3d.reduction_sweep(scenario, eps_list)
+    table = confined3d.reduction_sweep(cfg.spec, cfg.spec.eps_list)
     rows = [(row.epsilon, row.err_l2, row.orthogonal_mass, row.energy_drift,
              row.steps) for row in table.rows]
     _write_csv(out_dir / "reduction.csv",
@@ -906,42 +938,31 @@ def _run_reduce3d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 
 
 def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
-    sec = cfg.section("count")
-    n = sec.get_int("n_particles")
-    xi = sec.get_float("xi")
-    samples = sec.get_int("samples", 100)
+    spec = cfg.spec
+    n, xi, samples = spec.n_particles, spec.xi, spec.samples
     table = manybody.WeightTable.build(n, xi)
 
-    grid_kind = sec.raw("grid", "line")
-    v_par = None
+    grid = gpe1d.Grid1D(spec.length, spec.dim)
+    pair = pair_mu = None
+    if spec.pair_height is not None and spec.pair_mu is not None:
+        w, pair_mu = scattering.smooth_bump(spec.pair_height), spec.pair_mu
+        pair = lambda dist: w.scaled(dist, pair_mu)  # noqa: E731
     mode = None
-    if grid_kind == "line":
-        grid = gpe1d.Grid1D(sec.get_float("length", 2.0 * math.pi),
-                            sec.get_int("dim", 32))
-        v_par = _parse_v_par(sec.raw("v_par", "none"), grid.length, sec)
-        pair, pair_mu = _parse_pair(sec)
-        b_eff = sec.get_float("b", 0.0)
-        ham = manybody.line_hamiltonian(grid, v_par, pair, b_eff,
+    v_par = spec.v_par if spec.grid == "line" else None
+    if spec.grid == "line":
+        ham = manybody.line_hamiltonian(grid, v_par, pair, spec.b,
                                         pair_range=pair_mu)
     else:
-        grid = gpe1d.Grid1D(sec.get_float("length", 2.0 * math.pi),
-                            sec.get_int("dim", 16))
-        eps = sec.get_float("epsilon", 0.5)
         base = transverse.ground_state_2d(
-            transverse.harmonic_profile,
-            extent=sec.get_float("extent", 12.0),
-            n=sec.get_int("n_y", 12), boundary_tol=1e-3)
-        mode = transverse.rescale_mode(base, eps)
-        pair, pair_mu = _parse_pair(sec)
-        b_eff = sec.get_float("b", 0.0)
+            transverse.harmonic_profile, extent=spec.extent, n=spec.n_y,
+            boundary_tol=1e-3)
+        mode = transverse.rescale_mode(base, spec.epsilon)
         ham = manybody.confined_hamiltonian(grid, mode,
                                             transverse.harmonic_profile,
-                                            v_par, pair, b_eff,
+                                            v_par, pair, spec.b,
                                             pair_range=pair_mu)
     phi = gpe1d.ground_state_1d(grid, v_par=v_par, b=ham.b_effective) \
-        if (v_par is not None or ham.b_effective) else gpe1d.Field(
-            grid, np.full(grid.n, 1.0 / math.sqrt(grid.length),
-                          dtype=complex), 0.0)
+        if (v_par is not None or ham.b_effective) else _flat_field(grid)
     orbital = manybody.orbital_from_fields(phi, mode)
     e_phi = gpe1d.energy_1d(phi, v_par, ham.b_effective)
 
@@ -988,19 +1009,10 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                "product_alpha_err": abs(product_alpha - 0.5 * n ** (-xi)),
                "weight_bounds_ok": 1.0 if _weight_bounds_hold() else 0.0}
 
-    quad = _quad_form_check(sec, cfg.seed)
+    quad = _quad_form_check(spec, cfg.seed)
     if quad is not None:
         metrics["quad_form_min"] = quad
     return metrics, {}, ["samples.csv"]
-
-
-def _parse_pair(sec: _Section) -> tuple:
-    height = sec.get_float("pair_height")
-    pair_mu = sec.get_float("pair_mu")
-    if height is None or pair_mu is None:
-        return None, None
-    w = scattering.smooth_bump(height)
-    return (lambda dist: w.scaled(dist, pair_mu)), pair_mu
 
 
 def _weight_bounds_hold() -> bool:
@@ -1012,25 +1024,20 @@ def _weight_bounds_hold() -> bool:
     return True
 
 
-def _quad_form_check(sec: _Section, seed: int) -> float | None:
+def _quad_form_check(spec: CountSpec, seed: int) -> float | None:
     """Smallest sampled value of the compensated pair quadratic form."""
-    height = sec.get_float("quad_height")
-    if height is None:
+    if spec.quad_height is None:
         return None
-    mu = sec.get_float("quad_mu", 0.64)
-    beta = sec.get_float("quad_beta_tilde", 0.9)
-    length = sec.get_float("quad_length", 1.8)
-    n_side = sec.get_int("quad_n", 12)
-    n_samples = sec.get_int("quad_samples", 10)
-    w = scattering.smooth_bump(height)
+    mu = spec.quad_mu
+    w = scattering.smooth_bump(spec.quad_height)
     sol = scattering.solve_zero_energy(w, mu)
-    corr = scattering.build_correction(sol, beta)
-    ham = manybody.box_hamiltonian(length, n_side,
+    corr = scattering.build_correction(sol, spec.quad_beta_tilde)
+    ham = manybody.box_hamiltonian(spec.quad_length, spec.quad_n,
                                    pair_potential=lambda d: w.scaled(d, mu),
                                    pair_range=mu)
     rng = np.random.default_rng(seed + 1)
     worst = math.inf
-    for _ in range(n_samples):
+    for _ in range(spec.quad_samples):
         # no name holds the state, so the last one is freed before the next
         # dim^2 tensor is drawn
         worst = min(worst, manybody.pair_indicator_form(
@@ -1059,21 +1066,19 @@ class ScenarioResult:
 
 
 def run_scenario(cfg: ScenarioConfig, root: str | Path | None = None) -> ScenarioResult:
-    """Execute one validated config and write its artifact set."""
-    validate_config(cfg)
+    """Execute one loaded config and write its artifact set."""
     out_dir = output_root(str(root) if root is not None else None) / cfg.name
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics, extra, artifacts = _RUNNERS[cfg.kind](cfg, out_dir)
 
-    admissibility = None
-    if cfg.has_section("admissibility"):
-        admissibility = _admissibility_from_config(cfg)
+    admissibility = cfg.admissibility
+    if admissibility is not None:
         metrics["admissible"] = 1.0 if admissibility.admissible else 0.0
         if admissibility.window is not None:
             metrics["window_ok"] = 1.0 if admissibility.window["ok"] else 0.0
 
-    assertion_rows = _evaluate_assertions(cfg, metrics)
+    assertion_rows = _evaluate_assertions(cfg.assertions, metrics)
     ok = all(row["passed"] for row in assertion_rows)
 
     summary = {

@@ -206,7 +206,7 @@ def test_non_finite_field_names_its_step(separable_setup):
 def test_reduction_sweep_converges():
     scen = confined3d.ReductionScenario(
         a=0.5, v_perp=transverse.harmonic_profile,
-        v_par_1d=lambda t, x: 0.5 * x**2,
+        v_par=lambda t, x: 0.5 * x**2,
         t_final=0.2, dt_ref=0.02, eps_ref=0.5,
         length_x=16.0, n_x=48, n_y=32, mode_n=64)
     table = confined3d.reduction_sweep(scen, [0.5, 0.25])
@@ -220,7 +220,7 @@ def test_reduction_sweep_converges():
 
 def test_reduction_sweep_rejects_bad_eps_order():
     scen = confined3d.ReductionScenario(
-        a=0.5, v_perp=transverse.harmonic_profile, v_par_1d=None,
+        a=0.5, v_perp=transverse.harmonic_profile, v_par=None,
         t_final=0.1, dt_ref=0.02, eps_ref=0.5,
         length_x=16.0, n_x=48, n_y=32, mode_n=64)
     with pytest.raises(DomainError):

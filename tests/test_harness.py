@@ -117,7 +117,7 @@ def test_mu_from_confinement_scale(tmp_path):
     path = write_ini(tmp_path, "[scenario]\nkind = scatter\n"
                                "[scatter]\nepsilon = 0.5\nn_particles = 2\n")
     cfg = harness.load_config(path)
-    assert harness._resolve_mu(cfg.section("scatter")) == pytest.approx(0.125)
+    assert cfg.spec.mu == pytest.approx(0.125)
     bad = write_ini(tmp_path, "[scenario]\nkind = scatter\n"
                               "[scatter]\nmu = 0.1\nepsilon = 0.5\n"
                               "n_particles = 2\n", name="bad.ini")
@@ -149,7 +149,7 @@ def test_override_grammar(tmp_path):
     with pytest.raises(ConfigError, match="section.key=value"):
         harness.load_config(path, ["height=12"])
     cfg = harness.load_config(path, ["scatter.height=12"])
-    assert cfg.section("scatter").get_float("height") == 12.0
+    assert cfg.spec.height == 12.0
 
 
 def test_config_hash_tracks_effective_values(tmp_path):
@@ -163,10 +163,41 @@ def test_config_hash_tracks_effective_values(tmp_path):
 
 def test_section_diagnostics_carry_file_and_line(tmp_path):
     path = write_ini(tmp_path, SCATTER_INI)
-    cfg = harness.load_config(path)
-    err = cfg.section("scatter").fail("height", "because")
-    assert "scenario.ini:7" in str(err)
-    assert "[scatter] height" in str(err)
+    # lines are the file's own under --set; a key only --set gives has none
+    with pytest.raises(ConfigError, match=r"scenario\.ini:7 \[scatter\] height: "
+                                          r"not a number"):
+        harness.load_config(path, ["scatter.height=abc"])
+    with pytest.raises(ConfigError, match=r"scenario\.ini:--set \[scatter\] "
+                                          r"ode_tol: not a number"):
+        harness.load_config(path, ["scatter.ode_tol=abc"])
+    with pytest.raises(ConfigError, match=r"^<flags> \[scatter\] height: "):
+        harness.from_mapping("scatter", {"scatter": {"mu": 0.001,
+                                                     "height": "abc"}})
+
+
+def test_unknown_keys_are_config_errors(tmp_path, capsys):
+    path = write_ini(tmp_path, SCATTER_INI + "hieght = 12\n")
+    with pytest.raises(ConfigError, match=r"scenario\.ini:8 \[scatter\] hieght: "
+                                          r"unknown key"):
+        harness.load_config(path)
+    path = write_ini(tmp_path, SCATTER_INI, name="good.ini")
+    adm = write_ini(tmp_path, ADMISSIBILITY_INI, name="adm.ini")
+    for config, override in ((path, "scenario.nmae=x"),
+                             (adm, "admissibility.detla=0.1")):
+        code = cli.main(["validate", config, "--set", override])
+        assert code == 2, override
+        section, _, key = override.partition("=")[0].partition(".")
+        assert f".ini:--set [{section}] {key}: unknown key" in \
+            capsys.readouterr().err
+    # a misspelled section would drop its keys, assertions included
+    for override in ("asert.a=< 0", "scater.mu=abc"):
+        section = override.partition(".")[0]
+        with pytest.raises(ConfigError, match=rf"good\.ini: unknown section "
+                                              rf"\[{section}\]"):
+            harness.load_config(path, [override])
+    # [assert] keys are metric names, reported as unknown metrics at run time
+    assert harness.load_config(path, ["assert.bogus=> 0"]).assertions == (
+        ("bogus", ">", 0.0, None),)
 
 
 def test_non_finite_numbers_are_config_errors(tmp_path):
@@ -175,9 +206,9 @@ def test_non_finite_numbers_are_config_errors(tmp_path):
         with pytest.raises(ConfigError, match=r"\[scatter\] height: not a "
                                               r"finite number"):
             harness.load_config(path, [f"scatter.height={bad}"])
-    cfg = harness.load_config(path, ["scatter.radii=1 nan 2"])
-    with pytest.raises(ConfigError, match="not a finite number list"):
-        cfg.section("scatter").get_floats("radii")
+    with pytest.raises(ConfigError, match=r"\[scatter\] mu_list: not a finite "
+                                          r"number list"):
+        harness.load_config(path, ["scatter.mu_list=1e-3 nan 1e-4"])
     for threshold in ("< nan", "> inf", "~ 0 inf", "~ nan 1"):
         with pytest.raises(ConfigError, match="threshold is not a finite"):
             harness.load_config(path, [f"assert.a={threshold}"])
@@ -293,6 +324,31 @@ def test_nan_metric_fails_every_assertion(tmp_path, monkeypatch):
                                            "n": 3}], "scale": None}
 
 
+def test_assertion_grammar_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def parse(text):
+        return harness.from_mapping("trap", {"trap": {},
+                                             "assert": {"m": text}}).assertions
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(op=st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+                      t=st.floats(allow_nan=False, allow_infinity=False),
+                      tol=st.floats(min_value=0.0, allow_infinity=False),
+                      text=st.text())
+    def check(op, t, tol, text):
+        assert parse(f"{op} {t!r}") == (("m", op, t, None),)
+        assert parse(f"~ {t!r} {tol!r}") == (("m", "~", t, tol),)
+        try:
+            parse(text)
+        except ConfigError as exc:
+            assert "[assert] m: " in str(exc)
+
+    check()
+
+
 def test_assertion_grammar_errors():
     flat = {"length": 16.0, "n": 32, "t_final": 0.01, "dt": 0.01}
     with pytest.raises(ConfigError, match="assertion must read"):
@@ -317,14 +373,33 @@ def count_config(seed):
 
 
 def test_runs_are_byte_identical(tmp_path):
-    first = harness.run_scenario(count_config(3), tmp_path / "one")
+    cfg = count_config(3)
+    first = harness.run_scenario(cfg, tmp_path / "one")
     second = harness.run_scenario(count_config(3), tmp_path / "two")
-    assert first.summary_path.read_bytes() == second.summary_path.read_bytes()
-    assert (first.out_dir / "samples.csv").read_bytes() == \
-        (second.out_dir / "samples.csv").read_bytes()
+    again = harness.run_scenario(cfg, tmp_path / "again")
+    for other in (second, again):
+        assert first.summary_path.read_bytes() == \
+            other.summary_path.read_bytes()
+        assert (first.out_dir / "samples.csv").read_bytes() == \
+            (other.out_dir / "samples.csv").read_bytes()
     other_seed = harness.run_scenario(count_config(4), tmp_path / "three")
     assert (first.out_dir / "samples.csv").read_bytes() != \
         (other_seed.out_dir / "samples.csv").read_bytes()
+
+
+def test_config_is_parsed_once(tmp_path, monkeypatch):
+    calls = []
+    parse = harness.validate_config
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "validate_config", counted)
+    cfg = harness.load_config(write_ini(tmp_path, SCATTER_INI))
+    harness.run_scenario(cfg, tmp_path)
+    harness.run_scenario(count_config(0), tmp_path)
+    assert calls == [cfg.path, "<flags>"]
 
 
 def test_summary_layout_and_csv_units(tmp_path):
@@ -463,6 +538,12 @@ def test_cli_bad_override(tmp_path, capsys):
     assert cli.main(["scatter", path, "--set", "oops",
                      "--output", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    # flag-only runs read overrides with the same grammar and keys
+    for override in ("oops", "scenario.seed=abc", "scenario.nmae=x"):
+        assert cli.main(["scatter", "--mu", "0.001", "--set", override,
+                         "--output", str(tmp_path)]) == 2, override
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "scatter-cli").exists()
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -499,16 +580,34 @@ def test_cli_non_finite_override_exits_2(tmp_path, capsys):
     ("reduction_sweep", "reduce3d.n_x=7"),
     ("reduction_sweep", "reduce3d.n_y=2"),
     ("reduction_sweep", "reduce3d.mode_n=5"),
+    ("gpe_packet", "evolve1d.snapshots=maybe"),
+    ("gpe_convergence", "evolve1d.convergence=maybe"),
+    ("gpe_packet", "evolve1d.sample_stride=abc"),
+    ("harmonic_trap", "trap.chi_slice=maybe"),
+    ("harmonic_trap", "trap.tol=nan"),
+    ("shell_profile", "scatter.radial_table=maybe"),
+    ("barrier_scattering", "scatter.ode_tol=abc"),
+    ("counting_triplet", "count.dim=abc"),
+    ("counting_triplet", "count.dim=7"),
+    ("counting_pair", "count.quad_n=abc"),
+    ("counting_confined", "count.n_y=abc"),
+    ("reduction_sweep", "reduce3d.phi0_sigma=abc"),
+    ("gpe_packet", "evolve1d.dt=abc"),
+    ("gpe_packet", "evolve1d.dtt=0.01"),
+    ("reduction_sweep", "reduce3d.potential=shifted:0.7"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
-    code = cli.main([section, str(CONFIG_DIR / f"{config}.ini"),
-                     "--set", override.format(tmp=tmp_path),
+    path = CONFIG_DIR / f"{config}.ini"
+    code = cli.main([section, str(path), "--set", override.format(tmp=tmp_path),
                      "--output", str(tmp_path)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert f"config error: {CONFIG_DIR / config}.ini:" in err
-    assert f"[{section}] {key}: " in err
+    # the key's line in the file itself, or --set when only the override has it
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = next((str(i) for i, text in enumerate(lines, start=1)
+                 if text.partition("=")[0].strip() == key), "--set")
+    assert f"config error: {path}:{line} [{section}] {key}: " in \
+        capsys.readouterr().err
     assert not (tmp_path / config).exists()
 
 
