@@ -16,6 +16,12 @@ The 3d dynamics uses the time-splitting spectral scheme of Bao, Jaksch &
 Markowich (J. Comput. Phys. 187, 2003), on the fused Strang loop of gpe1d:
 one phase and two in-place FFTs per step, the energy every ENERGY_STRIDE
 steps.
+
+Without interaction (a = 0) every factor of that step acts on x alone
+(V_par, k_x^2) or on y alone (V_perp / eps^2, k_y^2), so from a product
+state the discrete 3d trajectory is exactly the line run times the run of
+the transverse factor on the n_y x n_y plane.  The sweep's a = 0 control
+is run that way, at the cost of a line and a plane instead of the full box.
 """
 
 from __future__ import annotations
@@ -86,11 +92,29 @@ class Grid3D:
 
     def k_squared(self) -> np.ndarray:
         kx2 = self.x_grid().k_squared()
-        ky2 = Grid1D(self.extent_y, self.n_y).k_squared()
+        ky2 = self.y_grid().k_squared()
         return kx2[:, None, None] + ky2[None, :, None] + ky2[None, None, :]
 
     def x_grid(self) -> Grid1D:
         return Grid1D(self.length_x, self.n_x)
+
+    def y_grid(self) -> Grid1D:
+        return Grid1D(self.extent_y, self.n_y)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plane:
+    """The n_y x n_y transverse plane of a Grid3D, as a grid for the loop."""
+
+    axis: Grid1D
+
+    @property
+    def dvol(self) -> float:
+        return self.axis.dx * self.axis.dx
+
+    def k_squared(self) -> np.ndarray:
+        ky2 = self.axis.k_squared()
+        return ky2[:, None] + ky2[None, :]
 
 
 def make_grid(length_x: float, n_x: int, base_extent_y: float, n_y: int,
@@ -175,6 +199,21 @@ def evolve_3d(psi0: Field, a: float,
                         sample_stride)
 
 
+def _evolve_plane(eta0: np.ndarray, grid: Grid3D,
+                  v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  t_final: float, dt: float, sample_stride: int = 0) -> Trajectory:
+    """The transverse factor of an a = 0 run on `grid`.
+
+    Runs gpe1d's loop on the plane under -Laplace_y + V_perp(y/eps)/eps^2
+    with the steps, energy times and samples evolve_3d would take; the 3d
+    field at every recorded time is the line field times this one.
+    """
+    plane = _Plane(grid.y_grid())
+    return _strang_loop(Field(plane, np.asarray(eta0, dtype=complex)), t_final,
+                        dt, plane.k_squared(), _confinement(grid, v_perp),
+                        lambda t: 0.0, 0.0, ENERGY_STRIDE, sample_stride)
+
+
 def extract_profile(psi: Field, mode: TransverseMode):
     """Project on the transverse mode and strip the confinement phase.
 
@@ -245,14 +284,22 @@ class ReductionTable:
 
 def reduction_sweep(scenario: ReductionScenario,
                     eps_list: Sequence[float]) -> ReductionTable:
-    """Run the 3d model against its 1d reduction for each eps (descending)."""
+    """Run the 3d model against its 1d reduction for each eps (descending).
+
+    At a = 0 (b = 0) the 3d run factorizes exactly: the 1d reference is its
+    line factor and _evolve_plane its transverse factor, so the final field
+    is their outer product and the energy E_x |eta|^2 + E_y |phi|^2 at the
+    plane's energy times.  It goes through the same extraction and distance
+    as the full 3d run at a > 0.
+    """
     eps_values = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise DomainError("eps_list must be strictly decreasing")
 
-    base_mode = ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
-                                n=scenario.mode_n)
-    b = coupling_b(scenario.a, base_mode)
+    factorized = scenario.a == 0.0
+    b = 0.0 if factorized else coupling_b(
+        scenario.a, ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
+                                    n=scenario.mode_n))
     x_grid = Grid1D(scenario.length_x, scenario.n_x)
     phi0 = gaussian_packet(x_grid, sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
 
@@ -270,18 +317,30 @@ def reduction_sweep(scenario: ReductionScenario,
         grid = make_grid(scenario.length_x, scenario.n_x, scenario.base_extent_y,
                          scenario.n_y, eps)
         mode = rescale_mode(mode_grid, eps)
-        psi0 = product_state(phi0, mode, grid)
         dt = scenario.dt_ref * (eps / scenario.eps_ref) ** 2
-        traj3 = evolve_3d(psi0, scenario.a, scenario.v_perp, v_par_3d,
-                          scenario.t_final, dt)
-        n_steps = traj3.times.size - 1
-        traj1 = evolve_1d(phi0, scenario.t_final, scenario.t_final / n_steps,
-                          v_par_1d, b)
-        phi_eff, orth = extract_profile(traj3.final, mode)
+        if factorized:
+            traj1 = evolve_1d(phi0, scenario.t_final, dt, v_par_1d, b)
+            n_steps = traj1.times.size - 1
+            plane = _evolve_plane(mode.chi, grid, scenario.v_perp,
+                                  scenario.t_final, dt)
+            final = Field(grid, traj1.final.values[:, None, None]
+                          * plane.final.values[None], traj1.final.time)
+            at = np.searchsorted(traj1.times, plane.energy_times)
+            energies = (traj1.energies[at] * plane.norms[at] ** 2
+                        + plane.energies * traj1.norms[at] ** 2)
+            drift = float(np.max(np.abs(energies - energies[0])))
+        else:
+            psi0 = product_state(phi0, mode, grid)
+            traj3 = evolve_3d(psi0, scenario.a, scenario.v_perp, v_par_3d,
+                              scenario.t_final, dt)
+            n_steps = traj3.times.size - 1
+            traj1 = evolve_1d(phi0, scenario.t_final, scenario.t_final / n_steps,
+                              v_par_1d, b)
+            final, drift = traj3.final, traj3.max_energy_drift()
+        phi_eff, orth = extract_profile(final, mode)
         err = phase_distance(phi_eff, traj1.final)
         rows.append(ReductionRow(epsilon=eps, err_l2=err, orthogonal_mass=orth,
-                                 energy_drift=traj3.max_energy_drift(),
-                                 steps=n_steps))
+                                 energy_drift=drift, steps=n_steps))
 
     errs = [row.err_l2 for row in rows]
     orths = [row.orthogonal_mass for row in rows]

@@ -471,6 +471,8 @@ def _parse_count(sec: _Section) -> CountSpec:
         v["dim"] = 32 if v["grid"] == "line" else 16
     _grid_size(sec, v, "dim", "n_y")
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
+    if v["v_par"] is not None and v["grid"] == "confined":
+        raise sec.fail("v_par", "an axial potential applies on grid = line only")
     return CountSpec(**v)
 
 
@@ -948,7 +950,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         w, pair_mu = scattering.smooth_bump(spec.pair_height), spec.pair_mu
         pair = lambda dist: w.scaled(dist, pair_mu)  # noqa: E731
     mode = None
-    v_par = spec.v_par if spec.grid == "line" else None
+    v_par = spec.v_par
     if spec.grid == "line":
         ham = manybody.line_hamiltonian(grid, v_par, pair, spec.b,
                                         pair_range=pair_mu)

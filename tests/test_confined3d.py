@@ -227,3 +227,80 @@ def test_reduction_sweep_rejects_bad_eps_order():
         confined3d.reduction_sweep(scen, [0.25, 0.5])
     with pytest.raises(DomainError):
         confined3d.reduction_sweep(scen, [0.5, 0.5])
+
+
+def _pulsing(t, x):
+    return (0.5 + np.sin(40.0 * t)) * x**2
+
+
+def test_free_3d_run_is_line_times_plane():
+    # a = 0: every factor of the step acts on x or on y alone, so evolve_3d
+    # equals the line run times the plane run at every recorded time
+    grid = confined3d.make_grid(8.0, 32, 8.0, 16, 0.5)
+    phi0 = gpe1d.gaussian_packet(grid.x_grid(), sigma=1.0, k0=1.0)
+    y1, y2 = np.meshgrid(grid.y / grid.epsilon, grid.y / grid.epsilon,
+                         indexing="ij")
+    # off-centre and narrower than the mode, so the plane factor moves
+    eta0 = np.exp(-((y1 - 0.7) ** 2 + y2**2) / 0.72).astype(complex)
+    eta0 /= math.sqrt(float(np.sum(np.abs(eta0) ** 2)) * grid.dy**2)
+    psi0 = confined3d.Field3D(grid, phi0.values[:, None, None] * eta0)
+    stride = 7
+    traj = confined3d.evolve_3d(psi0, 0.0, transverse.harmonic_profile,
+                                lambda t, x, y1, y2: _pulsing(t, x), 0.05, 1e-3,
+                                sample_stride=stride)
+    line = gpe1d.evolve_1d(phi0, 0.05, 1e-3, _pulsing, sample_stride=stride)
+    plane = confined3d._evolve_plane(eta0, grid, transverse.harmonic_profile,
+                                     0.05, 1e-3, sample_stride=stride)
+
+    def rel_outer(field, x_part, y_part):
+        outer = x_part.values[:, None, None] * y_part.values[None]
+        assert x_part.time == y_part.time == field.time
+        return np.linalg.norm(field.values - outer) / np.linalg.norm(outer)
+
+    assert rel_outer(traj.final, line.final, plane.final) <= 1e-12
+    assert len(traj.samples) == len(line.samples) == len(plane.samples) == 9
+    for sample, x_part, y_part in zip(traj.samples, line.samples, plane.samples):
+        assert rel_outer(sample, x_part, y_part) <= 1e-12
+    np.testing.assert_array_equal(traj.times, line.times)
+    np.testing.assert_allclose(traj.norms, line.norms * plane.norms, rtol=1e-12)
+    np.testing.assert_array_equal(traj.energy_times, plane.energy_times)
+    at = np.searchsorted(line.times, plane.energy_times)
+    energies = (line.energies[at] * plane.norms[at] ** 2
+                + plane.energies * line.norms[at] ** 2)
+    np.testing.assert_allclose(traj.energies, energies, rtol=1e-12)
+    # the plane factor is not stationary, so the check sees its dynamics
+    assert np.linalg.norm(plane.final.values - eta0) > 0.1
+
+
+def test_free_sweep_rows_match_the_3d_run():
+    scen = confined3d.ReductionScenario(
+        a=0.0, v_perp=transverse.harmonic_profile, v_par=_pulsing,
+        t_final=0.1, dt_ref=0.02, eps_ref=0.5,
+        length_x=8.0, n_x=32, base_extent_y=13.0, n_y=32)
+    eps_list = [0.5, 0.25]
+    rows = confined3d.reduction_sweep(scen, eps_list).rows
+    # the same rows from the full 3d run of the a > 0 branch
+    mode_grid = transverse.ground_state_2d(scen.v_perp,
+                                           extent=scen.base_extent_y, n=scen.n_y)
+    phi0 = gpe1d.gaussian_packet(gpe1d.Grid1D(scen.length_x, scen.n_x))
+    for row, eps in zip(rows, eps_list):
+        grid = confined3d.make_grid(scen.length_x, scen.n_x,
+                                    scen.base_extent_y, scen.n_y, eps)
+        mode = transverse.rescale_mode(mode_grid, eps)
+        psi0 = confined3d.product_state(phi0, mode, grid)
+        traj3 = confined3d.evolve_3d(psi0, 0.0, scen.v_perp,
+                                     lambda t, x, y1, y2: _pulsing(t, x),
+                                     scen.t_final,
+                                     scen.dt_ref * (eps / scen.eps_ref) ** 2)
+        n_steps = traj3.times.size - 1
+        traj1 = gpe1d.evolve_1d(phi0, scen.t_final, scen.t_final / n_steps,
+                                _pulsing)
+        phi_eff, orth = confined3d.extract_profile(traj3.final, mode)
+        assert row.epsilon == eps
+        assert row.steps == n_steps
+        assert row.err_l2 == pytest.approx(
+            gpe1d.phase_distance(phi_eff, traj1.final), rel=1e-6, abs=1e-14)
+        assert row.orthogonal_mass == pytest.approx(orth, abs=1e-14)
+        assert row.energy_drift == pytest.approx(traj3.max_energy_drift(),
+                                                 abs=1e-12)
+    assert [row.steps for row in rows] == [5, 20]

@@ -151,6 +151,21 @@ def test_phase_alignment_helpers():
     assert gpe1d.phase_distance(other, phi) > 0.1
 
 
+def test_phase_distance_resolves_tiny_gaps():
+    # ref + delta w with w orthogonal to ref: the distance is delta |w|, far
+    # below where |phi|^2 + |ref|^2 - 2|<phi, ref>| cancels to zero
+    grid = gpe1d.Grid1D(16.0, 64)
+    ref = gpe1d.gaussian_packet(grid, sigma=1.0, k0=1.5)
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    w -= np.vdot(ref.values, w) / np.vdot(ref.values, ref.values) * ref.values
+    w_norm = gpe1d.Field1D(grid, w).norm()
+    delta = 1e-10
+    phi = gpe1d.Field1D(grid, (ref.values + delta * w) * cmath.exp(0.4j))
+    assert gpe1d.phase_distance(phi, ref) == pytest.approx(delta * w_norm,
+                                                           rel=1e-6)
+
+
 def test_error_paths():
     with pytest.raises(DomainError):
         gpe1d.Grid1D(16.0, 63)

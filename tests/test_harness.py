@@ -571,6 +571,16 @@ def test_cli_non_finite_override_exits_2(tmp_path, capsys):
     assert not (tmp_path / "counting_triplet").exists()
 
 
+def test_axial_potential_on_confined_count_is_config_error(capsys):
+    # the confined counting run has no axial potential; the key is refused
+    config = str(CONFIG_DIR / "counting_confined.ini")
+    code = cli.main(["validate", config, "--set", "count.v_par=harmonic:5"])
+    assert code == 2
+    assert (f"{config}:--set [count] v_par: an axial potential applies on "
+            f"grid = line only") in capsys.readouterr().err
+    assert cli.main(["validate", config, "--set", "count.v_par=none"]) == 0
+
+
 @pytest.mark.parametrize("config, override", [
     ("harmonic_trap", "trap.potential=harmonic:abc"),
     ("gpe_packet", "evolve1d.initial=gaussian:x"),
