@@ -28,16 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError
-from .gpe1d import (Field, Grid1D, Trajectory, _energy, _strang_loop, evolve_1d,
-                    gaussian_packet, phase_distance)
-from .transverse import TransverseMode, coupling_b, ground_state_2d, rescale_mode
+from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _energy, _strang_loop,
+                    evolve_1d, gaussian_packet, phase_distance)
+from .transverse import (TransverseMode, _confinement, coupling_b, ground_state_2d,
+                         rescale_mode)
 
-__all__ = ["ENERGY_STRIDE", "Grid3D", "Field3D", "make_grid",
+__all__ = ["ENERGY_STRIDE", "Grid3D", "make_grid",
            "product_state", "evolve_3d", "energy_3d", "extract_profile",
            "ReductionScenario", "ReductionRow", "ReductionTable",
            "reduction_sweep"]
@@ -72,28 +73,33 @@ class Grid3D:
 
     @property
     def dx(self) -> float:
-        return self.length_x / self.n_x
+        return self.x_grid().dx
 
     @property
     def dy(self) -> float:
-        return self.extent_y / self.n_y
-
-    @property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.n_x) - self.n_x // 2) * self.dx
+        return self.y_grid().dx
 
     @property
     def y(self) -> np.ndarray:
-        return (np.arange(self.n_y) - self.n_y // 2) * self.dy
+        return self.y_grid().x
+
+    @property
+    def box(self) -> ProductGrid:
+        """The product of the three axes; it gives dvol and k^2."""
+        y = self.y_grid()
+        return ProductGrid((self.x_grid(), y, y))
+
+    @property
+    def plane(self) -> ProductGrid:
+        """The n_y x n_y transverse plane."""
+        return ProductGrid(self.box.axes[1:])
 
     @property
     def dvol(self) -> float:
-        return self.dx * self.dy * self.dy
+        return self.box.dvol
 
     def k_squared(self) -> np.ndarray:
-        kx2 = self.x_grid().k_squared()
-        ky2 = self.y_grid().k_squared()
-        return kx2[:, None, None] + ky2[None, :, None] + ky2[None, None, :]
+        return self.box.k_squared()
 
     def x_grid(self) -> Grid1D:
         return Grid1D(self.length_x, self.n_x)
@@ -102,29 +108,11 @@ class Grid3D:
         return Grid1D(self.extent_y, self.n_y)
 
 
-@dataclass(frozen=True, eq=False)
-class _Plane:
-    """The n_y x n_y transverse plane of a Grid3D, as a grid for the loop."""
-
-    axis: Grid1D
-
-    @property
-    def dvol(self) -> float:
-        return self.axis.dx * self.axis.dx
-
-    def k_squared(self) -> np.ndarray:
-        ky2 = self.axis.k_squared()
-        return ky2[:, None] + ky2[None, :]
-
-
 def make_grid(length_x: float, n_x: int, base_extent_y: float, n_y: int,
               epsilon: float) -> Grid3D:
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     return Grid3D(length_x, n_x, base_extent_y * epsilon, n_y, epsilon)
-
-
-Field3D = Field               # values (n_x, n_y, n_y) complex on a Grid3D
 
 
 def _check_mode_grid(mode: TransverseMode, grid: Grid3D) -> None:
@@ -148,21 +136,9 @@ def product_state(phi: Field, mode: TransverseMode, grid: Grid3D) -> Field:
     return Field(grid, values.astype(complex), phi.time).normalized()
 
 
-def _confinement(grid: Grid3D,
-                 v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """V_perp(y / eps) / eps^2 on the transverse plane."""
-    yb = grid.y / grid.epsilon
-    y1, y2 = np.meshgrid(yb, yb, indexing="ij")
-    return np.asarray(v_perp(y1, y2), dtype=float) / grid.epsilon**2
-
-
-def _v_par_values(v_par: Potential3D, t: float, grid: Grid3D):
-    if v_par is None:
-        return 0.0
-    x = grid.x[:, None, None]
-    y1 = grid.y[None, :, None]
-    y2 = grid.y[None, None, :]
-    return v_par(t, x, y1, y2)
+def _box_potential(v_par: Potential3D, grid: Grid3D) -> Callable[[float], Any]:
+    mesh = grid.box.mesh(sparse=True)
+    return lambda t: 0.0 if v_par is None else v_par(t, *mesh)
 
 
 def energy_3d(psi: Field, a: float,
@@ -172,7 +148,7 @@ def energy_3d(psi: Field, a: float,
     grid = psi.grid
     return _energy(psi.values, grid.k_squared(), grid.dvol,
                    _confinement(grid, v_perp)[None, :, :],
-                   _v_par_values(v_par, psi.time, grid),
+                   _box_potential(v_par, grid)(psi.time),
                    8.0 * math.pi * a * grid.epsilon**2)
 
 
@@ -194,7 +170,7 @@ def evolve_3d(psi0: Field, a: float,
     grid = psi0.grid
     return _strang_loop(psi0, t_final, dt, grid.k_squared(),
                         _confinement(grid, v_perp)[None, :, :],
-                        lambda t: _v_par_values(v_par, t, grid),
+                        _box_potential(v_par, grid),
                         8.0 * math.pi * a * grid.epsilon**2, ENERGY_STRIDE,
                         sample_stride)
 
@@ -208,7 +184,7 @@ def _evolve_plane(eta0: np.ndarray, grid: Grid3D,
     with the steps, energy times and samples evolve_3d would take; the 3d
     field at every recorded time is the line field times this one.
     """
-    plane = _Plane(grid.y_grid())
+    plane = grid.plane
     return _strang_loop(Field(plane, np.asarray(eta0, dtype=complex)), t_final,
                         dt, plane.k_squared(), _confinement(grid, v_perp),
                         lambda t: 0.0, 0.0, ENERGY_STRIDE, sample_stride)
@@ -222,8 +198,7 @@ def extract_profile(psi: Field, mode: TransverseMode):
     """
     _check_mode_grid(mode, psi.grid)
     grid = psi.grid
-    da = grid.dy * grid.dy
-    coeff = np.tensordot(psi.values, mode.chi, axes=([1, 2], [0, 1])) * da
+    coeff = np.tensordot(psi.values, mode.chi, axes=([1, 2], [0, 1])) * grid.plane.dvol
     coeff = coeff * np.exp(1j * mode.E0 * psi.time)
     phi_eff = Field(grid.x_grid(), coeff, psi.time)
     captured = float(np.sum(np.abs(coeff) ** 2)) * grid.dx

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 
-__all__ = ["Grid1D", "Field", "Field1D", "Trajectory", "strang_step",
+__all__ = ["Grid1D", "ProductGrid", "Field", "Trajectory", "strang_step",
            "energy_1d", "evolve_1d", "ground_state_1d", "gaussian_packet",
            "plane_wave", "align_phase", "phase_distance"]
 
@@ -57,9 +57,34 @@ class Grid1D:
         return self.k**2
 
 
+@dataclass(frozen=True, eq=False)
+class ProductGrid:
+    """Periodic box, the product of its Grid1D axes in axis order: the plane,
+    the 3d tube and the one-particle spaces of the N-body tensors."""
+
+    axes: tuple[Grid1D, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(axis.n for axis in self.axes)
+
+    @property
+    def dvol(self) -> float:
+        return math.prod(axis.dx for axis in self.axes)
+
+    def k_squared(self) -> np.ndarray:
+        """Sum of the per-axis k^2, broadcast over the box in axis order."""
+        return sum(np.ix_(*(axis.k_squared() for axis in self.axes)))
+
+    def mesh(self, sparse: bool = False) -> list[np.ndarray]:
+        """Coordinate arrays, one per axis, indexed like the box (open if sparse)."""
+        return np.meshgrid(*(axis.x for axis in self.axes), indexing="ij",
+                           sparse=sparse)
+
+
 @dataclass(eq=False)
 class Field:
-    """Values on a periodic grid with `dvol` and `k_squared()` (Grid1D, Grid3D)."""
+    """Values on a grid with `dvol` and `k_squared()`: Grid1D, ProductGrid, Grid3D."""
 
     grid: Any
     values: np.ndarray
@@ -70,9 +95,6 @@ class Field:
 
     def normalized(self) -> "Field":
         return Field(self.grid, self.values / self.norm(), self.time)
-
-
-Field1D = Field
 
 
 @dataclass(eq=False)
@@ -146,6 +168,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     n_steps = max(1, round(span / dt))
     dt = span / n_steps
     grid = psi0.grid
+    dvol = grid.dvol
     kin = np.exp(-1j * dt * k2)
 
     psi = np.array(psi0.values, dtype=complex, order="C")
@@ -164,13 +187,13 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
         np.multiply(psi, factor, out=psi)
 
     def energy(t: float) -> float:
-        return _energy(psi, k2, grid.dvol, v_static, v_axial(t), g)
+        return _energy(psi, k2, dvol, v_static, v_axial(t), g)
 
     t = psi0.time
     times = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
     times[0] = t
-    norms[0] = math.sqrt(float(np.sum(rho)) * grid.dvol)
+    norms[0] = math.sqrt(float(np.sum(rho)) * dvol)
     energies = [energy(t)]
     energy_times = [t]
     samples = [Field(grid, psi.copy(), t)] if sample_stride else []
@@ -190,7 +213,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
         if not math.isfinite(mass):
             raise ResolutionError(f"non-finite field at step {i} (t = {t:g})")
         times[i] = t
-        norms[i] = math.sqrt(mass * grid.dvol)
+        norms[i] = math.sqrt(mass * dvol)
         last = i == n_steps
         sample = bool(sample_stride) and (i % sample_stride == 0 or last)
         v_next = None if last else v_axial(t + 0.5 * dt)

@@ -461,15 +461,22 @@ def _parse_count(sec: _Section) -> CountSpec:
     if v["xi"] is None:
         raise sec.fail("xi", "xi required")
     _check_window(sec, "xi", v["xi"], 0.0, 0.5, XI_WINDOW)
-    if v["samples"] < 1:
-        raise sec.fail("samples", "at least one sample required")
+    for key in ("samples", "quad_samples"):
+        if v[key] < 1:
+            raise sec.fail(key, "at least one sample required")
     if v["grid"] not in ("line", "confined"):
         raise sec.fail("grid", f"unknown grid kind {v['grid']!r}")
     _check_window(sec, "beta_tilde", v["beta_tilde"], 1.0 / 3.0, 1.0,
                   BETA_WINDOW)
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
-    _grid_size(sec, v, "dim", "n_y")
+    _grid_size(sec, v, "dim", "n_y", "quad_n")
+    if (v["pair_height"] is None) != (v["pair_mu"] is None):
+        raise sec.fail("pair_mu" if v["pair_height"] is None else "pair_height",
+                       "give both pair_height and pair_mu or neither")
+    _positive(sec, v, "quad_length", "quad_mu")
+    _check_window(sec, "quad_beta_tilde", v["quad_beta_tilde"], 1.0 / 3.0, 1.0,
+                  BETA_WINDOW)
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
     if v["v_par"] is not None and v["grid"] == "confined":
         raise sec.fail("v_par", "an axial potential applies on grid = line only")
@@ -946,7 +953,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 
     grid = gpe1d.Grid1D(spec.length, spec.dim)
     pair = pair_mu = None
-    if spec.pair_height is not None and spec.pair_mu is not None:
+    if spec.pair_height is not None:        # pair_mu is given with it
         w, pair_mu = scattering.smooth_bump(spec.pair_height), spec.pair_mu
         pair = lambda dist: w.scaled(dist, pair_mu)  # noqa: E731
     mode = None

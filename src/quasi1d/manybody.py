@@ -34,9 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InterfaceError, ResolutionError
-from .gpe1d import Field, Grid1D, energy_1d
+from .gpe1d import Field, Grid1D, ProductGrid, energy_1d
 from .scattering import CorrectionProfile
-from .transverse import TransverseMode
+from .transverse import TransverseMode, _confinement
 
 __all__ = ["ManyBodyState", "random_symmetric_state", "product_state_mb",
            "symmetrize", "apply_projector", "projector_components",
@@ -315,18 +315,14 @@ def trace_norm_vs_pure(gamma: np.ndarray, orbital: np.ndarray) -> float:
 class HamiltonianSpec:
     """Single-particle grid data for the N-body energy per particle.
 
-    ``sp_shape`` is the unflattened single-particle grid; tensors index the
+    ``grid`` is the unflattened single-particle grid; tensors index the
     flattened dimension.  ``e0_shift`` removes the confinement offset so the
     energy per particle is directly comparable with the 1d functional, whose
     potential and coupling are carried along for that purpose.
     """
 
-    sp_shape: tuple
-    spacings: tuple
-    ksq: np.ndarray                        # shape sp_shape
+    grid: ProductGrid
     v_diag: np.ndarray                     # flattened (d,)
-    coords: np.ndarray                     # (d, ndim) site coordinates
-    box_lengths: tuple
     pair_potential: Callable[[np.ndarray], np.ndarray] | None
     e0_shift: float
     v_par_line: Callable[[float, np.ndarray], np.ndarray] | None
@@ -338,7 +334,7 @@ class HamiltonianSpec:
 
     def __post_init__(self) -> None:
         if self.pair_potential is not None and self.pair_range is not None:
-            coarsest = max(self.spacings)
+            coarsest = max(axis.dx for axis in self.grid.axes)
             if self.pair_range < 4.0 * coarsest:
                 raise ResolutionError(
                     f"pair interaction range {self.pair_range:g} spans fewer "
@@ -346,18 +342,21 @@ class HamiltonianSpec:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.sp_shape))
+        return math.prod(self.grid.shape)
 
     def pair_distances(self) -> np.ndarray:
-        """Minimum-image distances between all site pairs, cached."""
+        """Minimum-image distances between all site pairs, cached; the
+        per-axis (n, n) tables of squared offsets are summed in axis order."""
         if self._distances is None:
-            total = np.zeros((self.dim, self.dim))
-            for axis, box in enumerate(self.box_lengths):
-                delta = np.abs(self.coords[:, None, axis]
-                               - self.coords[None, :, axis])
-                delta = np.minimum(delta, box - delta)
-                total += delta**2
-            self._distances = np.sqrt(total)
+            ndim = len(self.grid.axes)
+            total = 0.0
+            for i, axis in enumerate(self.grid.axes):
+                delta = np.abs(axis.x[:, None] - axis.x[None, :])
+                delta = np.minimum(delta, axis.length - delta)
+                view = [1] * (2 * ndim)
+                view[i] = view[ndim + i] = axis.n
+                total = total + (delta**2).reshape(view)
+            self._distances = np.sqrt(total).reshape(self.dim, self.dim)
         return self._distances
 
     def pair_matrix(self) -> np.ndarray | None:
@@ -392,9 +391,7 @@ def line_hamiltonian(grid: Grid1D,
     x = grid.x
     v = np.asarray(v_par(0.0, x), dtype=float) if v_par is not None \
         else np.zeros_like(x)
-    return HamiltonianSpec(sp_shape=(grid.n,), spacings=(grid.dx,),
-                           ksq=grid.k**2, v_diag=v, coords=x[:, None],
-                           box_lengths=(grid.length,),
+    return HamiltonianSpec(grid=ProductGrid((grid,)), v_diag=v,
                            pair_potential=pair_potential, e0_shift=0.0,
                            v_par_line=v_par, b_effective=b_effective,
                            pair_range=pair_range)
@@ -408,17 +405,9 @@ def box_hamiltonian(length: float, n: int,
     This is the substrate for pair-correlation checks where no external
     potential belongs in the form.
     """
-    if n < 4 or length <= 0.0:
-        raise DomainError("box needs n >= 4 points and positive length")
-    dx = length / n
-    x = dx * np.arange(n)
-    k = 2.0 * math.pi * np.fft.fftfreq(n, dx)
-    ksq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
-    g1, g2, g3 = np.meshgrid(x, x, x, indexing="ij")
-    coords = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
-    return HamiltonianSpec(sp_shape=(n, n, n), spacings=(dx, dx, dx),
-                           ksq=ksq, v_diag=np.zeros(n**3), coords=coords,
-                           box_lengths=(length, length, length),
+    side = Grid1D(length, n)            # DomainError unless n is even and >= 4
+    return HamiltonianSpec(grid=ProductGrid((side, side, side)),
+                           v_diag=np.zeros(n**3),
                            pair_potential=pair_potential, e0_shift=0.0,
                            v_par_line=None, b_effective=0.0,
                            pair_range=pair_range)
@@ -436,26 +425,13 @@ def confined_hamiltonian(x_grid: Grid1D, mode: TransverseMode,
     """
     if mode.epsilon is None:
         raise InterfaceError("confined Hamiltonian needs a rescaled mode")
-    eps = mode.epsilon
+    conf = _confinement(mode, v_perp)
     x = x_grid.x
-    y = mode.axis()
-    yb = y / eps
-    y1, y2 = np.meshgrid(yb, yb, indexing="ij")
-    conf = np.asarray(v_perp(y1, y2), dtype=float) / eps**2
     v_line = np.asarray(v_par(0.0, x), dtype=float) if v_par is not None \
         else np.zeros_like(x)
     v_diag = (v_line[:, None, None] + conf[None, :, :]).ravel()
-
-    kx = x_grid.k
-    ky = 2.0 * math.pi * np.fft.fftfreq(mode.n, mode.spacing)
-    ksq = kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + ky[None, None, :] ** 2
-
-    gx, gy1, gy2 = np.meshgrid(x, y, y, indexing="ij")
-    coords = np.stack([gx.ravel(), gy1.ravel(), gy2.ravel()], axis=1)
-    return HamiltonianSpec(sp_shape=(x_grid.n, mode.n, mode.n),
-                           spacings=(x_grid.dx, mode.spacing, mode.spacing),
-                           ksq=ksq, v_diag=v_diag, coords=coords,
-                           box_lengths=(x_grid.length, mode.extent, mode.extent),
+    y = mode.y_grid()
+    return HamiltonianSpec(grid=ProductGrid((x_grid, y, y)), v_diag=v_diag,
                            pair_potential=pair_potential, e0_shift=mode.E0,
                            v_par_line=v_par, b_effective=b_effective,
                            pair_range=pair_range)
@@ -482,9 +458,9 @@ def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
     n = state.n_particles
     d = ham.dim
-    sp_ndim = len(ham.sp_shape)
-    full = state.tensor.reshape(ham.sp_shape * n)
-    ksq = ham.ksq.ravel()
+    sp_ndim = len(ham.grid.axes)
+    full = state.tensor.reshape(ham.grid.shape * n)
+    ksq = ham.grid.k_squared().ravel()
 
     total = 0.0
     density = np.abs(state.tensor)
@@ -525,14 +501,14 @@ def alpha_functional(state: ManyBodyState, phi: Field, weights: WeightTable,
 # pair-correlation checks
 
 
-def _derivative_matrix(n: int, spacing: float) -> np.ndarray:
+def _derivative_matrix(axis: Grid1D) -> np.ndarray:
     """n x n spectral first derivative ifft(i k fft(I)) on a periodic axis.
 
-    It uses the fftfreq wavenumbers of the FFT derivative, Nyquist mode
-    included, so applying it by matmul equals that derivative to round-off.
+    It uses the axis's FFT wavenumbers, Nyquist mode included, so applying
+    it by matmul equals the FFT derivative to round-off.
     """
-    k = 2.0 * math.pi * np.fft.fftfreq(n, spacing)
-    return np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    return np.fft.ifft(1j * axis.k[:, None] * np.fft.fft(np.eye(axis.n), axis=0),
+                       axis=0)
 
 
 def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
@@ -559,17 +535,16 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
     grad = np.empty(psi.shape, dtype=complex)       # C order, whatever psi's
     parts = grad.reshape(-1).view(np.float64)       # interleaved re, im
     lead = 1
-    for axis, n_axis in enumerate(ham.sp_shape):
-        deriv = _derivative_matrix(n_axis, ham.spacings[axis])
-        np.matmul(deriv, psi.reshape(lead, n_axis, -1),
-                  out=grad.reshape(lead, n_axis, -1))
+    for i, axis in enumerate(ham.grid.axes):
+        np.matmul(_derivative_matrix(axis), psi.reshape(lead, axis.n, -1),
+                  out=grad.reshape(lead, axis.n, -1))
         np.square(parts, out=parts)
-        if axis == 0:
+        if i == 0:
             np.add(parts[0::2], parts[1::2], out=sq)
         else:
             sq += parts[0::2]
             sq += parts[1::2]
-        lead *= n_axis
+        lead *= axis.n
     return float(np.sum(sq, where=mask.ravel())) + potential
 
 

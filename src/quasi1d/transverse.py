@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError, ResolutionError
-from .gpe1d import Grid1D, _kinetic_energy
+from .gpe1d import Grid1D, ProductGrid, _kinetic_energy
 
 __all__ = ["TransverseMode", "ground_state_2d", "coupling_b", "rescale_mode",
            "harmonic_profile"]
@@ -46,12 +46,24 @@ class TransverseMode:
     epsilon: float | None = None
     base_quartic: float | None = None
 
+    def y_grid(self) -> Grid1D:
+        return Grid1D(self.extent, self.n)
+
     @property
     def spacing(self) -> float:
-        return self.extent / self.n
+        return self.y_grid().dx
 
     def axis(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.spacing
+        return self.y_grid().x
+
+
+def _confinement(scaled,
+                 v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """V_perp(y / eps) / eps^2 on the transverse plane of `scaled`, a Grid3D
+    or a rescaled mode: anything with a y_grid() side and its epsilon."""
+    y, eps = scaled.y_grid(), scaled.epsilon
+    y1, y2 = ProductGrid((y, y)).mesh()
+    return np.asarray(v_perp(y1 / eps, y2 / eps), dtype=float) / eps**2
 
 
 def _rayleigh(chi: np.ndarray, v: np.ndarray, k2: np.ndarray, da: float) -> float:
@@ -77,13 +89,13 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     contain the mode.
     """
     axis = Grid1D(extent, n)            # DomainError unless n is even and >= 4
-    y1, y2 = np.meshgrid(axis.x, axis.x, indexing="ij")
+    plane = ProductGrid((axis, axis))
+    y1, y2 = plane.mesh()
     v = np.asarray(v_perp(y1, y2), dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError("transverse potential takes non-finite values on the grid")
-    k2 = axis.k_squared()
-    k2 = k2[:, None] + k2[None, :]
-    da = axis.dx * axis.dx
+    k2 = plane.k_squared()
+    da = plane.dvol
 
     def apply_h(state: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(k2 * np.fft.fft2(state)).real + v * state

@@ -54,7 +54,7 @@ def test_orthogonal_admixture_is_counted(separable_setup):
     c = 0.1
     vals = (phi0.values[:, None, None] * mode.chi
             + c * phi1.values[:, None, None] * u)
-    psi = confined3d.Field3D(grid, vals.astype(complex))
+    psi = gpe1d.Field(grid, vals.astype(complex))
     phi_eff, orth = confined3d.extract_profile(psi, mode)
     assert np.max(np.abs(phi_eff.values - phi0.values)) < 1e-12
     assert orth == pytest.approx(c**2, rel=1e-8)
@@ -128,9 +128,10 @@ def _unfused_strang(psi0, a, v_perp, v_par, t_final, dt, sample_stride):
     g = 8.0 * math.pi * a * grid.epsilon**2
     conf = confined3d._confinement(grid, v_perp)[None, :, :]
     kin = np.exp(-1j * dt * grid.k_squared())
+    v_axial = confined3d._box_potential(v_par, grid)
     psi, t, samples = psi0.values.copy(), psi0.time, [psi0.values.copy()]
     for i in range(1, n_steps + 1):
-        v = conf + np.asarray(confined3d._v_par_values(v_par, t + 0.5 * dt, grid))
+        v = conf + np.asarray(v_axial(t + 0.5 * dt))
         psi = psi * np.exp(-0.5j * dt * (v + g * np.abs(psi) ** 2))
         psi = np.fft.ifftn(kin * np.fft.fftn(psi))
         psi = psi * np.exp(-0.5j * dt * (v + g * np.abs(psi) ** 2))
@@ -197,7 +198,7 @@ def test_non_finite_field_names_its_step(separable_setup):
                              0.05, dt)
     values = psi0.values.copy()
     values[3, 4, 5] = np.nan
-    bad = confined3d.Field3D(grid, values)
+    bad = gpe1d.Field(grid, values)
     with pytest.raises(ResolutionError, match="step 1 "):
         confined3d.evolve_3d(bad, 0.0, transverse.harmonic_profile, None,
                              0.05, dt)
@@ -243,7 +244,7 @@ def test_free_3d_run_is_line_times_plane():
     # off-centre and narrower than the mode, so the plane factor moves
     eta0 = np.exp(-((y1 - 0.7) ** 2 + y2**2) / 0.72).astype(complex)
     eta0 /= math.sqrt(float(np.sum(np.abs(eta0) ** 2)) * grid.dy**2)
-    psi0 = confined3d.Field3D(grid, phi0.values[:, None, None] * eta0)
+    psi0 = gpe1d.Field(grid, phi0.values[:, None, None] * eta0)
     stride = 7
     traj = confined3d.evolve_3d(psi0, 0.0, transverse.harmonic_profile,
                                 lambda t, x, y1, y2: _pulsing(t, x), 0.05, 1e-3,

@@ -47,7 +47,7 @@ def test_constant_profile_rotates_at_mean_field_rate():
     grid = gpe1d.Grid1D(16.0, 128)
     b, t_final = 3.0, 0.5
     values = np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex)
-    phi0 = gpe1d.Field1D(grid, values)
+    phi0 = gpe1d.Field(grid, values)
     traj = gpe1d.evolve_1d(phi0, t_final, 0.001, b=b)
     exact = values * cmath.exp(-1j * b / grid.length * t_final)
     assert np.max(np.abs(traj.final.values - exact)) < 1e-12
@@ -109,7 +109,7 @@ def test_harmonic_ground_state():
     energy = gpe1d.energy_1d(phi, v)
     assert abs(energy - 1.0) < 1e-6
     exact = (math.pi ** -0.25) * np.exp(-0.5 * grid.x**2)
-    aligned = gpe1d.align_phase(phi, gpe1d.Field1D(grid, exact.astype(complex)))
+    aligned = gpe1d.align_phase(phi, gpe1d.Field(grid, exact.astype(complex)))
     assert np.max(np.abs(aligned.values - exact)) < 1e-3   # O(dt^2) state bias
 
 
@@ -143,7 +143,7 @@ def test_interacting_ground_state_flattens():
 def test_phase_alignment_helpers():
     grid = gpe1d.Grid1D(16.0, 64)
     phi = gpe1d.gaussian_packet(grid, sigma=1.0)
-    rotated = gpe1d.Field1D(grid, phi.values * cmath.exp(1j * 0.7), 0.0)
+    rotated = gpe1d.Field(grid, phi.values * cmath.exp(1j * 0.7), 0.0)
     assert gpe1d.phase_distance(rotated, phi) < 1e-12
     aligned = gpe1d.align_phase(rotated, phi)
     assert np.max(np.abs(aligned.values - phi.values)) < 1e-12
@@ -159,9 +159,9 @@ def test_phase_distance_resolves_tiny_gaps():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     w -= np.vdot(ref.values, w) / np.vdot(ref.values, ref.values) * ref.values
-    w_norm = gpe1d.Field1D(grid, w).norm()
+    w_norm = gpe1d.Field(grid, w).norm()
     delta = 1e-10
-    phi = gpe1d.Field1D(grid, (ref.values + delta * w) * cmath.exp(0.4j))
+    phi = gpe1d.Field(grid, (ref.values + delta * w) * cmath.exp(0.4j))
     assert gpe1d.phase_distance(phi, ref) == pytest.approx(delta * w_norm,
                                                            rel=1e-6)
 
@@ -179,7 +179,7 @@ def test_error_paths():
         gpe1d.evolve_1d(phi0, -1.0, 0.01)
     with pytest.raises(DomainError):
         gpe1d.evolve_1d(phi0, 1.0, 0.0)
-    poisoned = gpe1d.Field1D(grid, np.full(grid.n, np.nan, dtype=complex))
+    poisoned = gpe1d.Field(grid, np.full(grid.n, np.nan, dtype=complex))
     with pytest.raises(ResolutionError):
         gpe1d.evolve_1d(poisoned, 0.1, 0.01)
 

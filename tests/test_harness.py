@@ -600,6 +600,14 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_triplet", "count.dim=abc"),
     ("counting_triplet", "count.dim=7"),
     ("counting_pair", "count.quad_n=abc"),
+    ("counting_pair", "count.quad_n=2"),
+    ("counting_pair", "count.quad_n=13"),
+    ("counting_pair", "count.quad_length=-1"),
+    ("counting_pair", "count.quad_mu=0"),
+    ("counting_pair", "count.quad_beta_tilde=2"),
+    ("counting_pair", "count.quad_samples=0"),
+    ("counting_pair", "count.pair_height=5"),
+    ("counting_pair", "count.pair_mu=0.5"),
     ("counting_confined", "count.n_y=abc"),
     ("reduction_sweep", "reduce3d.phi0_sigma=abc"),
     ("gpe_packet", "evolve1d.dt=abc"),

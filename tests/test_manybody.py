@@ -207,7 +207,7 @@ def test_trace_norm_extremes():
 def test_condensation_bounds_both_directions(rng):
     n, xi = 2, 0.1
     grid = gpe1d.Grid1D(8.0, 8)
-    phi = gpe1d.Field1D(
+    phi = gpe1d.Field(
         grid, np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex))
     ham = manybody.line_hamiltonian(grid, b_effective=1.0)
     orb = manybody.orbital_from_fields(phi, None)
@@ -226,7 +226,7 @@ def test_condensation_bounds_both_directions(rng):
 
 def test_alpha_functional_of_product_state():
     grid = gpe1d.Grid1D(8.0, 8)
-    phi = gpe1d.Field1D(
+    phi = gpe1d.Field(
         grid, np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex))
     ham = manybody.line_hamiltonian(grid)
     orb = manybody.orbital_from_fields(phi, None)
@@ -311,7 +311,7 @@ def test_pair_form_guards(rng, bump_correction):
 
 def test_correlation_diagnostic_is_finite(rng, bump_correction):
     grid = gpe1d.Grid1D(8.0, 8)
-    phi = gpe1d.Field1D(
+    phi = gpe1d.Field(
         grid, np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex))
     ham = manybody.line_hamiltonian(grid, b_effective=1.0)
     table = manybody.WeightTable.build(2, 0.1)
@@ -393,17 +393,17 @@ def test_projector_components_match_moveaxis_reference(n, dim):
 def fft_energy_per_particle(state, ham):
     """The per-slot FFT recipe with full-size |.|^2 weights."""
     n = state.n_particles
-    sp_ndim = len(ham.sp_shape)
-    full = state.tensor.reshape(ham.sp_shape * n)
+    sp_ndim = len(ham.grid.shape)
+    full = state.tensor.reshape(ham.grid.shape * n)
     density = np.abs(state.tensor) ** 2
     total = 0.0
     for slot in range(n):
         axes = tuple(range(slot * sp_ndim, (slot + 1) * sp_ndim))
         shape = [1] * full.ndim
         for i, ax in enumerate(axes):
-            shape[ax] = ham.sp_shape[i]
+            shape[ax] = ham.grid.shape[i]
         power = np.abs(np.fft.fftn(full, axes=axes)) ** 2
-        total += np.sum(ham.ksq.reshape(shape) * power) / ham.dim
+        total += np.sum(ham.grid.k_squared().reshape(shape) * power) / ham.dim
         others = tuple(i for i in range(n) if i != slot)
         total += ham.v_diag @ density.sum(axis=others)
     w_mat = ham.pair_matrix()
@@ -441,10 +441,11 @@ def test_energy_per_particle_matches_fft_reference():
 
 def fft_pair_form(state, ham, corr):
     """The pair form with grad_1 by per-axis FFTs and per-call potentials."""
-    full = state.tensor.reshape(ham.sp_shape * 2)
+    full = state.tensor.reshape(ham.grid.shape * 2)
     grad_sq = np.zeros((ham.dim, ham.dim))
-    for axis, n_axis in enumerate(ham.sp_shape):
-        k = 2.0 * math.pi * np.fft.fftfreq(n_axis, ham.spacings[axis])
+    for axis, side in enumerate(ham.grid.axes):
+        n_axis = side.n
+        k = 2.0 * math.pi * np.fft.fftfreq(n_axis, side.dx)
         shape = [1] * full.ndim
         shape[axis] = n_axis
         grad = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(full, axis=axis),
