@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import confined3d, gpe1d, manybody, scattering, snapshots, transverse
-from .errors import ConfigError
+from .errors import ConfigError, ResolutionError
 
 SCENARIO_KINDS = ("scatter", "trap", "evolve1d", "reduce3d", "count")
 
@@ -419,11 +419,12 @@ def _parse_reduce3d(sec: _Section) -> Reduce3dSpec:
                                    "decreasing")
     if v["a"] < 0:
         raise sec.fail("a", "scattering length must be non-negative")
-    _positive(sec, v, "t_final", "dt_ref")
-    v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
-    _grid_size(sec, v, "n_x", "n_y", "mode_n")
     if v["eps_ref"] is None:            # the first eps of the sweep
         v["eps_ref"] = eps_list[0]
+    _positive(sec, v, "t_final", "dt_ref", "eps_ref", "length_x",
+              "base_extent_y")
+    v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
+    _grid_size(sec, v, "n_x", "n_y", "mode_n")
     return Reduce3dSpec(v_perp=transverse.harmonic_profile, **v)
 
 
@@ -471,16 +472,31 @@ def _parse_count(sec: _Section) -> CountSpec:
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
     _grid_size(sec, v, "dim", "n_y", "quad_n")
+    _positive(sec, v, "length", "extent", "epsilon", "quad_length", "quad_mu")
     if (v["pair_height"] is None) != (v["pair_mu"] is None):
         raise sec.fail("pair_mu" if v["pair_height"] is None else "pair_height",
                        "give both pair_height and pair_mu or neither")
-    _positive(sec, v, "quad_length", "quad_mu")
+    if v["pair_mu"] is not None:
+        axes = [gpe1d.Grid1D(v["length"], v["dim"])]
+        if v["grid"] == "confined":     # the rescaled mode's transverse axis
+            axes.append(gpe1d.Grid1D(v["extent"] * v["epsilon"], v["n_y"]))
+        _pair_resolved(sec, v, "pair_mu", axes)
+    _pair_resolved(sec, v, "quad_mu",
+                   [gpe1d.Grid1D(v["quad_length"], v["quad_n"])])
     _check_window(sec, "quad_beta_tilde", v["quad_beta_tilde"], 1.0 / 3.0, 1.0,
                   BETA_WINDOW)
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
     if v["v_par"] is not None and v["grid"] == "confined":
         raise sec.fail("v_par", "an axial potential applies on grid = line only")
     return CountSpec(**v)
+
+
+def _pair_resolved(sec: _Section, v: dict, key: str, axes: list) -> None:
+    """The pair range under `key` against the axes the run will build."""
+    try:
+        manybody.check_pair_range(v[key], axes)
+    except ResolutionError as exc:
+        raise sec.fail(key, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -980,30 +996,15 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     completeness_max = 0.0
     orthogonality_max = 0.0
     all_pass = True
-    slack = 1e-9
     for idx in range(samples):
         psi = manybody.random_symmetric_state(n, ham.dim, rng)
-        comps = manybody.projector_components(psi, orbital)
-        resid = psi.tensor - sum(comps)
-        completeness_max = max(completeness_max,
-                               float(np.linalg.norm(resid.ravel())))
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                orthogonality_max = max(orthogonality_max,
-                                        abs(complex(np.vdot(comps[i],
-                                                            comps[j]))))
-        counting = float(sum(table.m[k] * np.vdot(comps[k], comps[k]).real
-                             for k in range(n + 1)))
-        gap = abs(manybody.energy_per_particle(psi, ham) - e_phi)
-        alpha = counting + gap
-        gamma = manybody.rdm(psi, 1)
-        dist = manybody.trace_norm_vs_pure(gamma, orbital)
-        rhs_fwd = math.sqrt(8.0 * alpha)
-        rhs_rev = gap + math.sqrt(dist) + 0.5 * n ** (-xi)
-        ok = dist <= rhs_fwd + slack and alpha <= rhs_rev + slack
-        all_pass = all_pass and ok
-        rows.append((idx, alpha, dist, dist, rhs_fwd, alpha, rhs_rev,
-                     int(ok)))
+        check = manybody.counting_sample(psi, orbital, table, ham, e_phi)
+        completeness_max = max(completeness_max, check.completeness)
+        orthogonality_max = max(orthogonality_max, check.orthogonality)
+        all_pass = all_pass and check.passed
+        rows.append((idx, check.alpha, check.trace_dist, check.trace_dist,
+                     check.bound_rhs, check.alpha, check.reverse_rhs,
+                     int(check.passed)))
     _write_csv(out_dir / "samples.csv",
                ["sample [1]", "alpha [1]", "trace_dist [1]",
                 "bound_lhs [1]", "bound_rhs [1]",

@@ -19,8 +19,19 @@ to the condensate projector in both directions:
 
     tracedist <= sqrt(8 alpha),   alpha <= gap + sqrt(tracedist) + N^(-xi)/2.
 
-Everything here is exact dense linear algebra at desk scale: no truncation,
-no sampling shortcuts, so the inequalities can be checked sample by sample.
+The trace distance needs one eigenvalue, not a spectrum.  gamma - |phi><phi|
+is a positive semidefinite matrix minus a rank-one projector, so by
+interlacing it has at most one negative eigenvalue lam, and its trace is 0,
+so ||gamma - |phi><phi|||_1 = 2 |lam|.  The eigenvector of lam is
+proportional to (gamma - lam)^(-1) phi, so it lies in the Krylov space
+K(gamma, phi); on that space the difference is T_k - e_1 e_1^T, with T_k the
+Lanczos tridiagonal of gamma started at q_1 = phi (Golub, SIAM Rev. 15 (1973)
+318, for the rank-one update; Parlett, The Symmetric Eigenvalue Problem, for
+Lanczos with full reorthogonalization).
+
+Everything here is dense linear algebra at desk scale, exact or converged
+to round-off: no truncation, no sampling shortcuts, so the inequalities can
+be checked sample by sample.
 """
 
 from __future__ import annotations
@@ -34,16 +45,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InterfaceError, ResolutionError
-from .gpe1d import Field, Grid1D, ProductGrid, energy_1d
+from .gpe1d import Field, Grid1D, ProductGrid
 from .scattering import CorrectionProfile
 from .transverse import TransverseMode, _confinement
 
 __all__ = ["ManyBodyState", "random_symmetric_state", "product_state_mb",
            "symmetrize", "apply_projector", "projector_components",
            "apply_weighted", "expectation_weighted", "WeightTable", "rdm",
-           "trace_norm_vs_pure", "HamiltonianSpec", "line_hamiltonian",
-           "box_hamiltonian", "confined_hamiltonian", "orbital_from_fields",
-           "energy_per_particle", "alpha_functional", "pair_indicator_form",
+           "trace_norm_vs_pure", "trace_distance", "check_pair_range",
+           "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
+           "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
+           "CountingSample", "counting_sample", "pair_indicator_form",
            "correlation_diagnostic"]
 
 MAX_PARTICLES = 4
@@ -307,8 +319,75 @@ def trace_norm_vs_pure(gamma: np.ndarray, orbital: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
+# Lanczos steps before trace_distance falls back to the dense eigvalsh, and
+# the Ritz residual taken as converged: gamma has unit trace, so a computed
+# product gamma x carries round-off near 1e-16 whatever the state.
+_LANCZOS_STEPS = 40
+_RITZ_TOL = 1e-14
+
+
+def _outside_weight(mat: np.ndarray, orb: np.ndarray, row: np.ndarray) -> float:
+    """||q M||^2 for q = 1 - |phi><phi| on the rows of M, given row = phi^H M.
+
+    Formed from q M itself rather than as ||M||^2 - ||row||^2, so it keeps
+    its relative precision when the state is close to a product.
+    """
+    outside = np.multiply.outer(orb, row)
+    outside -= mat
+    return float(np.vdot(outside, outside).real)
+
+
+def trace_distance(state: ManyBodyState, orbital: np.ndarray) -> float:
+    """||gamma - |phi><phi|||_1 for the one-particle reduced density matrix.
+
+    The difference has a single negative eigenvalue lam and trace 0, so its
+    trace norm is 2 |lam| (see the module docstring).  Lanczos with full
+    reorthogonalization on gamma, started at q_1 = phi, gives lam as the
+    lowest eigenvalue of T_k - e_1 e_1^T.  With M the state read as
+    d x d^(N-1), gamma x = M (M^H x) / ||M||^2 is taken as two vector-matrix
+    products on M, so neither gamma nor the d x d difference is formed.  The
+    first diagonal entry phi^H gamma phi - 1 is -||q M||^2 / ||M||^2.  The
+    iteration stops once the Ritz residual beta_k |s_k| is at round-off,
+    which includes the breakdown beta_k = 0 of a product state at step 1;
+    past the step cap the dense rdm and eigvalsh value is returned instead.
+    """
+    orb = _check_orbital(state, orbital)
+    mat = state.tensor.reshape(state.dim, -1)
+    scale = 1.0 / float(np.vdot(mat, mat).real)
+    row = orb.conj() @ mat
+    diag = [-_outside_weight(mat, orb, row) * scale]
+    off: list[float] = []
+    basis = np.empty((_LANCZOS_STEPS + 1, state.dim), dtype=complex)
+    basis[0] = orb
+    w = (mat @ row.conj()) * scale
+    for k in range(_LANCZOS_STEPS):
+        if k:
+            diag.append(float(np.vdot(basis[k], w).real))
+        span = basis[:k + 1]
+        for _ in range(2):      # twice is enough (Parlett)
+            w -= span.T @ (span.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        theta, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                     + np.diag(off, -1))
+        if beta * abs(vecs[-1, 0]) <= _RITZ_TOL:
+            return 2.0 * abs(float(theta[0]))
+        off.append(beta)
+        basis[k + 1] = w / beta
+        w = (mat @ (basis[k + 1].conj() @ mat).conj()) * scale
+    return trace_norm_vs_pure(rdm(state, 1), orb)
+
+
 # ---------------------------------------------------------------------------
 # desk-scale Hamiltonians
+
+
+def check_pair_range(pair_range: float, axes) -> None:
+    """ResolutionError unless the range spans 4 points of the coarsest axis."""
+    coarsest = max(axis.dx for axis in axes)
+    if pair_range < 4.0 * coarsest:
+        raise ResolutionError(
+            f"pair interaction range {pair_range:g} spans fewer than 4 grid "
+            f"points at spacing {coarsest:g}")
 
 
 @dataclass(eq=False)
@@ -334,11 +413,7 @@ class HamiltonianSpec:
 
     def __post_init__(self) -> None:
         if self.pair_potential is not None and self.pair_range is not None:
-            coarsest = max(axis.dx for axis in self.grid.axes)
-            if self.pair_range < 4.0 * coarsest:
-                raise ResolutionError(
-                    f"pair interaction range {self.pair_range:g} spans fewer "
-                    f"than 4 grid points at spacing {coarsest:g}")
+            check_pair_range(self.pair_range, self.grid.axes)
 
     @property
     def dim(self) -> int:
@@ -484,17 +559,67 @@ def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
     return total / n - ham.e0_shift
 
 
-def alpha_functional(state: ManyBodyState, phi: Field, weights: WeightTable,
-                     ham: HamiltonianSpec,
-                     mode: TransverseMode | None = None) -> float:
-    """Counting expectation of m_hat plus the energy-per-particle gap."""
+@dataclass(frozen=True)
+class CountingSample:
+    """The counting checks and both condensation bounds on one state."""
+
+    completeness: float     # ||psi - sum_k P_k psi||
+    orthogonality: float    # max over j < k of |<P_j psi, P_k psi>|
+    counting: float         # <psi, m_hat psi>
+    gap: float              # |E_psi - E_phi|
+    alpha: float            # counting + gap
+    trace_dist: float       # ||gamma - |phi><phi|||_1
+    bound_rhs: float        # sqrt(8 alpha), bounds trace_dist
+    reverse_rhs: float      # gap + sqrt(trace_dist) + N^(-xi) / 2, bounds alpha
+    passed: bool            # both bounds hold to _BOUND_SLACK
+
+
+# round-off allowance when a sample is held against the two bounds
+_BOUND_SLACK = 1e-9
+
+
+def _counter_checks(state: ManyBodyState, orb: np.ndarray,
+                    m: np.ndarray) -> tuple[float, float, float]:
+    """Completeness residual, largest counter overlap and <m_hat>.
+
+    The residual is summed into one buffer in the order of sum(comps), and
+    the N + 1 components are freed when this returns.
+    """
+    comps = projector_components(state, orb)
+    resid = comps[0] + comps[1]
+    for comp in comps[2:]:
+        resid += comp
+    np.subtract(state.tensor, resid, out=resid)
+    completeness = float(np.linalg.norm(resid.ravel()))
+    orthogonality = max(abs(complex(np.vdot(comps[i], comps[j])))
+                        for i, j in itertools.combinations(range(len(comps)), 2))
+    counting = float(sum(m[k] * np.vdot(comps[k], comps[k]).real
+                         for k in range(len(comps))))
+    return completeness, orthogonality, counting
+
+
+def counting_sample(state: ManyBodyState, orbital: np.ndarray,
+                    weights: WeightTable, ham: HamiltonianSpec,
+                    e_phi: float) -> CountingSample:
+    """alpha = <m_hat> + |E_psi - E_phi|, the trace distance and both bounds.
+
+    ``e_phi`` is the line functional of the condensate that ``orbital``
+    samples; the counters are checked for completeness and orthogonality on
+    the way.
+    """
     if weights.n_particles != state.n_particles:
         raise InterfaceError("weight table built for a different particle number")
-    orb = orbital_from_fields(phi, mode)
-    counting = expectation_weighted(state, weights.m, orb)
-    e_psi = energy_per_particle(state, ham)
-    e_phi = energy_1d(phi, ham.v_par_line, ham.b_effective)
-    return counting + abs(e_psi - e_phi)
+    completeness, orthogonality, counting = _counter_checks(state, orbital,
+                                                            weights.m)
+    gap = abs(energy_per_particle(state, ham) - e_phi)
+    alpha = counting + gap
+    dist = trace_distance(state, orbital)
+    bound_rhs = math.sqrt(8.0 * alpha)
+    reverse_rhs = gap + math.sqrt(dist) + 0.5 * state.n_particles ** (-weights.xi)
+    passed = (dist <= bound_rhs + _BOUND_SLACK
+              and alpha <= reverse_rhs + _BOUND_SLACK)
+    return CountingSample(completeness, orthogonality, counting, gap, alpha,
+                          dist, bound_rhs, reverse_rhs, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -571,6 +571,27 @@ def test_cli_non_finite_override_exits_2(tmp_path, capsys):
     assert not (tmp_path / "counting_triplet").exists()
 
 
+@pytest.mark.parametrize("config, pair_mu, spacing", [
+    ("counting_pair", "0.05", "0.0245437"),      # the line, 2 pi / 256
+    ("counting_confined", "1.9", "0.5"),         # the transverse axis, 6 / 12
+])
+def test_unresolved_pair_range_is_config_error(tmp_path, capsys, config,
+                                               pair_mu, spacing):
+    # the range must span 4 points of the grid's coarsest axis, as the
+    # Hamiltonian requires; the loader refuses it before any output exists
+    path = str(CONFIG_DIR / f"{config}.ini")
+    overrides = ["--set", "count.pair_height=5", "--set", f"count.pair_mu={pair_mu}"]
+    code = cli.main(["count", path, *overrides, "--output", str(tmp_path)])
+    assert code == 2
+    assert (f"{path}:--set [count] pair_mu: pair interaction range {pair_mu} "
+            f"spans fewer than 4 grid points at spacing {spacing}") in \
+        capsys.readouterr().err
+    assert not (tmp_path / config).exists()
+    wide = 4.0 * float(spacing) + 0.01
+    assert cli.main(["validate", path, "--set", "count.pair_height=5",
+                     "--set", f"count.pair_mu={wide}"]) == 0
+
+
 def test_axial_potential_on_confined_count_is_config_error(capsys):
     # the confined counting run has no axial potential; the key is refused
     config = str(CONFIG_DIR / "counting_confined.ini")
@@ -613,6 +634,13 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("gpe_packet", "evolve1d.dt=abc"),
     ("gpe_packet", "evolve1d.dtt=0.01"),
     ("reduction_sweep", "reduce3d.potential=shifted:0.7"),
+    ("reduction_sweep", "reduce3d.length_x=-1"),
+    ("reduction_sweep", "reduce3d.base_extent_y=0"),
+    ("reduction_sweep", "reduce3d.eps_ref=-1"),
+    ("counting_pair", "count.length=-1"),
+    ("counting_confined", "count.extent=-1"),
+    ("counting_confined", "count.epsilon=-2"),
+    ("counting_pair", "count.quad_mu=0.1"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")

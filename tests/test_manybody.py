@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -216,12 +217,12 @@ def test_condensation_bounds_both_directions(rng):
     slack = 1e-9
     for _ in range(5):
         psi = manybody.random_symmetric_state(n, grid.n, rng)
-        counting = manybody.expectation_weighted(psi, table.m, orb)
-        gap = abs(manybody.energy_per_particle(psi, ham) - e_phi)
-        alpha = counting + gap
-        dist = manybody.trace_norm_vs_pure(manybody.rdm(psi, 1), orb)
+        sample = manybody.counting_sample(psi, orb, table, ham, e_phi)
+        alpha, gap, dist = sample.alpha, sample.gap, sample.trace_dist
+        assert alpha == sample.counting + gap
         assert dist <= math.sqrt(8.0 * alpha) + slack
         assert alpha <= gap + math.sqrt(dist) + 0.5 * n ** (-xi) + slack
+        assert sample.passed
 
 
 def test_alpha_functional_of_product_state():
@@ -231,13 +232,115 @@ def test_alpha_functional_of_product_state():
     ham = manybody.line_hamiltonian(grid)
     orb = manybody.orbital_from_fields(phi, None)
     table = manybody.WeightTable.build(2, 0.1)
+    e_phi = gpe1d.energy_1d(phi, None, 0.0)
     product = manybody.ManyBodyState(2, grid.n, np.multiply.outer(orb, orb))
-    alpha = manybody.alpha_functional(product, phi, table, ham)
+    alpha = manybody.counting_sample(product, orb, table, ham, e_phi).alpha
     # uniform profile, no interaction: the energy gap vanishes exactly
     assert alpha == pytest.approx(0.5 * 2 ** (-0.1), abs=1e-12)
     with pytest.raises(InterfaceError):
-        manybody.alpha_functional(
-            product, phi, manybody.WeightTable.build(3, 0.1), ham)
+        manybody.counting_sample(
+            product, orb, manybody.WeightTable.build(3, 0.1), ham, e_phi)
+
+
+def random_orbital(gen, dim):
+    orb = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    return orb / np.linalg.norm(orb)
+
+
+def test_counter_completeness_and_orthogonality_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(n=st.integers(2, 4), half_dim=st.integers(2, 4),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(n, half_dim, seed):
+        gen = np.random.default_rng(seed)
+        grid = gpe1d.Grid1D(2.0 * math.pi, 2 * half_dim)
+        state = manybody.random_symmetric_state(n, grid.n, gen)
+        orb = random_orbital(gen, grid.n)
+        comps = manybody.projector_components(state, orb)
+        resid = state.tensor - sum(comps)
+        assert np.max(np.abs(resid)) < 1e-12
+        overlaps = [abs(complex(np.vdot(comps[j], comps[k])))
+                    for j, k in itertools.combinations(range(n + 1), 2)]
+        assert max(overlaps) < 1e-12
+        # the shared sample reports the same residuals, to the bit
+        sample = manybody.counting_sample(
+            state, orb, manybody.WeightTable.build(n, 0.1),
+            manybody.line_hamiltonian(grid), 0.0)
+        assert sample.completeness == float(np.linalg.norm(resid.ravel()))
+        assert sample.orthogonality == max(overlaps)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# trace distance from one Lanczos eigenvalue
+
+
+def test_trace_distance_matches_eigvalsh_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(n=st.integers(2, 4), dim=st.integers(2, 9),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(n, dim, seed):
+        gen = np.random.default_rng(seed)
+        state = manybody.random_symmetric_state(n, dim, gen)
+        orb = random_orbital(gen, dim)
+        ref = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
+        assert manybody.trace_distance(state, orb) == \
+            pytest.approx(ref, rel=1e-12)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("theta", [0.7, 1e-2, 1e-4, 1e-6])
+def test_trace_distance_closed_form(n, theta):
+    """cos t phi^N + sin t chi^N with chi _|_ phi: gamma - |phi><phi| has
+    eigenvalues +-sin^2 t, so the distance is 2 sin^2 t.  The orbitals sit
+    on disjoint sites, so every tensor entry holds one term and the stored
+    state is exact to round-off; eigvalsh of the formed difference is good
+    to only about 1e-8 relative at t = 1e-4."""
+    gen = np.random.default_rng(17)
+    dim = 10
+    sites = gen.permutation(dim)
+    phi = np.zeros(dim, dtype=complex)
+    chi = np.zeros(dim, dtype=complex)
+    phi[sites[:4]] = random_orbital(gen, 4)
+    chi[sites[4:]] = random_orbital(gen, 6)
+    tensor = math.cos(theta) * reduce(np.multiply.outer, [phi] * n) \
+        + math.sin(theta) * reduce(np.multiply.outer, [chi] * n)
+    state = manybody.ManyBodyState(n, dim, tensor)
+    assert manybody.trace_distance(state, phi) == \
+        pytest.approx(2.0 * math.sin(theta) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_distance_of_product_state(n):
+    orb = unit_vector(6, 2)
+    assert manybody.trace_distance(manybody.product_state_mb(orb, n), orb) == 0.0
+    other = random_orbital(np.random.default_rng(n), 6)
+    product = manybody.product_state_mb(other, n)
+    assert manybody.trace_distance(product, other) < 1e-15
+    # two pure states: 2 sqrt(1 - |<u, phi>|^2)
+    assert manybody.trace_distance(product, unit_vector(6, 0)) == \
+        pytest.approx(2.0 * math.sqrt(1.0 - abs(other[0]) ** 2), rel=1e-12)
+
+
+def test_trace_distance_falls_back_to_eigvalsh(rng, monkeypatch):
+    state = manybody.random_symmetric_state(2, 16, rng)
+    orb = random_orbital(rng, 16)
+    lanczos = manybody.trace_distance(state, orb)
+    monkeypatch.setattr(manybody, "_LANCZOS_STEPS", 2)
+    dense = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
+    assert manybody.trace_distance(state, orb) == dense
+    assert lanczos == pytest.approx(dense, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
