@@ -15,7 +15,8 @@ b = 8 pi a int |chi|^4.
 The 3d dynamics uses the time-splitting spectral scheme of Bao, Jaksch &
 Markowich (J. Comput. Phys. 187, 2003), on the fused Strang loop of gpe1d:
 one phase and two in-place FFTs per step, the energy every ENERGY_STRIDE
-steps.
+steps.  Every operation of the step is pointwise or a batch of 1d FFTs along
+one axis, so the loop runs it on slabs of the box, one per usable CPU.
 
 Without interaction (a = 0) every factor of that step acts on x alone
 (V_par, k_x^2) or on y alone (V_perp / eps^2, k_y^2), so from a product

@@ -75,8 +75,9 @@ def read_snapshot(path: str | Path) -> Snapshot:
         raw = fh.read(size * 16)
         if len(raw) != size * 16:
             raise InterfaceError(f"truncated snapshot payload in {path}")
-        flat = np.frombuffer(raw, dtype="<f8")
-        values = (flat[0::2] + 1j * flat[1::2]).reshape(dims)
+        # read as complex pairs, bit for bit: forming re + 1j * im would turn
+        # (x, inf) into (nan, inf) and drop the sign of -0.0
+        values = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dims)
     return Snapshot(dims=dims, spacings=spacings, time=time, values=values)
 
 

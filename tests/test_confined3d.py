@@ -1,6 +1,9 @@
 """Confined 3d evolution against its 1d reduction on small grids."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +207,134 @@ def test_non_finite_field_names_its_step(separable_setup):
                              0.05, dt)
 
 
+def _slab_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("quasi1d-slab")]
+
+
+@pytest.fixture(scope="module")
+def slab_box(separable_setup):
+    """A product state on a box large enough for the step to run in slabs."""
+    _, mode, _ = separable_setup
+    grid = confined3d.make_grid(16.0, 128, 13.0, 48, 0.5)
+    assert grid.n_x * grid.n_y**2 >= gpe1d.SLAB_MIN_POINTS
+    phi0 = gpe1d.gaussian_packet(grid.x_grid(), sigma=1.0, k0=1.0)
+    return confined3d.product_state(phi0, mode, grid)
+
+
+def test_slab_count_follows_cpu_affinity(slab_box):
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity mask on this platform")
+    cpus = len(os.sched_getaffinity(0))
+    assert gpe1d._usable_cpus() == cpus
+    assert gpe1d._slab_workers(slab_box.values.shape) == min(cpus, 128, 48)
+    assert gpe1d._slab_workers((64, 32, 32)) == 1
+    assert gpe1d._slab_workers((2**20,)) == 1
+
+
+def test_slab_count_does_not_change_results(slab_box, monkeypatch):
+    # every x row of the step mass lies in one slab and every FFT line in
+    # one stage, so any number of slabs gives the same bits
+    v_par = _axial_shaking                 # varies along x and y1, and in t
+    stride = 7
+    assert confined3d.ENERGY_STRIDE % stride
+    psi0 = slab_box
+
+    def evolve():
+        return confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile,
+                                    v_par, 0.03, 1e-3, sample_stride=stride)
+
+    chosen = evolve()                      # slab count from the CPU affinity
+    runs = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: cpus)
+        assert gpe1d._slab_workers(psi0.values.shape) == cpus
+        # more slabs than this machine may have cores, switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5 if cpus == 4 else interval)
+        try:
+            runs.append(evolve())
+        finally:
+            sys.setswitchinterval(interval)
+    one = runs[0]
+    for other in (*runs[1:], chosen):
+        for name in ("times", "norms", "energies", "energy_times"):
+            assert np.array_equal(getattr(one, name), getattr(other, name)), name
+        assert np.array_equal(one.final.values, other.final.values)
+        assert len(one.samples) == len(other.samples) == 6
+        for a, b in zip(one.samples, other.samples):
+            assert a.time == b.time
+            assert np.array_equal(a.values, b.values)
+    # start, samples 7, 14, 21, 28, the stride multiple 16, the last step 30
+    np.testing.assert_array_equal(one.energy_times,
+                                  one.times[[0, 7, 14, 16, 21, 28, 30]])
+    ref_final, ref_samples = _unfused_strang(
+        psi0, 0.5, transverse.harmonic_profile, v_par, 0.03, 1e-3, stride)
+
+    def rel(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    assert rel(chosen.final.values, ref_final) <= 1e-12
+    for sample, ref in zip(chosen.samples, ref_samples):
+        assert rel(sample.values, ref) <= 1e-12
+    assert not _slab_threads()
+
+
+def test_small_grids_start_no_thread(monkeypatch):
+    monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: 2)
+    slab_pool, pools = gpe1d._slab_pool, []
+
+    def recording_pool(workers):
+        pools.append(workers)
+        return slab_pool(workers)
+
+    monkeypatch.setattr(gpe1d, "_slab_pool", recording_pool)
+    line = gpe1d.Grid1D(16.0, 256)
+    gpe1d.evolve_1d(gpe1d.gaussian_packet(line), 0.01, 1e-3, b=1.0)
+    grid = confined3d.make_grid(16.0, 8, 13.0, 48, 0.5)
+    assert grid.n_x * grid.n_y**2 < gpe1d.SLAB_MIN_POINTS
+    mode = transverse.rescale_mode(transverse.ground_state_2d(
+        transverse.harmonic_profile, extent=13.0, n=48), 0.5)
+    confined3d._evolve_plane(mode.chi, grid, transverse.harmonic_profile,
+                             0.01, 1e-3)
+    psi0 = confined3d.product_state(
+        gpe1d.gaussian_packet(grid.x_grid()), mode, grid)
+    confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile, None, 0.01, 1e-3)
+    assert pools == [1, 1, 1]
+    assert not _slab_threads()
+
+
+def test_helper_slab_failures_reach_the_caller(slab_box, monkeypatch):
+    psi0 = slab_box
+    monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: 2)
+    assert gpe1d._slab_workers(psi0.values.shape) == 2
+
+    def v_par(t, x, y1, y2):
+        # NaN on the upper x half, which the helper slab holds
+        return np.where(x > 0.0, np.nan, 0.0) if t >= 0.0112 else 0.0 * x
+
+    with pytest.raises(ResolutionError, match="step 12 "):
+        confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile, v_par,
+                             0.05, 1e-3)
+    assert not _slab_threads()
+
+    slab_of = gpe1d._slab_of
+    calls = []
+
+    def failing_slab_of(values, index, ndim):
+        if threading.current_thread() is not threading.main_thread():
+            calls.append(index)
+            if len(calls) == 5:
+                raise RuntimeError("helper slab failed")
+        return slab_of(values, index, ndim)
+
+    monkeypatch.setattr(gpe1d, "_slab_of", failing_slab_of)
+    with pytest.raises(RuntimeError, match="helper slab failed"):
+        confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile,
+                             _axial_static, 0.05, 1e-3)
+    assert len(calls) == 5
+    assert not _slab_threads()
+
+
 def test_reduction_sweep_converges():
     scen = confined3d.ReductionScenario(
         a=0.5, v_perp=transverse.harmonic_profile,
@@ -217,6 +348,45 @@ def test_reduction_sweep_converges():
     assert table.rows[1].steps == 40
     assert table.rows[1].err_l2 < 1e-3
     assert table.rows[1].orthogonal_mass < 1e-4
+
+
+def _anisotropic(y1, y2):
+    return y1**2 + 4.0 * y2**2
+
+
+def _isotropic_b(a, mode):
+    return 8.0 * math.pi * a / (2.0 * math.pi)       # int |chi|^4 of |y|^2
+
+
+@pytest.mark.parametrize("v_perp, wrong_b, passes", [
+    (transverse.harmonic_profile, None, True),
+    (transverse.harmonic_profile, 1.05, False),
+    (transverse.harmonic_profile, 0.95, False),
+    (_anisotropic, None, True),
+    (_anisotropic, _isotropic_b, False),
+], ids=["own_b", "b_plus_5pc", "b_minus_5pc", "anisotropic_own_b",
+        "anisotropic_isotropic_b"])
+def test_reduction_gate_discriminates_the_coupling(monkeypatch, v_perp, wrong_b,
+                                                   passes):
+    # The 1d coupling is a times a factor set by the confinement's shape,
+    # int |chi|^4 (Ben Abdallah, Mehats, Schmeiser & Weishaeupl, SIAM J.
+    # Math. Anal. 37 (2005) 189, for the anisotropic harmonic trap).  The
+    # bounds of the reduction criterion hold with that b and fail with a b
+    # 5% off or with the isotropic factor on an anisotropic trap.
+    if wrong_b is not None:
+        right_b = confined3d.coupling_b
+        fake = wrong_b if callable(wrong_b) else (
+            lambda a, mode: wrong_b * right_b(a, mode))
+        monkeypatch.setattr(confined3d, "coupling_b", fake)
+    scen = confined3d.ReductionScenario(
+        a=0.5, v_perp=v_perp, v_par=lambda t, x: 0.5 * x**2,
+        t_final=0.1, dt_ref=0.00625, eps_ref=0.4,
+        length_x=16.0, n_x=64, n_y=32, mode_n=96)
+    table = confined3d.reduction_sweep(scen, [0.4, 0.2, 0.1])
+    assert [row.steps for row in table.rows] == [16, 64, 256]
+    gate = (table.monotone_err and table.monotone_orth
+            and max(table.err_ratios()) <= 0.6)
+    assert gate == passes
 
 
 def test_reduction_sweep_rejects_bad_eps_order():

@@ -464,6 +464,37 @@ def test_snapshot_roundtrip_3d(tmp_path):
     assert np.array_equal(snap.values, values)
 
 
+def test_snapshot_roundtrip_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "snap.bin"
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        spacing=st.floats(min_value=1e-300, max_value=1e300),
+        time=st.floats(allow_nan=False, allow_infinity=False),
+        data=st.data())
+    def check(shape, spacing, time, data):
+        size = 2 * math.prod(shape)
+        parts = data.draw(st.lists(st.floats(), min_size=size, max_size=size))
+        values = np.array(parts, dtype=float).view(complex).reshape(shape)
+        spacings = tuple(spacing * (1 + i) for i in range(len(shape)))
+        snapshots.write_snapshot(path, values, spacings, time)
+        snap = snapshots.read_snapshot(path)
+        assert snap.dims == tuple(shape)
+        assert np.array_equal(bits(snap.spacings), bits(spacings))
+        assert bits(snap.time) == bits(time)
+        assert snap.values.dtype == complex
+        assert np.array_equal(bits(snap.values.view(float)), bits(values.view(float)))
+
+    check()
+
+
 def test_snapshot_error_paths(tmp_path):
     with pytest.raises(InterfaceError, match="one spacing per"):
         snapshots.write_snapshot(tmp_path / "x.bin", np.zeros((4, 4), complex),

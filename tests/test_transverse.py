@@ -37,6 +37,17 @@ def test_harmonic_oracle(harmonic_mode):
     assert np.all(mode.chi >= -1e-12)
 
 
+def test_anisotropic_harmonic_oracle():
+    # V = w1^2 y1^2 + w2^2 y2^2 with w1 = 1, w2 = 2: E0 = w1 + w2 and
+    # int |chi|^4 = sqrt(w1 w2) / (2 pi), so b = 8 pi a sqrt(2) / (2 pi)
+    mode = transverse.ground_state_2d(lambda y1, y2: y1**2 + 4.0 * y2**2,
+                                      extent=13.0, n=96)
+    assert abs(mode.E0 - 3.0) < 1e-10
+    assert abs(mode.quartic - math.sqrt(2.0) / (2.0 * math.pi)) < 1e-10
+    assert transverse.coupling_b(0.5, mode) == pytest.approx(
+        2.0 * math.sqrt(2.0), rel=1e-10)
+
+
 def test_virial_balance(harmonic_mode):
     mode = harmonic_mode
     da, k2, y1, y2 = grid_quantities(mode)
