@@ -997,8 +997,10 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     orthogonality_max = 0.0
     all_pass = True
     for idx in range(samples):
-        psi = manybody.random_symmetric_state(n, ham.dim, rng)
-        check = manybody.counting_sample(psi, orbital, table, ham, e_phi)
+        # no name holds the state, so each is freed before the next is drawn
+        check = manybody.counting_sample(
+            manybody.random_symmetric_state(n, ham.dim, rng), orbital, table,
+            ham, e_phi)
         completeness_max = max(completeness_max, check.completeness)
         orthogonality_max = max(orthogonality_max, check.orthogonality)
         all_pass = all_pass and check.passed

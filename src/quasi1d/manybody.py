@@ -85,15 +85,39 @@ class ManyBodyState:
         return ManyBodyState(self.n_particles, self.dim, self.tensor / self.norm())
 
 
+# Rows of a draw block, sides of the square blocks of the first coset step and
+# columns of a pair-form block, so these kernels hold one state plus scratch.
+# On the 12^3 box (d = 1728) 48 timed like 64 and better than 16 or 128, and
+# its pair-form scratch is 7% of a state.
+_BLOCK = 48
+
+
+def _swap_sum_in_place(tensor: np.ndarray) -> None:
+    """tensor += tensor.swapaxes(0, 1), by square blocks of the first two axes.
+
+    Each pair of mirrored blocks is summed once and the sum is written to
+    both; a + b == b + a bit for bit, so this equals the out-of-place sum.
+    """
+    d = tensor.shape[0]
+    for i in range(0, d, _BLOCK):
+        for j in range(i, d, _BLOCK):
+            upper = tensor[i:i + _BLOCK, j:j + _BLOCK]
+            lower = tensor[j:j + _BLOCK, i:i + _BLOCK]
+            np.add(upper, lower.swapaxes(0, 1), out=upper)
+            lower[...] = upper.swapaxes(0, 1)
+
+
 def _permutation_sum(tensor: np.ndarray) -> np.ndarray:
     """Sum of ``tensor`` over all N! permutations of its axes, unscaled.
 
     Built by cosets: once the sum is symmetric in the first m - 1 axes, the
     m cyclic shifts of the first m axes extend it to all of S_m, so the cost
     is 1, 3 or 6 full-size adds for N = 2, 3, 4 instead of N! strided ones.
+    The first step, the transposition of axes 0 and 1, overwrites ``tensor``.
     """
     n = tensor.ndim
-    out = tensor + tensor.swapaxes(0, 1)
+    _swap_sum_in_place(tensor)
+    out = tensor
     for m in range(3, n + 1):
         part = out
         shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
@@ -106,26 +130,43 @@ def _permutation_sum(tensor: np.ndarray) -> np.ndarray:
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
     """Average of ``tensor`` over all permutations of its axes."""
-    out = _permutation_sum(tensor)
+    out = _permutation_sum(np.array(tensor))
     out /= math.factorial(tensor.ndim)
     return out
+
+
+def _standard_normal_into(rng: np.random.Generator, part: np.ndarray) -> None:
+    """Fill ``part`` with standard normals, block by block of leading rows.
+
+    Each block is drawn into one small contiguous buffer and copied over;
+    consecutive draws continue one stream, so ``part`` gets the bits of
+    ``rng.standard_normal(part.shape)``.
+    """
+    rows = part.reshape(part.shape[0], -1)
+    buf = np.empty((min(_BLOCK, len(rows)), rows.shape[1]))
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i:i + _BLOCK]
+        chunk = buf[:len(block)]
+        rng.standard_normal(out=chunk)
+        block[...] = chunk
 
 
 def random_symmetric_state(n_particles: int, dim: int,
                            rng: np.random.Generator) -> ManyBodyState:
     """Symmetrized complex-Gaussian tensor, normalized.
 
-    The real and imaginary parts are drawn, in that order, into one complex
-    buffer; the 1/N! of the permutation average cancels in the normalization,
-    which is done in place.
+    All real parts are drawn, then all imaginary parts, in the stream order
+    of two ``standard_normal((dim,) * N)`` calls, but through a block-sized
+    buffer straight into one complex tensor.  The first coset step sums in
+    place, so for N = 2 the state costs one tensor; the 1/N! of the
+    permutation average cancels in the normalization, also done in place.
     """
-    shape = (dim,) * n_particles
-    raw = np.empty(shape, dtype=complex)
-    raw.real = rng.standard_normal(shape)
-    raw.imag = rng.standard_normal(shape)
-    tensor = _permutation_sum(raw)
-    # dividing the float view by the real norm gives the bits of the complex
-    # division at a fraction of its cost
+    tensor = np.empty((dim,) * n_particles, dtype=complex)
+    _standard_normal_into(rng, tensor.real)
+    _standard_normal_into(rng, tensor.imag)
+    tensor = _permutation_sum(tensor)
+    # each real component divided by the real norm: cheaper than the complex
+    # division, which scales by a reciprocal and can differ in the last bit
     parts = tensor.reshape(-1).view(np.float64)
     parts /= np.linalg.norm(tensor.ravel())
     return ManyBodyState(n_particles, dim, tensor)
@@ -135,7 +176,8 @@ def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
     orb = np.asarray(orbital, dtype=complex)
     orb = orb / np.linalg.norm(orb)
     tensor = reduce(np.multiply.outer, [orb] * n_particles)
-    return ManyBodyState(n_particles, orb.size, tensor).normalized()
+    tensor /= np.linalg.norm(tensor.ravel())    # the bits of normalized()
+    return ManyBodyState(n_particles, orb.size, tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +450,6 @@ class HamiltonianSpec:
     b_effective: float
     pair_range: float | None = None
     _pair_matrix: np.ndarray | None = None
-    _distances: np.ndarray | None = None
     _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2)
 
     def __post_init__(self) -> None:
@@ -419,20 +460,27 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return math.prod(self.grid.shape)
 
+    def _distance_rows(self, start: int, stop: int) -> np.ndarray:
+        """Minimum-image distances from sites start..stop - 1 to every site.
+
+        The per-axis (n, n) tables of squared offsets are summed in axis
+        order, so any row block has the bits of the full table's rows.
+        """
+        sites = np.unravel_index(np.arange(start, stop), self.grid.shape)
+        ndim = len(self.grid.axes)
+        total = 0.0
+        for i, (axis, index) in enumerate(zip(self.grid.axes, sites)):
+            delta = np.abs(axis.x[index, None] - axis.x[None, :])
+            delta = np.minimum(delta, axis.length - delta)
+            view = [1] * ndim
+            view[i] = axis.n
+            total = total + (delta**2).reshape(stop - start, *view)
+        return np.sqrt(total).reshape(stop - start, self.dim)
+
     def pair_distances(self) -> np.ndarray:
-        """Minimum-image distances between all site pairs, cached; the
-        per-axis (n, n) tables of squared offsets are summed in axis order."""
-        if self._distances is None:
-            ndim = len(self.grid.axes)
-            total = 0.0
-            for i, axis in enumerate(self.grid.axes):
-                delta = np.abs(axis.x[:, None] - axis.x[None, :])
-                delta = np.minimum(delta, axis.length - delta)
-                view = [1] * (2 * ndim)
-                view[i] = view[ndim + i] = axis.n
-                total = total + (delta**2).reshape(view)
-            self._distances = np.sqrt(total).reshape(self.dim, self.dim)
-        return self._distances
+        """Minimum-image distances between all site pairs, (d, d), not
+        cached: the pair matrix and the pair form keep their own products."""
+        return self._distance_rows(0, self.dim)
 
     def pair_matrix(self) -> np.ndarray | None:
         if self.pair_potential is None:
@@ -447,13 +495,22 @@ class HamiltonianSpec:
 
         Both depend only on the grid and the correction profile, so they are
         cached for the last ``corr`` seen and rebuilt for any other one.
+        They are built by blocks of rows, so no distance table is held.
         """
         if self._pair_form is None or self._pair_form[0] is not corr:
-            dist = self.pair_distances()
+            self._pair_form = None      # free the old arrays before the new
+            d = self.dim
             sol = corr.solution
-            half_wu = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
+            mask = np.empty((d, d), dtype=bool)
+            half_wu = np.empty((d, d))
+            for start in range(0, d, _BLOCK):
+                stop = min(start + _BLOCK, d)
+                dist = self._distance_rows(start, stop)
+                np.less(dist, corr.outer_radius, out=mask[start:stop])
+                np.subtract(sol.potential.scaled(dist, sol.mu),
+                            corr.u_potential(dist), out=half_wu[start:stop])
             half_wu *= 0.5
-            self._pair_form = (corr, dist < corr.outer_radius, half_wu)
+            self._pair_form = (corr, mask, half_wu)
         return self._pair_form[1:]
 
 
@@ -642,35 +699,52 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
 
     Non-negative in the continuum because the compensated profile has zero
     scattering length; evaluated here exactly on the grid.  The mask and
-    (w_mu - U) / 2 come from the Hamiltonian's cache; grad_1 is applied one
-    axis at a time by its differentiation matrix, and |grad_1 psi|^2 is
-    accumulated in one real buffer.
+    (w_mu - U) / 2 come from the Hamiltonian's cache.  With psi read as
+    d x d, grad_1 acts on the row index, so both sums run over blocks of
+    columns: each block is copied into one contiguous buffer, its |psi|^2 is
+    weighted by (w_mu - U) / 2, then grad_1 is applied one axis at a time by
+    its differentiation matrix and |grad_1 psi|^2, accumulated in one real
+    buffer, is summed under the mask.  Scratch is three block-sized buffers.
     """
     if state.n_particles != 2:
         raise DomainError("the pair quadratic form is defined for N = 2")
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
     mask, half_wu = ham._pair_form_arrays(corr)
-    psi = state.tensor
+    d = ham.dim
+    psi = state.tensor.reshape(d, d)
+    derivs = [_derivative_matrix(axis) for axis in ham.grid.axes]
+    width = min(_BLOCK, d)
+    block_buf = np.empty(d * width, dtype=complex)
+    grad_buf = np.empty(d * width, dtype=complex)
+    sq_buf = np.empty(d * width)
 
-    sq = np.abs(psi).ravel()          # |psi|^2 first, then |grad_1 psi|^2
-    sq **= 2
-    potential = float(np.vdot(half_wu, sq))
-
-    grad = np.empty(psi.shape, dtype=complex)       # C order, whatever psi's
-    parts = grad.reshape(-1).view(np.float64)       # interleaved re, im
-    lead = 1
-    for i, axis in enumerate(ham.grid.axes):
-        np.matmul(_derivative_matrix(axis), psi.reshape(lead, axis.n, -1),
-                  out=grad.reshape(lead, axis.n, -1))
-        np.square(parts, out=parts)
-        if i == 0:
-            np.add(parts[0::2], parts[1::2], out=sq)
-        else:
-            sq += parts[0::2]
-            sq += parts[1::2]
-        lead *= axis.n
-    return float(np.sum(sq, where=mask.ravel())) + potential
+    total = 0.0
+    for start in range(0, d, _BLOCK):
+        stop = min(start + _BLOCK, d)
+        size = d * (stop - start)
+        block = block_buf[:size].reshape(d, -1)
+        grad = grad_buf[:size].reshape(d, -1)
+        sq = sq_buf[:size].reshape(d, -1)    # |psi|^2, then |grad_1 psi|^2
+        parts = grad.view(np.float64)        # interleaved re, im
+        np.copyto(block, psi[:, start:stop])
+        np.square(block.view(np.float64), out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=sq)
+        sq *= half_wu[:, start:stop]
+        total += float(np.sum(sq))
+        lead = 1
+        for i, (axis, deriv) in enumerate(zip(ham.grid.axes, derivs)):
+            np.matmul(deriv, block.reshape(lead, axis.n, -1),
+                      out=grad.reshape(lead, axis.n, -1))
+            np.square(parts, out=parts)
+            if i == 0:
+                np.add(parts[:, 0::2], parts[:, 1::2], out=sq)
+            else:
+                sq += parts[:, 0::2]
+                sq += parts[:, 1::2]
+            lead *= axis.n
+        total += float(np.sum(sq, where=mask[:, start:stop]))
+    return total
 
 
 def correlation_diagnostic(state: ManyBodyState, phi: Field,

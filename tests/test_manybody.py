@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasi1d import gpe1d, manybody, scattering, transverse
+from quasi1d import gpe1d, harness, manybody, scattering, transverse
 from quasi1d.errors import DomainError, InterfaceError, ResolutionError
 
 
@@ -583,3 +585,114 @@ def test_pair_form_cache_follows_the_correction(rng, bump_correction):
     assert second == pytest.approx(fft_pair_form(state, ham, other), rel=1e-12)
     assert abs(second - first) > 1e-6 * abs(first)
     assert manybody.pair_indicator_form(state, ham, bump_correction) == first
+
+
+# ---------------------------------------------------------------------------
+# blocked kernels: the bits of the whole-array recipes, in one state's memory
+
+
+def seed_recipe_state(gen, n, dim):
+    """Two full-size draws, the coset sum out of place, and each real
+    component divided by the real norm: the draw as first shipped."""
+    out = complex_draw(gen, (dim,) * n)
+    out = out + out.swapaxes(0, 1)
+    for m in range(3, n + 1):
+        part = out
+        shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
+                  for shift in range(1, m)]
+        out = part + part.transpose(shifts[0])
+        for perm in shifts[1:]:
+            out += part.transpose(perm)
+    parts = out.reshape(-1).view(np.float64)
+    parts /= np.linalg.norm(out.ravel())
+    return out
+
+
+# one-row blocks, and sizes that divide none of the dimensions below
+RAGGED_BLOCKS = (1, 4, 7)
+
+
+@pytest.mark.parametrize("block", RAGGED_BLOCKS)
+@pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 9)])
+def test_blocked_draw_is_the_seed_recipe_bitwise(monkeypatch, block, n, dim):
+    monkeypatch.setattr(manybody, "_BLOCK", block)
+    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+    state = manybody.random_symmetric_state(n, dim, gen)
+    assert np.array_equal(state.tensor, seed_recipe_state(ref_gen, n, dim))
+    # both consumed the same stretch of the stream
+    assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+@pytest.mark.parametrize("block", RAGGED_BLOCKS)
+def test_symmetrize_by_blocks_leaves_its_input(monkeypatch, block):
+    monkeypatch.setattr(manybody, "_BLOCK", block)
+    raw = np.asfortranarray(complex_draw(np.random.default_rng(2), (11, 11)))
+    before = raw.copy()
+    got = manybody.symmetrize(raw)
+    assert np.array_equal(got, (raw + raw.T) / 2)
+    assert np.array_equal(raw, before)
+
+
+def test_product_state_normalizes_in_place_bitwise():
+    orb = complex_draw(np.random.default_rng(4), 10)
+    unit = orb / np.linalg.norm(orb)
+    outer = np.multiply.outer(unit, unit)
+    ref = manybody.ManyBodyState(2, 10, outer).normalized()
+    assert np.array_equal(manybody.product_state_mb(orb, 2).tensor, ref.tensor)
+
+
+@pytest.mark.parametrize("block", (1, 7, 100))
+def test_pair_form_with_ragged_blocks(monkeypatch, bump_correction, block):
+    monkeypatch.setattr(manybody, "_BLOCK", block)
+    ham = manybody.box_hamiltonian(1.8, 6)     # d = 216: 7, 100 leave a rest
+    psi = manybody.random_symmetric_state(2, ham.dim, np.random.default_rng(8))
+    swapped = manybody.ManyBodyState(2, ham.dim, psi.tensor.T)
+    flat = manybody.product_state_mb(np.ones(ham.dim), 2)
+    for state in (psi, swapped, flat):
+        got = manybody.pair_indicator_form(state, ham, bump_correction)
+        ref = fft_pair_form(state, ham, bump_correction)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def traced_peak(func):
+    """Peak bytes that tracemalloc (which counts numpy buffers) sees above
+    the bytes already allocated when ``func`` starts, and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = func()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+BOX_TENSOR_BYTES = 1728**2 * 16     # one N = 2 state on the 12^3 box
+
+
+def test_draw_holds_one_tensor():
+    peak, state = traced_peak(
+        lambda: manybody.random_symmetric_state(2, 1728, np.random.default_rng(1)))
+    assert state.tensor.nbytes == BOX_TENSOR_BYTES
+    assert peak <= 1.1 * BOX_TENSOR_BYTES
+
+
+def test_warm_pair_form_allocates_block_scratch_only(bump_correction):
+    ham = manybody.box_hamiltonian(1.8, 12)
+    state = manybody.random_symmetric_state(2, ham.dim, np.random.default_rng(1))
+    first = manybody.pair_indicator_form(state, ham, bump_correction)
+    peak, again = traced_peak(
+        lambda: manybody.pair_indicator_form(state, ham, bump_correction))
+    assert again == first
+    assert peak <= 0.1 * BOX_TENSOR_BYTES
+
+
+def test_quad_form_check_holds_under_two_tensors():
+    """The pair-form check of counting_pair.ini on its 12^3 box.  Two
+    samples are enough to show that each state is freed before the next
+    one is drawn."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "counting_pair.ini"
+    cfg = harness.load_config(path, ["count.quad_samples=2"])
+    peak, value = traced_peak(lambda: harness._quad_form_check(cfg.spec, cfg.seed))
+    assert math.isfinite(value)
+    assert peak <= 2 * BOX_TENSOR_BYTES
