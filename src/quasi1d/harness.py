@@ -996,11 +996,10 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     completeness_max = 0.0
     orthogonality_max = 0.0
     all_pass = True
+    draws = manybody.random_symmetric_states(n, ham.dim, rng)
     for idx in range(samples):
-        # no name holds the state, so each is freed before the next is drawn
-        check = manybody.counting_sample(
-            manybody.random_symmetric_state(n, ham.dim, rng), orbital, table,
-            ham, e_phi)
+        check = manybody.counting_sample(next(draws), orbital, table, ham,
+                                         e_phi)
         completeness_max = max(completeness_max, check.completeness)
         orthogonality_max = max(orthogonality_max, check.orthogonality)
         all_pass = all_pass and check.passed
@@ -1012,6 +1011,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                 "bound_lhs [1]", "bound_rhs [1]",
                 "reverse_lhs [1]", "reverse_rhs [1]", "passed [bool]"], rows)
 
+    draws.close()       # frees the draw buffers before the product state
     product = manybody.product_state_mb(orbital, n)
     product_alpha = manybody.expectation_weighted(product, table.m, orbital)
     metrics = {"samples": float(samples),
@@ -1047,13 +1047,12 @@ def _quad_form_check(spec: CountSpec, seed: int) -> float | None:
     ham = manybody.box_hamiltonian(spec.quad_length, spec.quad_n,
                                    pair_potential=lambda d: w.scaled(d, mu),
                                    pair_range=mu)
-    rng = np.random.default_rng(seed + 1)
+    draws = manybody.random_symmetric_states(2, ham.dim,
+                                             np.random.default_rng(seed + 1))
     worst = math.inf
     for _ in range(spec.quad_samples):
-        # no name holds the state, so the last one is freed before the next
-        # dim^2 tensor is drawn
-        worst = min(worst, manybody.pair_indicator_form(
-            manybody.random_symmetric_state(2, ham.dim, rng), ham, corr))
+        worst = min(worst, manybody.pair_indicator_form(next(draws), ham, corr))
+    draws.close()       # frees the draw buffer before the product state
     flat = manybody.product_state_mb(np.ones(ham.dim), 2)
     return min(worst, manybody.pair_indicator_form(flat, ham, corr))
 

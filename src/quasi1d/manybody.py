@@ -40,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,10 +49,11 @@ from .gpe1d import Field, Grid1D, ProductGrid
 from .scattering import CorrectionProfile
 from .transverse import TransverseMode, _confinement
 
-__all__ = ["ManyBodyState", "random_symmetric_state", "product_state_mb",
-           "symmetrize", "apply_projector", "projector_components",
-           "apply_weighted", "expectation_weighted", "WeightTable", "rdm",
-           "trace_norm_vs_pure", "trace_distance", "check_pair_range",
+__all__ = ["ManyBodyState", "random_symmetric_state", "random_symmetric_states",
+           "product_state_mb", "symmetrize", "apply_projector",
+           "projector_components", "apply_weighted", "expectation_weighted",
+           "WeightTable", "rdm", "trace_norm_vs_pure", "trace_distance",
+           "check_pair_range",
            "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
            "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
            "CountingSample", "counting_sample", "pair_indicator_form",
@@ -85,11 +86,26 @@ class ManyBodyState:
         return ManyBodyState(self.n_particles, self.dim, self.tensor / self.norm())
 
 
-# Rows of a draw block, sides of the square blocks of the first coset step and
-# columns of a pair-form block, so these kernels hold one state plus scratch.
-# On the 12^3 box (d = 1728) 48 timed like 64 and better than 16 or 128, and
-# its pair-form scratch is 7% of a state.
+# Sides of the square blocks of the first coset step and columns of a
+# pair-form block, so these kernels hold one state plus scratch.  On the 12^3
+# box (d = 1728) 48 timed like 64 and better than 16 or 128, and its
+# pair-form scratch is 7% of a state.  The passes over a whole state (the
+# draw, the counter sums, the energy, ||q M||^2) split it instead into blocks
+# of about 1/_BLOCK of the state, so their scratch is a fixed share of it.  A
+# pass's buffers together hold at least _LEAST entries (128 KiB of complex),
+# below which calls cost more than arithmetic, and a state of at most _LEAST
+# entries is one block.
 _BLOCK = 48
+_LEAST = 8192
+
+
+def _block_rows(lead: int, size: int, buffers: int = 1) -> int:
+    """Leading entries per block of a pass with ``buffers`` block buffers
+    over an array of ``size`` entries whose leading axis has ``lead``."""
+    if size <= _LEAST:
+        return lead
+    row = size // lead
+    return min(lead, max(lead // _BLOCK, -(-_LEAST // (buffers * row))))
 
 
 def _swap_sum_in_place(tensor: np.ndarray) -> None:
@@ -97,32 +113,40 @@ def _swap_sum_in_place(tensor: np.ndarray) -> None:
 
     Each pair of mirrored blocks is summed once and the sum is written to
     both; a + b == b + a bit for bit, so this equals the out-of-place sum.
+    numpy copies the input of a diagonal block, which overlaps its output,
+    so a block holds at most as many (i, j) pairs as a pass's block: for
+    N >= 3 its side falls below _BLOCK.
     """
     d = tensor.shape[0]
-    for i in range(0, d, _BLOCK):
-        for j in range(i, d, _BLOCK):
-            upper = tensor[i:i + _BLOCK, j:j + _BLOCK]
-            lower = tensor[j:j + _BLOCK, i:i + _BLOCK]
+    side = min(_BLOCK, math.isqrt(_block_rows(d * d, tensor.size)))
+    for i in range(0, d, side):
+        for j in range(i, d, side):
+            upper = tensor[i:i + side, j:j + side]
+            lower = tensor[j:j + side, i:i + side]
             np.add(upper, lower.swapaxes(0, 1), out=upper)
             lower[...] = upper.swapaxes(0, 1)
 
 
-def _permutation_sum(tensor: np.ndarray) -> np.ndarray:
+def _permutation_sum(tensor: np.ndarray,
+                     spare: np.ndarray | None = None) -> np.ndarray:
     """Sum of ``tensor`` over all N! permutations of its axes, unscaled.
 
     Built by cosets: once the sum is symmetric in the first m - 1 axes, the
     m cyclic shifts of the first m axes extend it to all of S_m, so the cost
     is 1, 3 or 6 full-size adds for N = 2, 3, 4 instead of N! strided ones.
-    The first step, the transposition of axes 0 and 1, overwrites ``tensor``.
+    The first step, the transposition of axes 0 and 1, overwrites ``tensor``;
+    the later ones alternate between ``tensor`` and one spare of its shape
+    (``spare``, or a new one), and the buffer holding the sum is returned.
     """
     n = tensor.ndim
     _swap_sum_in_place(tensor)
     out = tensor
     for m in range(3, n + 1):
-        part = out
+        part, out = out, (spare if spare is not None else np.empty_like(out))
+        spare = part
         shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
                   for shift in range(1, m)]
-        out = part + part.transpose(shifts[0])
+        np.add(part, part.transpose(shifts[0]), out=out)
         for perm in shifts[1:]:
             out += part.transpose(perm)
     return out
@@ -143,33 +167,46 @@ def _standard_normal_into(rng: np.random.Generator, part: np.ndarray) -> None:
     ``rng.standard_normal(part.shape)``.
     """
     rows = part.reshape(part.shape[0], -1)
-    buf = np.empty((min(_BLOCK, len(rows)), rows.shape[1]))
-    for i in range(0, len(rows), _BLOCK):
-        block = rows[i:i + _BLOCK]
+    step = _block_rows(len(rows), rows.size)
+    buf = np.empty((step, rows.shape[1]))
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
         chunk = buf[:len(block)]
         rng.standard_normal(out=chunk)
         block[...] = chunk
 
 
-def random_symmetric_state(n_particles: int, dim: int,
-                           rng: np.random.Generator) -> ManyBodyState:
-    """Symmetrized complex-Gaussian tensor, normalized.
+def random_symmetric_states(n_particles: int, dim: int,
+                            rng: np.random.Generator) -> Iterator[ManyBodyState]:
+    """Endless symmetrized complex-Gaussian tensors, normalized, in one buffer.
 
     All real parts are drawn, then all imaginary parts, in the stream order
     of two ``standard_normal((dim,) * N)`` calls, but through a block-sized
     buffer straight into one complex tensor.  The first coset step sums in
-    place, so for N = 2 the state costs one tensor; the 1/N! of the
-    permutation average cancels in the normalization, also done in place.
+    place, so for N = 2 the draws cost one tensor; N >= 3 keeps one spare
+    tensor for the later steps.  The 1/N! of the permutation average cancels
+    in the normalization, also done in place.  Both tensors are allocated
+    once: each draw overwrites the state the previous one yielded.
     """
-    tensor = np.empty((dim,) * n_particles, dtype=complex)
-    _standard_normal_into(rng, tensor.real)
-    _standard_normal_into(rng, tensor.imag)
-    tensor = _permutation_sum(tensor)
-    # each real component divided by the real norm: cheaper than the complex
-    # division, which scales by a reciprocal and can differ in the last bit
-    parts = tensor.reshape(-1).view(np.float64)
-    parts /= np.linalg.norm(tensor.ravel())
-    return ManyBodyState(n_particles, dim, tensor)
+    shape = (dim,) * n_particles
+    tensor = np.empty(shape, dtype=complex)
+    spare = np.empty(shape, dtype=complex) if n_particles >= 3 else None
+    while True:
+        _standard_normal_into(rng, tensor.real)
+        _standard_normal_into(rng, tensor.imag)
+        out = _permutation_sum(tensor, spare)
+        # each real component divided by the real norm: cheaper than the
+        # complex division, which scales by a reciprocal and can differ in the
+        # last bit
+        parts = out.reshape(-1).view(np.float64)
+        parts /= np.linalg.norm(out.ravel())
+        yield ManyBodyState(n_particles, dim, out)
+
+
+def random_symmetric_state(n_particles: int, dim: int,
+                           rng: np.random.Generator) -> ManyBodyState:
+    """The first draw of ``random_symmetric_states``, in tensors of its own."""
+    return next(random_symmetric_states(n_particles, dim, rng))
 
 
 def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
@@ -226,6 +263,58 @@ def projector_components(state: ManyBodyState, orbital: np.ndarray) -> list[np.n
             q_parts[k - 1] += p_parts[k]
         comps = [p_parts[0]] + q_parts
     return comps
+
+
+def _counter_sums(state: ManyBodyState,
+                  orbital: np.ndarray) -> tuple[float, np.ndarray]:
+    """||psi - sum_k P_k psi||^2 and the Gram matrix <P_j psi, P_k psi>, j <= k.
+
+    With psi read as d x d^(N-1) and c_0 = phi^H psi over slot 0, formed
+    once, the slot-0 split of a block B of leading rows is phi[B] (x) c_0 and
+    psi[B] - phi[B] (x) c_0.  Slots 1..N-1 then act inside the block as in
+    ``projector_components``, and the block adds its share to both sums.
+    Scratch is 2N block buffers, each about 1/_BLOCK of a state, and the
+    ufunc buffers of the broadcast products, no larger than a block.  A state
+    that is one block gets the bits of the whole-array sums: the squared
+    norm is taken as np.linalg.norm takes it.
+    """
+    orb = _check_orbital(state, orbital)
+    n, d = state.n_particles, state.dim
+    psi = state.tensor.reshape(d, -1)
+    c0 = (orb.conj() @ psi.reshape(1, d, -1))[0]    # as _apply_p forms it
+    rows = _block_rows(d, psi.size, 2 * n + 2)     # and two ufunc buffers
+    pool = np.empty((2 * n, rows * psi.shape[1]), dtype=complex)
+    resid_sq = 0.0
+    gram = np.zeros((n + 1, n + 1), dtype=complex)
+    for start in range(0, d, rows):
+        block = psi[start:start + rows]
+        free = [buf[:block.size] for buf in pool]
+        p0, q0 = free.pop(), free.pop()
+        np.multiply.outer(orb[start:start + rows], c0, out=p0.reshape(block.shape))
+        np.subtract(block.reshape(-1), p0, out=q0)
+        comps = [p0, q0]
+        for slot in range(1, n):
+            p_parts = []
+            for comp in comps:
+                view = comp.reshape(len(block) * d**(slot - 1), d, -1)
+                part = free.pop()
+                np.multiply(orb[None, :, None], (orb.conj() @ view)[:, None, :],
+                            out=part.reshape(view.shape))
+                comp -= part
+                p_parts.append(part)
+            for k in range(1, len(p_parts)):
+                comps[k - 1] += p_parts[k]
+                free.append(p_parts[k])
+            comps = [p_parts[0]] + comps
+        resid = free.pop()
+        np.add(comps[0], comps[1], out=resid)
+        for comp in comps[2:]:
+            resid += comp
+        np.subtract(block.reshape(-1), resid, out=resid)
+        resid_sq += resid.real.dot(resid.real) + resid.imag.dot(resid.imag)
+        for j, k in itertools.combinations_with_replacement(range(n + 1), 2):
+            gram[j, k] += np.vdot(comps[j], comps[k])
+    return float(resid_sq), gram
 
 
 def apply_projector(state: ManyBodyState, orbital: np.ndarray, which: str,
@@ -329,10 +418,11 @@ class WeightTable:
 
 
 def expectation_weighted(state: ManyBodyState, weights, orbital: np.ndarray) -> float:
-    """<psi, f_hat psi> via the counter decomposition (real for real f)."""
+    """<psi, f_hat psi> = sum_k f(k) ||P_k psi||^2 (real for real f), from
+    the blocked counter sums."""
     w = np.asarray(weights, dtype=float)
-    comps = projector_components(state, orbital)
-    return float(sum(w[k] * np.vdot(comps[k], comps[k]).real
+    gram = _counter_sums(state, orbital)[1]
+    return float(sum(w[k] * gram[k, k].real
                      for k in range(state.n_particles + 1)))
 
 
@@ -372,11 +462,20 @@ def _outside_weight(mat: np.ndarray, orb: np.ndarray, row: np.ndarray) -> float:
     """||q M||^2 for q = 1 - |phi><phi| on the rows of M, given row = phi^H M.
 
     Formed from q M itself rather than as ||M||^2 - ||row||^2, so it keeps
-    its relative precision when the state is close to a product.
+    its relative precision when the state is close to a product; summed by
+    blocks of rows through one buffer.
     """
-    outside = np.multiply.outer(orb, row)
-    outside -= mat
-    return float(np.vdot(outside, outside).real)
+    # the block and the two ufunc buffers of the broadcast product
+    rows = _block_rows(len(mat), mat.size, 3)
+    buf = np.empty((rows, mat.shape[1]), dtype=complex)
+    total = 0.0
+    for start in range(0, len(mat), rows):
+        block = mat[start:start + rows]
+        outside = buf[:len(block)]
+        np.multiply.outer(orb[start:start + rows], row, out=outside)
+        outside -= block
+        total += np.vdot(outside, outside).real
+    return float(total)
 
 
 def trace_distance(state: ManyBodyState, orbital: np.ndarray) -> float:
@@ -432,6 +531,41 @@ def check_pair_range(pair_range: float, axes) -> None:
             f"points at spacing {coarsest:g}")
 
 
+def _site_pair_block(tiled: np.ndarray, start: int, stop: int,
+                     out: np.ndarray, rows: bool = False) -> np.ndarray:
+    """Sites start..stop - 1 of the (d, d) site-pair matrix of an even offset
+    table, as columns or, the same numbers, as rows.
+
+    ``tiled`` is the table over the grid's shape tiled twice per axis.  Entry
+    (i, j) is table[(i - j) mod n] on each axis, so column j is the slice
+    [n - j_a, 2 n - j_a) of ``tiled`` on each axis a, and as the table is
+    even it is row j too.  Sites that differ only on the last axis take one
+    strided slice of the windows of ``tiled`` along that axis.  ``out`` is
+    shaped (*grid.shape, width) for columns, returned as a (d, stop - start)
+    view, or (width, *grid.shape) for rows, returned as (stop - start, d).
+    """
+    shape = tuple(n // 2 for n in tiled.shape)
+    last = shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(tiled, last, axis=-1)
+    site = start
+    while site < stop:
+        index = np.unravel_index(site, shape)
+        run = min(last - index[-1], stop - site)
+        first = last - index[-1]
+        part = windows[tuple(slice(n - j, 2 * n - j)
+                             for n, j in zip(shape, index[:-1]))
+                       + (slice(first, first - run, -1),)]
+        k = site - start
+        if rows:
+            out[k:k + run] = np.moveaxis(part, -2, 0)
+        else:
+            out[..., k:k + run] = np.moveaxis(part, -2, -1)
+        site += run
+    if rows:
+        return out.reshape(len(out), -1)[:stop - start]
+    return out.reshape(-1, out.shape[-1])[:, :stop - start]
+
+
 @dataclass(eq=False)
 class HamiltonianSpec:
     """Single-particle grid data for the N-body energy per particle.
@@ -439,7 +573,11 @@ class HamiltonianSpec:
     ``grid`` is the unflattened single-particle grid; tensors index the
     flattened dimension.  ``e0_shift`` removes the confinement offset so the
     energy per particle is directly comparable with the 1d functional, whose
-    potential and coupling are carried along for that purpose.
+    potential and coupling are carried along for that purpose.  Functions of
+    the distance between two sites (the pair potential, the pair form's mask
+    and (w_mu - U) / 2) depend only on the sites' offset on the periodic grid,
+    so they are kept as tables of d offsets, tiled twice per axis; no d x d
+    array is cached.
     """
 
     grid: ProductGrid
@@ -449,8 +587,8 @@ class HamiltonianSpec:
     v_par_line: Callable[[float, np.ndarray], np.ndarray] | None
     b_effective: float
     pair_range: float | None = None
-    _pair_matrix: np.ndarray | None = None
-    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2)
+    _pair_table: np.ndarray | None = None  # W, tiled
+    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2), tiled
 
     def __post_init__(self) -> None:
         if self.pair_potential is not None and self.pair_range is not None:
@@ -460,13 +598,10 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return math.prod(self.grid.shape)
 
-    def _distance_rows(self, start: int, stop: int) -> np.ndarray:
-        """Minimum-image distances from sites start..stop - 1 to every site.
-
-        The per-axis (n, n) tables of squared offsets are summed in axis
-        order, so any row block has the bits of the full table's rows.
-        """
-        sites = np.unravel_index(np.arange(start, stop), self.grid.shape)
+    def pair_distances(self) -> np.ndarray:
+        """Minimum-image distances between all site pairs, (d, d), from the
+        site coordinates; the kernels use ``_offset_distances`` instead."""
+        sites = np.unravel_index(np.arange(self.dim), self.grid.shape)
         ndim = len(self.grid.axes)
         total = 0.0
         for i, (axis, index) in enumerate(zip(self.grid.axes, sites)):
@@ -474,43 +609,57 @@ class HamiltonianSpec:
             delta = np.minimum(delta, axis.length - delta)
             view = [1] * ndim
             view[i] = axis.n
-            total = total + (delta**2).reshape(stop - start, *view)
-        return np.sqrt(total).reshape(stop - start, self.dim)
+            total = total + (delta**2).reshape(self.dim, *view)
+        return np.sqrt(total).reshape(self.dim, self.dim)
 
-    def pair_distances(self) -> np.ndarray:
-        """Minimum-image distances between all site pairs, (d, d), not
-        cached: the pair matrix and the pair form keep their own products."""
-        return self._distance_rows(0, self.dim)
+    def _offset_distances(self) -> np.ndarray:
+        """Minimum-image distance of each site from site 0, over grid.shape.
+
+        Offset o on an axis of n points is min(o, n - o) spacings, so the
+        table is even in o bit for bit; the per-axis squares are summed in
+        axis order.
+        """
+        ndim = len(self.grid.axes)
+        total = 0.0
+        for i, axis in enumerate(self.grid.axes):
+            offset = np.arange(axis.n)
+            delta = np.minimum(offset, axis.n - offset) * axis.dx
+            view = [1] * ndim
+            view[i] = axis.n
+            total = total + (delta**2).reshape(view)
+        return np.sqrt(total)
+
+    def _tiled(self, table: np.ndarray) -> np.ndarray:
+        return np.tile(table, (2,) * len(self.grid.axes))
+
+    def _pair_potential_table(self) -> np.ndarray | None:
+        """W on the offsets, tiled; built once."""
+        if self.pair_potential is not None and self._pair_table is None:
+            self._pair_table = self._tiled(np.asarray(
+                self.pair_potential(self._offset_distances()), dtype=float))
+        return self._pair_table
 
     def pair_matrix(self) -> np.ndarray | None:
-        if self.pair_potential is None:
+        """W on all site pairs, (d, d), from the offset table; not cached."""
+        table = self._pair_potential_table()
+        if table is None:
             return None
-        if self._pair_matrix is None:
-            self._pair_matrix = np.asarray(
-                self.pair_potential(self.pair_distances()), dtype=float)
-        return self._pair_matrix
+        return _site_pair_block(table, 0, self.dim,
+                                np.empty(self.grid.shape + (self.dim,)))
 
-    def _pair_form_arrays(self, corr: CorrectionProfile) -> tuple:
-        """Indicator of |z1 - z2| < R and (w_mu - U) / 2 on site pairs.
+    def _pair_form_tables(self, corr: CorrectionProfile) -> tuple:
+        """Indicator of |z1 - z2| < R and (w_mu - U) / 2 on the offsets, tiled.
 
         Both depend only on the grid and the correction profile, so they are
         cached for the last ``corr`` seen and rebuilt for any other one.
-        They are built by blocks of rows, so no distance table is held.
         """
         if self._pair_form is None or self._pair_form[0] is not corr:
-            self._pair_form = None      # free the old arrays before the new
-            d = self.dim
+            dist = self._offset_distances()
             sol = corr.solution
-            mask = np.empty((d, d), dtype=bool)
-            half_wu = np.empty((d, d))
-            for start in range(0, d, _BLOCK):
-                stop = min(start + _BLOCK, d)
-                dist = self._distance_rows(start, stop)
-                np.less(dist, corr.outer_radius, out=mask[start:stop])
-                np.subtract(sol.potential.scaled(dist, sol.mu),
-                            corr.u_potential(dist), out=half_wu[start:stop])
+            half_wu = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
             half_wu *= 0.5
-            self._pair_form = (corr, mask, half_wu)
+            self._pair_form = (corr, self._tiled(dist < corr.outer_radius),
+                               self._tiled(half_wu))
         return self._pair_form[1:]
 
 
@@ -579,40 +728,81 @@ def orbital_from_fields(phi: Field, mode: TransverseMode | None) -> np.ndarray:
     return orb / np.linalg.norm(orb)
 
 
+def _fft_over(a: np.ndarray, axes: range, out: np.ndarray) -> None:
+    """fftn over ``axes`` into ``out``; one axis goes to fft, which costs
+    fewer calls."""
+    if len(axes) == 1:
+        np.fft.fft(a, axis=axes[0], out=out)
+    else:
+        np.fft.fftn(a, axes=axes, out=out)
+
+
 def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
     """E_psi = <psi, H psi> / N minus the confinement offset.
 
-    The kinetic term of each slot is the FFT over that slot's axes, squared
-    in place in one reused buffer and contracted with |k|^2 on that slot.
-    Potential and pair terms use exact marginals of |psi|^2.
+    Two passes, each through one reused buffer.  Over blocks of columns,
+    the FFT over slot 0's axes gives slot 0's kinetic term.  Over blocks of
+    slot-0 rows, the exact marginals of |psi|^2 give the potential and pair
+    terms, and one FFT over the axes of slots 1..N-1 gives their kinetic
+    terms (Parseval), each contracted with |k|^2 on its slot.  W comes from
+    the offset table: by rows of the block for pairs with slot 0, whole for
+    the others (N >= 3, where d x d is at most 1/d of a state).
     """
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
     n = state.n_particles
     d = ham.dim
-    sp_ndim = len(ham.grid.axes)
-    full = state.tensor.reshape(ham.grid.shape * n)
+    psi = np.ascontiguousarray(state.tensor).reshape(d, -1)
+    rest = psi.shape[1]
     ksq = ham.grid.k_squared().ravel()
+    cols = _block_rows(rest, psi.size)
+    rows = _block_rows(d, psi.size)
+    buf = np.empty(max(d * cols, rows * rest), dtype=complex)
+    power = buf.view(np.float64)                    # interleaved re, im
 
     total = 0.0
-    density = np.abs(state.tensor)
-    density **= 2
-    psi_hat = np.empty(full.shape, dtype=complex)    # C order, whatever psi's
-    power = psi_hat.reshape(-1).view(np.float64)    # interleaved re, im
-    for slot in range(n):
-        axes = tuple(range(slot * sp_ndim, (slot + 1) * sp_ndim))
-        np.fft.fftn(full, axes=axes, out=psi_hat)
-        np.square(power, out=power)
-        total += float(np.sum(ksq @ power.reshape(d**slot, d, -1))) / d
-        dens_slot = density.sum(axis=tuple(i for i in range(n) if i != slot))
-        total += float(ham.v_diag @ dens_slot)
+    sp_ndim = len(ham.grid.axes)
+    for start in range(0, rest, cols):
+        block = psi[:, start:start + cols]
+        psi_hat = buf[:block.size].reshape(*ham.grid.shape, -1)
+        _fft_over(block.reshape(psi_hat.shape), range(sp_ndim), psi_hat)
+        sq = power[:2 * block.size]
+        np.square(sq, out=sq)
+        total += float(np.sum(ksq @ sq.reshape(d, -1))) / d
 
-    w_mat = ham.pair_matrix()
-    if w_mat is not None:
-        for i, j in itertools.combinations(range(n), 2):
-            other = tuple(s for s in range(n) if s not in (i, j))
-            dens_pair = density.sum(axis=other) if other else density
-            total += float(np.sum(w_mat * dens_pair))
+    table = ham._pair_potential_table()
+    if table is not None:
+        w_buf = np.empty((rows,) + ham.grid.shape)
+        w_mat = ham.pair_matrix() if n > 2 else None
+    slot_dens = np.zeros((n, d))
+    axes = range(1, 1 + (n - 1) * sp_ndim)
+    for start in range(0, d, rows):
+        block = psi[start:start + rows]
+        r = len(block)
+        dens = power[:block.size].reshape((r,) + (d,) * (n - 1))
+        np.abs(block.reshape(dens.shape), out=dens)
+        dens **= 2
+        for slot in range(n):
+            others = tuple(i for i in range(n) if i != slot)
+            if slot:
+                slot_dens[slot] += dens.sum(axis=others)
+            else:
+                slot_dens[0, start:start + r] = dens.sum(axis=others)
+        if table is not None:
+            w_rows = _site_pair_block(table, start, start + r, w_buf, rows=True)
+            for i, j in itertools.combinations(range(n), 2):
+                other = tuple(s for s in range(n) if s not in (i, j))
+                dens_pair = dens.sum(axis=other) if other else dens
+                total += float(np.vdot(w_mat if i else w_rows, dens_pair))
+        psi_hat = buf[:block.size].reshape((r,) + ham.grid.shape * (n - 1))
+        _fft_over(block.reshape(psi_hat.shape), axes, psi_hat)
+        sq = power[:2 * block.size]
+        np.square(sq, out=sq)
+        for slot in range(1, n):
+            total += float(np.sum(ksq @ sq.reshape(r * d**(slot - 1), d, -1))) \
+                / d ** (n - 1)
+    for slot in range(n):
+        total += float(ham.v_diag @ slot_dens[slot])
     return total / n - ham.e0_shift
 
 
@@ -635,24 +825,16 @@ class CountingSample:
 _BOUND_SLACK = 1e-9
 
 
-def _counter_checks(state: ManyBodyState, orb: np.ndarray,
+def _counter_checks(state: ManyBodyState, orbital: np.ndarray,
                     m: np.ndarray) -> tuple[float, float, float]:
-    """Completeness residual, largest counter overlap and <m_hat>.
-
-    The residual is summed into one buffer in the order of sum(comps), and
-    the N + 1 components are freed when this returns.
-    """
-    comps = projector_components(state, orb)
-    resid = comps[0] + comps[1]
-    for comp in comps[2:]:
-        resid += comp
-    np.subtract(state.tensor, resid, out=resid)
-    completeness = float(np.linalg.norm(resid.ravel()))
-    orthogonality = max(abs(complex(np.vdot(comps[i], comps[j])))
-                        for i, j in itertools.combinations(range(len(comps)), 2))
-    counting = float(sum(m[k] * np.vdot(comps[k], comps[k]).real
-                         for k in range(len(comps))))
-    return completeness, orthogonality, counting
+    """Completeness residual, largest counter overlap and <m_hat>, from the
+    blocked counter sums: no component is held whole."""
+    resid_sq, gram = _counter_sums(state, orbital)
+    n = state.n_particles
+    orthogonality = max(abs(complex(gram[j, k]))
+                        for j, k in itertools.combinations(range(n + 1), 2))
+    counting = float(sum(m[k] * gram[k, k].real for k in range(n + 1)))
+    return math.sqrt(resid_sq), orthogonality, counting
 
 
 def counting_sample(state: ManyBodyState, orbital: np.ndarray,
@@ -698,19 +880,20 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
     """||1_{|z1-z2|<R} grad_1 psi||^2 + <psi, (w_mu - U) psi> / 2 for N = 2.
 
     Non-negative in the continuum because the compensated profile has zero
-    scattering length; evaluated here exactly on the grid.  The mask and
-    (w_mu - U) / 2 come from the Hamiltonian's cache.  With psi read as
+    scattering length; evaluated here exactly on the grid.  With psi read as
     d x d, grad_1 acts on the row index, so both sums run over blocks of
     columns: each block is copied into one contiguous buffer, its |psi|^2 is
     weighted by (w_mu - U) / 2, then grad_1 is applied one axis at a time by
     its differentiation matrix and |grad_1 psi|^2, accumulated in one real
-    buffer, is summed under the mask.  Scratch is three block-sized buffers.
+    buffer, is summed under the mask.  The mask and (w_mu - U) / 2 of a
+    column block are sliced from the Hamiltonian's offset tables.  Scratch is
+    five block-sized buffers.
     """
     if state.n_particles != 2:
         raise DomainError("the pair quadratic form is defined for N = 2")
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
-    mask, half_wu = ham._pair_form_arrays(corr)
+    mask_table, half_wu_table = ham._pair_form_tables(corr)
     d = ham.dim
     psi = state.tensor.reshape(d, d)
     derivs = [_derivative_matrix(axis) for axis in ham.grid.axes]
@@ -718,6 +901,8 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
     block_buf = np.empty(d * width, dtype=complex)
     grad_buf = np.empty(d * width, dtype=complex)
     sq_buf = np.empty(d * width)
+    mask_buf = np.empty(ham.grid.shape + (width,), dtype=bool)
+    half_wu_buf = np.empty(ham.grid.shape + (width,))
 
     total = 0.0
     for start in range(0, d, _BLOCK):
@@ -730,7 +915,7 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
         np.copyto(block, psi[:, start:stop])
         np.square(block.view(np.float64), out=parts)
         np.add(parts[:, 0::2], parts[:, 1::2], out=sq)
-        sq *= half_wu[:, start:stop]
+        sq *= _site_pair_block(half_wu_table, start, stop, half_wu_buf)
         total += float(np.sum(sq))
         lead = 1
         for i, (axis, deriv) in enumerate(zip(ham.grid.axes, derivs)):
@@ -743,7 +928,8 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
                 sq += parts[:, 0::2]
                 sq += parts[:, 1::2]
             lead *= axis.n
-        total += float(np.sum(sq, where=mask[:, start:stop]))
+        total += float(np.sum(
+            sq, where=_site_pair_block(mask_table, start, stop, mask_buf)))
     return total
 
 

@@ -608,14 +608,23 @@ def seed_recipe_state(gen, n, dim):
     return out
 
 
-# one-row blocks, and sizes that divide none of the dimensions below
+# _BLOCK values: as a block side, one-row blocks and sizes that divide none
+# of the dimensions below; as the number of blocks a pass over a state makes,
+# one block, ragged blocks and (for d < 14) one-row blocks
 RAGGED_BLOCKS = (1, 4, 7)
+
+
+def unblocked(monkeypatch, block):
+    """_BLOCK = block, and no least block size, so that small states are
+    split too."""
+    monkeypatch.setattr(manybody, "_BLOCK", block)
+    monkeypatch.setattr(manybody, "_LEAST", 0)
 
 
 @pytest.mark.parametrize("block", RAGGED_BLOCKS)
 @pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 9)])
 def test_blocked_draw_is_the_seed_recipe_bitwise(monkeypatch, block, n, dim):
-    monkeypatch.setattr(manybody, "_BLOCK", block)
+    unblocked(monkeypatch, block)
     gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
     state = manybody.random_symmetric_state(n, dim, gen)
     assert np.array_equal(state.tensor, seed_recipe_state(ref_gen, n, dim))
@@ -689,10 +698,178 @@ def test_warm_pair_form_allocates_block_scratch_only(bump_correction):
 
 def test_quad_form_check_holds_under_two_tensors():
     """The pair-form check of counting_pair.ini on its 12^3 box.  Two
-    samples are enough to show that each state is freed before the next
-    one is drawn."""
+    samples are drawn into one buffer, which is freed before the flat
+    product state is built, so the check holds one state plus scratch."""
     path = Path(__file__).resolve().parent.parent / "configs" / "counting_pair.ini"
     cfg = harness.load_config(path, ["count.quad_samples=2"])
     peak, value = traced_peak(lambda: harness._quad_form_check(cfg.spec, cfg.seed))
     assert math.isfinite(value)
-    assert peak <= 2 * BOX_TENSOR_BYTES
+    assert peak <= 1.2 * BOX_TENSOR_BYTES
+
+
+# ---------------------------------------------------------------------------
+# offset tables, blocked counter sums and reused draw buffers
+
+
+def pair_hamiltonians():
+    """A line, the bare cube and a confined box (unequal axes), each with a
+    pair potential: a Gaussian on the line, the scattering bump elsewhere."""
+    bump = scattering.smooth_bump(40.0)
+    pair = lambda r: bump.scaled(r, 0.64)  # noqa: E731
+    base = transverse.ground_state_2d(transverse.harmonic_profile,
+                                      extent=12.0, n=12, boundary_tol=1e-3)
+    return [manybody.line_hamiltonian(gpe1d.Grid1D(6.0, 38),
+                                      pair_potential=lambda r: np.exp(-r**2)),
+            manybody.box_hamiltonian(1.8, 12, pair_potential=pair),
+            manybody.confined_hamiltonian(
+                gpe1d.Grid1D(3.0, 6), transverse.rescale_mode(base, 0.5),
+                transverse.harmonic_profile, pair_potential=pair)]
+
+
+def all_columns(ham, tiled):
+    out = np.empty(ham.grid.shape + (ham.dim,), dtype=tiled.dtype)
+    return manybody._site_pair_block(tiled, 0, ham.dim, out)
+
+
+def assert_table_close(got, ref):
+    """1e-12 of each entry or of the largest one: entries on the bump's far
+    tail (about 1e-37) magnify the distances' last-bit differences."""
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_offset_tables_match_the_site_pair_distances(bump_correction):
+    corr = bump_correction
+    sol = corr.solution
+    for ham in pair_hamiltonians():
+        dist = ham.pair_distances()
+        # W: the offset table is even, so the matrix is symmetric bit for bit
+        w_mat = ham.pair_matrix()
+        np.testing.assert_array_equal(w_mat, w_mat.T)
+        assert_table_close(w_mat, ham.pair_potential(dist))
+        mask_table, half_wu_table = ham._pair_form_tables(corr)
+        mask, half_wu = all_columns(ham, mask_table), all_columns(ham, half_wu_table)
+        # the mask and the shell of U may differ only where a distance sits
+        # on R or r0 to round-off
+        edges = [corr.outer_radius, corr.inner_radius]
+        away = np.all([np.abs(dist - r) >= 1e-12 for r in edges], axis=0)
+        assert np.count_nonzero(mask & away) > 0
+        np.testing.assert_array_equal(mask[away], (dist < corr.outer_radius)[away])
+        ref = 0.5 * (sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist))
+        assert_table_close(half_wu[away], ref[away])
+
+
+def test_site_pair_blocks_are_slices_of_the_matrix():
+    """Any block of columns, or of rows, on ragged sizes."""
+    ham = pair_hamiltonians()[2]
+    table = ham._pair_potential_table()
+    whole = all_columns(ham, table)
+    cols = np.empty(ham.grid.shape + (7,))
+    rows = np.empty((7,) + ham.grid.shape)
+    for start in range(0, ham.dim, 7):
+        stop = min(start + 7, ham.dim)
+        np.testing.assert_array_equal(
+            manybody._site_pair_block(table, start, stop, cols),
+            whole[:, start:stop])
+        np.testing.assert_array_equal(
+            manybody._site_pair_block(table, start, stop, rows, rows=True),
+            whole[start:stop])
+
+
+# (N, d): blocks of d // 4 rows leave a ragged rest, and so do blocks of
+# d // 7 rows for N = 2; for N = 3, 4 those are one-row blocks
+BLOCKED_STATES = [(2, 30), (3, 11), (4, 9)]
+
+
+@pytest.mark.parametrize("block", RAGGED_BLOCKS)
+@pytest.mark.parametrize("n,dim", BLOCKED_STATES)
+def test_blocked_counter_sums_match_projector_components(monkeypatch, block,
+                                                          n, dim):
+    unblocked(monkeypatch, block)
+    gen = np.random.default_rng(12)
+    state = manybody.random_symmetric_state(n, dim, gen)
+    orb = random_orbital(gen, dim)
+    comps = manybody.projector_components(state, orb)
+    resid_sq, gram = manybody._counter_sums(state, orb)
+    resid = state.tensor - sum(comps)
+    assert resid_sq == pytest.approx(np.vdot(resid, resid).real, abs=1e-28)
+    for j, k in itertools.combinations_with_replacement(range(n + 1), 2):
+        assert abs(gram[j, k] - np.vdot(comps[j], comps[k])) < 1e-14
+    weights = np.linspace(0.1, 1.0, n + 1)
+    ref = sum(w * np.vdot(c, c).real for w, c in zip(weights, comps))
+    assert manybody.expectation_weighted(state, weights, orb) == \
+        pytest.approx(ref, rel=1e-12)
+    completeness, orthogonality, counting = manybody._counter_checks(
+        state, orb, weights)
+    assert completeness < 1e-13 and orthogonality < 1e-13
+    assert counting == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("block", RAGGED_BLOCKS)
+def test_blocked_energy_and_trace_distance(monkeypatch, block):
+    unblocked(monkeypatch, block)
+    gen = np.random.default_rng(13)
+    line, _, confined = pair_hamiltonians()
+    line_small = manybody.line_hamiltonian(
+        gpe1d.Grid1D(6.0, 14), v_par=lambda t, x: 0.3 * np.cos(x),
+        pair_potential=lambda r: np.exp(-r**2), b_effective=1.0)
+    for ham, n in [(line, 2), (confined, 2), (line_small, 3), (line_small, 4)]:
+        state = manybody.random_symmetric_state(n, ham.dim, gen)
+        assert manybody.energy_per_particle(state, ham) == \
+            pytest.approx(fft_energy_per_particle(state, ham), rel=1e-12)
+        orb = random_orbital(gen, ham.dim)
+        dense = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
+        assert manybody.trace_distance(state, orb) == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 6)])
+def test_reused_draws_are_the_seed_recipe_bitwise(n, dim):
+    gen, ref_gen = np.random.default_rng(6), np.random.default_rng(6)
+    draws = manybody.random_symmetric_states(n, dim, gen)
+    tensors = []
+    for _ in range(3):
+        state = next(draws)
+        assert np.array_equal(state.tensor, seed_recipe_state(ref_gen, n, dim))
+        tensors.append(state.tensor)
+    # every draw overwrites the one before it, in the same buffer
+    assert all(t is tensors[0] for t in tensors)
+    assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+LINE_256_BYTES = 256**2 * 16      # one N = 2 state on a 256-point line
+LINE_64_BYTES = 64**3 * 16        # one N = 3 state on a 64-point line
+
+
+@pytest.mark.parametrize("n,dim,nbytes", [(3, 64, LINE_64_BYTES),
+                                          (2, 256, LINE_256_BYTES)])
+def test_warm_counting_sample_allocates_block_scratch_only(n, dim, nbytes):
+    grid = gpe1d.Grid1D(2.0 * math.pi, dim)
+    bump = scattering.smooth_bump(4.0)
+    ham = manybody.line_hamiltonian(grid, pair_potential=lambda r: bump.scaled(r, 1.0),
+                                    b_effective=1.0, pair_range=1.0)
+    table = manybody.WeightTable.build(n, 0.1)
+    orb = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    state = manybody.random_symmetric_state(n, dim, np.random.default_rng(3))
+    assert state.tensor.nbytes == nbytes
+    first = manybody.counting_sample(state, orb, table, ham, 0.5)
+    peak, again = traced_peak(
+        lambda: manybody.counting_sample(state, orb, table, ham, 0.5))
+    assert again == first
+    assert peak <= 0.25 * nbytes
+
+
+def test_second_counting_loop_allocates_no_tensor():
+    grid = gpe1d.Grid1D(2.0 * math.pi, 64)
+    ham = manybody.line_hamiltonian(grid, b_effective=1.0)
+    table = manybody.WeightTable.build(3, 0.2)
+    orb = np.full(64, 1.0 / 8.0, dtype=complex)
+    draws = manybody.random_symmetric_states(3, 64, np.random.default_rng(4))
+
+    def loop():
+        return [manybody.counting_sample(next(draws), orb, table, ham, 0.5)
+                for _ in range(2)]
+
+    loop()
+    peak, samples = traced_peak(loop)
+    assert all(sample.passed for sample in samples)
+    assert peak <= 0.25 * LINE_64_BYTES
