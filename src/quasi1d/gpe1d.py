@@ -398,11 +398,11 @@ def align_phase(phi: Field, reference: Field) -> Field:
 
 
 def phase_distance(phi: Field, reference: Field) -> float:
-    """L2 distance after optimal global phase alignment.
+    """L2 distance after optimal global phase alignment, on any grid.
 
-    Formed from the aligned difference itself: the closed form
-    sqrt(|phi|^2 + |ref|^2 - 2 |<phi, ref>|) cancels to nothing below
-    distances of about 1e-8.
+    Formed from the aligned difference itself and measured by
+    ``Field.norm``: the closed form sqrt(|phi|^2 + |ref|^2 - 2 |<phi, ref>|)
+    cancels to nothing below distances of about 1e-8.
     """
     diff = align_phase(phi, reference).values - reference.values
-    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * phi.grid.dx)
+    return Field(phi.grid, diff).norm()

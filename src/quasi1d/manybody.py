@@ -3,9 +3,9 @@
 States of N bosons live as rank-N tensors over a small single-particle grid
 (a periodic line or a flattened 3d box).  For a reference orbital phi the
 slot projectors p = |phi><phi| and q = 1 - p generate the symmetrized
-counters P_k (exactly k particles outside phi); weighted sums f_hat =
-sum_k f(k) P_k and their shifted variants are the bookkeeping operators of
-condensation estimates.  The weight
+counters P_k (exactly k particles outside phi).  A weighted counter f_hat =
+sum_k f(k) P_k enters only through its expectation, evaluated as
+<psi, f_hat psi> = sum_k f(k) ||P_k psi||^2.  The weight
 
     m(k) = sqrt(k / N)                        for k >= N^(1 - 2 xi),
     m(k) = (k N^(xi - 1) + N^(-xi)) / 2       otherwise,
@@ -50,14 +50,12 @@ from .scattering import CorrectionProfile
 from .transverse import TransverseMode, _confinement
 
 __all__ = ["ManyBodyState", "random_symmetric_state", "random_symmetric_states",
-           "product_state_mb", "symmetrize", "apply_projector",
-           "projector_components", "apply_weighted", "expectation_weighted",
-           "WeightTable", "rdm", "trace_norm_vs_pure", "trace_distance",
-           "check_pair_range",
+           "product_state_mb", "symmetrize", "projector_components",
+           "expectation_weighted", "WeightTable", "rdm", "trace_norm_vs_pure",
+           "trace_distance", "check_pair_range",
            "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
            "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
-           "CountingSample", "counting_sample", "pair_indicator_form",
-           "correlation_diagnostic"]
+           "CountingSample", "counting_sample", "pair_indicator_form"]
 
 MAX_PARTICLES = 4
 
@@ -317,49 +315,6 @@ def _counter_sums(state: ManyBodyState,
     return float(resid_sq), gram
 
 
-def apply_projector(state: ManyBodyState, orbital: np.ndarray, which: str,
-                    index: int) -> ManyBodyState:
-    """Apply p_j, q_j or P_k; the result is returned unnormalized."""
-    orb = _check_orbital(state, orbital)
-    n = state.n_particles
-    if which in ("p", "q"):
-        if not 0 <= index < n:
-            raise DomainError(f"slot index must be in 0..{n - 1}")
-        p_tensor = _apply_p(state.tensor, orb, index)
-        out = p_tensor if which == "p" else state.tensor - p_tensor
-    elif which == "P":
-        if index < 0 or index > n:
-            out = np.zeros_like(state.tensor)
-        else:
-            out = projector_components(state, orb)[index]
-    else:
-        raise DomainError(f"unknown projector kind {which!r}")
-    return ManyBodyState(n, state.dim, out)
-
-
-def apply_weighted(state: ManyBodyState, weights, orbital: np.ndarray,
-                   shift: int = 0) -> ManyBodyState:
-    """f_hat psi = sum_k f(k) P_k psi, or its shifted version.
-
-    With a shift d the operator is sum_j f(j + d) P_j over the window where
-    both j and j + d index valid counters; outside contributions vanish.
-    ``weights`` is a length N + 1 array (f(0) ... f(N)).
-    """
-    w = np.asarray(weights, dtype=float)
-    n = state.n_particles
-    if w.shape != (n + 1,):
-        raise DomainError(f"weights must have length {n + 1}")
-    if abs(shift) > n:
-        raise DomainError(f"shift {shift} leaves no overlap with counters 0..{n}")
-    comps = projector_components(state, orbital)
-    out = np.zeros_like(state.tensor)
-    for j in range(n + 1):
-        k = j + shift
-        if 0 <= k <= n:
-            out += w[k] * comps[j]
-    return ManyBodyState(n, state.dim, out)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightTable:
     """m(k) and its discrete difference families on k = 0..N.
@@ -419,8 +374,11 @@ class WeightTable:
 
 def expectation_weighted(state: ManyBodyState, weights, orbital: np.ndarray) -> float:
     """<psi, f_hat psi> = sum_k f(k) ||P_k psi||^2 (real for real f), from
-    the blocked counter sums."""
+    the blocked counter sums; ``weights`` is f(0) ... f(N)."""
     w = np.asarray(weights, dtype=float)
+    if w.shape != (state.n_particles + 1,):
+        raise DomainError(f"weights must have length N + 1 = "
+                          f"{state.n_particles + 1}")
     gram = _counter_sums(state, orbital)[1]
     return float(sum(w[k] * gram[k, k].real
                      for k in range(state.n_particles + 1)))
@@ -444,7 +402,13 @@ def rdm(state: ManyBodyState, k: int) -> np.ndarray:
 
 
 def trace_norm_vs_pure(gamma: np.ndarray, orbital: np.ndarray) -> float:
-    """Trace norm of gamma - |phi><phi| via exact eigendecomposition."""
+    """Trace norm of gamma - |phi><phi| via exact eigendecomposition.
+
+    The difference is formed densely, so its entries carry round-off near
+    1e-16 whatever the distance: for a state close to a product the relative
+    error grows like 1e-16 / distance.  ``trace_distance`` keeps its
+    precision there and uses this only as its fallback.
+    """
     orb = np.asarray(orbital, dtype=complex)
     diff = gamma - np.outer(orb, orb.conj())
     diff = 0.5 * (diff + diff.conj().T)
@@ -932,29 +896,3 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
             sq, where=_site_pair_block(mask_table, start, stop, mask_buf)))
     return total
 
-
-def correlation_diagnostic(state: ManyBodyState, phi: Field,
-                           weights: WeightTable, corr: CorrectionProfile,
-                           ham: HamiltonianSpec,
-                           mode: TransverseMode | None = None) -> float:
-    """|<psi, g_12 r_hat psi>| with r_hat the shifted-weight pair operator.
-
-    r_hat = m_b_hat p1 p2 + m_a_hat (p1 q2 + q1 p2); reported magnitude only,
-    as a smallness diagnostic for the correlation energy bookkeeping.
-    """
-    orb = orbital_from_fields(phi, mode)
-    n = state.n_particles
-    p1 = apply_projector(state, orb, "p", 0)
-    p1p2 = apply_projector(p1, orb, "p", 1)
-    p2 = apply_projector(state, orb, "p", 1)
-    mixed = ManyBodyState(n, state.dim,
-                          p1.tensor + p2.tensor - 2.0 * p1p2.tensor)
-    part_b = apply_weighted(p1p2, weights.m_b, orb)
-    part_a = apply_weighted(mixed, weights.m_a, orb)
-    r_psi = part_b.tensor + part_a.tensor
-
-    g_vals = corr.g(ham.pair_distances())
-    r_full = r_psi.reshape(ham.dim, ham.dim, -1)
-    psi_full = state.tensor.reshape(ham.dim, ham.dim, -1)
-    value = np.vdot(psi_full, g_vals[:, :, None] * r_full)
-    return abs(complex(value))

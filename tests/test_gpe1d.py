@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quasi1d import gpe1d
+from quasi1d import confined3d, gpe1d
 from quasi1d.errors import DomainError, ResolutionError
 
 
@@ -164,6 +164,25 @@ def test_phase_distance_resolves_tiny_gaps():
     phi = gpe1d.Field(grid, (ref.values + delta * w) * cmath.exp(0.4j))
     assert gpe1d.phase_distance(phi, ref) == pytest.approx(delta * w_norm,
                                                            rel=1e-6)
+
+
+def test_phase_distance_measures_with_the_cell_volume():
+    # on a multi-axis grid the cell is dvol, not the x spacing
+    rng = np.random.default_rng(5)
+    grids = [(confined3d.Grid3D(8.0, 16, 4.0, 16, 1.0), (16, 16, 16)),
+             (gpe1d.ProductGrid((gpe1d.Grid1D(4.0, 8), gpe1d.Grid1D(3.0, 6))),
+              (8, 6))]
+    for grid, shape in grids:
+        phi, ref = (gpe1d.Field(grid, rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
+                    for _ in range(2))
+        aligned = gpe1d.align_phase(phi, ref)
+        diff = gpe1d.Field(grid, aligned.values - ref.values)
+        assert gpe1d.phase_distance(phi, ref) == pytest.approx(diff.norm(),
+                                                               rel=1e-15)
+        zero = gpe1d.Field(grid, np.zeros(shape, dtype=complex))
+        assert gpe1d.phase_distance(phi, zero) == pytest.approx(phi.norm(),
+                                                                rel=1e-15)
 
 
 def test_error_paths():

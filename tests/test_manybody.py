@@ -19,6 +19,11 @@ def unit_vector(dim: int, index: int) -> np.ndarray:
     return v
 
 
+def random_orbital(gen, dim):
+    orb = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    return orb / np.linalg.norm(orb)
+
+
 @pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(7)
@@ -59,60 +64,50 @@ def test_counter_decomposition(rng, n, dim):
     for j in range(n + 1):
         for k in range(j + 1, n + 1):
             assert abs(np.vdot(comps[j], comps[k])) < 1e-12
-    # each component is a fixed point of its own counter
+    # the counters are orthogonal idempotents, P_j P_k = delta_jk P_k, the
+    # law behind f_hat g_hat = (f g)_hat
     for k in range(n + 1):
         piece = manybody.ManyBodyState(n, dim, comps[k])
-        again = manybody.apply_projector(piece, orb, "P", k)
-        assert np.max(np.abs(again.tensor - comps[k])) < 1e-12
+        again = manybody.projector_components(piece, orb)
+        for j in range(n + 1):
+            expected = comps[k] if j == k else 0.0
+            assert np.max(np.abs(again[j] - expected)) < 1e-12
 
 
-def test_slot_projectors(rng):
+@pytest.mark.parametrize("n,dim", [(2, 6), (3, 5)])
+def test_slot_projector_is_idempotent(rng, n, dim):
+    state = manybody.random_symmetric_state(n, dim, rng)
+    for orb in (unit_vector(dim, 1), random_orbital(rng, dim)):
+        for slot in range(n):
+            p_psi = manybody._apply_p(state.tensor, orb, slot)
+            again = manybody._apply_p(p_psi, orb, slot)
+            assert np.max(np.abs(again - p_psi)) < 1e-14
+
+
+def test_orbital_guards(rng):
     state = manybody.random_symmetric_state(2, 6, rng)
     orb = unit_vector(6, 1)
-    p0 = manybody.apply_projector(state, orb, "p", 0)
-    q0 = manybody.apply_projector(state, orb, "q", 0)
-    assert np.max(np.abs(p0.tensor + q0.tensor - state.tensor)) < 1e-14
-    pp = manybody.apply_projector(p0, orb, "p", 0)
-    assert np.max(np.abs(pp.tensor - p0.tensor)) < 1e-14
-    outside = manybody.apply_projector(state, orb, "P", 5)
-    assert np.max(np.abs(outside.tensor)) == 0.0
-    with pytest.raises(DomainError):
-        manybody.apply_projector(state, orb, "p", 2)
-    with pytest.raises(DomainError):
-        manybody.apply_projector(state, orb, "x", 0)
-    with pytest.raises(InterfaceError):
-        manybody.apply_projector(state, 2.0 * orb, "p", 0)
-    with pytest.raises(InterfaceError):
-        manybody.apply_projector(state, unit_vector(7, 0), "p", 0)
+    grid = gpe1d.Grid1D(6.0, 6)
+    ham = manybody.line_hamiltonian(grid)
+    table = manybody.WeightTable.build(2, 0.1)
+    for bad in (2.0 * orb, unit_vector(7, 0)):
+        with pytest.raises(InterfaceError):
+            manybody.projector_components(state, bad)
+        with pytest.raises(InterfaceError):
+            manybody.counting_sample(state, bad, table, ham, 0.0)
 
 
-def test_weighted_operators_compose(rng):
-    state = manybody.random_symmetric_state(2, 8, rng)
-    orb = unit_vector(8, 0)
+def test_weighted_expectation_is_bounded_by_its_weights(rng):
     f = np.array([0.3, -1.2, 2.0])
-    g = np.array([1.5, 0.4, -0.7])
-    fg_state = manybody.apply_weighted(
-        manybody.apply_weighted(state, g, orb), f, orb)
-    direct = manybody.apply_weighted(state, f * g, orb)
-    assert np.max(np.abs(fg_state.tensor - direct.tensor)) < 1e-12
-    # operator norm is the largest weight
-    assert manybody.apply_weighted(state, f, orb).norm() <= np.max(np.abs(f)) + 1e-12
-
-
-def test_shifted_weights(rng):
-    state = manybody.random_symmetric_state(2, 6, rng)
-    orb = unit_vector(6, 2)
-    w = np.array([0.5, 1.5, -2.5])
-    comps = manybody.projector_components(state, orb)
-    shifted = manybody.apply_weighted(state, w, orb, shift=1)
-    expected = w[1] * comps[0] + w[2] * comps[1]
-    assert np.max(np.abs(shifted.tensor - expected)) < 1e-13
-    with pytest.raises(DomainError):
-        manybody.apply_weighted(state, w, orb, shift=3)
-    with pytest.raises(DomainError):
-        manybody.apply_weighted(state, w, orb, shift=-3)
-    with pytest.raises(DomainError):
-        manybody.apply_weighted(state, np.array([1.0, 2.0]), orb)
+    for _ in range(5):
+        state = manybody.random_symmetric_state(2, 8, rng)
+        orb = random_orbital(rng, 8)
+        value = manybody.expectation_weighted(state, f, orb)
+        assert np.min(f) - 1e-12 <= value <= np.max(f) + 1e-12
+    # one weight per counter k = 0..N: N = 2 takes three
+    for length in (2, 4):
+        with pytest.raises(DomainError):
+            manybody.expectation_weighted(state, np.ones(length), orb)
 
 
 def test_counting_expectation_on_reference_states():
@@ -242,11 +237,6 @@ def test_alpha_functional_of_product_state():
     with pytest.raises(InterfaceError):
         manybody.counting_sample(
             product, orb, manybody.WeightTable.build(3, 0.1), ham, e_phi)
-
-
-def random_orbital(gen, dim):
-    orb = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    return orb / np.linalg.norm(orb)
 
 
 def test_counter_completeness_and_orthogonality_property():
@@ -412,19 +402,6 @@ def test_pair_form_guards(rng, bump_correction):
     small = manybody.random_symmetric_state(2, 8, rng)
     with pytest.raises(InterfaceError):
         manybody.pair_indicator_form(small, ham, bump_correction)
-
-
-def test_correlation_diagnostic_is_finite(rng, bump_correction):
-    grid = gpe1d.Grid1D(8.0, 8)
-    phi = gpe1d.Field(
-        grid, np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex))
-    ham = manybody.line_hamiltonian(grid, b_effective=1.0)
-    table = manybody.WeightTable.build(2, 0.1)
-    state = manybody.random_symmetric_state(2, grid.n, rng)
-    value = manybody.correlation_diagnostic(state, phi, table,
-                                            bump_correction, ham)
-    assert math.isfinite(value)
-    assert value >= 0.0
 
 
 # ---------------------------------------------------------------------------
