@@ -41,7 +41,8 @@ from .transverse import (TransverseMode, _confinement, coupling_b, ground_state_
 
 __all__ = ["ENERGY_STRIDE", "Grid3D", "make_grid",
            "product_state", "evolve_3d", "energy_3d", "extract_profile",
-           "ReductionScenario", "ReductionRow", "ReductionTable",
+           "ReductionScenario", "ReductionProfile", "ReductionRow",
+           "ReductionTable", "reduction_profiles", "compare_profiles",
            "reduction_sweep"]
 
 # V_par(t, x, y1, y2) with broadcastable arrays; y-independent potentials may
@@ -133,8 +134,10 @@ def product_state(phi: Field, mode: TransverseMode, grid: Grid3D) -> Field:
     if phi.grid.n != grid.n_x or not math.isclose(phi.grid.length, grid.length_x,
                                                   rel_tol=1e-12):
         raise InterfaceError("longitudinal grid does not match the 3d box")
-    values = phi.values[:, None, None] * mode.chi[None, :, :]
-    return Field(grid, values.astype(complex), phi.time).normalized()
+    line = np.asarray(phi.values, dtype=complex)
+    psi = Field(grid, line[:, None, None] * mode.chi[None, :, :], phi.time)
+    psi.values /= psi.norm()
+    return psi
 
 
 def _box_potential(v_par: Potential3D, grid: Grid3D) -> Callable[[float], Any]:
@@ -216,10 +219,11 @@ def extract_profile(psi: Field, mode: TransverseMode):
 class ReductionScenario:
     """Shared setup for a family of runs at decreasing eps.
 
-    The 1d reference uses the same longitudinal grid, the same time step and
-    the coupling b = 8 pi a int |chi|^4, so the measured gap is the genuine
-    dimensional-reduction error, not a solver mismatch.  V_par must not
-    depend on the transverse coordinates for the comparison to make sense.
+    The 1d reference uses the same longitudinal grid, the same time step and,
+    in reduction_sweep, the coupling b = 8 pi a int |chi|^4, so the measured
+    gap is the genuine dimensional-reduction error, not a solver mismatch.
+    V_par must not depend on the transverse coordinates for the comparison
+    to make sense.
     """
 
     a: float = 0.0
@@ -258,68 +262,104 @@ class ReductionTable:
                 for i in range(len(errs) - 1)]
 
 
-def reduction_sweep(scenario: ReductionScenario,
-                    eps_list: Sequence[float]) -> ReductionTable:
-    """Run the 3d model against its 1d reduction for each eps (descending).
+@dataclass(frozen=True, eq=False)
+class ReductionProfile:
+    """What the 3d run at one eps leaves for the comparison: the extracted
+    line profile, the transverse-complement mass, the energy drift and the
+    step count."""
 
-    At a = 0 (b = 0) the 3d run factorizes exactly: the 1d reference is its
-    line factor and _evolve_plane its transverse factor, so the final field
-    is their outer product and the energy E_x |eta|^2 + E_y |phi|^2 at the
-    plane's energy times.  It goes through the same extraction and distance
-    as the full 3d run at a > 0.
+    epsilon: float
+    phi_eff: Field
+    orthogonal_mass: float
+    energy_drift: float
+    steps: int
+
+
+def _initial_line(scenario: ReductionScenario) -> Field:
+    return gaussian_packet(Grid1D(scenario.length_x, scenario.n_x),
+                           sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
+
+
+def _profile(scenario: ReductionScenario, phi0: Field, mode_grid: TransverseMode,
+             eps: float) -> ReductionProfile:
+    """One eps of the profile stage; its 3d fields die when it returns, so a
+    sweep holds one eps's box at a time."""
+    grid = make_grid(scenario.length_x, scenario.n_x, scenario.base_extent_y,
+                     scenario.n_y, eps)
+    mode = rescale_mode(mode_grid, eps)
+    dt = scenario.dt_ref * (eps / scenario.eps_ref) ** 2
+    v_par_1d = scenario.v_par
+    if scenario.a == 0.0:
+        traj = evolve_1d(phi0, scenario.t_final, dt, v_par_1d)
+        plane = _evolve_plane(mode.chi, grid, scenario.v_perp, scenario.t_final, dt)
+        final = Field(grid, traj.final.values[:, None, None]
+                      * plane.final.values[None], traj.final.time)
+        at = np.searchsorted(traj.times, plane.energy_times)
+        energies = (traj.energies[at] * plane.norms[at] ** 2
+                    + plane.energies * traj.norms[at] ** 2)
+        drift = float(np.max(np.abs(energies - energies[0])))
+    else:
+        if v_par_1d is None:
+            v_par_3d = None
+        else:
+            def v_par_3d(t, x, y1, y2):
+                return v_par_1d(t, x)
+        traj = evolve_3d(product_state(phi0, mode, grid), scenario.a,
+                         scenario.v_perp, v_par_3d, scenario.t_final, dt)
+        final, drift = traj.final, traj.max_energy_drift()
+    phi_eff, orth = extract_profile(final, mode)
+    return ReductionProfile(epsilon=eps, phi_eff=phi_eff, orthogonal_mass=orth,
+                            energy_drift=drift, steps=traj.times.size - 1)
+
+
+def reduction_profiles(scenario: ReductionScenario,
+                       eps_list: Sequence[float]) -> list[ReductionProfile]:
+    """Profile stage: the 3d run and its extracted profile at each eps
+    (descending).
+
+    At a = 0 the 3d run factorizes exactly: it is the line run (b = 0) times
+    the _evolve_plane run, so the final field is their outer product and the
+    energy E_x |eta|^2 + E_y |phi|^2 at the plane's energy times.  It goes
+    through the same extraction as the full 3d run at a > 0.
     """
     eps_values = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise DomainError("eps_list must be strictly decreasing")
-
-    factorized = scenario.a == 0.0
-    b = 0.0 if factorized else coupling_b(
-        scenario.a, ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
-                                    n=scenario.mode_n))
-    x_grid = Grid1D(scenario.length_x, scenario.n_x)
-    phi0 = gaussian_packet(x_grid, sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
-
-    v_par_1d = scenario.v_par
-    if v_par_1d is None:
-        v_par_3d = None
-    else:
-        def v_par_3d(t, x, y1, y2):
-            return v_par_1d(t, x)
-
+    phi0 = _initial_line(scenario)
     mode_grid = ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
                                 n=scenario.n_y)
-    rows: list[ReductionRow] = []
-    for eps in eps_values:
-        grid = make_grid(scenario.length_x, scenario.n_x, scenario.base_extent_y,
-                         scenario.n_y, eps)
-        mode = rescale_mode(mode_grid, eps)
-        dt = scenario.dt_ref * (eps / scenario.eps_ref) ** 2
-        if factorized:
-            traj1 = evolve_1d(phi0, scenario.t_final, dt, v_par_1d, b)
-            n_steps = traj1.times.size - 1
-            plane = _evolve_plane(mode.chi, grid, scenario.v_perp,
-                                  scenario.t_final, dt)
-            final = Field(grid, traj1.final.values[:, None, None]
-                          * plane.final.values[None], traj1.final.time)
-            at = np.searchsorted(traj1.times, plane.energy_times)
-            energies = (traj1.energies[at] * plane.norms[at] ** 2
-                        + plane.energies * traj1.norms[at] ** 2)
-            drift = float(np.max(np.abs(energies - energies[0])))
-        else:
-            psi0 = product_state(phi0, mode, grid)
-            traj3 = evolve_3d(psi0, scenario.a, scenario.v_perp, v_par_3d,
-                              scenario.t_final, dt)
-            n_steps = traj3.times.size - 1
-            traj1 = evolve_1d(phi0, scenario.t_final, scenario.t_final / n_steps,
-                              v_par_1d, b)
-            final, drift = traj3.final, traj3.max_energy_drift()
-        phi_eff, orth = extract_profile(final, mode)
-        err = phase_distance(phi_eff, traj1.final)
-        rows.append(ReductionRow(epsilon=eps, err_l2=err, orthogonal_mass=orth,
-                                 energy_drift=drift, steps=n_steps))
+    return [_profile(scenario, phi0, mode_grid, eps) for eps in eps_values]
+
+
+def compare_profiles(scenario: ReductionScenario,
+                     profiles: Sequence[ReductionProfile], b: float) -> ReductionTable:
+    """Comparison stage: each profile against the 1d run at coupling b, on
+    the same line grid with the same number of steps."""
+    phi0 = _initial_line(scenario)
+    rows = []
+    for profile in profiles:
+        reference = evolve_1d(phi0, scenario.t_final,
+                              scenario.t_final / profile.steps, scenario.v_par, b)
+        rows.append(ReductionRow(
+            epsilon=profile.epsilon,
+            err_l2=phase_distance(profile.phi_eff, reference.final),
+            orthogonal_mass=profile.orthogonal_mass,
+            energy_drift=profile.energy_drift, steps=profile.steps))
 
     errs = [row.err_l2 for row in rows]
     orths = [row.orthogonal_mass for row in rows]
     monotone_err = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     monotone_orth = all(orths[i + 1] < orths[i] for i in range(len(orths) - 1))
     return ReductionTable(rows, monotone_err, monotone_orth)
+
+
+def reduction_sweep(scenario: ReductionScenario,
+                    eps_list: Sequence[float]) -> ReductionTable:
+    """Run the 3d model against its 1d reduction for each eps (descending):
+    the profile stage, then the comparison at b = 8 pi a int |chi|^4 of the
+    scenario's trap (b = 0 at a = 0)."""
+    profiles = reduction_profiles(scenario, eps_list)
+    b = 0.0 if scenario.a == 0.0 else coupling_b(
+        scenario.a, ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
+                                    n=scenario.mode_n))
+    return compare_profiles(scenario, profiles, b)

@@ -141,20 +141,42 @@ def plane_wave(grid: Grid1D, mode: int) -> Field:
     return Field(grid, psi.astype(complex))
 
 
-def _kinetic_energy(values: np.ndarray, k2: np.ndarray, dvol: float) -> float:
-    """<psi, -Laplace psi> = sum k^2 |fftn psi|^2 dV / size (Parseval)."""
-    psi_hat = np.fft.fftn(values)
-    return float(np.sum(k2 * np.abs(psi_hat) ** 2)) * dvol / values.size
+def _kinetic_energy(values: np.ndarray, k2: np.ndarray, dvol: float,
+                    spectrum: np.ndarray | None = None,
+                    power: np.ndarray | None = None) -> float:
+    """<psi, -Laplace psi> = sum k^2 |fftn psi|^2 dV / size (Parseval).
+
+    The transform goes into `spectrum` (complex) and k^2 |psi_hat|^2 into
+    `power` (real), both of the field's shape; each is allocated if not given.
+    """
+    psi_hat = np.fft.fftn(values, out=spectrum)
+    power = np.abs(psi_hat, out=power)
+    np.square(power, out=power)
+    np.multiply(k2, power, out=power)
+    return float(np.sum(power)) * dvol / values.size
 
 
 def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
-            v_t, g: float) -> float:
+            v_t, g: float, spectrum: np.ndarray | None = None,
+            real: np.ndarray | None = None) -> float:
     """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi>; the two
-    potentials are weighted separately, so no full-grid sum of them is formed."""
-    kinetic = _kinetic_energy(values, k2, dvol)  # its FFT buffers never meet density
-    density = np.abs(values) ** 2
-    potential = float(np.sum(v_static * density)) + float(np.sum(v_t * density))
-    interaction = 0.5 * g * float(np.sum(density**2))
+    potentials are weighted separately, so no full-grid sum of them is formed.
+
+    Runs in two scratch arrays of the field's shape, allocated if not given:
+    `spectrum` (complex) holds the transform, then the density in the first
+    half of its float64 view; `real` holds k^2 |psi_hat|^2, then each
+    potential and interaction integrand.
+    """
+    if spectrum is None:
+        spectrum = np.empty(values.shape, dtype=complex)
+        real = np.empty(values.shape)
+    kinetic = _kinetic_energy(values, k2, dvol, spectrum, real)
+    density = spectrum.reshape(-1).view(np.float64)[:values.size].reshape(values.shape)
+    np.abs(values, out=density)
+    np.square(density, out=density)
+    potential = (float(np.sum(np.multiply(v_static, density, out=real)))
+                 + float(np.sum(np.multiply(v_t, density, out=real))))
+    interaction = 0.5 * g * float(np.sum(np.square(density, out=real)))
     return kinetic + (potential + interaction) * dvol
 
 
@@ -226,6 +248,10 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     row.  The step mass is the sum of those row sums, and every row lies in
     one slab, so results do not depend on the number of slabs.  Slab 0 runs
     on the calling thread, the others on helper threads (_slab_workers).
+
+    The loop holds six arrays of the box: psi, kin and factor (complex) and
+    k2, rho and theta (real).  The energy writes only into factor and theta,
+    so recording it allocates nothing of the box's size.
     """
     n_steps = max(1, round(span / dt))
     dt = span / n_steps
@@ -280,7 +306,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
         np.add.reduce(r, axis=trailing, out=rw)
 
     def energy(t: float) -> float:
-        return _energy(psi, k2, dvol, v_static, v_axial(t), g)
+        return _energy(psi, k2, dvol, v_static, v_axial(t), g, factor, theta)
 
     t = psi0.time
     times = np.empty(n_steps + 1)

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,65 @@ def test_fused_steps_match_unfused_strang(separable_setup, a, v_par):
         rel=1e-12)
 
 
+def test_loop_energies_are_energy_3d_bitwise(separable_setup):
+    # the loop's energy runs in its own buffers, energy_3d in fresh ones;
+    # the operations are the same, so the bits are too
+    grid, mode, phi0 = separable_setup
+    psi0 = confined3d.product_state(phi0, mode, grid)
+    traj = confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile,
+                                _axial_shaking, 0.02, 1e-3, sample_stride=7)
+    assert traj.energies[-1] == confined3d.energy_3d(
+        traj.final, 0.5, transverse.harmonic_profile, _axial_shaking)
+    at = np.searchsorted(traj.energy_times, [s.time for s in traj.samples])
+    assert [confined3d.energy_3d(s, 0.5, transverse.harmonic_profile,
+                                 _axial_shaking) for s in traj.samples] == \
+        traj.energies[at].tolist()
+
+
+def _peak_boxes(run, box_bytes):
+    """Peak of traced allocations while `run()` runs, in boxes of box_bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / box_bytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def small_box():
+    """A 64 x 32 x 32 product state, which the loop runs as one slab."""
+    grid = confined3d.make_grid(16.0, 64, 13.0, 32, 0.5)
+    mode = transverse.rescale_mode(transverse.ground_state_2d(
+        transverse.harmonic_profile, extent=13.0, n=32), 0.5)
+    phi0 = gpe1d.gaussian_packet(grid.x_grid(), k0=1.0)
+    psi0 = confined3d.product_state(phi0, mode, grid)
+    assert gpe1d._slab_workers(psi0.values.shape) == 1
+    return psi0
+
+
+def test_evolve_3d_holds_its_buffers_and_the_input(small_box):
+    # the loop's psi, kin and factor (3 boxes) and k2, rho and theta (1.5),
+    # with nothing of the box's size for the energy: 4.58 boxes measured,
+    # 6.52 while the energy allocated its own temporaries
+    peak = _peak_boxes(lambda: confined3d.evolve_3d(
+        small_box, 0.5, transverse.harmonic_profile, _axial_static, 0.02, 1e-3),
+        small_box.values.nbytes)
+    assert peak <= 5.0
+
+
+def test_sweep_holds_one_eps_box_at_a_time(small_box):
+    # one eps's product state beside the loop's buffers: 5.60 boxes
+    # measured, 8.55 while the previous eps's state and trajectory lived on
+    scen = confined3d.ReductionScenario(
+        a=0.5, v_perp=transverse.harmonic_profile, v_par=lambda t, x: 0.5 * x**2,
+        t_final=0.02, dt_ref=0.005, eps_ref=0.5,
+        length_x=16.0, n_x=64, n_y=32, mode_n=32)
+    peak = _peak_boxes(lambda: confined3d.reduction_sweep(scen, [0.5, 0.25]),
+                       small_box.values.nbytes)
+    assert peak <= 6.0
+
+
 def test_non_finite_field_names_its_step(separable_setup):
     grid, mode, phi0 = separable_setup
     psi0 = confined3d.product_state(phi0, mode, grid)
@@ -358,6 +418,27 @@ def _isotropic_b(a, mode):
     return 8.0 * math.pi * a / (2.0 * math.pi)       # int |chi|^4 of |y|^2
 
 
+@pytest.fixture(scope="module")
+def gate_profiles():
+    """The gate's scenario, mode and 3d profiles per trap, computed once:
+    b enters only the 1d comparison."""
+    cache = {}
+
+    def profiles(v_perp):
+        if v_perp not in cache:
+            scen = confined3d.ReductionScenario(
+                a=0.5, v_perp=v_perp, v_par=lambda t, x: 0.5 * x**2,
+                t_final=0.1, dt_ref=0.00625, eps_ref=0.4,
+                length_x=16.0, n_x=64, n_y=32, mode_n=96)
+            mode = transverse.ground_state_2d(v_perp, extent=scen.base_extent_y,
+                                              n=scen.mode_n)
+            cache[v_perp] = (scen, mode,
+                             confined3d.reduction_profiles(scen, [0.4, 0.2, 0.1]))
+        return cache[v_perp]
+
+    return profiles
+
+
 @pytest.mark.parametrize("v_perp, wrong_b, passes", [
     (transverse.harmonic_profile, None, True),
     (transverse.harmonic_profile, 1.05, False),
@@ -366,23 +447,18 @@ def _isotropic_b(a, mode):
     (_anisotropic, _isotropic_b, False),
 ], ids=["own_b", "b_plus_5pc", "b_minus_5pc", "anisotropic_own_b",
         "anisotropic_isotropic_b"])
-def test_reduction_gate_discriminates_the_coupling(monkeypatch, v_perp, wrong_b,
+def test_reduction_gate_discriminates_the_coupling(gate_profiles, v_perp, wrong_b,
                                                    passes):
     # The 1d coupling is a times a factor set by the confinement's shape,
     # int |chi|^4 (Ben Abdallah, Mehats, Schmeiser & Weishaeupl, SIAM J.
     # Math. Anal. 37 (2005) 189, for the anisotropic harmonic trap).  The
     # bounds of the reduction criterion hold with that b and fail with a b
     # 5% off or with the isotropic factor on an anisotropic trap.
+    scen, mode, profiles = gate_profiles(v_perp)
+    b = transverse.coupling_b(scen.a, mode)
     if wrong_b is not None:
-        right_b = confined3d.coupling_b
-        fake = wrong_b if callable(wrong_b) else (
-            lambda a, mode: wrong_b * right_b(a, mode))
-        monkeypatch.setattr(confined3d, "coupling_b", fake)
-    scen = confined3d.ReductionScenario(
-        a=0.5, v_perp=v_perp, v_par=lambda t, x: 0.5 * x**2,
-        t_final=0.1, dt_ref=0.00625, eps_ref=0.4,
-        length_x=16.0, n_x=64, n_y=32, mode_n=96)
-    table = confined3d.reduction_sweep(scen, [0.4, 0.2, 0.1])
+        b = wrong_b(scen.a, mode) if callable(wrong_b) else wrong_b * b
+    table = confined3d.compare_profiles(scen, profiles, b)
     assert [row.steps for row in table.rows] == [16, 64, 256]
     gate = (table.monotone_err and table.monotone_orth
             and max(table.err_ratios()) <= 0.6)
@@ -475,3 +551,69 @@ def test_free_sweep_rows_match_the_3d_run():
         assert row.energy_drift == pytest.approx(traj3.max_energy_drift(),
                                                  abs=1e-12)
     assert [row.steps for row in rows] == [5, 20]
+
+
+def _one_loop_sweep(scenario, eps_list):
+    """Reference: each eps's 3d run and its 1d reference in one loop."""
+    factorized = scenario.a == 0.0
+    b = 0.0 if factorized else transverse.coupling_b(
+        scenario.a, transverse.ground_state_2d(
+            scenario.v_perp, extent=scenario.base_extent_y, n=scenario.mode_n))
+    phi0 = gpe1d.gaussian_packet(gpe1d.Grid1D(scenario.length_x, scenario.n_x),
+                                 sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
+    mode_grid = transverse.ground_state_2d(scenario.v_perp,
+                                           extent=scenario.base_extent_y,
+                                           n=scenario.n_y)
+    rows = []
+    for eps in eps_list:
+        grid = confined3d.make_grid(scenario.length_x, scenario.n_x,
+                                    scenario.base_extent_y, scenario.n_y, eps)
+        mode = transverse.rescale_mode(mode_grid, eps)
+        dt = scenario.dt_ref * (eps / scenario.eps_ref) ** 2
+        if factorized:
+            traj1 = gpe1d.evolve_1d(phi0, scenario.t_final, dt, scenario.v_par, b)
+            n_steps = traj1.times.size - 1
+            plane = confined3d._evolve_plane(mode.chi, grid, scenario.v_perp,
+                                             scenario.t_final, dt)
+            final = gpe1d.Field(grid, traj1.final.values[:, None, None]
+                                * plane.final.values[None], traj1.final.time)
+            at = np.searchsorted(traj1.times, plane.energy_times)
+            energies = (traj1.energies[at] * plane.norms[at] ** 2
+                        + plane.energies * traj1.norms[at] ** 2)
+            drift = float(np.max(np.abs(energies - energies[0])))
+        else:
+            traj3 = confined3d.evolve_3d(
+                confined3d.product_state(phi0, mode, grid), scenario.a,
+                scenario.v_perp, lambda t, x, y1, y2: scenario.v_par(t, x),
+                scenario.t_final, dt)
+            n_steps = traj3.times.size - 1
+            traj1 = gpe1d.evolve_1d(phi0, scenario.t_final,
+                                    scenario.t_final / n_steps, scenario.v_par, b)
+            final, drift = traj3.final, traj3.max_energy_drift()
+        phi_eff, orth = confined3d.extract_profile(final, mode)
+        rows.append(confined3d.ReductionRow(
+            epsilon=eps, err_l2=gpe1d.phase_distance(phi_eff, traj1.final),
+            orthogonal_mass=orth, energy_drift=drift, steps=n_steps))
+    return rows
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5], ids=["a0", "interacting"])
+def test_sweep_stages_compose_to_the_one_loop_sweep(a):
+    scen = confined3d.ReductionScenario(
+        a=a, v_perp=transverse.harmonic_profile, v_par=_pulsing,
+        t_final=0.05, dt_ref=0.01, eps_ref=0.5,
+        length_x=8.0, n_x=32, base_extent_y=13.0, n_y=32, mode_n=32)
+    eps_list = [0.5, 0.25]
+    table = confined3d.reduction_sweep(scen, eps_list)
+    assert table.rows == _one_loop_sweep(scen, eps_list)
+    assert [row.steps for row in table.rows] == [5, 20]
+    # the stages apart give the same rows, and any b reuses the profiles
+    profiles = confined3d.reduction_profiles(scen, eps_list)
+    b = 0.0 if a == 0.0 else transverse.coupling_b(
+        a, transverse.ground_state_2d(scen.v_perp, extent=scen.base_extent_y,
+                                      n=scen.mode_n))
+    assert confined3d.compare_profiles(scen, profiles, b).rows == table.rows
+    other = confined3d.compare_profiles(scen, profiles, b + 1.0).rows
+    assert [row.err_l2 for row in other] != [row.err_l2 for row in table.rows]
+    assert [(row.orthogonal_mass, row.energy_drift) for row in other] == \
+        [(row.orthogonal_mass, row.energy_drift) for row in table.rows]

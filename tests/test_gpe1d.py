@@ -266,6 +266,22 @@ def test_evolve_matches_unfused_strang():
     np.testing.assert_allclose(traj.energies, ref_energies, rtol=1e-12)
 
 
+def test_loop_energies_are_energy_1d_bitwise():
+    # the loop's energy runs in its own buffers, energy_1d in fresh ones;
+    # the operations are the same, so the bits are too
+    grid = gpe1d.Grid1D(16.0, 128)
+    phi0 = gpe1d.gaussian_packet(grid, sigma=1.2, k0=1.5)
+
+    def v_par(t, x):
+        return (0.5 + np.sin(9.0 * t)) * 0.05 * x**2
+
+    traj = gpe1d.evolve_1d(phi0, 0.05, 1e-3, v_par=v_par, b=1.5, sample_stride=7)
+    assert traj.energies[-1] == gpe1d.energy_1d(traj.final, v_par, 1.5)
+    at = np.searchsorted(traj.energy_times, [s.time for s in traj.samples])
+    assert [gpe1d.energy_1d(s, v_par, 1.5) for s in traj.samples] == \
+        traj.energies[at].tolist()
+
+
 def _random_field(grid, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
