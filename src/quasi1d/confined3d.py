@@ -55,66 +55,39 @@ ENERGY_STRIDE = 16
 
 
 @dataclass(frozen=True, eq=False)
-class Grid3D:
-    """Periodic box: x side (length_x, n_x), two transverse sides scaled by eps."""
+class Grid3D(ProductGrid):
+    """The tube: axes (x, y, y), the two transverse ones already scaled by eps."""
 
-    length_x: float
-    n_x: int
-    extent_y: float            # transverse box side, already eps-scaled
-    n_y: int
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.n_x % 2 or self.n_y % 2 or self.n_x < 4 or self.n_y < 4:
-            raise DomainError("grid sides need even point counts >= 4")
-        points_across_mode = 4.0 * self.epsilon / self.dy
+        dy = self.axes[1].dx
+        points_across_mode = 4.0 * self.epsilon / dy
         if points_across_mode < 8.0:
             raise GridTooSmallError(
-                f"transverse spacing {self.dy:g} resolves the eps-wide mode with "
+                f"transverse spacing {dy:g} resolves the eps-wide mode with "
                 f"only {points_across_mode:.1f} points across; need at least 8")
 
     @property
-    def dx(self) -> float:
-        return self.x_grid().dx
+    def n_x(self) -> int:
+        return self.axes[0].n
 
     @property
-    def dy(self) -> float:
-        return self.y_grid().dx
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.y_grid().x
-
-    @property
-    def box(self) -> ProductGrid:
-        """The product of the three axes; it gives dvol and k^2."""
-        y = self.y_grid()
-        return ProductGrid((self.x_grid(), y, y))
+    def n_y(self) -> int:
+        return self.axes[1].n
 
     @property
     def plane(self) -> ProductGrid:
         """The n_y x n_y transverse plane."""
-        return ProductGrid(self.box.axes[1:])
-
-    @property
-    def dvol(self) -> float:
-        return self.box.dvol
-
-    def k_squared(self) -> np.ndarray:
-        return self.box.k_squared()
-
-    def x_grid(self) -> Grid1D:
-        return Grid1D(self.length_x, self.n_x)
-
-    def y_grid(self) -> Grid1D:
-        return Grid1D(self.extent_y, self.n_y)
+        return ProductGrid(self.axes[1:])
 
 
 def make_grid(length_x: float, n_x: int, base_extent_y: float, n_y: int,
               epsilon: float) -> Grid3D:
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
-    return Grid3D(length_x, n_x, base_extent_y * epsilon, n_y, epsilon)
+    y = Grid1D(base_extent_y * epsilon, n_y)
+    return Grid3D((Grid1D(length_x, n_x), y, y), epsilon)
 
 
 def _check_mode_grid(mode: TransverseMode, grid: Grid3D) -> None:
@@ -123,7 +96,7 @@ def _check_mode_grid(mode: TransverseMode, grid: Grid3D) -> None:
     if not math.isclose(mode.epsilon, grid.epsilon, rel_tol=1e-12):
         raise InterfaceError(f"mode eps {mode.epsilon} does not match grid eps "
                              f"{grid.epsilon}")
-    if mode.n != grid.n_y or not math.isclose(mode.extent, grid.extent_y,
+    if mode.n != grid.n_y or not math.isclose(mode.extent, grid.axes[1].length,
                                               rel_tol=1e-12):
         raise InterfaceError("transverse mode grid does not match the 3d box")
 
@@ -131,8 +104,8 @@ def _check_mode_grid(mode: TransverseMode, grid: Grid3D) -> None:
 def product_state(phi: Field, mode: TransverseMode, grid: Grid3D) -> Field:
     """psi(x, y) = Phi(x) chi_eps(y), normalized on the 3d grid."""
     _check_mode_grid(mode, grid)
-    if phi.grid.n != grid.n_x or not math.isclose(phi.grid.length, grid.length_x,
-                                                  rel_tol=1e-12):
+    if phi.grid.n != grid.n_x or not math.isclose(phi.grid.length,
+                                                  grid.axes[0].length, rel_tol=1e-12):
         raise InterfaceError("longitudinal grid does not match the 3d box")
     line = np.asarray(phi.values, dtype=complex)
     psi = Field(grid, line[:, None, None] * mode.chi[None, :, :], phi.time)
@@ -141,7 +114,7 @@ def product_state(phi: Field, mode: TransverseMode, grid: Grid3D) -> Field:
 
 
 def _box_potential(v_par: Potential3D, grid: Grid3D) -> Callable[[float], Any]:
-    mesh = grid.box.mesh(sparse=True)
+    mesh = grid.mesh(sparse=True)
     return lambda t: 0.0 if v_par is None else v_par(t, *mesh)
 
 
@@ -151,7 +124,7 @@ def energy_3d(psi: Field, a: float,
     """<psi, (-Laplace + V_conf + V_par + (g/2)|psi|^2) psi>, g = 8 pi a eps^2."""
     grid = psi.grid
     return _energy(psi.values, grid.k_squared(), grid.dvol,
-                   _confinement(grid, v_perp)[None, :, :],
+                   _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
                    _box_potential(v_par, grid)(psi.time),
                    8.0 * math.pi * a * grid.epsilon**2)
 
@@ -173,7 +146,7 @@ def evolve_3d(psi0: Field, a: float,
         raise DomainError("scattering length must be non-negative")
     grid = psi0.grid
     return _strang_loop(psi0, t_final, dt, grid.k_squared(),
-                        _confinement(grid, v_perp)[None, :, :],
+                        _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
                         _box_potential(v_par, grid),
                         8.0 * math.pi * a * grid.epsilon**2, ENERGY_STRIDE,
                         sample_stride)
@@ -190,7 +163,8 @@ def _evolve_plane(eta0: np.ndarray, grid: Grid3D,
     """
     plane = grid.plane
     return _strang_loop(Field(plane, np.asarray(eta0, dtype=complex)), t_final,
-                        dt, plane.k_squared(), _confinement(grid, v_perp),
+                        dt, plane.k_squared(),
+                        _confinement(grid.axes[1], grid.epsilon, v_perp),
                         lambda t: 0.0, 0.0, ENERGY_STRIDE, sample_stride)
 
 
@@ -204,8 +178,8 @@ def extract_profile(psi: Field, mode: TransverseMode):
     grid = psi.grid
     coeff = np.tensordot(psi.values, mode.chi, axes=([1, 2], [0, 1])) * grid.plane.dvol
     coeff = coeff * np.exp(1j * mode.E0 * psi.time)
-    phi_eff = Field(grid.x_grid(), coeff, psi.time)
-    captured = float(np.sum(np.abs(coeff) ** 2)) * grid.dx
+    phi_eff = Field(grid.axes[0], coeff, psi.time)
+    captured = float(np.sum(np.abs(coeff) ** 2)) * grid.axes[0].dx
     # discrete Cauchy-Schwarz keeps captured <= ||psi||^2; clamp round-off
     orthogonal_mass = max(0.0, float(psi.norm() ** 2) - captured)
     return phi_eff, orthogonal_mass

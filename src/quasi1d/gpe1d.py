@@ -35,6 +35,11 @@ Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 # 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.
 SLAB_MIN_POINTS = 200_000
 
+# ground_state_1d's imaginary-time step, energy-decrement stop and step cap.
+GROUND_DT = 0.01
+GROUND_TOL = 1e-13
+GROUND_MAX_ITERS = 200_000
+
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
@@ -94,7 +99,7 @@ class ProductGrid:
 
 @dataclass(eq=False)
 class Field:
-    """Values on a grid with `dvol` and `k_squared()`: Grid1D, ProductGrid, Grid3D."""
+    """Values on a grid with `dvol` and `k_squared()`: a Grid1D or a ProductGrid."""
 
     grid: Any
     values: np.ndarray
@@ -388,31 +393,29 @@ def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
                         _line_potential(v_par, phi0.grid), b, 1, sample_stride)
 
 
-def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0,
-                    tol: float = 1e-13, dt: float = 0.01,
-                    max_iters: int = 200000) -> Field:
+def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0) -> Field:
     """Normalized imaginary-time splitting flow for the energy functional.
 
     The potential is frozen at t = 0; meant for autonomous V.
     """
     x = grid.x
     v = v_par(0.0, x) if v_par is not None else np.zeros_like(x)
-    kin = np.exp(-dt * grid.k_squared())
+    kin = np.exp(-GROUND_DT * grid.k_squared())
     psi = np.exp(-(x / (0.25 * grid.length)) ** 2).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dx)
     energy = energy_1d(Field(grid, psi), v_par, b)
-    for _ in range(max_iters):
-        psi = psi * np.exp(-0.5 * dt * (v + b * np.abs(psi) ** 2))
+    for _ in range(GROUND_MAX_ITERS):
+        psi = psi * np.exp(-0.5 * GROUND_DT * (v + b * np.abs(psi) ** 2))
         psi = np.fft.ifft(kin * np.fft.fft(psi))
-        psi = psi * np.exp(-0.5 * dt * (v + b * np.abs(psi) ** 2))
+        psi = psi * np.exp(-0.5 * GROUND_DT * (v + b * np.abs(psi) ** 2))
         psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dx)
         new_energy = energy_1d(Field(grid, psi), v_par, b)
-        if abs(new_energy - energy) < tol:
+        if abs(new_energy - energy) < GROUND_TOL:
             out = Field(grid, psi.real.astype(complex), 0.0)
             return out.normalized()
         energy = new_energy
-    raise ResolutionError(f"imaginary time did not converge to {tol} "
-                          f"within {max_iters} steps")
+    raise ResolutionError(f"imaginary time did not converge to {GROUND_TOL} "
+                          f"within {GROUND_MAX_ITERS} steps")
 
 
 def align_phase(phi: Field, reference: Field) -> Field:

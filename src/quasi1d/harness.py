@@ -975,8 +975,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     mode = None
     v_par = spec.v_par
     if spec.grid == "line":
-        ham = manybody.line_hamiltonian(grid, v_par, pair, spec.b,
-                                        pair_range=pair_mu)
+        ham = manybody.line_hamiltonian(grid, v_par, pair, pair_range=pair_mu)
     else:
         base = transverse.ground_state_2d(
             transverse.harmonic_profile, extent=spec.extent, n=spec.n_y,
@@ -984,12 +983,11 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         mode = transverse.rescale_mode(base, spec.epsilon)
         ham = manybody.confined_hamiltonian(grid, mode,
                                             transverse.harmonic_profile,
-                                            v_par, pair, spec.b,
-                                            pair_range=pair_mu)
-    phi = gpe1d.ground_state_1d(grid, v_par=v_par, b=ham.b_effective) \
-        if (v_par is not None or ham.b_effective) else _flat_field(grid)
+                                            v_par, pair, pair_range=pair_mu)
+    phi = gpe1d.ground_state_1d(grid, v_par=v_par, b=spec.b) \
+        if (v_par is not None or spec.b) else _flat_field(grid)
     orbital = manybody.orbital_from_fields(phi, mode)
-    e_phi = gpe1d.energy_1d(phi, v_par, ham.b_effective)
+    e_phi = gpe1d.energy_1d(phi, v_par, spec.b)
 
     rng = np.random.default_rng(cfg.seed)
     rows = []

@@ -536,20 +536,17 @@ class HamiltonianSpec:
 
     ``grid`` is the unflattened single-particle grid; tensors index the
     flattened dimension.  ``e0_shift`` removes the confinement offset so the
-    energy per particle is directly comparable with the 1d functional, whose
-    potential and coupling are carried along for that purpose.  Functions of
-    the distance between two sites (the pair potential, the pair form's mask
-    and (w_mu - U) / 2) depend only on the sites' offset on the periodic grid,
-    so they are kept as tables of d offsets, tiled twice per axis; no d x d
-    array is cached.
+    energy per particle is directly comparable with the 1d functional.
+    Functions of the distance between two sites (the pair potential, the pair
+    form's mask and (w_mu - U) / 2) depend only on the sites' offset on the
+    periodic grid, so they are kept as tables of d offsets, tiled twice per
+    axis; no d x d array is cached.
     """
 
     grid: ProductGrid
     v_diag: np.ndarray                     # flattened (d,)
     pair_potential: Callable[[np.ndarray], np.ndarray] | None
     e0_shift: float
-    v_par_line: Callable[[float, np.ndarray], np.ndarray] | None
-    b_effective: float
     pair_range: float | None = None
     _pair_table: np.ndarray | None = None  # W, tiled
     _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2), tiled
@@ -630,7 +627,6 @@ class HamiltonianSpec:
 def line_hamiltonian(grid: Grid1D,
                      v_par: Callable[[float, np.ndarray], np.ndarray] | None = None,
                      pair_potential: Callable[[np.ndarray], np.ndarray] | None = None,
-                     b_effective: float = 0.0,
                      pair_range: float | None = None) -> HamiltonianSpec:
     """Dimensionally reduced single-particle grid: a periodic line."""
     x = grid.x
@@ -638,7 +634,6 @@ def line_hamiltonian(grid: Grid1D,
         else np.zeros_like(x)
     return HamiltonianSpec(grid=ProductGrid((grid,)), v_diag=v,
                            pair_potential=pair_potential, e0_shift=0.0,
-                           v_par_line=v_par, b_effective=b_effective,
                            pair_range=pair_range)
 
 
@@ -654,7 +649,6 @@ def box_hamiltonian(length: float, n: int,
     return HamiltonianSpec(grid=ProductGrid((side, side, side)),
                            v_diag=np.zeros(n**3),
                            pair_potential=pair_potential, e0_shift=0.0,
-                           v_par_line=None, b_effective=0.0,
                            pair_range=pair_range)
 
 
@@ -662,7 +656,6 @@ def confined_hamiltonian(x_grid: Grid1D, mode: TransverseMode,
                          v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          v_par: Callable[[float, np.ndarray], np.ndarray] | None = None,
                          pair_potential: Callable[[np.ndarray], np.ndarray] | None = None,
-                         b_effective: float = 0.0,
                          pair_range: float | None = None) -> HamiltonianSpec:
     """Flattened 3d box with the scaled confinement and its energy offset.
 
@@ -670,15 +663,14 @@ def confined_hamiltonian(x_grid: Grid1D, mode: TransverseMode,
     """
     if mode.epsilon is None:
         raise InterfaceError("confined Hamiltonian needs a rescaled mode")
-    conf = _confinement(mode, v_perp)
+    y = mode.y_grid()
+    conf = _confinement(y, mode.epsilon, v_perp)
     x = x_grid.x
     v_line = np.asarray(v_par(0.0, x), dtype=float) if v_par is not None \
         else np.zeros_like(x)
     v_diag = (v_line[:, None, None] + conf[None, :, :]).ravel()
-    y = mode.y_grid()
     return HamiltonianSpec(grid=ProductGrid((x_grid, y, y)), v_diag=v_diag,
                            pair_potential=pair_potential, e0_shift=mode.E0,
-                           v_par_line=v_par, b_effective=b_effective,
                            pair_range=pair_range)
 
 

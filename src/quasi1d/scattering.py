@@ -508,6 +508,10 @@ def shell_coupling(corr: CorrectionProfile) -> float:
     return 4.0 * math.pi * corr.shell_height * shell / corr.mu
 
 
+# Points of the log grid on which g_norm_diagnostics checks g <= mu a / r.
+N_SUP = 200
+
+
 @dataclass(frozen=True)
 class GNormDiagnostics:
     l2_norm: float          # ||g||_{L^2(R^3)}
@@ -515,7 +519,7 @@ class GNormDiagnostics:
     sup_max_ratio: float    # max of g(r) r / (mu a) over that grid
 
 
-def g_norm_diagnostics(corr: CorrectionProfile, n_sup: int = 200) -> GNormDiagnostics:
+def g_norm_diagnostics(corr: CorrectionProfile) -> GNormDiagnostics:
     """L2 norm of g = 1 - f and the pointwise bound g <= mu a / r."""
     if corr.shell_height == 0.0:
         return GNormDiagnostics(0.0, True, 0.0)
@@ -535,7 +539,7 @@ def g_norm_diagnostics(corr: CorrectionProfile, n_sup: int = 200) -> GNormDiagno
                   (corr.outer_radius - corr.inner_radius) / n)
     l2 = math.sqrt(4.0 * math.pi * (t1 + t2 + t3))
 
-    grid = np.geomspace(mu * 1e-3, corr.outer_radius, n_sup)
+    grid = np.geomspace(mu * 1e-3, corr.outer_radius, N_SUP)
     ratios = corr.g(grid) * grid / (mu * corr.a)
     sup_max = float(ratios.max())
     return GNormDiagnostics(l2, bool(sup_max <= 1.0 + 1e-9), sup_max)

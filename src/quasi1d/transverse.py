@@ -25,6 +25,11 @@ __all__ = ["TransverseMode", "ground_state_2d", "coupling_b", "rescale_mode",
            "harmonic_profile"]
 
 
+# ground_state_2d's first imaginary-time step and the residual that ends its polish.
+FLOW_DT = 0.05
+POLISH_TOL = 1e-10
+
+
 def harmonic_profile(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """Isotropic harmonic confinement |y|^2."""
     return y1 * y1 + y2 * y2
@@ -57,11 +62,9 @@ class TransverseMode:
         return self.y_grid().x
 
 
-def _confinement(scaled,
+def _confinement(y: Grid1D, eps: float,
                  v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """V_perp(y / eps) / eps^2 on the transverse plane of `scaled`, a Grid3D
-    or a rescaled mode: anything with a y_grid() side and its epsilon."""
-    y, eps = scaled.y_grid(), scaled.epsilon
+    """V_perp(y / eps) / eps^2 on the plane of two `y` axes, already eps-scaled."""
     y1, y2 = ProductGrid((y, y)).mesh()
     return np.asarray(v_perp(y1 / eps, y2 / eps), dtype=float) / eps**2
 
@@ -73,8 +76,7 @@ def _rayleigh(chi: np.ndarray, v: np.ndarray, k2: np.ndarray, da: float) -> floa
 
 def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     extent: float = 16.0, n: int = 128, tol: float = 1e-13,
-                    dt: float = 0.05, max_iters: int = 50000,
-                    polish_tol: float = 1e-10, boundary_tol: float = 1e-8,
+                    max_iters: int = 50000, boundary_tol: float = 1e-8,
                     return_history: bool = False):
     """Normalized imaginary-time flow followed by a residual polish.
 
@@ -82,7 +84,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kills the excited transient quickly but its fixed point carries an
     O(dt^2) bias, so once the energy decrement drops below ``tol`` the state
     is refined by Rayleigh-Ritz steps in span{chi, preconditioned residual}
-    until the eigenresidual norm falls below ``polish_tol``.  That second
+    until the eigenresidual norm falls below POLISH_TOL.  That second
     stage converges to the grid-exact eigenvector, and each step is again
     non-increasing in energy.  The result must have decayed at the box edge
     to ``boundary_tol`` relative to its peak, otherwise the box does not
@@ -104,7 +106,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     chi /= math.sqrt(float(np.sum(chi**2)) * da)
     energy = _rayleigh(chi, v, k2, da)
     history = [energy]
-    step = dt
+    step = FLOW_DT
     half_v = np.exp(-0.5 * step * v)
     kin = np.exp(-step * k2)
     converged = False
@@ -117,7 +119,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
         if cand_energy > energy:
             # state already beats this step's biased fixed point; shrink
             step *= 0.5
-            if step < dt * 2.0**-40:
+            if step < FLOW_DT * 2.0**-40:
                 converged = True
                 break
             half_v = np.exp(-0.5 * step * v)
@@ -139,7 +141,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
         h_chi = apply_h(chi)
         energy = _rayleigh(chi, v, k2, da)
         resid = h_chi - energy * chi
-        if math.sqrt(float(np.sum(resid**2)) * da) < polish_tol:
+        if math.sqrt(float(np.sum(resid**2)) * da) < POLISH_TOL:
             converged = True
             break
         # spectral preconditioner: kinetic shifted to stay positive definite
@@ -171,7 +173,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
         chi /= math.sqrt(float(np.sum(chi**2)) * da)
     if not converged:
         raise ResolutionError(f"eigenresidual polish stalled above "
-                              f"{polish_tol:g} after {max_iters} steps")
+                              f"{POLISH_TOL:g} after {max_iters} steps")
     history.append(energy)
 
     peak_idx = np.unravel_index(np.argmax(np.abs(chi)), chi.shape)

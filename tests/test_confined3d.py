@@ -21,7 +21,7 @@ def separable_setup():
     base = transverse.ground_state_2d(transverse.harmonic_profile,
                                       extent=13.0, n=48)
     mode = transverse.rescale_mode(base, 0.5)
-    phi0 = gpe1d.gaussian_packet(grid.x_grid(), sigma=1.0, k0=1.0)
+    phi0 = gpe1d.gaussian_packet(grid.axes[0], sigma=1.0, k0=1.0)
     return grid, mode, phi0
 
 
@@ -35,9 +35,42 @@ def test_grid_guards():
     # spacing too coarse across the eps-wide mode
     with pytest.raises(GridTooSmallError):
         confined3d.make_grid(16.0, 64, 13.0, 8, 0.5)
-    grid = confined3d.make_grid(16.0, 64, 13.0, 48, 0.5)
-    assert grid.extent_y == pytest.approx(6.5)
-    assert grid.dvol == pytest.approx(grid.dx * grid.dy**2)
+
+
+def test_make_grid_is_the_hand_built_product_grid():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(length_x=st.floats(0.5, 50.0), half_n_x=st.integers(2, 16),
+                      base_extent_y=st.floats(1.0, 30.0), half_n_y=st.integers(2, 16),
+                      epsilon=st.floats(0.01, 2.0))
+    def check(length_x, half_n_x, base_extent_y, half_n_y, epsilon):
+        n_x, n_y = 2 * half_n_x, 2 * half_n_y
+        y = gpe1d.Grid1D(base_extent_y * epsilon, n_y)
+        if 4.0 * epsilon / y.dx < 8.0:
+            with pytest.raises(GridTooSmallError):
+                confined3d.make_grid(length_x, n_x, base_extent_y, n_y, epsilon)
+            return
+        grid = confined3d.make_grid(length_x, n_x, base_extent_y, n_y, epsilon)
+        ref = gpe1d.ProductGrid((gpe1d.Grid1D(length_x, n_x), y, y))
+        assert isinstance(grid, gpe1d.ProductGrid)
+        assert (grid.n_x, grid.n_y, grid.epsilon) == (n_x, n_y, epsilon)
+        assert grid.shape == ref.shape == (n_x, n_y, n_y)
+        assert grid.axes[1].length == base_extent_y * epsilon
+        assert grid.dvol == ref.dvol
+        assert grid.dvol == pytest.approx(ref.axes[0].dx * y.dx**2)
+        np.testing.assert_array_equal(grid.k_squared(), ref.k_squared())
+        for got, want in zip(grid.mesh(), ref.mesh()):
+            np.testing.assert_array_equal(got, want)
+        plane = gpe1d.ProductGrid((y, y))
+        assert grid.plane.dvol == plane.dvol
+        np.testing.assert_array_equal(grid.plane.k_squared(), plane.k_squared())
+        for got, want in zip(grid.plane.mesh(), plane.mesh()):
+            np.testing.assert_array_equal(got, want)
+
+    check()
 
 
 def test_product_state_extraction(separable_setup):
@@ -52,9 +85,9 @@ def test_product_state_extraction(separable_setup):
 def test_orthogonal_admixture_is_counted(separable_setup):
     grid, mode, phi0 = separable_setup
     # odd transverse companion, exactly orthogonal to the even mode
-    u = grid.y[:, None] * mode.chi
-    u = u / math.sqrt(float(np.sum(u**2)) * grid.dy**2)
-    phi1 = gpe1d.gaussian_packet(grid.x_grid(), sigma=2.0)
+    u = grid.axes[1].x[:, None] * mode.chi
+    u = u / math.sqrt(float(np.sum(u**2)) * grid.plane.dvol)
+    phi1 = gpe1d.gaussian_packet(grid.axes[0], sigma=2.0)
     c = 0.1
     vals = (phi0.values[:, None, None] * mode.chi
             + c * phi1.values[:, None, None] * u)
@@ -130,7 +163,7 @@ def _unfused_strang(psi0, a, v_perp, v_par, t_final, dt, sample_stride):
     n_steps = max(1, round(t_final / dt))
     dt = t_final / n_steps
     g = 8.0 * math.pi * a * grid.epsilon**2
-    conf = confined3d._confinement(grid, v_perp)[None, :, :]
+    conf = confined3d._confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :]
     kin = np.exp(-1j * dt * grid.k_squared())
     v_axial = confined3d._box_potential(v_par, grid)
     psi, t, samples = psi0.values.copy(), psi0.time, [psi0.values.copy()]
@@ -219,7 +252,7 @@ def small_box():
     grid = confined3d.make_grid(16.0, 64, 13.0, 32, 0.5)
     mode = transverse.rescale_mode(transverse.ground_state_2d(
         transverse.harmonic_profile, extent=13.0, n=32), 0.5)
-    phi0 = gpe1d.gaussian_packet(grid.x_grid(), k0=1.0)
+    phi0 = gpe1d.gaussian_packet(grid.axes[0], k0=1.0)
     psi0 = confined3d.product_state(phi0, mode, grid)
     assert gpe1d._slab_workers(psi0.values.shape) == 1
     return psi0
@@ -277,7 +310,7 @@ def slab_box(separable_setup):
     _, mode, _ = separable_setup
     grid = confined3d.make_grid(16.0, 128, 13.0, 48, 0.5)
     assert grid.n_x * grid.n_y**2 >= gpe1d.SLAB_MIN_POINTS
-    phi0 = gpe1d.gaussian_packet(grid.x_grid(), sigma=1.0, k0=1.0)
+    phi0 = gpe1d.gaussian_packet(grid.axes[0], sigma=1.0, k0=1.0)
     return confined3d.product_state(phi0, mode, grid)
 
 
@@ -357,7 +390,7 @@ def test_small_grids_start_no_thread(monkeypatch):
     confined3d._evolve_plane(mode.chi, grid, transverse.harmonic_profile,
                              0.01, 1e-3)
     psi0 = confined3d.product_state(
-        gpe1d.gaussian_packet(grid.x_grid()), mode, grid)
+        gpe1d.gaussian_packet(grid.axes[0]), mode, grid)
     confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile, None, 0.01, 1e-3)
     assert pools == [1, 1, 1]
     assert not _slab_threads()
@@ -484,12 +517,12 @@ def test_free_3d_run_is_line_times_plane():
     # a = 0: every factor of the step acts on x or on y alone, so evolve_3d
     # equals the line run times the plane run at every recorded time
     grid = confined3d.make_grid(8.0, 32, 8.0, 16, 0.5)
-    phi0 = gpe1d.gaussian_packet(grid.x_grid(), sigma=1.0, k0=1.0)
-    y1, y2 = np.meshgrid(grid.y / grid.epsilon, grid.y / grid.epsilon,
-                         indexing="ij")
+    phi0 = gpe1d.gaussian_packet(grid.axes[0], sigma=1.0, k0=1.0)
+    y = grid.axes[1].x / grid.epsilon
+    y1, y2 = np.meshgrid(y, y, indexing="ij")
     # off-centre and narrower than the mode, so the plane factor moves
     eta0 = np.exp(-((y1 - 0.7) ** 2 + y2**2) / 0.72).astype(complex)
-    eta0 /= math.sqrt(float(np.sum(np.abs(eta0) ** 2)) * grid.dy**2)
+    eta0 /= math.sqrt(float(np.sum(np.abs(eta0) ** 2)) * grid.plane.dvol)
     psi0 = gpe1d.Field(grid, phi0.values[:, None, None] * eta0)
     stride = 7
     traj = confined3d.evolve_3d(psi0, 0.0, transverse.harmonic_profile,

@@ -169,7 +169,7 @@ def test_phase_distance_resolves_tiny_gaps():
 def test_phase_distance_measures_with_the_cell_volume():
     # on a multi-axis grid the cell is dvol, not the x spacing
     rng = np.random.default_rng(5)
-    grids = [(confined3d.Grid3D(8.0, 16, 4.0, 16, 1.0), (16, 16, 16)),
+    grids = [(confined3d.make_grid(8.0, 16, 4.0, 16, 1.0), (16, 16, 16)),
              (gpe1d.ProductGrid((gpe1d.Grid1D(4.0, 8), gpe1d.Grid1D(3.0, 6))),
               (8, 6))]
     for grid, shape in grids:

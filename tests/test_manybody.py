@@ -207,7 +207,7 @@ def test_condensation_bounds_both_directions(rng):
     grid = gpe1d.Grid1D(8.0, 8)
     phi = gpe1d.Field(
         grid, np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex))
-    ham = manybody.line_hamiltonian(grid, b_effective=1.0)
+    ham = manybody.line_hamiltonian(grid)
     orb = manybody.orbital_from_fields(phi, None)
     table = manybody.WeightTable.build(n, xi)
     e_phi = gpe1d.energy_1d(phi, None, 1.0)
@@ -502,7 +502,7 @@ def test_energy_per_particle_matches_fft_reference():
     grid = gpe1d.Grid1D(6.0, 10)
     line = manybody.line_hamiltonian(
         grid, v_par=lambda t, x: 0.3 * np.cos(x),
-        pair_potential=lambda r: np.exp(-r**2), b_effective=1.0)
+        pair_potential=lambda r: np.exp(-r**2))
     base = transverse.ground_state_2d(transverse.harmonic_profile,
                                       extent=12.0, n=12, boundary_tol=1e-3)
     confined = manybody.confined_hamiltonian(
@@ -789,7 +789,7 @@ def test_blocked_energy_and_trace_distance(monkeypatch, block):
     line, _, confined = pair_hamiltonians()
     line_small = manybody.line_hamiltonian(
         gpe1d.Grid1D(6.0, 14), v_par=lambda t, x: 0.3 * np.cos(x),
-        pair_potential=lambda r: np.exp(-r**2), b_effective=1.0)
+        pair_potential=lambda r: np.exp(-r**2))
     for ham, n in [(line, 2), (confined, 2), (line_small, 3), (line_small, 4)]:
         state = manybody.random_symmetric_state(n, ham.dim, gen)
         assert manybody.energy_per_particle(state, ham) == \
@@ -823,7 +823,7 @@ def test_warm_counting_sample_allocates_block_scratch_only(n, dim, nbytes):
     grid = gpe1d.Grid1D(2.0 * math.pi, dim)
     bump = scattering.smooth_bump(4.0)
     ham = manybody.line_hamiltonian(grid, pair_potential=lambda r: bump.scaled(r, 1.0),
-                                    b_effective=1.0, pair_range=1.0)
+                                    pair_range=1.0)
     table = manybody.WeightTable.build(n, 0.1)
     orb = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     state = manybody.random_symmetric_state(n, dim, np.random.default_rng(3))
@@ -837,7 +837,7 @@ def test_warm_counting_sample_allocates_block_scratch_only(n, dim, nbytes):
 
 def test_second_counting_loop_allocates_no_tensor():
     grid = gpe1d.Grid1D(2.0 * math.pi, 64)
-    ham = manybody.line_hamiltonian(grid, b_effective=1.0)
+    ham = manybody.line_hamiltonian(grid)
     table = manybody.WeightTable.build(3, 0.2)
     orb = np.full(64, 1.0 / 8.0, dtype=complex)
     draws = manybody.random_symmetric_states(3, 64, np.random.default_rng(4))

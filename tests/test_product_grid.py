@@ -58,20 +58,20 @@ def test_product_grid_matches_hand_built_tables():
                                       ky2[:, None] + ky2[None, :])
         for got, ref in zip(plane.mesh(), np.meshgrid(y, y, indexing="ij")):
             np.testing.assert_array_equal(got, ref)
-    assert tube.box.shape == (64, 48, 48)
+    assert tube.shape == (64, 48, 48)
     assert tube.dvol == (16.0 / 64) * (6.5 / 48) * (6.5 / 48)
     np.testing.assert_array_equal(
         tube.k_squared(),
         kx2[:, None, None] + ky2[None, :, None] + ky2[None, None, :])
-    for got, ref in zip(tube.box.mesh(), np.meshgrid(x, y, y, indexing="ij")):
+    for got, ref in zip(tube.mesh(), np.meshgrid(x, y, y, indexing="ij")):
         np.testing.assert_array_equal(got, ref)
-    for got, ref in zip(tube.box.mesh(sparse=True),
+    for got, ref in zip(tube.mesh(sparse=True),
                         (x[:, None, None], y[None, :, None], y[None, None, :])):
         np.testing.assert_array_equal(got, ref)
     yb = y / 0.5
     y1, y2 = np.meshgrid(yb, yb, indexing="ij")
     np.testing.assert_array_equal(
-        confined3d._confinement(tube, transverse.harmonic_profile),
+        confined3d._confinement(tube.axes[1], 0.5, transverse.harmonic_profile),
         transverse.harmonic_profile(y1, y2) / 0.5**2)
 
 
