@@ -7,6 +7,8 @@ b |Phi|^2, a full spectral kinetic step, half a phase with the refreshed
 density.  Every factor is unimodular, so the grid norm is conserved to
 round-off; the scheme is second order and exactly time reversible.  The
 loop and the energy work on any grid shape; confined3d runs on them too.
+Ground states come from one imaginary-time loop, the normalized gradient
+flow, which transverse runs for the 2d mode as well.
 On boxes of SLAB_MIN_POINTS or more the loop cuts each step into slabs, one
 per CPU the process may use; there is no setting for it.
 """
@@ -146,26 +148,12 @@ def plane_wave(grid: Grid1D, mode: int) -> Field:
     return Field(grid, psi.astype(complex))
 
 
-def _kinetic_energy(values: np.ndarray, k2: np.ndarray, dvol: float,
-                    spectrum: np.ndarray | None = None,
-                    power: np.ndarray | None = None) -> float:
-    """<psi, -Laplace psi> = sum k^2 |fftn psi|^2 dV / size (Parseval).
-
-    The transform goes into `spectrum` (complex) and k^2 |psi_hat|^2 into
-    `power` (real), both of the field's shape; each is allocated if not given.
-    """
-    psi_hat = np.fft.fftn(values, out=spectrum)
-    power = np.abs(psi_hat, out=power)
-    np.square(power, out=power)
-    np.multiply(k2, power, out=power)
-    return float(np.sum(power)) * dvol / values.size
-
-
 def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
             v_t, g: float, spectrum: np.ndarray | None = None,
             real: np.ndarray | None = None) -> float:
-    """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi>; the two
-    potentials are weighted separately, so no full-grid sum of them is formed.
+    """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi>; the kinetic
+    part is sum k^2 |fftn psi|^2 dV / size (Parseval), and the two potentials
+    are weighted separately, so no full-grid sum of them is formed.
 
     Runs in two scratch arrays of the field's shape, allocated if not given:
     `spectrum` (complex) holds the transform, then the density in the first
@@ -175,7 +163,11 @@ def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
     if spectrum is None:
         spectrum = np.empty(values.shape, dtype=complex)
         real = np.empty(values.shape)
-    kinetic = _kinetic_energy(values, k2, dvol, spectrum, real)
+    np.fft.fftn(values, out=spectrum)
+    np.abs(spectrum, out=real)
+    np.square(real, out=real)
+    np.multiply(k2, real, out=real)
+    kinetic = float(np.sum(real)) * dvol / values.size
     density = spectrum.reshape(-1).view(np.float64)[:values.size].reshape(values.shape)
     np.abs(values, out=density)
     np.square(density, out=density)
@@ -393,29 +385,60 @@ def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
                         _line_potential(v_par, phi0.grid), b, 1, sample_stride)
 
 
+def _normalized_flow(psi: np.ndarray, k2: np.ndarray, dvol: float,
+                     v: np.ndarray, b: float, dt: float, tol: float,
+                     max_iters: int) -> tuple[np.ndarray, list[float]]:
+    """Split-step normalized gradient flow (Bao & Du, SIAM J. Sci. Comput. 25
+    (2004) 1674) toward the ground state of -Laplace + V + b psi^2, on any
+    grid shape; psi, V and the returned state are real.
+
+    A step is exp(-dt/2 (V + b psi^2)), the spectral factor exp(-dt k^2) and
+    again the half factor with the updated psi, then renormalization.  A step
+    that raises the energy is rejected, since the state already beats that
+    dt's biased fixed point, and dt is halved; the flow ends when an accepted
+    step lowers the energy by less than `tol` or dt falls below dt 2^-40, and
+    raises ResolutionError after `max_iters` steps, rejected ones included.
+    Returns the state and the energies of the accepted states from the
+    start on; the last is the state's own.
+    """
+    psi = psi / math.sqrt(float(np.sum(psi**2)) * dvol)
+    energy = _energy(psi, k2, dvol, v, 0.0, b)
+    energies = [energy]
+    step = dt
+    kin = np.exp(-step * k2)
+    for _ in range(max_iters):
+        cand = np.exp(-0.5 * step * (v + b * psi**2)) * psi
+        cand = np.fft.ifftn(kin * np.fft.fftn(cand)).real
+        cand = np.exp(-0.5 * step * (v + b * cand**2)) * cand
+        cand /= math.sqrt(float(np.sum(cand**2)) * dvol)
+        cand_energy = _energy(cand, k2, dvol, v, 0.0, b)
+        if cand_energy > energy:
+            step *= 0.5
+            if step < dt * 2.0**-40:
+                return psi, energies
+            kin = np.exp(-step * k2)
+            continue
+        psi = cand
+        energies.append(cand_energy)
+        if energy - cand_energy < tol:
+            return psi, energies
+        energy = cand_energy
+    raise ResolutionError(f"imaginary time did not converge to {tol} "
+                          f"within {max_iters} steps")
+
+
 def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0) -> Field:
-    """Normalized imaginary-time splitting flow for the energy functional.
+    """Normalized imaginary-time flow for the energy functional, from
+    exp(-(4x/L)^2) with GROUND_DT, GROUND_TOL and GROUND_MAX_ITERS.
 
     The potential is frozen at t = 0; meant for autonomous V.
     """
     x = grid.x
     v = v_par(0.0, x) if v_par is not None else np.zeros_like(x)
-    kin = np.exp(-GROUND_DT * grid.k_squared())
-    psi = np.exp(-(x / (0.25 * grid.length)) ** 2).astype(complex)
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dx)
-    energy = energy_1d(Field(grid, psi), v_par, b)
-    for _ in range(GROUND_MAX_ITERS):
-        psi = psi * np.exp(-0.5 * GROUND_DT * (v + b * np.abs(psi) ** 2))
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
-        psi = psi * np.exp(-0.5 * GROUND_DT * (v + b * np.abs(psi) ** 2))
-        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dx)
-        new_energy = energy_1d(Field(grid, psi), v_par, b)
-        if abs(new_energy - energy) < GROUND_TOL:
-            out = Field(grid, psi.real.astype(complex), 0.0)
-            return out.normalized()
-        energy = new_energy
-    raise ResolutionError(f"imaginary time did not converge to {GROUND_TOL} "
-                          f"within {GROUND_MAX_ITERS} steps")
+    psi, _ = _normalized_flow(np.exp(-(x / (0.25 * grid.length)) ** 2),
+                              grid.k_squared(), grid.dx, v, b, GROUND_DT,
+                              GROUND_TOL, GROUND_MAX_ITERS)
+    return Field(grid, psi.astype(complex))
 
 
 def align_phase(phi: Field, reference: Field) -> Field:

@@ -422,7 +422,7 @@ def _parse_reduce3d(sec: _Section) -> Reduce3dSpec:
     if v["eps_ref"] is None:            # the first eps of the sweep
         v["eps_ref"] = eps_list[0]
     _positive(sec, v, "t_final", "dt_ref", "eps_ref", "length_x",
-              "base_extent_y")
+              "base_extent_y", "phi0_sigma")
     v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
     _grid_size(sec, v, "n_x", "n_y", "mode_n")
     return Reduce3dSpec(v_perp=transverse.harmonic_profile, **v)
@@ -527,8 +527,13 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
 def _parse_v_perp(spec: str, sec: _Section) -> Callable:
     name, _, rest = spec.partition(":")
     params = sec.numbers("potential", rest)
+    if name in ("harmonic", "shifted") and len(params) > 1:
+        raise sec.fail("potential", f"{name} spec takes one number: {spec!r}")
     if name == "harmonic":
         c = params[0] if params else 1.0
+        if c <= 0:
+            raise sec.fail("potential", f"harmonic strength must be positive: "
+                                        f"{spec!r}")
         return lambda y1, y2: c * (y1**2 + y2**2)
     if name == "shifted":
         c = params[0] if params else 0.0
@@ -537,6 +542,9 @@ def _parse_v_perp(spec: str, sec: _Section) -> Callable:
         if len(params) != 2:
             raise sec.fail("potential", f"well spec needs depth,radius: {spec!r}")
         depth, radius = params
+        if depth <= 0 or radius <= 0:
+            raise sec.fail("potential", f"well depth and radius must be "
+                                        f"positive: {spec!r}")
         # smooth edge: a hard indicator rings under the spectral operator
         width = 0.25 * radius
         return lambda y1, y2: depth * 0.5 * (
@@ -563,13 +571,25 @@ def _parse_v_par(spec: str | None, length: float, sec: _Section) -> Callable | N
 def _parse_initial(sec: _Section, spec: str) -> tuple:
     name, _, rest = spec.partition(":")
     params = sec.numbers("initial", rest)
+    arity = {"gaussian": 3, "plane": 1, "constant": 0}
+    if name not in arity:
+        raise sec.fail("initial", f"unknown initial state {spec!r}")
+    if len(params) > arity[name]:
+        raise sec.fail("initial", f"{name} takes at most {arity[name]} "
+                                  f"numbers: {spec!r}")
     if name == "gaussian":
-        return (name, *(params + (1.0, 0.0, 0.0)[len(params):])[:3])
+        sigma, x0, k0 = params + (1.0, 0.0, 0.0)[len(params):]
+        if sigma <= 0:
+            raise sec.fail("initial", f"gaussian width must be positive: "
+                                      f"{spec!r}")
+        return name, sigma, x0, k0
     if name == "plane":
-        return name, int(params[0]) if params else 1
-    if name == "constant":
-        return (name,)
-    raise sec.fail("initial", f"unknown initial state {spec!r}")
+        mode = params[0] if params else 1
+        if mode != int(mode):
+            raise sec.fail("initial", f"plane wave mode must be an integer: "
+                                      f"{spec!r}")
+        return name, int(mode)
+    return (name,)
 
 
 def _flat_field(grid: gpe1d.Grid1D) -> gpe1d.Field:

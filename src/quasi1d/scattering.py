@@ -487,10 +487,7 @@ def neutrality_residual(corr: CorrectionProfile, inner_scale: float = 1.0) -> fl
     rc = np.linspace(0.0, support, n + 1)
     core = _simpson(sol.potential.scaled(rc, mu) * corr.f(rc) * rc**2,
                     support / n) * inner_scale
-    rs = np.linspace(corr.inner_radius, corr.outer_radius, n + 1)
-    shell = _simpson(corr.kappa * corr.shell_f_tilde(rs) * rs,
-                     (corr.outer_radius - corr.inner_radius) / n)
-    return 4.0 * math.pi * (core - corr.shell_height * shell)
+    return 4.0 * math.pi * (core - corr.shell_height * _shell_integral(corr))
 
 
 def shell_coupling(corr: CorrectionProfile) -> float:
@@ -501,11 +498,15 @@ def shell_coupling(corr: CorrectionProfile) -> float:
     """
     if corr.shell_height == 0.0:
         return 0.0
+    return 4.0 * math.pi * corr.shell_height * _shell_integral(corr) / corr.mu
+
+
+def _shell_integral(corr: CorrectionProfile) -> float:
+    """Simpson integral of kappa f~_shell(r) r over the shell, on 2049 nodes."""
     n = 2048
     rs = np.linspace(corr.inner_radius, corr.outer_radius, n + 1)
-    shell = _simpson(corr.kappa * corr.shell_f_tilde(rs) * rs,
-                     (corr.outer_radius - corr.inner_radius) / n)
-    return 4.0 * math.pi * corr.shell_height * shell / corr.mu
+    return _simpson(corr.kappa * corr.shell_f_tilde(rs) * rs,
+                    (corr.outer_radius - corr.inner_radius) / n)
 
 
 # Points of the log grid on which g_norm_diagnostics checks g <= mu a / r.

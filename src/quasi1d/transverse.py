@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError, ResolutionError
-from .gpe1d import Grid1D, ProductGrid, _kinetic_energy
+from .gpe1d import Grid1D, ProductGrid, _energy, _normalized_flow
 
 __all__ = ["TransverseMode", "ground_state_2d", "coupling_b", "rescale_mode",
            "harmonic_profile"]
@@ -69,20 +69,16 @@ def _confinement(y: Grid1D, eps: float,
     return np.asarray(v_perp(y1 / eps, y2 / eps), dtype=float) / eps**2
 
 
-def _rayleigh(chi: np.ndarray, v: np.ndarray, k2: np.ndarray, da: float) -> float:
-    potential = float(np.sum(v * np.abs(chi) ** 2)) * da
-    return _kinetic_energy(chi, k2, da) + potential
-
-
 def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     extent: float = 16.0, n: int = 128, tol: float = 1e-13,
                     max_iters: int = 50000, boundary_tol: float = 1e-8,
                     return_history: bool = False):
     """Normalized imaginary-time flow followed by a residual polish.
 
-    The split flow exp(-dt V/2) exp(-dt K) exp(-dt V/2) with renormalization
-    kills the excited transient quickly but its fixed point carries an
-    O(dt^2) bias, so once the energy decrement drops below ``tol`` the state
+    The flow is gpe1d's with b = 0, from dt = FLOW_DT, ``tol`` and
+    ``max_iters``.  Its split step exp(-dt V/2) exp(-dt K) exp(-dt V/2) with
+    renormalization kills the excited transient quickly but its fixed point
+    carries an O(dt^2) bias, so once the energy decrement drops below ``tol`` the state
     is refined by Rayleigh-Ritz steps in span{chi, preconditioned residual}
     until the eigenresidual norm falls below POLISH_TOL.  That second
     stage converges to the grid-exact eigenvector, and each step is again
@@ -99,47 +95,16 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     k2 = plane.k_squared()
     da = plane.dvol
 
+    chi, history = _normalized_flow(np.exp(-0.5 * (y1**2 + y2**2)), k2, da, v,
+                                    0.0, FLOW_DT, tol, max_iters)
+
     def apply_h(state: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(k2 * np.fft.fft2(state)).real + v * state
-
-    chi = np.exp(-0.5 * (y1**2 + y2**2))
-    chi /= math.sqrt(float(np.sum(chi**2)) * da)
-    energy = _rayleigh(chi, v, k2, da)
-    history = [energy]
-    step = FLOW_DT
-    half_v = np.exp(-0.5 * step * v)
-    kin = np.exp(-step * k2)
-    converged = False
-    for _ in range(max_iters):
-        cand = half_v * chi
-        cand = np.fft.ifft2(kin * np.fft.fft2(cand)).real
-        cand = half_v * cand
-        cand /= math.sqrt(float(np.sum(cand**2)) * da)
-        cand_energy = _rayleigh(cand, v, k2, da)
-        if cand_energy > energy:
-            # state already beats this step's biased fixed point; shrink
-            step *= 0.5
-            if step < FLOW_DT * 2.0**-40:
-                converged = True
-                break
-            half_v = np.exp(-0.5 * step * v)
-            kin = np.exp(-step * k2)
-            continue
-        chi = cand
-        history.append(cand_energy)
-        if energy - cand_energy < tol:
-            energy = cand_energy
-            converged = True
-            break
-        energy = cand_energy
-    if not converged:
-        raise ResolutionError(f"imaginary time did not converge to {tol} "
-                              f"within {max_iters} steps")
 
     converged = False
     for _ in range(max_iters):
         h_chi = apply_h(chi)
-        energy = _rayleigh(chi, v, k2, da)
+        energy = _energy(chi, k2, da, v, 0.0, 0.0)
         resid = h_chi - energy * chi
         if math.sqrt(float(np.sum(resid**2)) * da) < POLISH_TOL:
             converged = True

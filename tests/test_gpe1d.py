@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quasi1d import confined3d, gpe1d
+from quasi1d import confined3d, gpe1d, transverse
 from quasi1d.errors import DomainError, ResolutionError
 
 
@@ -112,6 +112,29 @@ def test_harmonic_ground_state():
     aligned = gpe1d.align_phase(phi, gpe1d.Field(grid, exact.astype(complex)))
     assert np.max(np.abs(aligned.values - exact)) < 1e-3   # O(dt^2) state bias
 
+
+
+@pytest.mark.parametrize("extent, n", [(16.0, 128), (13.0, 48)])
+def test_line_and_plane_ground_states_agree(extent, n):
+    # |y|^2 separates, so the plane's E0 is twice the line's ground energy
+    # under x^2 on one of its axes; both come from one flow
+    axis = gpe1d.Grid1D(extent, n)
+    v = lambda t, x: x**2
+    line = gpe1d.energy_1d(gpe1d.ground_state_1d(axis, v_par=v), v)
+    plane = transverse.ground_state_2d(transverse.harmonic_profile,
+                                       extent=extent, n=n)
+    assert abs(2.0 * line - plane.E0) < 1e-10
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
+def test_line_flow_energies_never_rise(b):
+    grid = gpe1d.Grid1D(16.0, 256)
+    x = grid.x
+    _, energies = gpe1d._normalized_flow(
+        np.exp(-(x / (0.25 * grid.length)) ** 2), grid.k_squared(), grid.dx,
+        x**2, b, gpe1d.GROUND_DT, gpe1d.GROUND_TOL, gpe1d.GROUND_MAX_ITERS)
+    assert len(energies) > 1
+    assert np.all(np.diff(energies) <= 0.0)
 
 def test_ground_state_is_stationary():
     grid = gpe1d.Grid1D(16.0, 256)

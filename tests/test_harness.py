@@ -672,6 +672,20 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_confined", "count.extent=-1"),
     ("counting_confined", "count.epsilon=-2"),
     ("counting_pair", "count.quad_mu=0.1"),
+    ("gpe_packet", "evolve1d.initial=plane:1.5"),
+    ("gpe_packet", "evolve1d.initial=plane:2,3"),
+    ("gpe_packet", "evolve1d.initial=gaussian:0"),
+    ("gpe_packet", "evolve1d.initial=gaussian:-1"),
+    ("gpe_packet", "evolve1d.initial=gaussian:1,0,0,9"),
+    ("gpe_packet", "evolve1d.initial=constant:5"),
+    ("reduction_sweep", "reduce3d.phi0_sigma=0"),
+    ("harmonic_trap", "trap.potential=well:8,0"),
+    ("harmonic_trap", "trap.potential=well:0,2"),
+    ("harmonic_trap", "trap.potential=well:-8,2"),
+    ("harmonic_trap", "trap.potential=well:8,-2"),
+    ("harmonic_trap", "trap.potential=harmonic:0"),
+    ("harmonic_trap", "trap.potential=harmonic:-1"),
+    ("harmonic_trap", "trap.potential=harmonic:1,2"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -688,6 +702,26 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     assert not (tmp_path / config).exists()
 
 
+
+def test_cli_jobs_runs_configs_in_worker_processes(tmp_path, capsys):
+    # --jobs 2 runs each config in a process pool; the summaries are the
+    # serial run's bytes, and a config error raised in a worker exits 2
+    names = ("gpe_packet", "gpe_plane_wave")
+    configs = [str(CONFIG_DIR / f"{name}.ini") for name in names]
+    assert cli.main(["evolve1d", *configs, "--output", str(tmp_path / "serial")]) == 0
+    assert cli.main(["evolve1d", *configs, "--jobs", "2",
+                     "--output", str(tmp_path / "pool")]) == 0
+    for name in names:
+        assert (tmp_path / "pool" / name / "summary.json").read_bytes() == \
+            (tmp_path / "serial" / name / "summary.json").read_bytes()
+    bad = (CONFIG_DIR / "gpe_packet.ini").read_text(encoding="utf-8") \
+        .replace("n = 256", "n = 7")
+    bad_path = write_ini(tmp_path, bad, "bad.ini")
+    capsys.readouterr()
+    code = cli.main(["evolve1d", configs[1], bad_path, "--jobs", "2",
+                     "--output", str(tmp_path / "mixed")])
+    assert code == 2
+    assert f"config error: {bad_path}:10 [evolve1d] n: " in capsys.readouterr().err
 def test_cli_seed_flag(tmp_path):
     path = write_ini(tmp_path, SCATTER_INI)
     assert cli.main(["scatter", path, "--output", str(tmp_path / "s1"),
