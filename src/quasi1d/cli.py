@@ -35,7 +35,6 @@ _TRAP_FLAGS = [
                                       "well:depth,radius"),
     ("--extent", float, "extent", "transverse box edge length"),
     ("--n", int, "n", "grid points per transverse axis"),
-    ("--tol", float, "tol", "energy decrement stopping tolerance"),
     ("--epsilon", float, "epsilon", "also report the rescaled mode"),
 ]
 

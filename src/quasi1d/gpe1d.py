@@ -7,8 +7,8 @@ b |Phi|^2, a full spectral kinetic step, half a phase with the refreshed
 density.  Every factor is unimodular, so the grid norm is conserved to
 round-off; the scheme is second order and exactly time reversible.  The
 loop and the energy work on any grid shape; confined3d runs on them too.
-Ground states come from one imaginary-time loop, the normalized gradient
-flow, which transverse runs for the 2d mode as well.
+Ground states come from one routine on any grid, a normalized gradient
+flow and a Rayleigh-Ritz polish, which transverse runs for the 2d mode too.
 On boxes of SLAB_MIN_POINTS or more the loop cuts each step into slabs, one
 per CPU the process may use; there is no setting for it.
 """
@@ -37,10 +37,13 @@ Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 # 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.
 SLAB_MIN_POINTS = 200_000
 
-# ground_state_1d's imaginary-time step, energy-decrement stop and step cap.
-GROUND_DT = 0.01
-GROUND_TOL = 1e-13
-GROUND_MAX_ITERS = 200_000
+# _ground_state's first flow step, the energy decrement that ends the flow,
+# the step cap of the flow and of the polish, and the eigenresidual that
+# ends the polish.
+FLOW_DT = 0.05
+FLOW_TOL = 1e-13
+MAX_ITERS = 50_000
+POLISH_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,26 +388,32 @@ def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
                         _line_potential(v_par, phi0.grid), b, 1, sample_stride)
 
 
-def _normalized_flow(psi: np.ndarray, k2: np.ndarray, dvol: float,
-                     v: np.ndarray, b: float, dt: float, tol: float,
-                     max_iters: int) -> tuple[np.ndarray, list[float]]:
-    """Split-step normalized gradient flow (Bao & Du, SIAM J. Sci. Comput. 25
-    (2004) 1674) toward the ground state of -Laplace + V + b psi^2, on any
-    grid shape; psi, V and the returned state are real.
+def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
+                  b: float, max_iters: int = MAX_ITERS
+                  ) -> tuple[np.ndarray, list[float], list[float]]:
+    """Ground state of <psi, (-Laplace + V + (b/2) psi^2) psi> on the unit
+    sphere, on any grid shape and for any b >= 0; psi, V and the result are
+    real.
 
-    A step is exp(-dt/2 (V + b psi^2)), the spectral factor exp(-dt k^2) and
-    again the half factor with the updated psi, then renormalization.  A step
-    that raises the energy is rejected, since the state already beats that
-    dt's biased fixed point, and dt is halved; the flow ends when an accepted
-    step lowers the energy by less than `tol` or dt falls below dt 2^-40, and
-    raises ResolutionError after `max_iters` steps, rejected ones included.
-    Returns the state and the energies of the accepted states from the
-    start on; the last is the state's own.
+    First the split-step normalized gradient flow (Bao & Du, SIAM J. Sci.
+    Comput. 25 (2004) 1674) from dt = FLOW_DT: exp(-dt/2 (V + b psi^2)), the
+    spectral factor exp(-dt k^2), the half factor with the updated psi and
+    renormalization.  A step that raises the energy is rejected and dt
+    halved; the flow ends once a step lowers the energy by less than
+    FLOW_TOL or dt falls below FLOW_DT 2^-40.  Its fixed point carries an
+    O(dt^2) bias, which a polish removes: Rayleigh-Ritz steps in span{psi,
+    preconditioned residual} under H = -Laplace + V + b psi^2 frozen at psi,
+    until |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  At b > 0 a
+    step that would raise the energy has its rotation angle halved until it
+    does not.  Each stage raises ResolutionError after `max_iters` steps.
+
+    Returns the state and the energies of the flow's accepted states and of
+    the polish's states; the last is the state's own, at b = 0 its eigenvalue.
     """
     psi = psi / math.sqrt(float(np.sum(psi**2)) * dvol)
     energy = _energy(psi, k2, dvol, v, 0.0, b)
-    energies = [energy]
-    step = dt
+    flow = [energy]
+    step = FLOW_DT
     kin = np.exp(-step * k2)
     for _ in range(max_iters):
         cand = np.exp(-0.5 * step * (v + b * psi**2)) * psi
@@ -414,30 +423,83 @@ def _normalized_flow(psi: np.ndarray, k2: np.ndarray, dvol: float,
         cand_energy = _energy(cand, k2, dvol, v, 0.0, b)
         if cand_energy > energy:
             step *= 0.5
-            if step < dt * 2.0**-40:
-                return psi, energies
+            if step < FLOW_DT * 2.0**-40:
+                break
             kin = np.exp(-step * k2)
             continue
         psi = cand
-        energies.append(cand_energy)
-        if energy - cand_energy < tol:
-            return psi, energies
+        flow.append(cand_energy)
+        if energy - cand_energy < FLOW_TOL:
+            break
         energy = cand_energy
-    raise ResolutionError(f"imaginary time did not converge to {tol} "
-                          f"within {max_iters} steps")
+    else:
+        raise ResolutionError(f"imaginary time did not converge to {FLOW_TOL} "
+                              f"within {max_iters} steps")
+
+    def rayleigh(state: np.ndarray) -> tuple[float, float]:
+        # mu = <H psi> and the energy mu - (b/2) int psi^4
+        mu = _energy(state, k2, dvol, v, 0.0, 2.0 * b)
+        return mu, (mu - 0.5 * b * float(np.sum(state**4)) * dvol if b else mu)
+
+    mu, energy = rayleigh(psi)
+    polish = [energy]
+    for _ in range(max_iters):
+        v_frozen = v + b * psi**2 if b else v
+
+        def apply_h(state: np.ndarray) -> np.ndarray:
+            return np.fft.ifftn(k2 * np.fft.fftn(state)).real + v_frozen * state
+
+        resid = apply_h(psi) - mu * psi
+        if math.sqrt(float(np.sum(resid**2)) * dvol) < POLISH_TOL:
+            return psi, flow, polish
+        # spectral preconditioner: kinetic shifted to stay positive definite
+        p = np.fft.ifftn(np.fft.fftn(resid) / (k2 + 1.0 + abs(mu))).real
+        p -= (float(np.sum(psi * p)) * dvol) * psi
+        p /= math.sqrt(float(np.sum(p**2)) * dvol)
+        h_p = apply_h(p)
+        h12 = float(np.sum(psi * h_p)) * dvol
+        h22 = float(np.sum(p * h_p)) * dvol
+        # smaller Ritz pair of [[mu, h12], [h12, h22]]; the mixing
+        # coefficient is formed cancellation-free or the tiny decrements
+        # near convergence drown in rounding of theta itself
+        gap_half = 0.5 * (h22 - mu)
+        if gap_half >= 0.0:
+            t = -h12 / (gap_half + math.hypot(gap_half, h12))
+            cand, angle = psi + t * p, math.atan(t)
+        else:
+            s = h12 / (gap_half - math.hypot(gap_half, h12))
+            # s psi + p and -(s psi + p) are one state: the angle modulo pi
+            cand, angle = s * psi + p, math.atan(1.0 / s)
+        if b:
+            # E(cos(a) psi + sin(a) p) - E(psi) is the frozen H's Ritz
+            # decrement plus (b/2) int (psi_a^2 - psi^2)^2, here formed
+            # cancellation-free so that its sign holds for tiny steps
+            def rise(a: float) -> float:
+                d = math.sin(a) * p - 2.0 * math.sin(0.5 * a) ** 2 * psi
+                return (math.sin(a) ** 2 * (h22 - mu) + math.sin(2.0 * a) * h12
+                        + 0.5 * b * float(np.sum((d * (2.0 * psi + d)) ** 2)) * dvol)
+
+            if rise(angle) > 0.0:
+                while rise(angle) > 0.0:
+                    angle *= 0.5
+                cand = math.cos(angle) * psi + math.sin(angle) * p
+        psi = cand / math.sqrt(float(np.sum(cand**2)) * dvol)
+        mu, energy = rayleigh(psi)
+        polish.append(energy)
+    raise ResolutionError(f"eigenresidual polish stalled above "
+                          f"{POLISH_TOL:g} after {max_iters} steps")
 
 
 def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0) -> Field:
-    """Normalized imaginary-time flow for the energy functional, from
-    exp(-(4x/L)^2) with GROUND_DT, GROUND_TOL and GROUND_MAX_ITERS.
+    """Ground state of the line's energy functional by _ground_state, from
+    exp(-(4x/L)^2).
 
     The potential is frozen at t = 0; meant for autonomous V.
     """
     x = grid.x
     v = v_par(0.0, x) if v_par is not None else np.zeros_like(x)
-    psi, _ = _normalized_flow(np.exp(-(x / (0.25 * grid.length)) ** 2),
-                              grid.k_squared(), grid.dx, v, b, GROUND_DT,
-                              GROUND_TOL, GROUND_MAX_ITERS)
+    psi, _, _ = _ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
+                              grid.k_squared(), grid.dx, v, b)
     return Field(grid, psi.astype(complex))
 
 

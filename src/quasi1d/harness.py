@@ -156,6 +156,19 @@ class _Section:
             raise self.fail(key, f"not a finite number list: {text!r}")
         return numbers
 
+    def mini_spec(self, key: str, text: str, what: str,
+                  defaults: dict[str, tuple]) -> tuple:
+        """`name[:numbers]` with `name` a key of `defaults`: at most as many
+        numbers as its defaults, the missing ones taken from them."""
+        name, _, rest = text.partition(":")
+        if name not in defaults:
+            raise self.fail(key, f"unknown {what} {text!r}")
+        numbers = self.numbers(key, rest)
+        if len(numbers) > len(defaults[name]):
+            raise self.fail(key, f"too many numbers for {name} (at most "
+                                 f"{len(defaults[name])}): {text!r}")
+        return (name, *numbers, *defaults[name][len(numbers):])
+
 
 def _locate_key(text: str, section: str, key: str) -> int | None:
     current = None
@@ -344,7 +357,6 @@ class TrapSpec:
     potential: Callable
     n: int = 128
     extent: float = 16.0
-    tol: float = 1e-13
     epsilon: float | None = None
     chi_slice: bool = False
 
@@ -525,71 +537,56 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
 
 
 def _parse_v_perp(spec: str, sec: _Section) -> Callable:
-    name, _, rest = spec.partition(":")
-    params = sec.numbers("potential", rest)
-    if name in ("harmonic", "shifted") and len(params) > 1:
-        raise sec.fail("potential", f"{name} spec takes one number: {spec!r}")
+    name, *params = sec.mini_spec("potential", spec, "transverse potential", {
+        "harmonic": (1.0,), "shifted": (0.0,), "well": (None, None)})
     if name == "harmonic":
-        c = params[0] if params else 1.0
+        c = params[0]
         if c <= 0:
             raise sec.fail("potential", f"harmonic strength must be positive: "
                                         f"{spec!r}")
         return lambda y1, y2: c * (y1**2 + y2**2)
     if name == "shifted":
-        c = params[0] if params else 0.0
+        c = params[0]
         return lambda y1, y2: y1**2 + y2**2 + c
-    if name == "well":
-        if len(params) != 2:
-            raise sec.fail("potential", f"well spec needs depth,radius: {spec!r}")
-        depth, radius = params
-        if depth <= 0 or radius <= 0:
-            raise sec.fail("potential", f"well depth and radius must be "
-                                        f"positive: {spec!r}")
-        # smooth edge: a hard indicator rings under the spectral operator
-        width = 0.25 * radius
-        return lambda y1, y2: depth * 0.5 * (
-            1.0 + np.tanh((np.sqrt(y1**2 + y2**2) - radius) / width))
-    raise sec.fail("potential", f"unknown transverse potential {spec!r}")
+    depth, radius = params
+    if radius is None:
+        raise sec.fail("potential", f"well spec needs depth,radius: {spec!r}")
+    if depth <= 0 or radius <= 0:
+        raise sec.fail("potential", f"well depth and radius must be "
+                                    f"positive: {spec!r}")
+    # smooth edge: a hard indicator rings under the spectral operator
+    width = 0.25 * radius
+    return lambda y1, y2: depth * 0.5 * (
+        1.0 + np.tanh((np.sqrt(y1**2 + y2**2) - radius) / width))
 
 
 def _parse_v_par(spec: str | None, length: float, sec: _Section) -> Callable | None:
     if spec in (None, "", "none"):
         return None
-    name, _, rest = spec.partition(":")
-    params = sec.numbers("v_par", rest)
+    name, *params = sec.mini_spec("v_par", spec, "axial potential", {
+        "harmonic": (1.0,), "cosine": (1.0, 1.0)})
     if name == "harmonic":
-        c = params[0] if params else 1.0
+        c = params[0]           # any sign: c < 0 is an inverted trap
         return lambda t, x: c * x**2
-    if name == "cosine":
-        amp = params[0] if params else 1.0
-        mode = params[1] if len(params) > 1 else 1.0
-        q = 2.0 * math.pi * mode / length
-        return lambda t, x: amp * np.cos(q * x)
-    raise sec.fail("v_par", f"unknown axial potential {spec!r}")
+    amp, mode = params
+    if mode != int(mode):
+        raise sec.fail("v_par", f"cosine mode must be an integer: {spec!r}")
+    q = 2.0 * math.pi * mode / length
+    return lambda t, x: amp * np.cos(q * x)
 
 
 def _parse_initial(sec: _Section, spec: str) -> tuple:
-    name, _, rest = spec.partition(":")
-    params = sec.numbers("initial", rest)
-    arity = {"gaussian": 3, "plane": 1, "constant": 0}
-    if name not in arity:
-        raise sec.fail("initial", f"unknown initial state {spec!r}")
-    if len(params) > arity[name]:
-        raise sec.fail("initial", f"{name} takes at most {arity[name]} "
-                                  f"numbers: {spec!r}")
-    if name == "gaussian":
-        sigma, x0, k0 = params + (1.0, 0.0, 0.0)[len(params):]
-        if sigma <= 0:
-            raise sec.fail("initial", f"gaussian width must be positive: "
-                                      f"{spec!r}")
-        return name, sigma, x0, k0
+    name, *params = sec.mini_spec("initial", spec, "initial state", {
+        "gaussian": (1.0, 0.0, 0.0), "plane": (1,), "constant": ()})
+    if name == "gaussian" and params[0] <= 0:
+        raise sec.fail("initial", f"gaussian width must be positive: {spec!r}")
     if name == "plane":
-        mode = params[0] if params else 1
+        mode = params[0]
         if mode != int(mode):
             raise sec.fail("initial", f"plane wave mode must be an integer: "
                                       f"{spec!r}")
         return name, int(mode)
-    return (name,)
+    return (name, *params)
 
 
 def _flat_field(grid: gpe1d.Grid1D) -> gpe1d.Field:
@@ -899,7 +896,7 @@ def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 def _run_trap(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     spec = cfg.spec
     mode = transverse.ground_state_2d(spec.potential, extent=spec.extent,
-                                      n=spec.n, tol=spec.tol)
+                                      n=spec.n)
     metrics = {"e0": mode.E0, "quartic": mode.quartic,
                "b_per_a": 8.0 * math.pi * mode.quartic}
     artifacts = []

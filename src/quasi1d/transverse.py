@@ -18,16 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, InterfaceError, ResolutionError
-from .gpe1d import Grid1D, ProductGrid, _energy, _normalized_flow
+from .errors import DomainError, GridTooSmallError, InterfaceError
+from .gpe1d import Grid1D, ProductGrid, _ground_state
 
 __all__ = ["TransverseMode", "ground_state_2d", "coupling_b", "rescale_mode",
            "harmonic_profile"]
-
-
-# ground_state_2d's first imaginary-time step and the residual that ends its polish.
-FLOW_DT = 0.05
-POLISH_TOL = 1e-10
 
 
 def harmonic_profile(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -70,21 +65,14 @@ def _confinement(y: Grid1D, eps: float,
 
 
 def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    extent: float = 16.0, n: int = 128, tol: float = 1e-13,
-                    max_iters: int = 50000, boundary_tol: float = 1e-8,
-                    return_history: bool = False):
-    """Normalized imaginary-time flow followed by a residual polish.
+                    extent: float = 16.0, n: int = 128,
+                    boundary_tol: float = 1e-8) -> TransverseMode:
+    """Ground mode of -Laplace + V_perp by gpe1d's ground-state routine at
+    b = 0, from exp(-|y|^2 / 2): the normalized flow, then the polish to the
+    grid-exact eigenvector.
 
-    The flow is gpe1d's with b = 0, from dt = FLOW_DT, ``tol`` and
-    ``max_iters``.  Its split step exp(-dt V/2) exp(-dt K) exp(-dt V/2) with
-    renormalization kills the excited transient quickly but its fixed point
-    carries an O(dt^2) bias, so once the energy decrement drops below ``tol`` the state
-    is refined by Rayleigh-Ritz steps in span{chi, preconditioned residual}
-    until the eigenresidual norm falls below POLISH_TOL.  That second
-    stage converges to the grid-exact eigenvector, and each step is again
-    non-increasing in energy.  The result must have decayed at the box edge
-    to ``boundary_tol`` relative to its peak, otherwise the box does not
-    contain the mode.
+    The result must have decayed at the box edge to ``boundary_tol``
+    relative to its peak, otherwise the box does not contain the mode.
     """
     axis = Grid1D(extent, n)            # DomainError unless n is even and >= 4
     plane = ProductGrid((axis, axis))
@@ -92,54 +80,9 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     v = np.asarray(v_perp(y1, y2), dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError("transverse potential takes non-finite values on the grid")
-    k2 = plane.k_squared()
     da = plane.dvol
-
-    chi, history = _normalized_flow(np.exp(-0.5 * (y1**2 + y2**2)), k2, da, v,
-                                    0.0, FLOW_DT, tol, max_iters)
-
-    def apply_h(state: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(k2 * np.fft.fft2(state)).real + v * state
-
-    converged = False
-    for _ in range(max_iters):
-        h_chi = apply_h(chi)
-        energy = _energy(chi, k2, da, v, 0.0, 0.0)
-        resid = h_chi - energy * chi
-        if math.sqrt(float(np.sum(resid**2)) * da) < POLISH_TOL:
-            converged = True
-            break
-        # spectral preconditioner: kinetic shifted to stay positive definite
-        p = np.fft.ifft2(np.fft.fft2(resid) / (k2 + 1.0 + abs(energy))).real
-        p -= (float(np.sum(chi * p)) * da) * chi
-        p_norm = math.sqrt(float(np.sum(p**2)) * da)
-        if p_norm < 1e-300:
-            converged = True
-            break
-        p /= p_norm
-        h_p = apply_h(p)
-        h12 = float(np.sum(chi * h_p)) * da
-        h22 = float(np.sum(p * h_p)) * da
-        # smaller Ritz pair of [[energy, h12], [h12, h22]]; the mixing
-        # coefficient is formed cancellation-free or the tiny decrements
-        # near convergence drown in rounding of theta itself
-        gap_half = 0.5 * (h22 - energy)
-        if h12 == 0.0:
-            converged = True
-            break
-        if gap_half >= 0.0:
-            t = -h12 / (gap_half + math.hypot(gap_half, h12))
-            chi = chi + t * p
-            history.append(energy + t * h12)
-        else:
-            s = h12 / (gap_half - math.hypot(gap_half, h12))
-            chi = s * chi + p
-            history.append(h22 + s * h12)
-        chi /= math.sqrt(float(np.sum(chi**2)) * da)
-    if not converged:
-        raise ResolutionError(f"eigenresidual polish stalled above "
-                              f"{POLISH_TOL:g} after {max_iters} steps")
-    history.append(energy)
+    chi, _, polish = _ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
+                                   plane.k_squared(), da, v, 0.0)
 
     peak_idx = np.unravel_index(np.argmax(np.abs(chi)), chi.shape)
     if chi[peak_idx] < 0.0:
@@ -152,10 +95,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
             f"{boundary_tol:.1e} of its peak; enlarge the transverse box")
 
     quartic = float(np.sum(chi**4)) * da
-    mode = TransverseMode(extent=extent, n=n, chi=chi, E0=energy, quartic=quartic)
-    if return_history:
-        return mode, np.asarray(history)
-    return mode
+    return TransverseMode(extent=extent, n=n, chi=chi, E0=polish[-1], quartic=quartic)
 
 
 def coupling_b(a: float, mode: TransverseMode) -> float:

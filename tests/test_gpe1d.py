@@ -101,6 +101,15 @@ def test_gauge_shift_of_potential():
     assert np.max(np.abs(lifted.final.values - exact)) < 1e-10
 
 
+def _eigenresidual(phi, v, b):
+    # |(-Laplace + V + b phi^2) phi - mu phi| with mu the Rayleigh quotient
+    grid, psi = phi.grid, phi.values.real
+    h_psi = (np.fft.ifft(grid.k_squared() * np.fft.fft(psi)).real
+             + (v + b * psi**2) * psi)
+    mu = float(np.sum(psi * h_psi)) * grid.dx
+    return math.sqrt(float(np.sum((h_psi - mu * psi) ** 2)) * grid.dx)
+
+
 def test_harmonic_ground_state():
     # H = k^2 + x^2 has E0 = 1 with a width-sqrt(1/2) Gaussian (m = 1/2)
     grid = gpe1d.Grid1D(16.0, 256)
@@ -110,41 +119,67 @@ def test_harmonic_ground_state():
     assert abs(energy - 1.0) < 1e-6
     exact = (math.pi ** -0.25) * np.exp(-0.5 * grid.x**2)
     aligned = gpe1d.align_phase(phi, gpe1d.Field(grid, exact.astype(complex)))
-    assert np.max(np.abs(aligned.values - exact)) < 1e-3   # O(dt^2) state bias
-
+    assert np.max(np.abs(aligned.values - exact)) < 1e-9
 
 
 @pytest.mark.parametrize("extent, n", [(16.0, 128), (13.0, 48)])
 def test_line_and_plane_ground_states_agree(extent, n):
     # |y|^2 separates, so the plane's E0 is twice the line's ground energy
-    # under x^2 on one of its axes; both come from one flow
+    # under x^2 on one of its axes; both come from one routine
     axis = gpe1d.Grid1D(extent, n)
     v = lambda t, x: x**2
     line = gpe1d.energy_1d(gpe1d.ground_state_1d(axis, v_par=v), v)
     plane = transverse.ground_state_2d(transverse.harmonic_profile,
                                        extent=extent, n=n)
-    assert abs(2.0 * line - plane.E0) < 1e-10
+    assert abs(2.0 * line - plane.E0) < 1e-13
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
+def test_line_ground_state_solves_its_discrete_equation(b):
+    grid = gpe1d.Grid1D(16.0, 256)
+    phi = gpe1d.ground_state_1d(grid, v_par=lambda t, x: x**2, b=b)
+    assert _eigenresidual(phi, grid.x**2, b) < 1e-10
 
 
 @pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
 def test_line_flow_energies_never_rise(b):
+    # the flow rejects every rising step; the polish backtracks its rotation
+    # until the energy does not rise, up to the round-off of the energy sum
     grid = gpe1d.Grid1D(16.0, 256)
     x = grid.x
-    _, energies = gpe1d._normalized_flow(
+    _, flow, polish = gpe1d._ground_state(
         np.exp(-(x / (0.25 * grid.length)) ** 2), grid.k_squared(), grid.dx,
-        x**2, b, gpe1d.GROUND_DT, gpe1d.GROUND_TOL, gpe1d.GROUND_MAX_ITERS)
-    assert len(energies) > 1
-    assert np.all(np.diff(energies) <= 0.0)
+        x**2, b)
+    assert len(flow) > 1 and len(polish) > 1
+    assert np.all(np.diff(flow) <= 0.0)
+    assert np.all(np.diff(polish) <= 1e-12)
+    assert polish[0] - polish[-1] > 0.0
+
+
+def test_ground_state_residual_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid = gpe1d.Grid1D(16.0, 256)
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(c=st.floats(0.25, 4.0), b=st.floats(0.0, 50.0))
+    def check(c, b):
+        phi = gpe1d.ground_state_1d(grid, v_par=lambda t, x: c * x**2, b=b)
+        assert _eigenresidual(phi, c * grid.x**2, b) < 1e-10
+
+    check()
+
 
 def test_ground_state_is_stationary():
     grid = gpe1d.Grid1D(16.0, 256)
     v = lambda t, x: x**2
     phi = gpe1d.ground_state_1d(grid, v_par=v, b=1.0)
     traj = gpe1d.evolve_1d(phi, 0.2, 0.002, v_par=v, b=1.0)
-    # density wobble is bounded by the imaginary-time state bias; an
+    # the density wobbles only by the Strang step's error; an
     # off-equilibrium profile would slosh at O(1)
     drift = np.abs(np.abs(traj.final.values) ** 2 - np.abs(phi.values) ** 2)
-    assert np.max(drift) < 1e-3
+    assert np.max(drift) < 1e-6
 
 
 def test_interacting_ground_state_flattens():

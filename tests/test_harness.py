@@ -1,5 +1,6 @@
 """Scenario harness: configs, assertions, artifacts, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -543,6 +544,22 @@ def test_cli_flag_only_scatter(tmp_path, capsys):
     assert summary["metrics"]["a"] > 0.5
 
 
+def test_cli_flags_are_spec_keys():
+    # each flag becomes a --set of its dest, so a key the spec drops must
+    # take its flag along
+    for flags, spec in ((cli._SCATTER_FLAGS, harness.ScatterSpec),
+                        (cli._TRAP_FLAGS, harness.TrapSpec)):
+        keys = {field.name for field in dataclasses.fields(spec)}
+        assert {dest for _flag, _type, dest, _help in flags} <= keys
+
+
+def test_inverted_axial_trap_is_accepted():
+    # v_par = harmonic:c takes any sign; c < 0 is an inverted trap
+    config = str(CONFIG_DIR / "gpe_packet.ini")
+    assert cli.main(["validate", config, "--set",
+                     "evolve1d.v_par=harmonic:-1"]) == 0
+
+
 def test_cli_flag_only_needs_file_for_other_kinds(capsys):
     assert cli.main(["evolve1d"]) == 2
     assert "config file" in capsys.readouterr().err
@@ -637,6 +654,10 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("harmonic_trap", "trap.potential=harmonic:abc"),
     ("gpe_packet", "evolve1d.initial=gaussian:x"),
     ("gpe_packet", "evolve1d.v_par=cosine:zz"),
+    ("gpe_packet", "evolve1d.v_par=cosine:1,2,3"),
+    ("gpe_packet", "evolve1d.v_par=harmonic:1,2"),
+    ("gpe_packet", "evolve1d.v_par=cosine:1,2.5"),
+    ("counting_pair", "count.v_par=harmonic:1,2"),
     ("barrier_scattering", "scatter.potential=file:{tmp}/missing.csv"),
     ("gpe_packet", "evolve1d.n=7"),
     ("reduction_sweep", "reduce3d.n_x=7"),
@@ -646,7 +667,8 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("gpe_convergence", "evolve1d.convergence=maybe"),
     ("gpe_packet", "evolve1d.sample_stride=abc"),
     ("harmonic_trap", "trap.chi_slice=maybe"),
-    ("harmonic_trap", "trap.tol=nan"),
+    ("harmonic_trap", "trap.extent=nan"),
+    ("harmonic_trap", "trap.tol=1e-12"),
     ("shell_profile", "scatter.radial_table=maybe"),
     ("barrier_scattering", "scatter.ode_tol=abc"),
     ("counting_triplet", "count.dim=abc"),

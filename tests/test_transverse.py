@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quasi1d import transverse
+from quasi1d import gpe1d, transverse
 from quasi1d.errors import (DomainError, GridTooSmallError, InterfaceError,
                             ResolutionError)
 
@@ -64,14 +64,20 @@ def test_constant_shift_is_exact_gauge(harmonic_mode):
     assert np.max(np.abs(shifted.chi - harmonic_mode.chi)) < 1e-10
 
 
-def test_energy_history_monotone():
+def _stiff_plane():
     # stiffened trap so the seed state is not already the minimizer
-    mode, history = transverse.ground_state_2d(
-        lambda y1, y2: 4.0 * (y1**2 + y2**2), return_history=True)
-    diffs = np.diff(history)
-    assert np.all(diffs <= 1e-12)       # round-off slack only
-    assert history[0] > history[-1]
-    assert abs(mode.E0 - 4.0) < 1e-9    # E0 scales as sqrt(c) * 2
+    plane = gpe1d.ProductGrid((gpe1d.Grid1D(16.0, 128),) * 2)
+    y1, y2 = plane.mesh()
+    return (np.exp(-0.5 * (y1**2 + y2**2)), plane.k_squared(), plane.dvol,
+            4.0 * (y1**2 + y2**2), 0.0)
+
+
+def test_energy_history_monotone():
+    _, flow, polish = gpe1d._ground_state(*_stiff_plane())
+    assert np.all(np.diff(flow) <= 0.0)
+    assert np.all(np.diff(polish) <= 1e-12)       # round-off slack only
+    assert flow[0] > polish[-1]
+    assert abs(polish[-1] - 4.0) < 1e-9    # E0 scales as sqrt(c) * 2
 
 
 def test_grid_refinement_stability():
@@ -141,4 +147,4 @@ def test_domain_errors():
 
 def test_imaginary_time_budget_respected():
     with pytest.raises(ResolutionError):
-        transverse.ground_state_2d(transverse.harmonic_profile, max_iters=2)
+        gpe1d._ground_state(*_stiff_plane(), max_iters=2)
