@@ -34,8 +34,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError
-from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _energy, _strang_loop,
-                    evolve_1d, gaussian_packet, phase_distance)
+from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _energy,
+                    _line_potential, _strang_loop, evolve_1d, gaussian_packet,
+                    phase_distance)
 from .transverse import (TransverseMode, _confinement, coupling_b, ground_state_2d,
                          rescale_mode)
 
@@ -308,12 +309,17 @@ def reduction_profiles(scenario: ReductionScenario,
 def compare_profiles(scenario: ReductionScenario,
                      profiles: Sequence[ReductionProfile], b: float) -> ReductionTable:
     """Comparison stage: each profile against the 1d run at coupling b, on
-    the same line grid with the same number of steps."""
+    the same line grid with the same number of steps.  Only its final field
+    is read, so the 1d run records an energy at its first and last step
+    alone."""
     phi0 = _initial_line(scenario)
+    k2 = phi0.grid.k_squared()
+    v_axial = _line_potential(scenario.v_par, phi0.grid)
     rows = []
     for profile in profiles:
-        reference = evolve_1d(phi0, scenario.t_final,
-                              scenario.t_final / profile.steps, scenario.v_par, b)
+        reference = _strang_loop(phi0, scenario.t_final,
+                                 scenario.t_final / profile.steps, k2, 0.0,
+                                 v_axial, b, profile.steps + 1)
         rows.append(ReductionRow(
             epsilon=profile.epsilon,
             err_l2=phase_distance(profile.phi_eff, reference.final),

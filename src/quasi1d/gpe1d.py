@@ -8,7 +8,9 @@ density.  Every factor is unimodular, so the grid norm is conserved to
 round-off; the scheme is second order and exactly time reversible.  The
 loop and the energy work on any grid shape; confined3d runs on them too.
 Ground states come from one routine on any grid, a normalized gradient
-flow and a Rayleigh-Ritz polish, which transverse runs for the 2d mode too.
+flow and a LOBPCG polish (Rayleigh-Ritz with the previous search direction
+kept, dropped after a step shortened at b > 0), which transverse runs for
+the 2d mode too.
 On boxes of SLAB_MIN_POINTS or more the loop cuts each step into slabs, one
 per CPU the process may use; there is no setting for it.
 """
@@ -401,11 +403,14 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     renormalization.  A step that raises the energy is rejected and dt
     halved; the flow ends once a step lowers the energy by less than
     FLOW_TOL or dt falls below FLOW_DT 2^-40.  Its fixed point carries an
-    O(dt^2) bias, which a polish removes: Rayleigh-Ritz steps in span{psi,
-    preconditioned residual} under H = -Laplace + V + b psi^2 frozen at psi,
-    until |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  At b > 0 a
-    step that would raise the energy has its rotation angle halved until it
-    does not.  Each stage raises ResolutionError after `max_iters` steps.
+    O(dt^2) bias, which a polish removes: LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23 (2001) 517), Rayleigh-Ritz steps in span{psi, preconditioned
+    residual, previous direction} under H = -Laplace + V + b psi^2 frozen at
+    psi, until |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  Its
+    transforms are rfftn/irfftn, since every polish vector is real.  At
+    b > 0 a step that would raise the energy has its rotation angle halved
+    until it does not, and the next step then restarts without the previous
+    direction.  Each stage raises ResolutionError after `max_iters` steps.
 
     Returns the state and the energies of the flow's accepted states and of
     the polish's states; the last is the state's own, at b = 0 its eigenvalue.
@@ -436,56 +441,77 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
         raise ResolutionError(f"imaginary time did not converge to {FLOW_TOL} "
                               f"within {max_iters} steps")
 
-    def rayleigh(state: np.ndarray) -> tuple[float, float]:
-        # mu = <H psi> and the energy mu - (b/2) int psi^4
-        mu = _energy(state, k2, dvol, v, 0.0, 2.0 * b)
-        return mu, (mu - 0.5 * b * float(np.sum(state**4)) * dvol if b else mu)
+    # psi and every polish vector are real: half-spectrum transforms over
+    # all axes, k^2 cut to the rfftn frequencies of the last one
+    axes = tuple(range(psi.ndim))
+    k2_half = k2[..., :psi.shape[-1] // 2 + 1]
 
-    mu, energy = rayleigh(psi)
-    polish = [energy]
+    def spectral(state: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(factor * np.fft.rfftn(state, axes=axes),
+                             s=psi.shape, axes=axes)
+
+    def dot(f: np.ndarray, g: np.ndarray) -> float:
+        return float(np.sum(f * g)) * dvol
+
+    polish = []
+    direction = None
     for _ in range(max_iters):
         v_frozen = v + b * psi**2 if b else v
 
         def apply_h(state: np.ndarray) -> np.ndarray:
-            return np.fft.ifftn(k2 * np.fft.fftn(state)).real + v_frozen * state
+            return spectral(state, k2_half) + v_frozen * state
 
-        resid = apply_h(psi) - mu * psi
-        if math.sqrt(float(np.sum(resid**2)) * dvol) < POLISH_TOL:
+        h_psi = apply_h(psi)
+        mu = dot(psi, h_psi)
+        polish.append(mu - 0.5 * b * float(np.sum(psi**4)) * dvol if b else mu)
+        resid = h_psi - mu * psi
+        if math.sqrt(dot(resid, resid)) < POLISH_TOL:
             return psi, flow, polish
-        # spectral preconditioner: kinetic shifted to stay positive definite
-        p = np.fft.ifftn(np.fft.fftn(resid) / (k2 + 1.0 + abs(mu))).real
-        p -= (float(np.sum(psi * p)) * dvol) * psi
-        p /= math.sqrt(float(np.sum(p**2)) * dvol)
-        h_p = apply_h(p)
-        h12 = float(np.sum(psi * h_p)) * dvol
-        h22 = float(np.sum(p * h_p)) * dvol
-        # smaller Ritz pair of [[mu, h12], [h12, h22]]; the mixing
-        # coefficient is formed cancellation-free or the tiny decrements
-        # near convergence drown in rounding of theta itself
-        gap_half = 0.5 * (h22 - mu)
-        if gap_half >= 0.0:
-            t = -h12 / (gap_half + math.hypot(gap_half, h12))
-            cand, angle = psi + t * p, math.atan(t)
-        else:
-            s = h12 / (gap_half - math.hypot(gap_half, h12))
-            # s psi + p and -(s psi + p) are one state: the angle modulo pi
-            cand, angle = s * psi + p, math.atan(1.0 / s)
+        # the search space beyond psi: the residual under the spectral
+        # preconditioner (kinetic shifted to stay positive definite) and the
+        # previous direction, orthonormalized against psi and each other
+        basis = [spectral(resid, 1.0 / (k2_half + 1.0 + abs(mu)))]
+        if direction is not None:
+            basis.append(direction)
+        for i, u in enumerate(basis):
+            for prev in (psi, *basis[:i]):
+                u -= dot(prev, u) * prev
+            u /= math.sqrt(dot(u, u))
+        h_basis = [apply_h(u) for u in basis]
+        # H - mu on span{psi, basis}; its lowest Ritz vector (c0, c)
+        # rotates psi by the angle atan2(|d|, c0) toward d = sum c_i u_i
+        h_shift = np.array([[dot(f, h_g) for h_g in (h_psi, *h_basis)]
+                            for f in (psi, *basis)])
+        h_shift = 0.5 * (h_shift + h_shift.T) - mu * np.eye(len(basis) + 1)
+        ritz = np.linalg.eigh(h_shift)[1][:, 0]
+        if ritz[0] < 0.0:
+            ritz = -ritz
+        d = sum(c * u for c, u in zip(ritz[1:], basis))
+        d_norm = math.sqrt(dot(d, d))
+        direction = q = d / d_norm
+        angle = math.atan2(d_norm, ritz[0])
         if b:
-            # E(cos(a) psi + sin(a) p) - E(psi) is the frozen H's Ritz
+            # E(cos(a) psi + sin(a) q) - E(psi) is the frozen H's Ritz
             # decrement plus (b/2) int (psi_a^2 - psi^2)^2, here formed
-            # cancellation-free so that its sign holds for tiny steps
+            # cancellation-free so that its sign holds for tiny steps;
+            # <q, (H - mu) q> and <psi, H q> for q = d / |d| come from h_shift
+            h22 = float(ritz[1:] @ h_shift[1:, 1:] @ ritz[1:]) / d_norm**2
+            h12 = float(h_shift[0, 1:] @ ritz[1:]) / d_norm
+
             def rise(a: float) -> float:
-                d = math.sin(a) * p - 2.0 * math.sin(0.5 * a) ** 2 * psi
-                return (math.sin(a) ** 2 * (h22 - mu) + math.sin(2.0 * a) * h12
-                        + 0.5 * b * float(np.sum((d * (2.0 * psi + d)) ** 2)) * dvol)
+                step = math.sin(a) * q - 2.0 * math.sin(0.5 * a) ** 2 * psi
+                return (math.sin(a) ** 2 * h22 + math.sin(2.0 * a) * h12
+                        + 0.5 * b * float(np.sum((step * (2.0 * psi + step)) ** 2))
+                        * dvol)
 
             if rise(angle) > 0.0:
                 while rise(angle) > 0.0:
                     angle *= 0.5
-                cand = math.cos(angle) * psi + math.sin(angle) * p
-        psi = cand / math.sqrt(float(np.sum(cand**2)) * dvol)
-        mu, energy = rayleigh(psi)
-        polish.append(energy)
+                # a shortened step is no Ritz step: the next one restarts
+                # from the residual alone
+                direction = None
+        cand = math.cos(angle) * psi + math.sin(angle) * q
+        psi = cand / math.sqrt(dot(cand, cand))
     raise ResolutionError(f"eigenresidual polish stalled above "
                           f"{POLISH_TOL:g} after {max_iters} steps")
 

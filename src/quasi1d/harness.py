@@ -518,12 +518,6 @@ def _pair_resolved(sec: _Section, v: dict, key: str, axes: list) -> None:
 def _parse_radial_potential(sec: _Section, spec: str, height: float,
                             radius: float) -> scattering.RadialPotential:
     name, _, rest = spec.partition(":")
-    if name == "square_barrier":
-        return scattering.square_barrier(height, radius)
-    if name == "smooth_bump":
-        return scattering.smooth_bump(height, radius)
-    if name == "zero":
-        return scattering.zero_potential()
     if name == "file":
         try:
             table = np.loadtxt(rest, delimiter=",", ndmin=2)
@@ -533,7 +527,14 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
             raise sec.fail("potential", f"{rest}: expected two CSV columns "
                                         f"(r, w)")
         return scattering.tabulated_potential(table[:, 0], table[:, 1])
-    raise sec.fail("potential", f"unknown potential {spec!r}")
+    # the named shapes take height and radius from their own keys, no numbers
+    name, = sec.mini_spec("potential", spec, "potential", {
+        "square_barrier": (), "smooth_bump": (), "zero": ()})
+    if name == "square_barrier":
+        return scattering.square_barrier(height, radius)
+    if name == "smooth_bump":
+        return scattering.smooth_bump(height, radius)
+    return scattering.zero_potential()
 
 
 def _parse_v_perp(spec: str, sec: _Section) -> Callable:

@@ -68,8 +68,10 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     extent: float = 16.0, n: int = 128,
                     boundary_tol: float = 1e-8) -> TransverseMode:
     """Ground mode of -Laplace + V_perp by gpe1d's ground-state routine at
-    b = 0, from exp(-|y|^2 / 2): the normalized flow, then the polish to the
-    grid-exact eigenvector.
+    b = 0, from exp(-|y|^2 / 2): the normalized flow, then the LOBPCG polish
+    (Rayleigh-Ritz in span{chi, preconditioned residual, previous direction},
+    by real FFTs) to the grid-exact eigenvector.  At b = 0 no step is ever
+    shortened, so the previous direction is never dropped.
 
     The result must have decayed at the box edge to ``boundary_tol``
     relative to its peak, otherwise the box does not contain the mode.

@@ -134,14 +134,14 @@ def test_line_and_plane_ground_states_agree(extent, n):
     assert abs(2.0 * line - plane.E0) < 1e-13
 
 
-@pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("b", [0.0, 1.0, 50.0, 200.0])
 def test_line_ground_state_solves_its_discrete_equation(b):
     grid = gpe1d.Grid1D(16.0, 256)
     phi = gpe1d.ground_state_1d(grid, v_par=lambda t, x: x**2, b=b)
     assert _eigenresidual(phi, grid.x**2, b) < 1e-10
 
 
-@pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("b", [0.0, 1.0, 50.0, 200.0])
 def test_line_flow_energies_never_rise(b):
     # the flow rejects every rising step; the polish backtracks its rotation
     # until the energy does not rise, up to the round-off of the energy sum
@@ -154,6 +154,22 @@ def test_line_flow_energies_never_rise(b):
     assert np.all(np.diff(flow) <= 0.0)
     assert np.all(np.diff(polish) <= 1e-12)
     assert polish[0] - polish[-1] > 0.0
+
+
+def test_polish_keeps_its_search_direction():
+    # LOBPCG reaches POLISH_TOL in a few dozen Ritz steps where steepest
+    # descent took 96 on the plane and 200 on the line
+    plane = gpe1d.ProductGrid((gpe1d.Grid1D(16.0, 128),) * 2)
+    y1, y2 = plane.mesh()
+    _, _, polish = gpe1d._ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
+                                       plane.k_squared(), plane.dvol,
+                                       y1**2 + y2**2, 0.0)
+    assert len(polish) - 1 <= 25
+    grid = gpe1d.Grid1D(16.0, 256)
+    x = grid.x
+    _, _, polish = gpe1d._ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
+                                       grid.k_squared(), grid.dx, x**2, 0.0)
+    assert len(polish) - 1 <= 30
 
 
 def test_ground_state_residual_property():

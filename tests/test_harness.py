@@ -670,6 +670,8 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("harmonic_trap", "trap.extent=nan"),
     ("harmonic_trap", "trap.tol=1e-12"),
     ("shell_profile", "scatter.radial_table=maybe"),
+    ("shell_profile", "scatter.potential=square_barrier:1,2"),
+    ("shell_profile", "scatter.potential=zero:3"),
     ("barrier_scattering", "scatter.ode_tol=abc"),
     ("counting_triplet", "count.dim=abc"),
     ("counting_triplet", "count.dim=7"),
