@@ -7,10 +7,10 @@ b |Phi|^2, a full spectral kinetic step, half a phase with the refreshed
 density.  Every factor is unimodular, so the grid norm is conserved to
 round-off; the scheme is second order and exactly time reversible.  The
 loop and the energy work on any grid shape; confined3d runs on them too.
-Ground states come from one routine on any grid, a normalized gradient
-flow and a LOBPCG polish (Rayleigh-Ritz with the previous search direction
-kept, dropped after a step shortened at b > 0), which transverse runs for
-the 2d mode too.
+Ground states come from one routine on any grid, a LOBPCG iteration from
+the caller's seed (Rayleigh-Ritz with the previous search direction kept,
+dropped after a step shortened at b > 0), which transverse runs for the 2d
+mode too.
 On boxes of SLAB_MIN_POINTS or more the loop cuts each step into slabs, one
 per CPU the process may use; there is no setting for it.
 """
@@ -39,12 +39,11 @@ Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 # 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.
 SLAB_MIN_POINTS = 200_000
 
-# _ground_state's first flow step, the energy decrement that ends the flow,
-# the step cap of the flow and of the polish, and the eigenresidual that
-# ends the polish.
-FLOW_DT = 0.05
-FLOW_TOL = 1e-13
-MAX_ITERS = 50_000
+# _ground_state's step cap and the eigenresidual that ends it.  The most
+# steps any ground state of the tests or the shipped configs takes is 112
+# (the 256-point harmonic line at b = 46); a stalled 128^2 solve reaches
+# the cap in about 1.5 s (2-vCPU Xeon, numpy 2.4).
+MAX_ITERS = 1_000
 POLISH_TOL = 1e-10
 
 
@@ -392,56 +391,25 @@ def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
 
 def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
                   b: float, max_iters: int = MAX_ITERS
-                  ) -> tuple[np.ndarray, list[float], list[float]]:
+                  ) -> tuple[np.ndarray, list[float]]:
     """Ground state of <psi, (-Laplace + V + (b/2) psi^2) psi> on the unit
     sphere, on any grid shape and for any b >= 0; psi, V and the result are
     real.
 
-    First the split-step normalized gradient flow (Bao & Du, SIAM J. Sci.
-    Comput. 25 (2004) 1674) from dt = FLOW_DT: exp(-dt/2 (V + b psi^2)), the
-    spectral factor exp(-dt k^2), the half factor with the updated psi and
-    renormalization.  A step that raises the energy is rejected and dt
-    halved; the flow ends once a step lowers the energy by less than
-    FLOW_TOL or dt falls below FLOW_DT 2^-40.  Its fixed point carries an
-    O(dt^2) bias, which a polish removes: LOBPCG (Knyazev, SIAM J. Sci.
-    Comput. 23 (2001) 517), Rayleigh-Ritz steps in span{psi, preconditioned
-    residual, previous direction} under H = -Laplace + V + b psi^2 frozen at
-    psi, until |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  Its
-    transforms are rfftn/irfftn, since every polish vector is real.  At
-    b > 0 a step that would raise the energy has its rotation angle halved
-    until it does not, and the next step then restarts without the previous
-    direction.  Each stage raises ResolutionError after `max_iters` steps.
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from the given
+    seed: Rayleigh-Ritz steps in span{psi, preconditioned residual, previous
+    direction} under H = -Laplace + V + b psi^2 frozen at psi, until
+    |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  Its transforms
+    are rfftn/irfftn, since every vector is real.  At b > 0 a step that
+    would raise the energy has its rotation angle halved until it does not,
+    and the next step then restarts without the previous direction.  Raises
+    ResolutionError after `max_iters` steps.
 
-    Returns the state and the energies of the flow's accepted states and of
-    the polish's states; the last is the state's own, at b = 0 its eigenvalue.
+    Returns the state and the energy of every iterate; the last is the
+    state's own, at b = 0 its eigenvalue.
     """
     psi = psi / math.sqrt(float(np.sum(psi**2)) * dvol)
-    energy = _energy(psi, k2, dvol, v, 0.0, b)
-    flow = [energy]
-    step = FLOW_DT
-    kin = np.exp(-step * k2)
-    for _ in range(max_iters):
-        cand = np.exp(-0.5 * step * (v + b * psi**2)) * psi
-        cand = np.fft.ifftn(kin * np.fft.fftn(cand)).real
-        cand = np.exp(-0.5 * step * (v + b * cand**2)) * cand
-        cand /= math.sqrt(float(np.sum(cand**2)) * dvol)
-        cand_energy = _energy(cand, k2, dvol, v, 0.0, b)
-        if cand_energy > energy:
-            step *= 0.5
-            if step < FLOW_DT * 2.0**-40:
-                break
-            kin = np.exp(-step * k2)
-            continue
-        psi = cand
-        flow.append(cand_energy)
-        if energy - cand_energy < FLOW_TOL:
-            break
-        energy = cand_energy
-    else:
-        raise ResolutionError(f"imaginary time did not converge to {FLOW_TOL} "
-                              f"within {max_iters} steps")
-
-    # psi and every polish vector are real: half-spectrum transforms over
+    # psi and every search vector are real: half-spectrum transforms over
     # all axes, k^2 cut to the rfftn frequencies of the last one
     axes = tuple(range(psi.ndim))
     k2_half = k2[..., :psi.shape[-1] // 2 + 1]
@@ -453,7 +421,7 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     def dot(f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(f * g)) * dvol
 
-    polish = []
+    energies = []
     direction = None
     for _ in range(max_iters):
         v_frozen = v + b * psi**2 if b else v
@@ -463,10 +431,10 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
 
         h_psi = apply_h(psi)
         mu = dot(psi, h_psi)
-        polish.append(mu - 0.5 * b * float(np.sum(psi**4)) * dvol if b else mu)
+        energies.append(mu - 0.5 * b * float(np.sum(psi**4)) * dvol if b else mu)
         resid = h_psi - mu * psi
         if math.sqrt(dot(resid, resid)) < POLISH_TOL:
-            return psi, flow, polish
+            return psi, energies
         # the search space beyond psi: the residual under the spectral
         # preconditioner (kinetic shifted to stay positive definite) and the
         # previous direction, orthonormalized against psi and each other
@@ -512,7 +480,7 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
                 direction = None
         cand = math.cos(angle) * psi + math.sin(angle) * q
         psi = cand / math.sqrt(dot(cand, cand))
-    raise ResolutionError(f"eigenresidual polish stalled above "
+    raise ResolutionError(f"ground-state eigenresidual stalled above "
                           f"{POLISH_TOL:g} after {max_iters} steps")
 
 
@@ -524,8 +492,8 @@ def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0) -> 
     """
     x = grid.x
     v = v_par(0.0, x) if v_par is not None else np.zeros_like(x)
-    psi, _, _ = _ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
-                              grid.k_squared(), grid.dx, v, b)
+    psi, _ = _ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
+                           grid.k_squared(), grid.dx, v, b)
     return Field(grid, psi.astype(complex))
 
 

@@ -394,7 +394,8 @@ def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
     v["b"] = _resolve_coupling(sec, v)
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
     _grid_size(sec, v, "n")
-    v["initial"] = _parse_initial(sec, v["initial"] or "gaussian")
+    v["initial"] = _parse_initial(sec, v["initial"] or "gaussian", v["n"],
+                                  v["length"])
     return Evolve1dSpec(**v)
 
 
@@ -576,16 +577,34 @@ def _parse_v_par(spec: str | None, length: float, sec: _Section) -> Callable | N
     return lambda t, x: amp * np.cos(q * x)
 
 
-def _parse_initial(sec: _Section, spec: str) -> tuple:
+def _parse_initial(sec: _Section, spec: str, n: int, length: float) -> tuple:
+    """The initial state on the line of n points over `length`.  A Gaussian
+    is no narrower than a cell nor wider than the box and centred inside
+    it; a Gaussian's boost and a plane wave stay within the grid's Nyquist
+    mode n/2, beyond which they alias."""
     name, *params = sec.mini_spec("initial", spec, "initial state", {
         "gaussian": (1.0, 0.0, 0.0), "plane": (1,), "constant": ()})
-    if name == "gaussian" and params[0] <= 0:
-        raise sec.fail("initial", f"gaussian width must be positive: {spec!r}")
+    if name == "gaussian":
+        sigma, x0, k0 = params
+        if not length / n <= sigma <= length:
+            raise sec.fail("initial", f"gaussian width must lie in [dx, length]"
+                                      f" = [{length / n:g}, {length:g}]: {spec!r}")
+        if not abs(x0) <= 0.5 * length:
+            raise sec.fail("initial", f"gaussian centre outside the box "
+                                      f"[-{0.5 * length:g}, {0.5 * length:g}]: "
+                                      f"{spec!r}")
+        if not abs(k0) <= math.pi * n / length:
+            raise sec.fail("initial", f"gaussian boost beyond the Nyquist "
+                                      f"wavenumber {math.pi * n / length:g} "
+                                      f"aliases: {spec!r}")
     if name == "plane":
         mode = params[0]
         if mode != int(mode):
             raise sec.fail("initial", f"plane wave mode must be an integer: "
                                       f"{spec!r}")
+        if abs(mode) > n // 2:
+            raise sec.fail("initial", f"plane wave mode beyond n/2 = {n // 2} "
+                                      f"aliases: {spec!r}")
         return name, int(mode)
     return (name, *params)
 

@@ -68,10 +68,10 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     extent: float = 16.0, n: int = 128,
                     boundary_tol: float = 1e-8) -> TransverseMode:
     """Ground mode of -Laplace + V_perp by gpe1d's ground-state routine at
-    b = 0, from exp(-|y|^2 / 2): the normalized flow, then the LOBPCG polish
-    (Rayleigh-Ritz in span{chi, preconditioned residual, previous direction},
-    by real FFTs) to the grid-exact eigenvector.  At b = 0 no step is ever
-    shortened, so the previous direction is never dropped.
+    b = 0: LOBPCG from exp(-|y|^2 / 2) (Rayleigh-Ritz in span{chi,
+    preconditioned residual, previous direction}, by real FFTs) to the
+    grid-exact eigenvector.  At b = 0 no step is ever shortened, so the
+    previous direction is never dropped.
 
     The result must have decayed at the box edge to ``boundary_tol``
     relative to its peak, otherwise the box does not contain the mode.
@@ -83,8 +83,8 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     if not np.all(np.isfinite(v)):
         raise DomainError("transverse potential takes non-finite values on the grid")
     da = plane.dvol
-    chi, _, polish = _ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
-                                   plane.k_squared(), da, v, 0.0)
+    chi, energies = _ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
+                                  plane.k_squared(), da, v, 0.0)
 
     peak_idx = np.unravel_index(np.argmax(np.abs(chi)), chi.shape)
     if chi[peak_idx] < 0.0:
@@ -97,7 +97,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
             f"{boundary_tol:.1e} of its peak; enlarge the transverse box")
 
     quartic = float(np.sum(chi**4)) * da
-    return TransverseMode(extent=extent, n=n, chi=chi, E0=polish[-1], quartic=quartic)
+    return TransverseMode(extent=extent, n=n, chi=chi, E0=energies[-1], quartic=quartic)
 
 
 def coupling_b(a: float, mode: TransverseMode) -> float:

@@ -142,34 +142,40 @@ def test_line_ground_state_solves_its_discrete_equation(b):
 
 
 @pytest.mark.parametrize("b", [0.0, 1.0, 50.0, 200.0])
-def test_line_flow_energies_never_rise(b):
-    # the flow rejects every rising step; the polish backtracks its rotation
-    # until the energy does not rise, up to the round-off of the energy sum
+def test_ground_state_energies_never_rise(b):
+    # a Ritz step at b = 0 cannot raise the energy, and at b > 0 the
+    # iteration backtracks its rotation until it does not, up to the
+    # round-off of the energy sum
     grid = gpe1d.Grid1D(16.0, 256)
     x = grid.x
-    _, flow, polish = gpe1d._ground_state(
+    _, energies = gpe1d._ground_state(
         np.exp(-(x / (0.25 * grid.length)) ** 2), grid.k_squared(), grid.dx,
         x**2, b)
-    assert len(flow) > 1 and len(polish) > 1
-    assert np.all(np.diff(flow) <= 0.0)
-    assert np.all(np.diff(polish) <= 1e-12)
-    assert polish[0] - polish[-1] > 0.0
+    assert len(energies) > 1
+    assert np.all(np.diff(energies) <= 1e-12)
+    assert energies[0] > energies[-1]
 
 
 def test_polish_keeps_its_search_direction():
-    # LOBPCG reaches POLISH_TOL in a few dozen Ritz steps where steepest
-    # descent took 96 on the plane and 200 on the line
+    # LOBPCG from the seed reaches POLISH_TOL in 110 Ritz steps on the stiff
+    # plane and 55 on the line, where steepest descent takes 1376 and about
+    # 350; the harmonic plane's seed is already its eigenvector to within
+    # POLISH_TOL
     plane = gpe1d.ProductGrid((gpe1d.Grid1D(16.0, 128),) * 2)
     y1, y2 = plane.mesh()
-    _, _, polish = gpe1d._ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
-                                       plane.k_squared(), plane.dvol,
-                                       y1**2 + y2**2, 0.0)
-    assert len(polish) - 1 <= 25
+    _, energies = gpe1d._ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
+                                      plane.k_squared(), plane.dvol,
+                                      y1**2 + y2**2, 0.0)
+    assert len(energies) - 1 <= 25
+    _, energies = gpe1d._ground_state(np.exp(-0.5 * (y1**2 + y2**2)),
+                                      plane.k_squared(), plane.dvol,
+                                      4.0 * (y1**2 + y2**2), 0.0)
+    assert len(energies) - 1 <= 120
     grid = gpe1d.Grid1D(16.0, 256)
     x = grid.x
-    _, _, polish = gpe1d._ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
-                                       grid.k_squared(), grid.dx, x**2, 0.0)
-    assert len(polish) - 1 <= 30
+    _, energies = gpe1d._ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
+                                      grid.k_squared(), grid.dx, x**2, 0.0)
+    assert len(energies) - 1 <= 60
 
 
 def test_ground_state_residual_property():

@@ -701,6 +701,11 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("gpe_packet", "evolve1d.initial=gaussian:0"),
     ("gpe_packet", "evolve1d.initial=gaussian:-1"),
     ("gpe_packet", "evolve1d.initial=gaussian:1,0,0,9"),
+    ("gpe_packet", "evolve1d.initial=gaussian:1e300"),
+    ("gpe_packet", "evolve1d.initial=gaussian:1e-200"),
+    ("gpe_packet", "evolve1d.initial=plane:1e300"),
+    ("gpe_packet", "evolve1d.initial=gaussian:1,1e10"),
+    ("gpe_packet", "evolve1d.initial=gaussian:1,0,1e300"),
     ("gpe_packet", "evolve1d.initial=constant:5"),
     ("reduction_sweep", "reduce3d.phi0_sigma=0"),
     ("harmonic_trap", "trap.potential=well:8,0"),
@@ -717,13 +722,59 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     code = cli.main([section, str(path), "--set", override.format(tmp=tmp_path),
                      "--output", str(tmp_path)])
     assert code == 2
+    assert _config_error_at(path, section, key) in capsys.readouterr().err
+    assert not (tmp_path / config).exists()
+
+
+def _config_error_at(path, section, key):
     # the key's line in the file itself, or --set when only the override has it
     lines = path.read_text(encoding="utf-8").splitlines()
     line = next((str(i) for i, text in enumerate(lines, start=1)
                  if text.partition("=")[0].strip() == key), "--set")
-    assert f"config error: {path}:{line} [{section}] {key}: " in \
-        capsys.readouterr().err
-    assert not (tmp_path / config).exists()
+    return f"config error: {path}:{line} [{section}] {key}: "
+
+
+# every `name:numbers` key, the config that holds it, and how many numbers
+# each of its names takes
+MINI_SPECS = [
+    ("harmonic_trap", "trap.potential", {"harmonic": 1, "shifted": 1, "well": 2}),
+    ("gpe_packet", "evolve1d.v_par", {"harmonic": 1, "cosine": 2}),
+    ("counting_pair", "count.v_par", {"harmonic": 1, "cosine": 2}),
+    ("gpe_packet", "evolve1d.initial", {"gaussian": 3, "plane": 1, "constant": 0}),
+    ("barrier_scattering", "scatter.potential",
+     {"square_barrier": 0, "smooth_bump": 0, "zero": 0}),
+]
+
+
+def test_mini_spec_grammar_property(capsys):
+    # validate loads any `name:numbers` value to a spec (exit 0) or names
+    # its file, line and key (exit 2); it never fails otherwise (exit 1),
+    # and never drops numbers the name does not take
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.one_of(st.integers(-300, 300), st.floats(-50.0, 50.0),
+                       st.sampled_from([0.0, math.nan, math.inf, -math.inf,
+                                        1e300, -1e300]))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(target=st.sampled_from(MINI_SPECS), data=st.data())
+    def check(target, data):
+        config, option, arity = target
+        name = data.draw(st.sampled_from(sorted(arity)))
+        numbers = data.draw(st.lists(number, max_size=4))
+        value = name + (":" + ",".join(map(str, numbers)) if numbers else "")
+        path = CONFIG_DIR / f"{config}.ini"
+        capsys.readouterr()
+        code = cli.main(["validate", str(path), "--set", f"{option}={value}"])
+        section, _, key = option.partition(".")
+        assert code in (0, 2), capsys.readouterr().err
+        if code == 2:
+            assert _config_error_at(path, section, key) in capsys.readouterr().err
+        else:
+            assert len(numbers) <= arity[name]
+
+    check()
 
 
 

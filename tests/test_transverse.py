@@ -73,11 +73,10 @@ def _stiff_plane():
 
 
 def test_energy_history_monotone():
-    _, flow, polish = gpe1d._ground_state(*_stiff_plane())
-    assert np.all(np.diff(flow) <= 0.0)
-    assert np.all(np.diff(polish) <= 1e-12)       # round-off slack only
-    assert flow[0] > polish[-1]
-    assert abs(polish[-1] - 4.0) < 1e-9    # E0 scales as sqrt(c) * 2
+    _, energies = gpe1d._ground_state(*_stiff_plane())
+    assert np.all(np.diff(energies) <= 1e-12)     # round-off slack only
+    assert energies[0] > energies[-1]
+    assert abs(energies[-1] - 4.0) < 1e-9  # E0 scales as sqrt(c) * 2
 
 
 def test_grid_refinement_stability():
@@ -145,6 +144,6 @@ def test_domain_errors():
             lambda y1, y2: np.where(y1 == 0.0, np.inf, y1**2 + y2**2))
 
 
-def test_imaginary_time_budget_respected():
+def test_ground_state_step_cap_respected():
     with pytest.raises(ResolutionError):
         gpe1d._ground_state(*_stiff_plane(), max_iters=2)
