@@ -390,8 +390,7 @@ def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
 
 
 def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
-                  b: float, max_iters: int = MAX_ITERS
-                  ) -> tuple[np.ndarray, list[float]]:
+                  b: float) -> tuple[np.ndarray, list[float]]:
     """Ground state of <psi, (-Laplace + V + (b/2) psi^2) psi> on the unit
     sphere, on any grid shape and for any b >= 0; psi, V and the result are
     real.
@@ -403,7 +402,7 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     are rfftn/irfftn, since every vector is real.  At b > 0 a step that
     would raise the energy has its rotation angle halved until it does not,
     and the next step then restarts without the previous direction.  Raises
-    ResolutionError after `max_iters` steps.
+    ResolutionError after MAX_ITERS steps.
 
     Returns the state and the energy of every iterate; the last is the
     state's own, at b = 0 its eigenvalue.
@@ -423,7 +422,7 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
 
     energies = []
     direction = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         v_frozen = v + b * psi**2 if b else v
 
         def apply_h(state: np.ndarray) -> np.ndarray:
@@ -481,7 +480,7 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
         cand = math.cos(angle) * psi + math.sin(angle) * q
         psi = cand / math.sqrt(dot(cand, cand))
     raise ResolutionError(f"ground-state eigenresidual stalled above "
-                          f"{POLISH_TOL:g} after {max_iters} steps")
+                          f"{POLISH_TOL:g} after {MAX_ITERS} steps")
 
 
 def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0) -> Field:

@@ -228,15 +228,15 @@ def load_config(path: str | Path, overrides=None) -> ScenarioConfig:
     return validate_config(parser, str(p), text, source=raw, name=p.stem)
 
 
-def from_mapping(kind: str, values: dict, name: str = "adhoc",
-                 seed: int = 0) -> ScenarioConfig:
-    """Build a config from flag-style key/value pairs (CLI without a file).
+def from_mapping(kind: str, values: dict, name: str = "adhoc") -> ScenarioConfig:
+    """Build a config from {section: {key: value}} without a file (the CLI's
+    runs from --set alone); `values` may override the kind and name.
 
     The effective INI text is synthesized so the reproducibility hash is as
     well-defined as for file-based runs.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict({"scenario": {"kind": kind, "name": name, "seed": seed}})
+    parser.read_dict({"scenario": {"kind": kind, "name": name}})
     parser.read_dict(values)
     return validate_config(parser, "<flags>", _serialize_parser(parser),
                            name=name)
@@ -314,8 +314,6 @@ class ScatterSpec:
     n_particles: float | None = None
     mu_list: tuple[float, ...] | None = None
     beta_tilde: float | None = None
-    ode_tol: float = 1e-10
-    bisect_tol: float = 1e-12
     radial_table: bool = False
 
 
@@ -366,6 +364,9 @@ def _parse_trap(sec: _Section) -> TrapSpec:
     v["potential"] = _parse_v_perp(v["potential"] or "harmonic", sec)
     _grid_size(sec, v, "n", least=16)
     _positive(sec, v, "extent")
+    axis = gpe1d.Grid1D(v["extent"], v["n"])
+    _resolved_potential(sec, "potential", axis, lambda: v["potential"](
+        *gpe1d.ProductGrid((axis, axis)).mesh()))
     _check_window(sec, "epsilon", v["epsilon"], 0.0, math.inf, "(0, inf)")
     return TrapSpec(**v)
 
@@ -456,7 +457,6 @@ class CountSpec:
     epsilon: float = 0.5
     b: float = 0.0
     v_par: Callable | None = None     # line only
-    beta_tilde: float | None = None   # checked against its window only
     pair_height: float | None = None
     pair_mu: float | None = None
     quad_height: float | None = None  # given: sample the pair quadratic form
@@ -480,8 +480,6 @@ def _parse_count(sec: _Section) -> CountSpec:
             raise sec.fail(key, "at least one sample required")
     if v["grid"] not in ("line", "confined"):
         raise sec.fail("grid", f"unknown grid kind {v['grid']!r}")
-    _check_window(sec, "beta_tilde", v["beta_tilde"], 1.0 / 3.0, 1.0,
-                  BETA_WINDOW)
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
     _grid_size(sec, v, "dim", "n_y", "quad_n")
@@ -499,9 +497,27 @@ def _parse_count(sec: _Section) -> CountSpec:
     _check_window(sec, "quad_beta_tilde", v["quad_beta_tilde"], 1.0 / 3.0, 1.0,
                   BETA_WINDOW)
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
-    if v["v_par"] is not None and v["grid"] == "confined":
-        raise sec.fail("v_par", "an axial potential applies on grid = line only")
+    if v["v_par"] is not None:
+        if v["grid"] == "confined":
+            raise sec.fail("v_par", "an axial potential applies on grid = line "
+                                    "only")
+        line = gpe1d.Grid1D(v["length"], v["dim"])
+        _resolved_potential(sec, "v_par", line, lambda: v["v_par"](0.0, line.x))
     return CountSpec(**v)
+
+
+def _resolved_potential(sec: _Section, key: str, axis: gpe1d.Grid1D,
+                        evaluate: Callable[[], np.ndarray]) -> None:
+    """The potential under `key`, evaluated on the run's grid of `axis`
+    axes, must be finite and at most 1e6 k_max^2 there, k_max = pi n / L,
+    for the ground state to resolve it: at that bound a harmonic mode on the
+    128^2 trap grid is about 0.2 cells wide."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = float(np.max(np.abs(evaluate())))
+    bound = 1e6 * (math.pi / axis.dx) ** 2
+    if not peak <= bound:
+        raise sec.fail(key, f"potential reaches |V| = {peak:g} on the grid, "
+                            f"beyond 1e6 k_max^2 = {bound:g}")
 
 
 def _pair_resolved(sec: _Section, v: dict, key: str, axes: list) -> None:
@@ -816,7 +832,7 @@ def _barrier_closed_form(w: scattering.RadialPotential) -> float | None:
 
 def _scatter_metrics(spec: ScatterSpec, mu: float) -> tuple:
     w, beta = spec.potential, spec.beta_tilde
-    sol = scattering.solve_zero_energy(w, mu, tol=spec.ode_tol)
+    sol = scattering.solve_zero_energy(w, mu)
     metrics = {"mu": mu, "a": sol.a, "a_mu": sol.a_mu,
                "identity_residual": sol.identity_residual,
                "ode_steps": float(sol.steps)}
@@ -825,7 +841,7 @@ def _scatter_metrics(spec: ScatterSpec, mu: float) -> tuple:
         metrics["closed_form_err"] = abs(sol.a - closed)
     if beta is None:
         return sol, None, metrics
-    corr = scattering.build_correction(sol, beta, bisect_tol=spec.bisect_tol)
+    corr = scattering.build_correction(sol, beta)
     neutral = scattering.neutrality_residual(corr)
     coupling = scattering.shell_coupling(corr)
     target = corr.kappa * 8.0 * math.pi * sol.a

@@ -386,8 +386,7 @@ def _trivial_correction(sol: ScatteringSolution, beta_tilde: float) -> Correctio
                              tangency_slope_residual=0.0)
 
 
-def build_correction(sol: ScatteringSolution, beta_tilde: float,
-                     bisect_tol: float = 1e-12) -> CorrectionProfile:
+def build_correction(sol: ScatteringSolution, beta_tilde: float) -> CorrectionProfile:
     """Find the shell (R, kappa) that cancels the scattering length of w_mu.
 
     Tangency of the shell solution to the free profile r at R is a root of
@@ -395,9 +394,9 @@ def build_correction(sol: ScatteringSolution, beta_tilde: float,
         phi(R) = u R (A cos uR - B sin uR) - (A sin uR + B cos uR),
 
     which changes sign exactly once between the inner radius (phi = mu * a)
-    and the first maximum of the shell solution.  Coarse scan plus bisection.
-    ``bisect_tol`` is relative to the inner radius; the loop always runs at
-    least down to floating-point resolution of the bracket if set to zero.
+    and the first maximum of the shell solution.  Coarse scan plus bisection
+    down to 1e-12 of the inner radius, or to the bracket's floating-point
+    resolution if that comes first.
     """
     if not 1.0 / 3.0 < beta_tilde < 1.0:
         raise DomainError(f"beta_tilde must lie in (1/3, 1), got {beta_tilde}")
@@ -441,7 +440,7 @@ def build_correction(sol: ScatteringSolution, beta_tilde: float,
         lo, flo = float(rs), fs
     if fhi is None:
         raise ConstructionError("no tangency root before the shell solution turns over")
-    while hi - lo > bisect_tol * r0:
+    while hi - lo > 1e-12 * r0:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -471,12 +470,11 @@ def build_correction(sol: ScatteringSolution, beta_tilde: float,
                              tangency_slope_residual=slope_residual)
 
 
-def neutrality_residual(corr: CorrectionProfile, inner_scale: float = 1.0) -> float:
+def neutrality_residual(corr: CorrectionProfile) -> float:
     """int (w_mu - U) f dz over R^3; zero by construction up to solver error.
 
-    ``inner_scale`` multiplies f on the core region only, a diagnostic knob:
-    the residual is linear in the inner amplitude, so a relative perturbation
-    delta shifts the residual by delta * kappa * 8 pi a_mu.
+    The core term int w_mu f dz is kappa * 8 pi a_mu, and the shell term is
+    mu times shell_coupling.
     """
     if corr.shell_height == 0.0:
         return 0.0
@@ -486,7 +484,7 @@ def neutrality_residual(corr: CorrectionProfile, inner_scale: float = 1.0) -> fl
     n = 2048
     rc = np.linspace(0.0, support, n + 1)
     core = _simpson(sol.potential.scaled(rc, mu) * corr.f(rc) * rc**2,
-                    support / n) * inner_scale
+                    support / n)
     return 4.0 * math.pi * (core - corr.shell_height * _shell_integral(corr))
 
 

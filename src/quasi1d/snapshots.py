@@ -82,14 +82,9 @@ def read_snapshot(path: str | Path) -> Snapshot:
 
 
 def _read_header_line(fh: io.BufferedReader) -> str:
-    chars = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise InterfaceError("snapshot file ended before header newline")
-        if ch == b"\n":
-            break
-        chars.extend(ch)
-        if len(chars) > 4096:
+    line = fh.readline(4097)
+    if not line.endswith(b"\n"):
+        if len(line) > 4096:
             raise InterfaceError("snapshot header line too long")
-    return chars.decode("ascii", errors="replace")
+        raise InterfaceError("snapshot file ended before header newline")
+    return line[:-1].decode("ascii", errors="replace")

@@ -1,6 +1,5 @@
 """Scenario harness: configs, assertions, artifacts, CLI exit codes."""
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -169,8 +168,8 @@ def test_section_diagnostics_carry_file_and_line(tmp_path):
                                           r"not a number"):
         harness.load_config(path, ["scatter.height=abc"])
     with pytest.raises(ConfigError, match=r"scenario\.ini:--set \[scatter\] "
-                                          r"ode_tol: not a number"):
-        harness.load_config(path, ["scatter.ode_tol=abc"])
+                                          r"radius: not a number"):
+        harness.load_config(path, ["scatter.radius=abc"])
     with pytest.raises(ConfigError, match=r"^<flags> \[scatter\] height: "):
         harness.from_mapping("scatter", {"scatter": {"mu": 0.001,
                                                      "height": "abc"}})
@@ -368,9 +367,8 @@ def test_assertion_grammar_errors():
 
 
 def count_config(seed):
-    return harness.from_mapping("count", {"count": {
-        "n_particles": 2, "xi": 0.1, "samples": 5, "dim": 8,
-        "length": 8.0}}, seed=seed)
+    return harness.from_mapping("count", {"scenario": {"seed": seed}, "count": {
+        "n_particles": 2, "xi": 0.1, "samples": 5, "dim": 8, "length": 8.0}})
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -534,23 +532,15 @@ def test_snapshot_dataclass_guards():
 
 
 def test_cli_flag_only_scatter(tmp_path, capsys):
-    code = cli.main(["scatter", "--mu", "0.001", "--height", "10",
-                     "--output", str(tmp_path), "--name", "flagrun"])
+    code = cli.main(["scatter", "--set", "scatter.mu=0.001",
+                     "--set", "scatter.height=10", "--output", str(tmp_path),
+                     "--set", "scenario.name=flagrun"])
     assert code == 0
     out = capsys.readouterr().out
     assert "flagrun: PASS" in out
     summary = json.loads((tmp_path / "flagrun" / "summary.json")
                          .read_text(encoding="utf-8"))
     assert summary["metrics"]["a"] > 0.5
-
-
-def test_cli_flags_are_spec_keys():
-    # each flag becomes a --set of its dest, so a key the spec drops must
-    # take its flag along
-    for flags, spec in ((cli._SCATTER_FLAGS, harness.ScatterSpec),
-                        (cli._TRAP_FLAGS, harness.TrapSpec)):
-        keys = {field.name for field in dataclasses.fields(spec)}
-        assert {dest for _flag, _type, dest, _help in flags} <= keys
 
 
 def test_inverted_axial_trap_is_accepted():
@@ -576,9 +566,19 @@ def test_cli_config_run_and_assertion_failure(tmp_path, capsys):
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):
+    # a file or the overrides alone: either of another kind exits 2 before
+    # any output exists
     path = write_ini(tmp_path, SCATTER_INI)
     assert cli.main(["trap", path, "--output", str(tmp_path)]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert "kind = scatter does not match the trap subcommand" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "cli-barrier").exists()
+    assert cli.main(["scatter", "--set", "scenario.kind=trap",
+                     "--set", "trap.n=32", "--set", "trap.extent=12",
+                     "--output", str(tmp_path)]) == 2
+    assert "<flags>: kind = trap does not match the scatter subcommand" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "scatter-cli").exists()
 
 
 def test_cli_bad_override(tmp_path, capsys):
@@ -586,10 +586,10 @@ def test_cli_bad_override(tmp_path, capsys):
     assert cli.main(["scatter", path, "--set", "oops",
                      "--output", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
-    # flag-only runs read overrides with the same grammar and keys
+    # runs without a file read overrides with the same grammar and keys
     for override in ("oops", "scenario.seed=abc", "scenario.nmae=x"):
-        assert cli.main(["scatter", "--mu", "0.001", "--set", override,
-                         "--output", str(tmp_path)]) == 2, override
+        assert cli.main(["scatter", "--set", "scatter.mu=0.001", "--set",
+                         override, "--output", str(tmp_path)]) == 2, override
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "scatter-cli").exists()
 
@@ -672,7 +672,9 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("shell_profile", "scatter.radial_table=maybe"),
     ("shell_profile", "scatter.potential=square_barrier:1,2"),
     ("shell_profile", "scatter.potential=zero:3"),
-    ("barrier_scattering", "scatter.ode_tol=abc"),
+    ("barrier_scattering", "scatter.radius=abc"),
+    ("barrier_scattering", "scatter.ode_tol=1e-10"),
+    ("barrier_scattering", "scatter.bisect_tol=1e-12"),
     ("counting_triplet", "count.dim=abc"),
     ("counting_triplet", "count.dim=7"),
     ("counting_pair", "count.quad_n=abc"),
@@ -681,6 +683,7 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_pair", "count.quad_length=-1"),
     ("counting_pair", "count.quad_mu=0"),
     ("counting_pair", "count.quad_beta_tilde=2"),
+    ("counting_triplet", "count.beta_tilde=0.9"),
     ("counting_pair", "count.quad_samples=0"),
     ("counting_pair", "count.pair_height=5"),
     ("counting_pair", "count.pair_mu=0.5"),
@@ -715,6 +718,9 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("harmonic_trap", "trap.potential=harmonic:0"),
     ("harmonic_trap", "trap.potential=harmonic:-1"),
     ("harmonic_trap", "trap.potential=harmonic:1,2"),
+    ("harmonic_trap", "trap.potential=harmonic:1e300"),
+    ("counting_pair", "count.v_par=harmonic:1e300"),
+    ("counting_pair", "count.v_par=cosine:1e300,1"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -797,10 +803,10 @@ def test_cli_jobs_runs_configs_in_worker_processes(tmp_path, capsys):
                      "--output", str(tmp_path / "mixed")])
     assert code == 2
     assert f"config error: {bad_path}:10 [evolve1d] n: " in capsys.readouterr().err
-def test_cli_seed_flag(tmp_path):
+def test_cli_seed_override(tmp_path):
     path = write_ini(tmp_path, SCATTER_INI)
     assert cli.main(["scatter", path, "--output", str(tmp_path / "s1"),
-                     "--seed", "9"]) == 0
+                     "--set", "scenario.seed=9"]) == 0
     summary = json.loads((tmp_path / "s1" / "cli-barrier" / "summary.json")
                          .read_text(encoding="utf-8"))
     assert summary["reproducibility"]["seed"] == 9

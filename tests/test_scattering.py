@@ -239,11 +239,10 @@ def test_neutrality_and_linearity(barrier_correction):
     a_mu = corr.solution.a_mu
     base = scattering.neutrality_residual(corr)
     assert abs(base) / (8.0 * math.pi * a_mu) < 1e-10
-    # the residual is linear in the core amplitude with known slope
-    delta = 0.01
-    shifted = scattering.neutrality_residual(corr, inner_scale=1.0 + delta)
-    expected = delta * corr.kappa * 8.0 * math.pi * a_mu
-    assert shifted - base == pytest.approx(expected, rel=1e-6)
+    # the residual is the core term int w_mu f dz = kappa 8 pi a_mu, linear
+    # in the core amplitude, less the shell's mu * shell_coupling
+    core = base + corr.mu * scattering.shell_coupling(corr)
+    assert core == pytest.approx(corr.kappa * 8.0 * math.pi * a_mu, rel=1e-6)
 
 
 def test_shell_coupling_identity(barrier_correction):

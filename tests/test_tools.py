@@ -65,3 +65,21 @@ def test_artifact_diff_reports_largest_moves(tmp_path):
 def test_artifact_diff_needs_two_trees(capsys):
     assert _load("artifact_diff").main(["only-one"]) == 2
     assert "OLD_TREE NEW_TREE" in capsys.readouterr().err
+
+
+def test_artifact_diff_exits_1_unless_byte_identical(tmp_path, monkeypatch,
+                                                   capsys):
+    # each tree's run is replaced by hand-written artifacts
+    artifact_diff = _load("artifact_diff")
+    trees = {"same": {"a/summary.json": '{"e0": 1.0}', "a/t.csv": "t\n0\n"},
+             "moved": {"a/summary.json": '{"e0": 1.0}', "a/t.csv": "t\n0.0\n"},
+             "short": {"a/summary.json": '{"e0": 1.0}'}}
+    monkeypatch.setattr(artifact_diff, "run_configs",
+                        lambda tree, root: _write(root, trees[tree.name]))
+    for old, new, code in (("same", "same", 0), ("same", "moved", 1),
+                           ("same", "short", 1)):
+        assert artifact_diff.main([str(tmp_path / old),
+                                   str(tmp_path / new)]) == code, new
+    out = capsys.readouterr().out
+    assert "a/t.csv:\n  same values" in out
+    assert "a/t.csv: only in old" in out

@@ -144,6 +144,7 @@ def test_domain_errors():
             lambda y1, y2: np.where(y1 == 0.0, np.inf, y1**2 + y2**2))
 
 
-def test_ground_state_step_cap_respected():
-    with pytest.raises(ResolutionError):
-        gpe1d._ground_state(*_stiff_plane(), max_iters=2)
+def test_ground_state_step_cap_respected(monkeypatch):
+    monkeypatch.setattr(gpe1d, "MAX_ITERS", 2)
+    with pytest.raises(ResolutionError, match="after 2 steps"):
+        gpe1d._ground_state(*_stiff_plane())

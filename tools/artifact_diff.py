@@ -1,6 +1,7 @@
-"""Compare the artifact values that two checkouts write from their configs.
+"""Compare the artifacts that two checkouts write from their configs.
 
     python3 tools/artifact_diff.py OLD_TREE NEW_TREE
+    python3 tools/artifact_diff.py . .      # two fresh runs of one tree
 
 Runs every `configs/*.ini` of each tree through that tree's own
 `src/quasi1d` (`harness.load_config` and `harness.run_scenario`, one fresh
@@ -9,7 +10,9 @@ artifact path, sorted: `identical` when the two files hold the same bytes,
 and otherwise the largest relative and absolute move of each CSV column or
 JSON key whose values moved.  A value that is not a number, a changed
 header or row count, a key or file on one side only and a file that is
-neither CSV nor JSON are reported as such.
+neither CSV nor JSON are reported as such.  Exits 0 when every artifact is
+identical and 1 otherwise, so that an identical config and seed giving
+other bytes fails.
 
 The counting artifacts move in their last bits with the BLAS thread count,
 so compare trees on one machine with one thread count.
@@ -135,8 +138,9 @@ def main(argv: list[str]) -> int:
         roots = [Path(tmp) / "old", Path(tmp) / "new"]
         for tree, root in zip(argv, roots):
             run_configs(Path(tree).resolve(), root)
-        print("\n".join(compare_roots(*roots)))
-    return 0
+        lines = compare_roots(*roots)
+    print("\n".join(lines))
+    return 0 if all(line.endswith(": identical") for line in lines) else 1
 
 
 if __name__ == "__main__":
