@@ -124,10 +124,10 @@ def energy_3d(psi: Field, a: float,
               v_par: Potential3D = None) -> float:
     """<psi, (-Laplace + V_conf + V_par + (g/2)|psi|^2) psi>, g = 8 pi a eps^2."""
     grid = psi.grid
-    return _energy(psi.values, grid.k_squared(), grid.dvol,
-                   _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
-                   _box_potential(v_par, grid)(psi.time),
-                   8.0 * math.pi * a * grid.epsilon**2)
+    return float(_energy(psi.values[None], grid.k_squared(), grid.dvol,
+                         _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
+                         _box_potential(v_par, grid)(psi.time),
+                         8.0 * math.pi * a * grid.epsilon**2)[0])
 
 
 def evolve_3d(psi0: Field, a: float,

@@ -39,6 +39,15 @@ Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 # 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.
 SLAB_MIN_POINTS = 200_000
 
+# The loop evaluates its recorded energies in stacks of max(1, BATCH_POINTS //
+# field size) fields: 32 on the 256-point line, 3 on the 48^2 plane, and on a
+# 3d box one, the loop's own psi.  BATCH_POINTS is the 128 KiB (of complex)
+# floor that manybody._LEAST sets for its blocked passes; below it numpy's
+# per-call cost outweighs the arithmetic (on the 256-point line an energy
+# took 25-30 us alone and 5.4 us per field in a stack of 32, 2-vCPU Xeon,
+# numpy 2.4).
+BATCH_POINTS = 8192
+
 # _ground_state's step cap and the eigenresidual that ends it.  The most
 # steps any ground state of the tests or the shipped configs takes is 112
 # (the 256-point harmonic line at b = 46); a stalled 128^2 solve reaches
@@ -154,12 +163,16 @@ def plane_wave(grid: Grid1D, mode: int) -> Field:
 
 def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
             v_t, g: float, spectrum: np.ndarray | None = None,
-            real: np.ndarray | None = None) -> float:
-    """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi>; the kinetic
-    part is sum k^2 |fftn psi|^2 dV / size (Parseval), and the two potentials
-    are weighted separately, so no full-grid sum of them is formed.
+            real: np.ndarray | None = None) -> np.ndarray:
+    """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi> of each field
+    psi = values[j] of a stack, one energy per field.  v_t broadcasts
+    against the stack, so each field may have its own v(t).  The kinetic
+    part is sum k^2 |fftn psi|^2 dV / size (Parseval), and the two
+    potentials are weighted separately, so no full-grid sum of them is
+    formed.  Transforms and sums run over the trailing (field) axes; they
+    give the bits of the same calls on one field alone.
 
-    Runs in two scratch arrays of the field's shape, allocated if not given:
+    Runs in two scratch arrays of the stack's shape, allocated if not given:
     `spectrum` (complex) holds the transform, then the density in the first
     half of its float64 view; `real` holds k^2 |psi_hat|^2, then each
     potential and interaction integrand.
@@ -167,17 +180,18 @@ def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
     if spectrum is None:
         spectrum = np.empty(values.shape, dtype=complex)
         real = np.empty(values.shape)
-    np.fft.fftn(values, out=spectrum)
+    axes = tuple(range(1, values.ndim))
+    np.fft.fftn(values, axes=axes, out=spectrum)
     np.abs(spectrum, out=real)
     np.square(real, out=real)
     np.multiply(k2, real, out=real)
-    kinetic = float(np.sum(real)) * dvol / values.size
+    kinetic = np.add.reduce(real, axis=axes) * dvol / values[0].size
     density = spectrum.reshape(-1).view(np.float64)[:values.size].reshape(values.shape)
     np.abs(values, out=density)
     np.square(density, out=density)
-    potential = (float(np.sum(np.multiply(v_static, density, out=real)))
-                 + float(np.sum(np.multiply(v_t, density, out=real))))
-    interaction = 0.5 * g * float(np.sum(np.square(density, out=real)))
+    potential = (np.add.reduce(np.multiply(v_static, density, out=real), axis=axes)
+                 + np.add.reduce(np.multiply(v_t, density, out=real), axis=axes))
+    interaction = 0.5 * g * np.add.reduce(np.square(density, out=real), axis=axes)
     return kinetic + (potential + interaction) * dvol
 
 
@@ -241,6 +255,12 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     energies at `energy_times` only; a non-finite field raises
     ResolutionError at the step where it appears.
 
+    An energy is not evaluated at its step.  The closed field and v(t) are
+    copied into the next row of a stack of B = max(1, BATCH_POINTS // size)
+    fields, and one _energy pass over a full stack, or over the rows filled
+    at the last step, gives B energies with the bits of B single calls.
+    For B = 1 (3d boxes) the stack is psi itself, evaluated at once.
+
     A step runs in three stages, each on independent slabs of the box:
     (A) on slabs along axis 0, the phase and the forward FFT over the other
     axes; (B) on slabs along axis 1, the FFT along axis 0, the factor
@@ -251,8 +271,10 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     on the calling thread, the others on helper threads (_slab_workers).
 
     The loop holds six arrays of the box: psi, kin and factor (complex) and
-    k2, rho and theta (real).  The energy writes only into factor and theta,
-    so recording it allocates nothing of the box's size.
+    k2, rho and theta (real).  For B = 1 the energy writes only into factor
+    and theta, so recording it allocates nothing of the box's size; for
+    B > 1 the stack, v(t) and _energy's scratch hold four arrays of at most
+    BATCH_POINTS points (384 KiB), whatever the number of steps.
     """
     n_steps = max(1, round(span / dt))
     dt = span / n_steps
@@ -306,16 +328,43 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
         np.add(r, th, out=r)
         np.add.reduce(r, axis=trailing, out=rw)
 
-    def energy(t: float) -> float:
-        return _energy(psi, k2, dvol, v_static, v_axial(t), g, factor, theta)
-
     t = psi0.time
     times = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
+    energies = np.empty(n_steps + 1)
+    energy_times = np.empty(n_steps + 1)
+    recorded = evaluated = 0        # energy times taken, energies evaluated
+    batch = max(1, BATCH_POINTS // psi.size)
+    if batch > 1:
+        stack = np.empty((batch, *psi.shape), dtype=complex)
+        stack_v = np.empty((batch, *psi.shape))
+        spectrum, real = np.empty_like(stack), np.empty_like(stack_v)
+
+    def evaluate() -> None:
+        nonlocal evaluated
+        rows = recorded - evaluated
+        energies[evaluated:recorded] = _energy(
+            stack[:rows], k2, dvol, v_static, stack_v[:rows], g,
+            spectrum[:rows], real[:rows])
+        evaluated = recorded
+
+    def record_energy(t: float) -> None:
+        nonlocal recorded, evaluated
+        energy_times[recorded] = t
+        if batch == 1:
+            energies[recorded] = _energy(psi[None], k2, dvol, v_static,
+                                         v_axial(t), g, factor[None], theta[None])[0]
+            recorded = evaluated = recorded + 1
+            return
+        stack[recorded - evaluated] = psi
+        stack_v[recorded - evaluated] = v_axial(t)
+        recorded += 1
+        if recorded - evaluated == batch:
+            evaluate()
+
     times[0] = t
     norms[0] = math.sqrt(float(np.sum(rho)) * dvol)
-    energies = [energy(t)]
-    energy_times = [t]
+    record_energy(t)
     samples = [Field(grid, psi.copy(), t)] if sample_stride else []
 
     with _slab_pool(workers) as pool:
@@ -349,15 +398,16 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
             v_next = None if last else v_axial(t + 0.5 * dt)
             if sample or last or i % energy_stride == 0:
                 run(apply_phase, x_slabs, 0.5 * dt, v_cur)
-                energies.append(energy(t))
-                energy_times.append(t)
+                record_energy(t)
                 if sample:
                     samples.append(Field(grid, psi.copy(), t))
                 h, v = 0.5 * dt, v_next
             else:
                 h, v = dt, 0.5 * (v_cur + v_next)
             v_cur = v_next
-    return Trajectory(times, norms, np.array(energies), np.array(energy_times),
+    if evaluated < recorded:
+        evaluate()
+    return Trajectory(times, norms, energies[:recorded], energy_times[:recorded],
                       Field(grid, psi, t), samples)
 
 
@@ -376,8 +426,8 @@ def strang_step(phi: Field, dt: float, v_par: Potential1D = None,
 def energy_1d(phi: Field, v_par: Potential1D = None, b: float = 0.0) -> float:
     """<Phi, (-d^2/dx^2 + V + b/2 |Phi|^2) Phi>, manifestly real."""
     grid = phi.grid
-    return _energy(phi.values, grid.k_squared(), grid.dvol, 0.0,
-                   _line_potential(v_par, grid)(phi.time), b)
+    return float(_energy(phi.values[None], grid.k_squared(), grid.dvol, 0.0,
+                         _line_potential(v_par, grid)(phi.time), b)[0])
 
 
 def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,

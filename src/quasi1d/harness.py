@@ -365,8 +365,9 @@ def _parse_trap(sec: _Section) -> TrapSpec:
     _grid_size(sec, v, "n", least=16)
     _positive(sec, v, "extent")
     axis = gpe1d.Grid1D(v["extent"], v["n"])
-    _resolved_potential(sec, "potential", axis, lambda: v["potential"](
-        *gpe1d.ProductGrid((axis, axis)).mesh()))
+    plane = gpe1d.ProductGrid((axis, axis))
+    _resolved_potential(sec, "potential", plane,
+                        lambda: v["potential"](*plane.mesh()))
     _check_window(sec, "epsilon", v["epsilon"], 0.0, math.inf, "(0, inf)")
     return TrapSpec(**v)
 
@@ -506,18 +507,26 @@ def _parse_count(sec: _Section) -> CountSpec:
     return CountSpec(**v)
 
 
-def _resolved_potential(sec: _Section, key: str, axis: gpe1d.Grid1D,
+def _resolved_potential(sec: _Section, key: str,
+                        grid: gpe1d.Grid1D | gpe1d.ProductGrid,
                         evaluate: Callable[[], np.ndarray]) -> None:
-    """The potential under `key`, evaluated on the run's grid of `axis`
-    axes, must be finite and at most 1e6 k_max^2 there, k_max = pi n / L,
-    for the ground state to resolve it: at that bound a harmonic mode on the
-    128^2 trap grid is about 0.2 cells wide."""
+    """The potential under `key`, evaluated on the run's `grid`, must be
+    finite and at most the grid's largest k^2 there (sum over the axes of
+    (pi n / L)^2).  The ground state's LOBPCG preconditions by the kinetic
+    part alone, so its step count grows with max|V| / max k^2.  At the
+    bound, harmonic, well and cosine potentials (modes 1 to 10) on the
+    shipped trap and counting grids took at most 569 of its MAX_ITERS
+    steps; harmonic:1e4 on the trap grid (1000 times the bound) and
+    cosine:1e9,1 on the counting line (6e4 times) stall.  A cosine of mode
+    20 or more can stall below the bound: its many wells hold nearly
+    degenerate lowest states."""
     with np.errstate(over="ignore", invalid="ignore"):
         peak = float(np.max(np.abs(evaluate())))
-    bound = 1e6 * (math.pi / axis.dx) ** 2
+    bound = float(np.max(grid.k_squared()))
     if not peak <= bound:
         raise sec.fail(key, f"potential reaches |V| = {peak:g} on the grid, "
-                            f"beyond 1e6 k_max^2 = {bound:g}")
+                            f"beyond its largest k^2 = {bound:g}; refine the "
+                            f"grid or weaken the potential")
 
 
 def _pair_resolved(sec: _Section, v: dict, key: str, axes: list) -> None:
@@ -973,10 +982,15 @@ def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         metrics["plane_phase_err"] = float(
             np.max(np.abs(traj.final.values - exact)))
     if spec.convergence:
-        # global error halves twice per dt halving for the symmetric split
-        finals = [gpe1d.evolve_1d(phi0, spec.t_final, spec.dt / den,
-                                  v_par=spec.v_par, b=spec.b).final.values
-                  for den in (1.0, 2.0, 16.0)]
+        # global error halves twice per dt halving for the symmetric split;
+        # the dt run is traj, and of the dt/2 and dt/16 runs only the final
+        # field is read, so they record no energy between their ends
+        k2 = grid.k_squared()
+        v_axial = gpe1d._line_potential(spec.v_par, grid)
+        finals = [traj.final.values] + [
+            gpe1d._strang_loop(phi0, spec.t_final, spec.dt / den, k2, 0.0,
+                               v_axial, spec.b, int(den * (steps + 1))).final.values
+            for den in (2.0, 16.0)]
         scale = math.sqrt(grid.dx)
         err_coarse = float(np.linalg.norm(finals[0] - finals[2])) * scale
         err_fine = float(np.linalg.norm(finals[1] - finals[2])) * scale

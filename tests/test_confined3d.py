@@ -236,6 +236,23 @@ def test_loop_energies_are_energy_3d_bitwise(separable_setup):
         traj.energies[at].tolist()
 
 
+def test_plane_batched_energies_are_energy_bitwise(separable_setup):
+    # on the 48^2 plane the loop evaluates its energies 3 fields at a time;
+    # 11 records leave a last batch of 2
+    grid, mode, _ = separable_setup
+    plane = grid.plane
+    assert gpe1d.BATCH_POINTS // math.prod(plane.shape) == 3
+    eta0 = np.roll(mode.chi, 3, axis=0)          # off-centre, so it moves
+    traj = confined3d._evolve_plane(eta0, grid, transverse.harmonic_profile,
+                                    0.01, 1e-3, sample_stride=1)
+    v_static = transverse._confinement(grid.axes[1], grid.epsilon,
+                                       transverse.harmonic_profile)
+    assert len(traj.samples) == traj.energies.size == 11
+    assert [float(gpe1d._energy(s.values[None], plane.k_squared(), plane.dvol,
+                                v_static, 0.0, 0.0)[0])
+            for s in traj.samples] == traj.energies.tolist()
+
+
 def _peak_boxes(run, box_bytes):
     """Peak of traced allocations while `run()` runs, in boxes of box_bytes."""
     tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,46 @@ def test_loop_energies_are_energy_1d_bitwise():
     at = np.searchsorted(traj.energy_times, [s.time for s in traj.samples])
     assert [gpe1d.energy_1d(s, v_par, 1.5) for s in traj.samples] == \
         traj.energies[at].tolist()
+
+
+def test_batched_energies_are_energy_1d_bitwise():
+    # the loop evaluates its energies 32 fields at a time on this line; 76
+    # records leave a last batch of 12, and every field's v(t) differs
+    grid = gpe1d.Grid1D(16.0, 256)
+    assert gpe1d.BATCH_POINTS // grid.n == 32
+    phi0 = gpe1d.gaussian_packet(grid, sigma=1.2, k0=1.5)
+
+    def v_par(t, x):
+        return (0.5 + np.sin(9.0 * t)) * 0.05 * x**2 + 0.3 * np.cos(x + t)
+
+    traj = gpe1d.evolve_1d(phi0, 0.075, 1e-3, v_par=v_par, b=1.5, sample_stride=1)
+    assert len(traj.samples) == traj.energies.size == 76
+    np.testing.assert_array_equal(traj.energy_times, [s.time for s in traj.samples])
+    assert [gpe1d.energy_1d(s, v_par, 1.5) for s in traj.samples] == \
+        traj.energies.tolist()
+
+
+def test_energy_batch_scratch_does_not_grow_with_the_steps():
+    # beyond what the trajectory keeps, a run holds the loop's buffers and
+    # the batch scratch (384 KiB on this line) whatever its length
+    grid = gpe1d.Grid1D(16.0, 256)
+    phi0 = gpe1d.gaussian_packet(grid, k0=1.0)
+
+    def transient(steps):
+        tracemalloc.start()
+        try:
+            traj = gpe1d.evolve_1d(phi0, steps * 1e-3, 1e-3,
+                                   v_par=lambda t, x: np.cos(x + t), b=1.5)
+            kept, peak = tracemalloc.get_traced_memory()
+            assert traj.energies.size == steps + 1
+            return peak - kept
+        finally:
+            tracemalloc.stop()
+
+    transient(64)                   # FFT plans and imports out of the count
+    short, long = transient(64), transient(4096)
+    assert long - short < 4096
+    assert long < 512 * 1024
 
 
 def _random_field(grid, seed):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasi1d import cli, harness, snapshots
+from quasi1d import cli, gpe1d, harness, snapshots, transverse
 from quasi1d.errors import ConfigError, InterfaceError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -683,7 +683,7 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_pair", "count.quad_length=-1"),
     ("counting_pair", "count.quad_mu=0"),
     ("counting_pair", "count.quad_beta_tilde=2"),
-    ("counting_triplet", "count.beta_tilde=0.9"),
+    ("counting_pair", "count.beta_tilde=0.9"),
     ("counting_pair", "count.quad_samples=0"),
     ("counting_pair", "count.pair_height=5"),
     ("counting_pair", "count.pair_mu=0.5"),
@@ -721,6 +721,8 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("harmonic_trap", "trap.potential=harmonic:1e300"),
     ("counting_pair", "count.v_par=harmonic:1e300"),
     ("counting_pair", "count.v_par=cosine:1e300,1"),
+    ("harmonic_trap", "trap.potential=harmonic:1e4"),
+    ("counting_pair", "count.v_par=cosine:1e9,1"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -732,11 +734,37 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     assert not (tmp_path / config).exists()
 
 
+@pytest.mark.parametrize("config, override", [
+    ("harmonic_trap", "trap.potential=harmonic:9.8"),
+    ("harmonic_trap", "trap.potential=well:1260,2"),
+    ("counting_pair", "count.v_par=harmonic:-1600"),
+    ("counting_pair", "count.v_par=cosine:16000,1"),
+])
+def test_potentials_below_the_load_bound_reach_their_ground_state(config, override):
+    # just below the grid's largest k^2 (1263 on the trap's plane, 16384 on
+    # the counting line) the loader admits the potential and the ground
+    # state converges; harmonic:1e4 and cosine:1e9,1, which stall, exit 2
+    # (test_cli_malformed_input_exits_2)
+    cfg = harness.load_config(CONFIG_DIR / f"{config}.ini", [override])
+    spec = cfg.spec
+    if cfg.kind == "trap":
+        transverse.ground_state_2d(spec.potential, extent=spec.extent, n=spec.n)
+    else:
+        gpe1d.ground_state_1d(gpe1d.Grid1D(spec.length, spec.dim), spec.v_par,
+                              spec.b)
+
+
 def _config_error_at(path, section, key):
-    # the key's line in the file itself, or --set when only the override has it
-    lines = path.read_text(encoding="utf-8").splitlines()
-    line = next((str(i) for i, text in enumerate(lines, start=1)
-                 if text.partition("=")[0].strip() == key), "--set")
+    # the key's line inside [section] of the file itself, or --set when only
+    # the override has it
+    line, current = "--set", None
+    for i, text in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        text = text.strip()
+        if text.startswith("[") and text.endswith("]"):
+            current = text[1:-1].strip()
+        elif current == section and text.partition("=")[0].strip() == key:
+            line = str(i)
+            break
     return f"config error: {path}:{line} [{section}] {key}: "
 
 
