@@ -8,9 +8,9 @@ density.  Every factor is unimodular, so the grid norm is conserved to
 round-off; the scheme is second order and exactly time reversible.  The
 loop and the energy work on any grid shape; confined3d runs on them too.
 Ground states come from one routine on any grid, a LOBPCG iteration from
-the caller's seed (Rayleigh-Ritz with the previous search direction kept,
-dropped after a step shortened at b > 0), which transverse runs for the 2d
-mode too.
+the caller's seed (Rayleigh-Ritz steps on the energy's own second-order
+model, the previous search direction kept), which transverse runs for the
+2d mode too; the line seeds it from the flat state.
 On boxes of SLAB_MIN_POINTS or more the loop cuts each step into slabs, one
 per CPU the process may use; there is no setting for it.
 """
@@ -49,9 +49,10 @@ SLAB_MIN_POINTS = 200_000
 BATCH_POINTS = 8192
 
 # _ground_state's step cap and the eigenresidual that ends it.  The most
-# steps any ground state of the tests or the shipped configs takes is 112
-# (the 256-point harmonic line at b = 46); a stalled 128^2 solve reaches
-# the cap in about 1.5 s (2-vCPU Xeon, numpy 2.4).
+# steps any ground state of the tests or the shipped configs takes is 215
+# (the 128^2 trap plane under well:1260,2, just below the load bound); the
+# line's reach about 270 at 0.999 of the load bound.  A stalled 128^2
+# solve reaches the cap in about 1.5 s (2-vCPU Xeon, numpy 2.4).
 MAX_ITERS = 1_000
 POLISH_TOL = 1e-10
 
@@ -448,11 +449,14 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from the given
     seed: Rayleigh-Ritz steps in span{psi, preconditioned residual, previous
     direction} under H = -Laplace + V + b psi^2 frozen at psi, until
-    |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  Its transforms
-    are rfftn/irfftn, since every vector is real.  At b > 0 a step that
-    would raise the energy has its rotation angle halved until it does not,
-    and the next step then restarts without the previous direction.  Raises
-    ResolutionError after MAX_ITERS steps.
+    |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  Along the sphere
+    the quartic term curves the energy by 3 b psi^2, where the frozen H
+    holds b psi^2, so at b > 0 the Ritz matrix gains 2 b <u_i, psi^2 u_j> on
+    the search vectors: each step minimizes the energy's own second-order
+    model.  A search vector that orthogonalization leaves below 1e-8 of its
+    length lies in the span of the others and is dropped.  Its transforms
+    are rfftn/irfftn, since every vector is real.  Raises ResolutionError
+    after MAX_ITERS steps.
 
     Returns the state and the energy of every iterate; the last is the
     state's own, at b = 0 its eigenvalue.
@@ -487,19 +491,26 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
         # the search space beyond psi: the residual under the spectral
         # preconditioner (kinetic shifted to stay positive definite) and the
         # previous direction, orthonormalized against psi and each other
-        basis = [spectral(resid, 1.0 / (k2_half + 1.0 + abs(mu)))]
-        if direction is not None:
-            basis.append(direction)
-        for i, u in enumerate(basis):
-            for prev in (psi, *basis[:i]):
+        basis = []
+        for u in (spectral(resid, 1.0 / (k2_half + 1.0 + abs(mu))), direction):
+            if u is None:
+                continue
+            length = math.sqrt(dot(u, u))
+            for prev in (psi, *basis):
                 u -= dot(prev, u) * prev
-            u /= math.sqrt(dot(u, u))
+            left = math.sqrt(dot(u, u))
+            if left > 1e-8 * length:
+                basis.append(u / left)
         h_basis = [apply_h(u) for u in basis]
-        # H - mu on span{psi, basis}; its lowest Ritz vector (c0, c)
-        # rotates psi by the angle atan2(|d|, c0) toward d = sum c_i u_i
+        # the energy's second-order model on span{psi, basis}, less mu; its
+        # lowest Ritz vector (c0, c) rotates psi by the angle atan2(|d|, c0)
+        # toward d = sum c_i u_i
         h_shift = np.array([[dot(f, h_g) for h_g in (h_psi, *h_basis)]
                             for f in (psi, *basis)])
         h_shift = 0.5 * (h_shift + h_shift.T) - mu * np.eye(len(basis) + 1)
+        if b:       # the rest of the quartic term's curvature
+            curve = 2.0 * b * psi**2
+            h_shift[1:, 1:] += [[dot(curve * f, g) for g in basis] for f in basis]
         ritz = np.linalg.eigh(h_shift)[1][:, 0]
         if ritz[0] < 0.0:
             ritz = -ritz
@@ -507,26 +518,6 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
         d_norm = math.sqrt(dot(d, d))
         direction = q = d / d_norm
         angle = math.atan2(d_norm, ritz[0])
-        if b:
-            # E(cos(a) psi + sin(a) q) - E(psi) is the frozen H's Ritz
-            # decrement plus (b/2) int (psi_a^2 - psi^2)^2, here formed
-            # cancellation-free so that its sign holds for tiny steps;
-            # <q, (H - mu) q> and <psi, H q> for q = d / |d| come from h_shift
-            h22 = float(ritz[1:] @ h_shift[1:, 1:] @ ritz[1:]) / d_norm**2
-            h12 = float(h_shift[0, 1:] @ ritz[1:]) / d_norm
-
-            def rise(a: float) -> float:
-                step = math.sin(a) * q - 2.0 * math.sin(0.5 * a) ** 2 * psi
-                return (math.sin(a) ** 2 * h22 + math.sin(2.0 * a) * h12
-                        + 0.5 * b * float(np.sum((step * (2.0 * psi + step)) ** 2))
-                        * dvol)
-
-            if rise(angle) > 0.0:
-                while rise(angle) > 0.0:
-                    angle *= 0.5
-                # a shortened step is no Ritz step: the next one restarts
-                # from the residual alone
-                direction = None
         cand = math.cos(angle) * psi + math.sin(angle) * q
         psi = cand / math.sqrt(dot(cand, cand))
     raise ResolutionError(f"ground-state eigenresidual stalled above "
@@ -535,14 +526,16 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
 
 def ground_state_1d(grid: Grid1D, v_par: Potential1D = None, b: float = 0.0) -> Field:
     """Ground state of the line's energy functional by _ground_state, from
-    exp(-(4x/L)^2).
+    the flat state, for b >= 0.
 
-    The potential is frozen at t = 0; meant for autonomous V.
+    The flat state is positive and shares every symmetry of H, so it
+    overlaps the positive ground state whatever V is.  The potential is
+    frozen at t = 0; meant for autonomous V.
     """
-    x = grid.x
-    v = v_par(0.0, x) if v_par is not None else np.zeros_like(x)
-    psi, _ = _ground_state(np.exp(-(x / (0.25 * grid.length)) ** 2),
-                           grid.k_squared(), grid.dx, v, b)
+    if b < 0.0:
+        raise DomainError("the line's ground state needs b >= 0")
+    v = v_par(0.0, grid.x) if v_par is not None else np.zeros(grid.n)
+    psi, _ = _ground_state(np.ones(grid.n), grid.k_squared(), grid.dx, v, b)
     return Field(grid, psi.astype(complex))
 
 

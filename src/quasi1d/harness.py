@@ -157,17 +157,29 @@ class _Section:
         return numbers
 
     def mini_spec(self, key: str, text: str, what: str,
-                  defaults: dict[str, tuple]) -> tuple:
-        """`name[:numbers]` with `name` a key of `defaults`: at most as many
-        numbers as its defaults, the missing ones taken from them."""
+                  table: dict[str, tuple]) -> tuple:
+        """`name[:numbers]` with `name` a key of `table`, which lists the
+        name's numbers as (label, default, rule) triples: at most that many
+        numbers, the missing ones taken from their defaults (a default of
+        None makes the number required), each passing its rule, a (test,
+        what the number must be) pair, or None for any finite number."""
         name, _, rest = text.partition(":")
-        if name not in defaults:
+        if name not in table:
             raise self.fail(key, f"unknown {what} {text!r}")
         numbers = self.numbers(key, rest)
-        if len(numbers) > len(defaults[name]):
+        slots = table[name]
+        if len(numbers) > len(slots):
             raise self.fail(key, f"too many numbers for {name} (at most "
-                                 f"{len(defaults[name])}): {text!r}")
-        return (name, *numbers, *defaults[name][len(numbers):])
+                                 f"{len(slots)}): {text!r}")
+        values = (*numbers, *(default for _, default, _ in slots[len(numbers):]))
+        if None in values:
+            labels = ",".join(label for label, _, _ in slots)
+            raise self.fail(key, f"{name} needs {labels}: {text!r}")
+        for (label, _, rule), value in zip(slots, values):
+            if rule and not rule[0](value):
+                raise self.fail(key, f"{name} {label} must be {rule[1]}: "
+                                     f"{text!r}")
+        return (name, *values)
 
 
 def _locate_key(text: str, section: str, key: str) -> int | None:
@@ -485,6 +497,8 @@ def _parse_count(sec: _Section) -> CountSpec:
         v["dim"] = 32 if v["grid"] == "line" else 16
     _grid_size(sec, v, "dim", "n_y", "quad_n")
     _positive(sec, v, "length", "extent", "epsilon", "quad_length", "quad_mu")
+    if v["b"] < 0:      # a flat ground-state seed would be the flat saddle
+        raise sec.fail("b", "the condensate's coupling b must be non-negative")
     if (v["pair_height"] is None) != (v["pair_mu"] is None):
         raise sec.fail("pair_mu" if v["pair_height"] is None else "pair_height",
                        "give both pair_height and pair_mu or neither")
@@ -513,13 +527,14 @@ def _resolved_potential(sec: _Section, key: str,
     """The potential under `key`, evaluated on the run's `grid`, must be
     finite and at most the grid's largest k^2 there (sum over the axes of
     (pi n / L)^2).  The ground state's LOBPCG preconditions by the kinetic
-    part alone, so its step count grows with max|V| / max k^2.  At the
-    bound, harmonic, well and cosine potentials (modes 1 to 10) on the
-    shipped trap and counting grids took at most 569 of its MAX_ITERS
-    steps; harmonic:1e4 on the trap grid (1000 times the bound) and
-    cosine:1e9,1 on the counting line (6e4 times) stall.  A cosine of mode
-    20 or more can stall below the bound: its many wells hold nearly
-    degenerate lowest states."""
+    part alone, so its step count grows with max|V| / max k^2; harmonic:1e4
+    on the trap grid (1000 times the bound) and cosine:1e9,1 on the
+    counting line (6e4 times) stall.  Below the bound, the line's ground
+    state converges for every harmonic and every cosine whose mode divides
+    the point count, at any b in [0, 200] (test_line_ground_state_property).
+    A deep cosine whose mode does not divide the point count can still
+    stall at b = 0: its wells sample the grid unequally, so no symmetry
+    keeps the flat seed off their nearly degenerate lowest states."""
     with np.errstate(over="ignore", invalid="ignore"):
         peak = float(np.max(np.abs(evaluate())))
     bound = float(np.max(grid.k_squared()))
@@ -539,6 +554,16 @@ def _pair_resolved(sec: _Section, v: dict, key: str, axes: list) -> None:
 
 # ---------------------------------------------------------------------------
 # mini-spec parsers shared by scenario kinds
+
+# mini-spec rules: (test, what a number that fails it must be)
+_POSITIVE = (lambda x: x > 0, "positive")
+_INTEGER = (lambda x: x == int(x), "an integer")
+
+
+def _within(lo: float, hi: float, integer: bool = False) -> tuple:
+    """The rule lo <= x <= hi, for integers x only if `integer`."""
+    return (lambda x: lo <= x <= hi and (not integer or x == int(x)),
+            f"{'an integer' if integer else 'a number'} in [{lo:g}, {hi:g}]")
 
 
 def _parse_radial_potential(sec: _Section, spec: str, height: float,
@@ -565,22 +590,16 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
 
 def _parse_v_perp(spec: str, sec: _Section) -> Callable:
     name, *params = sec.mini_spec("potential", spec, "transverse potential", {
-        "harmonic": (1.0,), "shifted": (0.0,), "well": (None, None)})
+        "harmonic": (("strength", 1.0, _POSITIVE),),
+        "shifted": (("shift", 0.0, None),),
+        "well": (("depth", None, _POSITIVE), ("radius", None, _POSITIVE))})
     if name == "harmonic":
         c = params[0]
-        if c <= 0:
-            raise sec.fail("potential", f"harmonic strength must be positive: "
-                                        f"{spec!r}")
         return lambda y1, y2: c * (y1**2 + y2**2)
     if name == "shifted":
         c = params[0]
         return lambda y1, y2: y1**2 + y2**2 + c
     depth, radius = params
-    if radius is None:
-        raise sec.fail("potential", f"well spec needs depth,radius: {spec!r}")
-    if depth <= 0 or radius <= 0:
-        raise sec.fail("potential", f"well depth and radius must be "
-                                    f"positive: {spec!r}")
     # smooth edge: a hard indicator rings under the spectral operator
     width = 0.25 * radius
     return lambda y1, y2: depth * 0.5 * (
@@ -590,14 +609,14 @@ def _parse_v_perp(spec: str, sec: _Section) -> Callable:
 def _parse_v_par(spec: str | None, length: float, sec: _Section) -> Callable | None:
     if spec in (None, "", "none"):
         return None
+    # a harmonic strength takes any sign: c < 0 is an inverted trap
     name, *params = sec.mini_spec("v_par", spec, "axial potential", {
-        "harmonic": (1.0,), "cosine": (1.0, 1.0)})
+        "harmonic": (("strength", 1.0, None),),
+        "cosine": (("amplitude", 1.0, None), ("mode", 1.0, _INTEGER))})
     if name == "harmonic":
-        c = params[0]           # any sign: c < 0 is an inverted trap
+        c = params[0]
         return lambda t, x: c * x**2
     amp, mode = params
-    if mode != int(mode):
-        raise sec.fail("v_par", f"cosine mode must be an integer: {spec!r}")
     q = 2.0 * math.pi * mode / length
     return lambda t, x: amp * np.cos(q * x)
 
@@ -607,36 +626,16 @@ def _parse_initial(sec: _Section, spec: str, n: int, length: float) -> tuple:
     is no narrower than a cell nor wider than the box and centred inside
     it; a Gaussian's boost and a plane wave stay within the grid's Nyquist
     mode n/2, beyond which they alias."""
+    nyquist = math.pi * n / length
     name, *params = sec.mini_spec("initial", spec, "initial state", {
-        "gaussian": (1.0, 0.0, 0.0), "plane": (1,), "constant": ()})
-    if name == "gaussian":
-        sigma, x0, k0 = params
-        if not length / n <= sigma <= length:
-            raise sec.fail("initial", f"gaussian width must lie in [dx, length]"
-                                      f" = [{length / n:g}, {length:g}]: {spec!r}")
-        if not abs(x0) <= 0.5 * length:
-            raise sec.fail("initial", f"gaussian centre outside the box "
-                                      f"[-{0.5 * length:g}, {0.5 * length:g}]: "
-                                      f"{spec!r}")
-        if not abs(k0) <= math.pi * n / length:
-            raise sec.fail("initial", f"gaussian boost beyond the Nyquist "
-                                      f"wavenumber {math.pi * n / length:g} "
-                                      f"aliases: {spec!r}")
+        "gaussian": (("width", 1.0, _within(length / n, length)),
+                     ("centre", 0.0, _within(-0.5 * length, 0.5 * length)),
+                     ("boost", 0.0, _within(-nyquist, nyquist))),
+        "plane": (("mode", 1, _within(-(n // 2), n // 2, integer=True)),),
+        "constant": ()})
     if name == "plane":
-        mode = params[0]
-        if mode != int(mode):
-            raise sec.fail("initial", f"plane wave mode must be an integer: "
-                                      f"{spec!r}")
-        if abs(mode) > n // 2:
-            raise sec.fail("initial", f"plane wave mode beyond n/2 = {n // 2} "
-                                      f"aliases: {spec!r}")
-        return name, int(mode)
+        return name, int(params[0])
     return (name, *params)
-
-
-def _flat_field(grid: gpe1d.Grid1D) -> gpe1d.Field:
-    values = np.full(grid.n, 1.0 / math.sqrt(grid.length), dtype=complex)
-    return gpe1d.Field(grid, values, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +965,7 @@ def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     grid = gpe1d.Grid1D(spec.length, spec.n)
     name, *params = spec.initial
     phi0 = {"gaussian": gpe1d.gaussian_packet, "plane": gpe1d.plane_wave,
-            "constant": _flat_field}[name](grid, *params)
+            "constant": lambda grid: gpe1d.plane_wave(grid, 0)}[name](grid, *params)
     traj = gpe1d.evolve_1d(phi0, spec.t_final, spec.dt, v_par=spec.v_par,
                            b=spec.b, sample_stride=spec.sample_stride)
     steps = float(len(traj.times) - 1)
@@ -1051,8 +1050,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         ham = manybody.confined_hamiltonian(grid, mode,
                                             transverse.harmonic_profile,
                                             v_par, pair, pair_range=pair_mu)
-    phi = gpe1d.ground_state_1d(grid, v_par=v_par, b=spec.b) \
-        if (v_par is not None or spec.b) else _flat_field(grid)
+    phi = gpe1d.ground_state_1d(grid, v_par=v_par, b=spec.b)
     orbital = manybody.orbital_from_fields(phi, mode)
     e_phi = gpe1d.energy_1d(phi, v_par, spec.b)
 

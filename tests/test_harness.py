@@ -723,6 +723,7 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_pair", "count.v_par=cosine:1e300,1"),
     ("harmonic_trap", "trap.potential=harmonic:1e4"),
     ("counting_pair", "count.v_par=cosine:1e9,1"),
+    ("counting_pair", "count.b=-1000"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -768,22 +769,62 @@ def _config_error_at(path, section, key):
     return f"config error: {path}:{line} [{section}] {key}: "
 
 
-# every `name:numbers` key, the config that holds it, and how many numbers
-# each of its names takes
+def _within(lo, hi, integer=False):
+    return lambda x: lo <= x <= hi and (not integer or x == int(x))
+
+
+ANY = _within(-math.inf, math.inf)
+INTEGER = _within(-math.inf, math.inf, integer=True)
+TRAP_R2 = 128.0          # |y|^2 at the corner of the trap's 16-wide plane
+LINE_X2 = math.pi**2     # x^2 at the end of the counting line, 2 pi long
+
+
+def _well_peak(depth, radius):
+    # the smooth well at the plane's corner, its largest value
+    return depth * 0.5 * (1.0 + math.tanh((math.sqrt(TRAP_R2) - radius)
+                                          / (0.25 * radius)))
+
+
+# every `name:numbers` key: the config that holds it, the largest |V| the
+# loader admits on its grid (None: no load bound), and for each name its
+# numbers as (default, rule) pairs, a default of None marking a required
+# number, with the peak |V| on the grid (None where no bound applies)
 MINI_SPECS = [
-    ("harmonic_trap", "trap.potential", {"harmonic": 1, "shifted": 1, "well": 2}),
-    ("gpe_packet", "evolve1d.v_par", {"harmonic": 1, "cosine": 2}),
-    ("counting_pair", "count.v_par", {"harmonic": 1, "cosine": 2}),
-    ("gpe_packet", "evolve1d.initial", {"gaussian": 3, "plane": 1, "constant": 0}),
-    ("barrier_scattering", "scatter.potential",
-     {"square_barrier": 0, "smooth_bump": 0, "zero": 0}),
+    ("harmonic_trap", "trap.potential", 2.0 * (128 * math.pi / 16.0) ** 2, {
+        "harmonic": ([(1.0, lambda c: c > 0)], lambda c: c * TRAP_R2),
+        "shifted": ([(0.0, ANY)], lambda c: max(abs(c), abs(TRAP_R2 + c))),
+        "well": ([(None, lambda d: d > 0), (None, lambda r: r > 0)], _well_peak)}),
+    ("gpe_packet", "evolve1d.v_par", None, {
+        "harmonic": ([(1.0, ANY)], None),
+        "cosine": ([(1.0, ANY), (1.0, INTEGER)], None)}),
+    ("counting_pair", "count.v_par", 128.0**2, {
+        "harmonic": ([(1.0, ANY)], lambda c: abs(c) * LINE_X2),
+        "cosine": ([(1.0, ANY), (1.0, INTEGER)], lambda a, mode: abs(a))}),
+    ("gpe_packet", "evolve1d.initial", None, {
+        "gaussian": ([(1.0, _within(1.0 / 16.0, 16.0)), (0.0, _within(-8.0, 8.0)),
+                      (0.0, _within(-16.0 * math.pi, 16.0 * math.pi))], None),
+        "plane": ([(1.0, _within(-128, 128, integer=True))], None),
+        "constant": ([], None)}),
+    ("barrier_scattering", "scatter.potential", None,
+     {"square_barrier": ([], None), "smooth_bump": ([], None), "zero": ([], None)}),
 ]
 
 
+def _mini_spec_verdict(bound, slots, peak, numbers) -> int:
+    # the exit code the table implies: 0 when the numbers fill the slots
+    # (defaults after them), each passes its rule and the peak stays within
+    # the bound; 2 otherwise
+    if len(numbers) > len(slots) or not all(map(math.isfinite, numbers)):
+        return 2
+    values = [*numbers, *(default for default, _ in slots[len(numbers):])]
+    if None in values or not all(rule(x) for (_, rule), x in zip(slots, values)):
+        return 2
+    return 0 if peak is None or peak(*values) <= bound else 2
+
+
 def test_mini_spec_grammar_property(capsys):
-    # validate loads any `name:numbers` value to a spec (exit 0) or names
-    # its file, line and key (exit 2); it never fails otherwise (exit 1),
-    # and never drops numbers the name does not take
+    # validate accepts a `name:numbers` value exactly when MINI_SPECS does,
+    # and otherwise names its file, line and key
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     number = st.one_of(st.integers(-300, 300), st.floats(-50.0, 50.0),
@@ -794,22 +835,20 @@ def test_mini_spec_grammar_property(capsys):
                          database=None)
     @hypothesis.given(target=st.sampled_from(MINI_SPECS), data=st.data())
     def check(target, data):
-        config, option, arity = target
-        name = data.draw(st.sampled_from(sorted(arity)))
+        config, option, bound, table = target
+        name = data.draw(st.sampled_from(sorted(table)))
         numbers = data.draw(st.lists(number, max_size=4))
         value = name + (":" + ",".join(map(str, numbers)) if numbers else "")
         path = CONFIG_DIR / f"{config}.ini"
         capsys.readouterr()
         code = cli.main(["validate", str(path), "--set", f"{option}={value}"])
         section, _, key = option.partition(".")
-        assert code in (0, 2), capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == _mini_spec_verdict(bound, *table[name], numbers), (value, err)
         if code == 2:
-            assert _config_error_at(path, section, key) in capsys.readouterr().err
-        else:
-            assert len(numbers) <= arity[name]
+            assert _config_error_at(path, section, key) in err
 
     check()
-
 
 
 def test_cli_jobs_runs_configs_in_worker_processes(tmp_path, capsys):
