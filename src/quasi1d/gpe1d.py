@@ -251,16 +251,20 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     half-step with V_i.  A phase factor keeps |psi|, so the closing
     half-step of step i and the opening half-step of step i+1 are applied
     as one factor exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  The half-step
-    is closed only where the field is read: every `energy_stride` steps, at
-    each sample and at the last step.  Norms are recorded at every step,
-    energies at `energy_times` only; a non-finite field raises
+    is closed in place only at each sample and at the last step, and on a
+    3d box also every `energy_stride` steps.  Norms are recorded at every
+    step, energies at `energy_times` only; a non-finite field raises
     ResolutionError at the step where it appears.
 
-    An energy is not evaluated at its step.  The closed field and v(t) are
-    copied into the next row of a stack of B = max(1, BATCH_POINTS // size)
-    fields, and one _energy pass over a full stack, or over the rows filled
-    at the last step, gives B energies with the bits of B single calls.
-    For B = 1 (3d boxes) the stack is psi itself, evaluated at once.
+    An energy is not evaluated at its step.  The field, v(t) and the
+    step's closing potential V_i are copied into the next row of a stack of
+    B = max(1, BATCH_POINTS // size) fields, open by half a step unless
+    they were closed in place, and psi stays fused.  One pass over a full
+    stack, or over the rows filled at the last step, closes each open row
+    by exp(-i dt/2 (V_i + g|row|^2)) (|row|^2 is the open field's density,
+    which the phase keeps) and then gives B energies with one _energy call.
+    For B = 1 (3d boxes) the stack is psi itself, closed and evaluated at
+    once.
 
     A step runs in three stages, each on independent slabs of the box:
     (A) on slabs along axis 0, the phase and the forward FFT over the other
@@ -274,8 +278,10 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     The loop holds six arrays of the box: psi, kin and factor (complex) and
     k2, rho and theta (real).  For B = 1 the energy writes only into factor
     and theta, so recording it allocates nothing of the box's size; for
-    B > 1 the stack, v(t) and _energy's scratch hold four arrays of at most
-    BATCH_POINTS points (384 KiB), whatever the number of steps.
+    B > 1 the stack, v(t), the closing potentials (then the closing phase,
+    then _energy's real scratch) and _energy's complex scratch hold four
+    arrays of at most BATCH_POINTS points (384 KiB), whatever the number
+    of steps.
     """
     n_steps = max(1, round(span / dt))
     dt = span / n_steps
@@ -339,17 +345,34 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     if batch > 1:
         stack = np.empty((batch, *psi.shape), dtype=complex)
         stack_v = np.empty((batch, *psi.shape))
-        spectrum, real = np.empty_like(stack), np.empty_like(stack_v)
+        stack_phase = np.empty((batch, *psi.shape))
+        stack_h = np.empty((batch,) + (1,) * ndim)
+        spectrum = np.empty_like(stack)
 
     def evaluate() -> None:
+        # close every row, fields *= exp(-i h (V_static + v_close + g|field|^2))
+        # with the row's own h (0 for a row recorded closed); the phase is
+        # formed in place of v_close, and the density and factor in spectrum,
+        # which with stack_phase is then _energy's scratch
         nonlocal evaluated
         rows = recorded - evaluated
+        fields, phase, fac = stack[:rows], stack_phase[:rows], spectrum[:rows]
+        np.square(fields.real, out=fac.real)
+        np.square(fields.imag, out=fac.imag)
+        np.add(fac.real, fac.imag, out=fac.real)
+        np.multiply(fac.real, g, out=fac.real)
+        np.add(fac.real, v_static, out=fac.real)
+        np.add(fac.real, phase, out=phase)
+        np.multiply(phase, -stack_h[:rows], out=phase)
+        np.cos(phase, out=fac.real)
+        np.sin(phase, out=fac.imag)
+        np.multiply(fields, fac, out=fields)
         energies[evaluated:recorded] = _energy(
-            stack[:rows], k2, dvol, v_static, stack_v[:rows], g,
-            spectrum[:rows], real[:rows])
+            fields, k2, dvol, v_static, stack_v[:rows], g, fac, phase)
         evaluated = recorded
 
-    def record_energy(t: float) -> None:
+    def record_energy(t: float, h_close: float, v_close) -> None:
+        # psi is closed, or open by the half step h_close under v_close
         nonlocal recorded, evaluated
         energy_times[recorded] = t
         if batch == 1:
@@ -357,15 +380,18 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
                                          v_axial(t), g, factor[None], theta[None])[0]
             recorded = evaluated = recorded + 1
             return
-        stack[recorded - evaluated] = psi
-        stack_v[recorded - evaluated] = v_axial(t)
+        row = recorded - evaluated
+        stack[row] = psi
+        stack_v[row] = v_axial(t)
+        stack_phase[row] = v_close
+        stack_h[row] = h_close
         recorded += 1
-        if recorded - evaluated == batch:
+        if row + 1 == batch:
             evaluate()
 
     times[0] = t
     norms[0] = math.sqrt(float(np.sum(rho)) * dvol)
-    record_energy(t)
+    record_energy(t, 0.0, 0.0)
     samples = [Field(grid, psi.copy(), t)] if sample_stride else []
 
     with _slab_pool(workers) as pool:
@@ -397,14 +423,15 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
             last = i == n_steps
             sample = bool(sample_stride) and (i % sample_stride == 0 or last)
             v_next = None if last else v_axial(t + 0.5 * dt)
-            if sample or last or i % energy_stride == 0:
+            due = sample or last or i % energy_stride == 0
+            closed = sample or last or (due and batch == 1)
+            if closed:
                 run(apply_phase, x_slabs, 0.5 * dt, v_cur)
-                record_energy(t)
-                if sample:
-                    samples.append(Field(grid, psi.copy(), t))
-                h, v = 0.5 * dt, v_next
-            else:
-                h, v = dt, 0.5 * (v_cur + v_next)
+            if due:
+                record_energy(t, 0.0 if closed else 0.5 * dt, v_cur)
+            if sample:
+                samples.append(Field(grid, psi.copy(), t))
+            h, v = (0.5 * dt, v_next) if closed else (dt, 0.5 * (v_cur + v_next))
             v_cur = v_next
     if evaluated < recorded:
         evaluate()

@@ -14,6 +14,12 @@ with jt(r) = r - a_mu outside the support.  ``a_mu`` is the scattering
 length; it obeys the integral identity 8 pi a_mu = int w_mu j dz and the
 exact scaling a_mu = mu * a where ``a`` is the scattering length of ``w``.
 
+The equation is linear, so each fixed RK4 step of (jt, jt') is a 2x2
+transfer matrix.  The solve builds all of them in one vectorized pass and
+multiplies them out as a blocked prefix product (blocks of ceil(sqrt(n))
+steps taken in pairs, power-of-two scales summed as exponents), so no
+Python loop runs per step.
+
 The shell construction trades the singular short-range repulsion for a soft
 negative correction: a constant potential of height ``a * mu**(1 - 3*bt)``
 on the shell mu**bt < r < R is subtracted from w_mu, and the compensated
@@ -154,6 +160,21 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
+def _rk4_increment(f, g, c0, cm, c1, h):
+    """One classical RK4 step of f' = g, g' = c f from (f, g), less (f, g):
+    c is c0 at the step's left edge, cm at its middle and c1 at its right."""
+    k1f = g
+    k1g = c0 * f
+    k2f = g + 0.5 * h * k1g
+    k2g = cm * (f + 0.5 * h * k1f)
+    k3f = g + 0.5 * h * k2g
+    k3g = cm * (f + 0.5 * h * k2f)
+    k4f = g + h * k3g
+    k4g = c1 * (f + h * k3f)
+    return (h / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
+            h / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
+
+
 def _rk4_table(w_left: np.ndarray, w_mids: np.ndarray, w_right: np.ndarray,
                h: float):
     """Integrate jt'' = (w/2) jt from (0, 1) slope data; returns value/slope tables.
@@ -161,38 +182,104 @@ def _rk4_table(w_left: np.ndarray, w_mids: np.ndarray, w_right: np.ndarray,
     The endpoint coefficients are sampled per step (one-sided limits at the
     cell edges), so a potential with a jump sitting on a node is seen as
     exactly constant within each cell and the scheme keeps its full order.
-    The equation is linear, so when a strongly repulsive core grows the
-    solution toward float overflow the whole table is rescaled in place;
-    only ratios of the returned values are ever used.
+
+    The equation is linear, so RK4 step i maps the state (jt, jt') by a 2x2
+    transfer matrix I + D_i, and the table is the prefix products of those
+    matrices applied to (0, 1).  All D_i (column k: the increment from the
+    k-th unit state) come from one vectorized pass, and so do the two-step
+    matrices I + D_{2k} + D_{2k+1} + D_{2k+1} D_{2k}.  A product is held as
+    s I + X with s a power of two, and D X and s D are added to X, so the
+    small increments keep their own precision as in a sequential step and
+    identical blocks (a constant potential) do not repeat one rounding of
+    a product that is nearly I.
+
+    The products run in blocks of ceil(sqrt(n)) steps (rounded up to whole
+    pairs): one loop over the pair within a block, vectorized across
+    blocks, forms each block's cumulative products at its even nodes; one
+    vectorized step fills the odd nodes; one short pass carries the state
+    across the blocks; one broadcast assembles the table.  Every product
+    and carried state is scaled by a power of two after each pair, and the
+    exponents are summed, so a strongly repulsive core that grows the
+    solution by hundreds of decades neither overflows nor rounds in the
+    scaling.  The table comes out scaled so that its largest exponent is 0,
+    and early nodes of a hard core may underflow to 0; only ratios of the
+    returned values are ever used.  A pair of steps whose increments
+    overflow raises ResolutionError naming it.
     """
     n = w_mids.size
-    f = np.empty(n + 1)
-    fp = np.empty(n + 1)
-    fi, gi = 0.0, 1.0
-    f[0], fp[0] = fi, gi
-    for i in range(n):
-        c0 = 0.5 * w_left[i]
-        cm = 0.5 * w_mids[i]
-        c1 = 0.5 * w_right[i]
-        k1f = gi
-        k1g = c0 * fi
-        k2f = gi + 0.5 * h * k1g
-        k2g = cm * (fi + 0.5 * h * k1f)
-        k3f = gi + 0.5 * h * k2g
-        k3g = cm * (fi + 0.5 * h * k2f)
-        k4f = gi + h * k3g
-        k4g = c1 * (fi + h * k3f)
-        fi += h / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        gi += h / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        if abs(gi) > 1e250:
-            scale = abs(gi)
-            f[: i + 1] /= scale
-            fp[: i + 1] /= scale
-            fi /= scale
-            gi /= scale
-        f[i + 1] = fi
-        fp[i + 1] = gi
-    return f, fp
+    half = (math.isqrt(n - 1) + 2) // 2                # ceil(ceil(sqrt(n)) / 2)
+    blocks = -(-n // (2 * half))
+    # d[..., i]: D_i, padded with identity steps; the two-step increment of
+    # each pair replaces the pair's second D
+    d = np.zeros((2, 2, blocks, half, 2))
+    flat = d.reshape(2, 2, -1)
+    first, pair = d[..., 0], d[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat[0, 0, :n], flat[1, 0, :n] = _rk4_increment(
+            1.0, 0.0, 0.5 * w_left, 0.5 * w_mids, 0.5 * w_right, h)
+        flat[0, 1, :n], flat[1, 1, :n] = _rk4_increment(
+            0.0, 1.0, 0.5 * w_left, 0.5 * w_mids, 0.5 * w_right, h)
+        pair += first + np.einsum("abkj,bckj->ackj", pair, first)
+        # |row sums| bound D X when X's entries are at most 1, so finite row
+        # sums keep every product of the scan finite
+        finite = np.isfinite(np.abs(pair).sum(axis=1)).all(axis=0).ravel()
+    if not finite.all():
+        i = 2 * int(np.argmin(finite))
+        raise ResolutionError(
+            f"zero-energy RK4 steps {i + 1}-{min(i + 2, n)} of {n} (r = "
+            f"{i * h:.6g} to {min(i + 2, n) * h:.6g}) overflow; the potential "
+            f"is too strong for its step")
+
+    # in-block products s I + X after each pair, X stored in place of the
+    # pair's increment; s and the summed exponents per node
+    diag = np.ones((blocks, half, 2))
+    exps = np.zeros((blocks, half, 2), dtype=np.int64)
+    x = np.zeros((2, 2, blocks))
+    s = np.ones(blocks)
+    for j in range(half):
+        dj = pair[..., j]
+        x += np.einsum("abk,bck->ack", dj, x)
+        x += s * dj
+        top = np.frexp(np.maximum(np.abs(x).max(axis=(0, 1)), s))[1]
+        scale = np.ldexp(1.0, -top)
+        x *= scale
+        s *= scale
+        dj[...] = x
+        diag[:, j, 1] = s
+        exps[:, j, 1] = top
+    np.cumsum(exps[..., 1], axis=1, out=exps[..., 1])
+
+    # the odd nodes: one step (I + D) from the previous pair's end, keeping
+    # its scale; from I at a block's start, where the node is I + D itself
+    diag[:, 1:, 0] = diag[:, :-1, 1]
+    exps[:, 1:, 0] = exps[:, :-1, 1]
+    prev, step = pair[..., :-1], first[..., 1:]
+    first[..., 1:] = (prev + diag[:, :-1, 1] * step
+                      + np.einsum("abkj,bckj->ackj", step, prev))
+    xs = flat.reshape(2, 2, blocks, 2 * half)
+    diag = diag.reshape(blocks, 2 * half)
+    exps = exps.reshape(blocks, 2 * half)
+
+    # the state at each block's start, carried from (0, 1)
+    starts = np.empty((2, blocks))
+    start_exps = np.empty(blocks, dtype=np.int64)
+    f, g, e = 0.0, 1.0, 0
+    ends = zip(xs[..., -1].transpose(2, 0, 1).tolist(), diag[:, -1].tolist(),
+               exps[:, -1].tolist())
+    for b, (((x00, x01), (x10, x11)), sb, eb) in enumerate(ends):
+        starts[:, b], start_exps[b] = (f, g), e
+        f, g = sb * f + (x00 * f + x01 * g), sb * g + (x10 * f + x11 * g)
+        top = math.frexp(max(abs(f), abs(g)))[1]
+        f, g, e = math.ldexp(f, -top), math.ldexp(g, -top), e + eb + top
+
+    values = np.einsum("abkj,bk->akj", xs, starts) + diag * starts[:, :, None]
+    values = values.reshape(2, -1)[:, :n]
+    exps = (exps + start_exps[:, None]).reshape(-1)[:n]
+    top = max(int(exps.max()), 0)
+    table = np.empty((2, n + 1))
+    table[:, 0] = 0.0, math.ldexp(1.0, -top)
+    table[:, 1:] = np.ldexp(values, exps - top)
+    return table[0], table[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,13 +340,16 @@ def solve_zero_energy(w: RadialPotential, mu: float, tol: float = 1e-10,
                       n_start: int = 2000, max_halvings: int = 8) -> ScatteringSolution:
     """Solve the scaled zero-energy problem for ``w_mu`` and extract a_mu.
 
-    Classical fixed-step RK4 on [0, mu]; the step is halved until the
-    direction of the endpoint state (value, slope) moves by less than
-    ``tol`` between successive refinements.  Comparing directions rather
+    Classical fixed-step RK4 on [0, mu], taken as the blocked product of
+    its per-step transfer matrices (``_rk4_table``); the step is halved
+    until the direction of the endpoint state (value, slope) moves by less
+    than ``tol`` between successive refinements.  Comparing directions rather
     than raw values keeps the criterion meaningful for hard repulsive
     cores, where the unnormalized solution spans hundreds of decades.
     A non-positive endpoint slope would mean the potential supports a
-    zero-energy bound state, outside this package's remit.
+    zero-energy bound state, outside this package's remit.  A potential
+    so strong that a step's transfer matrix overflows raises
+    ResolutionError naming the steps.
     """
     if mu <= 0.0:
         raise DomainError(f"mu must be positive, got {mu}")

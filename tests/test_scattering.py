@@ -174,6 +174,96 @@ def test_solver_error_paths():
         scattering.solve_zero_energy(w, 0.02, max_halvings=0, tol=0.0)
 
 
+def test_overflowing_step_raises_resolution_error():
+    # every step's transfer matrix overflows at this height: the solve names
+    # the first pair of steps instead of warning and dividing by inf
+    with pytest.raises(ResolutionError, match="steps 1-2 of 2000"):
+        scattering.solve_zero_energy(scattering.square_barrier(1e300), 1e-3)
+
+
+def _sequential_rk4_table(w_left, w_mids, w_right, h):
+    """The per-step loop that the blocked transfer-matrix product replaced,
+    kept unchanged as its reference."""
+    n = w_mids.size
+    f = np.empty(n + 1)
+    fp = np.empty(n + 1)
+    fi, gi = 0.0, 1.0
+    f[0], fp[0] = fi, gi
+    for i in range(n):
+        c0 = 0.5 * w_left[i]
+        cm = 0.5 * w_mids[i]
+        c1 = 0.5 * w_right[i]
+        k1f = gi
+        k1g = c0 * fi
+        k2f = gi + 0.5 * h * k1g
+        k2g = cm * (fi + 0.5 * h * k1f)
+        k3f = gi + 0.5 * h * k2g
+        k3g = cm * (fi + 0.5 * h * k2f)
+        k4f = gi + h * k3g
+        k4g = c1 * (fi + h * k3f)
+        fi += h / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        gi += h / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        if abs(gi) > 1e250:
+            scale = abs(gi)
+            f[: i + 1] /= scale
+            fp[: i + 1] /= scale
+            fi /= scale
+            gi /= scale
+        f[i + 1] = fi
+        fp[i + 1] = gi
+    return f, fp
+
+
+def test_blocked_table_matches_sequential_loop():
+    # heights up to 1e6 grow the solution past the loop's 1e250 rescale;
+    # step counts run from one two-step block up, most of them not a
+    # multiple of the ceil(sqrt(n)) block.  tol = inf stops the solve at
+    # its first halving, so the compared table has 2 n_start steps.
+    # Entries below the normal range (2.2e-308) hold fewer bits in both
+    # tables, so they are compared to that absolute level.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = {
+        "barrier": scattering.square_barrier,
+        "bump": scattering.smooth_bump,
+        "table": lambda height, radius: scattering.tabulated_potential(
+            [0.0, 0.3 * radius, 0.7 * radius, radius],
+            [0.2 * height, height, 0.5 * height, 0.0]),
+    }
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.example(kind="barrier", log_height=6.0, radius=1.0, mu=1e-3,
+                        n_start=1)
+    @hypothesis.example(kind="barrier", log_height=6.0, radius=1.0, mu=1e-3,
+                        n_start=2000)
+    @hypothesis.given(kind=st.sampled_from(sorted(kinds)),
+                      log_height=st.floats(math.log10(0.5), 6.0),
+                      radius=st.floats(0.25, 1.0), mu=st.floats(1e-5, 0.5),
+                      n_start=st.one_of(st.integers(1, 8), st.integers(9, 3000)))
+    def check(kind, log_height, radius, mu, n_start):
+        w = kinds[kind](10.0**log_height, radius)
+
+        def solve():
+            return scattering.solve_zero_energy(w, mu, tol=math.inf,
+                                                n_start=n_start, max_halvings=1)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scattering, "_rk4_table", _sequential_rk4_table)
+            ref = solve()
+        sol = solve()
+        assert sol.steps == ref.steps == 2 * n_start
+        # a_mu = mu - jt(mu)/jt'(mu) cancels by mu/a_mu (about 800 for the
+        # weakest draws), so it is held to 1e-12 of mu where that is looser
+        assert sol.a_mu == pytest.approx(ref.a_mu, rel=1e-12, abs=1e-12 * mu)
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(sol.j_tilde, ref.j_tilde, rtol=1e-12, atol=tiny)
+        np.testing.assert_allclose(sol.j_tilde_prime, ref.j_tilde_prime,
+                                   rtol=1e-12, atol=tiny)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # shell correction
 
