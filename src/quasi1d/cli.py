@@ -28,6 +28,16 @@ def _add_set(p: argparse.ArgumentParser) -> None:
                    help="override a config value (repeatable)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        number = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasi1d",
@@ -50,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help="artifact root (default: $QUASI1D_OUTPUT_ROOT or "
                             "./quasi1d_out)")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="run independent scenarios in parallel")
 
     pv = sub.add_parser("validate", help="validate configs without running; "
@@ -111,10 +121,9 @@ def _cmd_run(args: argparse.Namespace, kind: str) -> int:
         paths = [None]
     run = functools.partial(_run_one, kind, overrides=args.overrides,
                             root=args.output)
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(paths) == 1:
+    if args.jobs == 1 or len(paths) == 1:
         return _report_all(map(run, paths))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         return _report_all(pool.map(run, paths))
 
 

@@ -308,6 +308,13 @@ def _positive(sec: _Section, v: dict, *keys: str) -> None:
             raise sec.fail(key, f"positive {key} required")
 
 
+def _unused(sec: _Section, why: str, *keys: str) -> None:
+    """A key the run would ignore, for the reason `why`, is an error."""
+    for key in keys:
+        if sec.parser.get(sec.name, key, fallback="").strip():
+            raise sec.fail(key, f"ignored: {why}")
+
+
 def _grid_size(sec: _Section, v: dict, *keys: str, least: int = 4) -> None:
     for key in keys:
         if v[key] < least or v[key] % 2:
@@ -335,6 +342,13 @@ def _parse_scatter(sec: _Section) -> ScatterSpec:
         v["mu"] = _resolve_mu(sec, v)
     elif any(mu <= 0 for mu in v["mu_list"]):
         raise sec.fail("mu_list", "every mu in the sweep must be positive")
+    else:
+        _unused(sec, "a sweep takes its mus from mu_list", "mu", "epsilon",
+                "n_particles")
+        _unused(sec, "a sweep writes no radial table", "radial_table")
+    if v["beta_tilde"] is None:
+        _unused(sec, "the radial table is the correction's, which needs "
+                     "beta_tilde", "radial_table")
     v["potential"] = _parse_radial_potential(
         sec, v["potential"] or "square_barrier", v["height"], v["radius"])
     _check_window(sec, "beta_tilde", v["beta_tilde"], 1.0 / 3.0, 1.0,
@@ -418,14 +432,14 @@ def _resolve_coupling(sec: _Section, v: dict) -> float:
     if b is not None:
         if a is not None:
             raise sec.fail("b", "give either b or the a, quartic pair")
-        return b
-    if a is not None:
+    elif a is not None:
         if quartic is None:
             raise sec.fail("quartic", "quartic required alongside a")
         if a < 0:
             raise sec.fail("a", "scattering length must be non-negative")
         return 8.0 * math.pi * a * quartic
-    return 0.0
+    _unused(sec, "quartic scales a, which is not given", "quartic")
+    return 0.0 if b is None else b
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -493,6 +507,13 @@ def _parse_count(sec: _Section) -> CountSpec:
             raise sec.fail(key, "at least one sample required")
     if v["grid"] not in ("line", "confined"):
         raise sec.fail("grid", f"unknown grid kind {v['grid']!r}")
+    if v["grid"] == "line":
+        _unused(sec, "the transverse grid applies on grid = confined only",
+                "n_y", "extent", "epsilon")
+    if v["quad_height"] is None:
+        _unused(sec, "the pair form is sampled only when quad_height is given",
+                "quad_mu", "quad_beta_tilde", "quad_length", "quad_n",
+                "quad_samples")
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
     _grid_size(sec, v, "dim", "n_y", "quad_n")

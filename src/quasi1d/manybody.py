@@ -1,8 +1,12 @@
 """Finite-N counting formalism on dense grid tensors.
 
 States of N bosons live as rank-N tensors over a small single-particle grid
-(a periodic line or a flattened 3d box).  For a reference orbital phi the
-slot projectors p = |phi><phi| and q = 1 - p generate the symmetrized
+(a periodic line or a flattened 3d box).  The tensors are symmetric under
+every permutation of their slots, and the kernels rely on it: the reduced
+density matrix and the trace distance read slot 0, the pair form
+differentiates slot 0, and the energy per particle is slot 0's one-body
+energy plus (N - 1) / 2 times the pair (0, 1)'s.  For a reference orbital
+phi the slot projectors p = |phi><phi| and q = 1 - p generate the symmetrized
 counters P_k (exactly k particles outside phi).  A weighted counter f_hat =
 sum_k f(k) P_k enters only through its expectation, evaluated as
 <psi, f_hat psi> = sum_k f(k) ||P_k psi||^2.  The weight
@@ -66,6 +70,11 @@ MAX_PARTICLES = 4
 
 @dataclass(eq=False)
 class ManyBodyState:
+    """N bosons: ``tensor`` is symmetric under every permutation of its
+    slots, the convention the kernels of this module rely on.  The states
+    the program builds, ``random_symmetric_states`` and ``product_state_mb``,
+    are."""
+
     n_particles: int
     dim: int
     tensor: np.ndarray     # shape (dim,) * n_particles, plain l2 normalization
@@ -601,7 +610,10 @@ class HamiltonianSpec:
         return self._pair_table
 
     def pair_matrix(self) -> np.ndarray | None:
-        """W on all site pairs, (d, d), from the offset table; not cached."""
+        """W on all site pairs, (d, d), from the offset table; not cached.
+
+        No kernel uses it: it is the reference the tests check the offset
+        tables and the energy against."""
         table = self._pair_potential_table()
         if table is None:
             return None
@@ -696,17 +708,18 @@ def _fft_over(a: np.ndarray, axes: range, out: np.ndarray) -> None:
 def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
     """E_psi = <psi, H psi> / N minus the confinement offset.
 
-    Two passes, each through one reused buffer.  Over blocks of columns,
-    the FFT over slot 0's axes gives slot 0's kinetic term.  Over blocks of
-    slot-0 rows, the exact marginals of |psi|^2 give the potential and pair
-    terms, and one FFT over the axes of slots 1..N-1 gives their kinetic
-    terms (Parseval), each contracted with |k|^2 on its slot.  W comes from
-    the offset table: by rows of the block for pairs with slot 0, whole for
-    the others (N >= 3, where d x d is at most 1/d of a state).
+    psi is symmetric (see ``ManyBodyState``), so every slot has slot 0's
+    one-body energy and every pair the pair (0, 1)'s: E_psi is <-Lap + V> on
+    slot 0 plus (N - 1) / 2 times <W> on slots (0, 1).  Two passes, each
+    through one reused buffer.  Over blocks of columns, the FFT over slot
+    0's axes gives its kinetic term (Parseval), contracted with |k|^2.  Over
+    blocks of slot-0 rows, |psi|^2 summed over all other slots is slot 0's
+    marginal, which V weighs, and the block's rows of W from the offset
+    table, contracted with |psi|^2 over slot 1 and summed over the rest,
+    give the pair (0, 1)'s term.
     """
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
-    n = state.n_particles
     d = ham.dim
     psi = np.ascontiguousarray(state.tensor).reshape(d, -1)
     rest = psi.shape[1]
@@ -716,50 +729,33 @@ def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
     buf = np.empty(max(d * cols, rows * rest), dtype=complex)
     power = buf.view(np.float64)                    # interleaved re, im
 
-    total = 0.0
-    sp_ndim = len(ham.grid.axes)
+    kinetic = 0.0
     for start in range(0, rest, cols):
         block = psi[:, start:start + cols]
         psi_hat = buf[:block.size].reshape(*ham.grid.shape, -1)
-        _fft_over(block.reshape(psi_hat.shape), range(sp_ndim), psi_hat)
+        _fft_over(block.reshape(psi_hat.shape), range(len(ham.grid.axes)),
+                  psi_hat)
         sq = power[:2 * block.size]
         np.square(sq, out=sq)
-        total += float(np.sum(ksq @ sq.reshape(d, -1))) / d
+        kinetic += float(np.sum(ksq @ sq.reshape(d, -1))) / d
 
     table = ham._pair_potential_table()
     if table is not None:
         w_buf = np.empty((rows,) + ham.grid.shape)
-        w_mat = ham.pair_matrix() if n > 2 else None
-    slot_dens = np.zeros((n, d))
-    axes = range(1, 1 + (n - 1) * sp_ndim)
+    slot_dens = np.empty(d)
+    pair = 0.0
     for start in range(0, d, rows):
         block = psi[start:start + rows]
-        r = len(block)
-        dens = power[:block.size].reshape((r,) + (d,) * (n - 1))
+        stop = start + len(block)
+        dens = power[:block.size].reshape(len(block), d, -1)
         np.abs(block.reshape(dens.shape), out=dens)
         dens **= 2
-        for slot in range(n):
-            others = tuple(i for i in range(n) if i != slot)
-            if slot:
-                slot_dens[slot] += dens.sum(axis=others)
-            else:
-                slot_dens[0, start:start + r] = dens.sum(axis=others)
+        slot_dens[start:stop] = dens.sum(axis=(1, 2))
         if table is not None:
-            w_rows = _site_pair_block(table, start, start + r, w_buf, rows=True)
-            for i, j in itertools.combinations(range(n), 2):
-                other = tuple(s for s in range(n) if s not in (i, j))
-                dens_pair = dens.sum(axis=other) if other else dens
-                total += float(np.vdot(w_mat if i else w_rows, dens_pair))
-        psi_hat = buf[:block.size].reshape((r,) + ham.grid.shape * (n - 1))
-        _fft_over(block.reshape(psi_hat.shape), axes, psi_hat)
-        sq = power[:2 * block.size]
-        np.square(sq, out=sq)
-        for slot in range(1, n):
-            total += float(np.sum(ksq @ sq.reshape(r * d**(slot - 1), d, -1))) \
-                / d ** (n - 1)
-    for slot in range(n):
-        total += float(ham.v_diag @ slot_dens[slot])
-    return total / n - ham.e0_shift
+            w_rows = _site_pair_block(table, start, stop, w_buf, rows=True)
+            pair += float(np.sum(np.matmul(w_rows[:, None], dens)))
+    return (kinetic + float(ham.v_diag @ slot_dens)
+            + 0.5 * (state.n_particles - 1) * pair - ham.e0_shift)
 
 
 @dataclass(frozen=True)

@@ -287,9 +287,14 @@ class ScatteringSolution:
     """Zero-energy radial solution jt(r) = r * j(r) on [0, mu], plus lengths.
 
     The table is normalized so that jt(r) = r - a_mu with unit slope holds
-    at and beyond the support edge.  ``identity_residual`` records the
-    relative discrepancy between 8 pi a_mu and the source integral
-    4 pi int w_mu jt r dr, a cross-check that costs nothing to keep.
+    at and beyond the support edge.  ``identity_residual`` is the relative
+    gap between 8 pi a_mu and Simpson's rule for the source integral
+    4 pi int w_mu jt r dr on the nodes of the RK4 table.  It measures how
+    well that rule resolves the integrand, not the error of a: inside a
+    hard core jt grows on a boundary layer of width about 1/q, q^2 = w_mu/2,
+    which the table's step need not resolve.  For the square barrier (any
+    mu) it is 1.4e-9 at height 1e4, 1.2e-5 at 1e6 and 5.3e3 at 1e50, where
+    a = 1.0 is right to round-off.
     """
 
     potential: RadialPotential

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -38,7 +39,6 @@ def test_grid_guards():
 
 
 def test_make_grid_is_the_hand_built_product_grid():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True,

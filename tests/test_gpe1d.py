@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -183,7 +184,6 @@ def test_polish_keeps_its_search_direction():
 
 
 def test_ground_state_residual_property():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     grids = [gpe1d.Grid1D(16.0, 256), gpe1d.Grid1D(2.0 * math.pi, 256)]
 
@@ -204,7 +204,6 @@ def test_line_ground_state_property(monkeypatch):
     # line (2 pi long), reaches POLISH_TOL within MAX_ITERS at b in
     # [0, 200], and no step raises the energy beyond the round-off of its
     # sum (about 1e-16 of the terms, which reach 1e4 here)
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     solve, runs = gpe1d._ground_state, []
     monkeypatch.setattr(gpe1d, "_ground_state",
@@ -480,7 +479,6 @@ def _random_field(grid, seed):
 
 
 def test_norm_conservation_property():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
@@ -497,7 +495,6 @@ def test_norm_conservation_property():
 
 
 def test_time_reversal_property():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,

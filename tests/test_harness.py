@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -325,7 +326,6 @@ def test_nan_metric_fails_every_assertion(tmp_path, monkeypatch):
 
 
 def test_assertion_grammar_property():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     def parse(text):
@@ -464,7 +464,6 @@ def test_snapshot_roundtrip_3d(tmp_path):
 
 
 def test_snapshot_roundtrip_property(tmp_path):
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     path = tmp_path / "snap.bin"
 
@@ -592,6 +591,13 @@ def test_cli_bad_override(tmp_path, capsys):
                          override, "--output", str(tmp_path)]) == 2, override
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "scatter-cli").exists()
+    # --jobs below 1 is an argparse usage error, before any run
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scatter", path, "--jobs", jobs, "--output", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "cli-barrier").exists()
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -724,6 +730,21 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("harmonic_trap", "trap.potential=harmonic:1e4"),
     ("counting_pair", "count.v_par=cosine:1e9,1"),
     ("counting_pair", "count.b=-1000"),
+    # keys the run would ignore
+    ("shell_sweep", "scatter.mu=0.5"),
+    ("shell_sweep", "scatter.epsilon=0.1"),
+    ("shell_sweep", "scatter.n_particles=4"),
+    ("shell_sweep", "scatter.radial_table=true"),
+    ("barrier_scattering", "scatter.radial_table=true"),
+    ("gpe_packet", "evolve1d.quartic=0.1"),
+    ("counting_triplet", "count.n_y=12"),
+    ("counting_triplet", "count.extent=12"),
+    ("counting_pair", "count.epsilon=0.5"),
+    ("counting_triplet", "count.quad_mu=0.64"),
+    ("counting_triplet", "count.quad_beta_tilde=0.9"),
+    ("counting_triplet", "count.quad_length=1.8"),
+    ("counting_confined", "count.quad_n=12"),
+    ("counting_confined", "count.quad_samples=10"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -825,7 +846,6 @@ def _mini_spec_verdict(bound, slots, peak, numbers) -> int:
 def test_mini_spec_grammar_property(capsys):
     # validate accepts a `name:numbers` value exactly when MINI_SPECS does,
     # and otherwise names its file, line and key
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     number = st.one_of(st.integers(-300, 300), st.floats(-50.0, 50.0),
                        st.sampled_from([0.0, math.nan, math.inf, -math.inf,

@@ -6,6 +6,7 @@ import tracemalloc
 from functools import reduce
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -240,7 +241,6 @@ def test_alpha_functional_of_product_state():
 
 
 def test_counter_completeness_and_orthogonality_property():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
@@ -273,7 +273,6 @@ def test_counter_completeness_and_orthogonality_property():
 
 
 def test_trace_distance_matches_eigvalsh_property():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
@@ -505,11 +504,14 @@ def test_energy_per_particle_matches_fft_reference():
         pair_potential=lambda r: np.exp(-r**2))
     base = transverse.ground_state_2d(transverse.harmonic_profile,
                                       extent=12.0, n=12, boundary_tol=1e-3)
-    confined = manybody.confined_hamiltonian(
+    confined, confined_pair = (manybody.confined_hamiltonian(
         gpe1d.Grid1D(6.0, 4), transverse.rescale_mode(base, 0.5),
-        transverse.harmonic_profile, v_par=lambda t, x: 0.5 * x**2)
+        transverse.harmonic_profile, v_par=lambda t, x: 0.5 * x**2,
+        pair_potential=pair) for pair in (None, lambda r: np.exp(-r**2)))
     box = manybody.box_hamiltonian(2.0, 4, pair_potential=lambda r: 1.0 / (1.0 + r))
-    cases = [(line, 2), (line, 3), (line, 4), (confined, 2), (box, 2)]
+    # (box, 3): a pair potential at N >= 3 on three axes, 64^3 entries
+    cases = [(line, 2), (line, 3), (line, 4), (confined, 2),
+             (confined_pair, 2), (box, 2), (box, 3)]
     for ham, n in cases:
         state = manybody.random_symmetric_state(n, ham.dim, gen)
         ref = fft_energy_per_particle(state, ham)

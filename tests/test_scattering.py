@@ -2,6 +2,7 @@
 
 import math
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -221,7 +222,6 @@ def test_blocked_table_matches_sequential_loop():
     # its first halving, so the compared table has 2 n_start steps.
     # Entries below the normal range (2.2e-308) hold fewer bits in both
     # tables, so they are compared to that absolute level.
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     kinds = {
         "barrier": scattering.square_barrier,
