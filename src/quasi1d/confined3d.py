@@ -192,26 +192,26 @@ def extract_profile(psi: Field, mode: TransverseMode):
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class ReductionScenario:
-    """Shared setup for a family of runs at decreasing eps.
+    """Shared setup for a family of runs at the decreasing eps of eps_list.
 
-    The 1d reference uses the same longitudinal grid, the same time step and,
-    in reduction_sweep, the coupling b = 8 pi a int |chi|^4, so the measured
-    gap is the genuine dimensional-reduction error, not a solver mismatch.
-    V_par must not depend on the transverse coordinates for the comparison
-    to make sense.
+    The trap's mode is solved once, on the n_y x n_y plane of base_extent_y
+    that every run rescales.  The 1d reference uses the same longitudinal
+    grid, the same time step and, in reduction_sweep, the coupling
+    b = 8 pi a int |chi|^4 of that mode, so the measured gap is the genuine
+    dimensional-reduction error, not a solver mismatch.  V_par must not
+    depend on the transverse coordinates for the comparison to make sense.
     """
 
     a: float = 0.0
     v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     v_par: Callable[[float, np.ndarray], np.ndarray] | None
+    eps_list: tuple[float, ...]
     t_final: float
-    dt_ref: float              # step used at eps_ref, scaled with (eps/eps_ref)^2
-    eps_ref: float
+    dt_ref: float           # step at eps_list[0], scaled with (eps/eps_list[0])^2
     length_x: float = 16.0
     n_x: int = 128
     base_extent_y: float = 13.0
     n_y: int = 48
-    mode_n: int = 96
     phi0_sigma: float = 1.0
     phi0_k0: float = 0.0
 
@@ -262,7 +262,7 @@ def _profile(scenario: ReductionScenario, phi0: Field, mode_grid: TransverseMode
     grid = make_grid(scenario.length_x, scenario.n_x, scenario.base_extent_y,
                      scenario.n_y, eps)
     mode = rescale_mode(mode_grid, eps)
-    dt = scenario.dt_ref * (eps / scenario.eps_ref) ** 2
+    dt = scenario.dt_ref * (eps / scenario.eps_list[0]) ** 2
     v_par_1d = scenario.v_par
     if scenario.a == 0.0:
         traj = evolve_1d(phi0, scenario.t_final, dt, v_par_1d)
@@ -287,23 +287,29 @@ def _profile(scenario: ReductionScenario, phi0: Field, mode_grid: TransverseMode
                             energy_drift=drift, steps=traj.times.size - 1)
 
 
-def reduction_profiles(scenario: ReductionScenario,
-                       eps_list: Sequence[float]) -> list[ReductionProfile]:
-    """Profile stage: the 3d run and its extracted profile at each eps
-    (descending).
+def _mode_and_profiles(
+        scenario: ReductionScenario) -> tuple[TransverseMode, list[ReductionProfile]]:
+    """The trap's mode on the n_y-point plane and the profile at each eps."""
+    eps_list = scenario.eps_list
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise DomainError("eps_list must be strictly decreasing")
+    phi0 = _initial_line(scenario)
+    mode_grid = ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
+                                n=scenario.n_y)
+    return mode_grid, [_profile(scenario, phi0, mode_grid, eps)
+                       for eps in eps_list]
+
+
+def reduction_profiles(scenario: ReductionScenario) -> list[ReductionProfile]:
+    """Profile stage: the 3d run and its extracted profile at each eps of
+    the scenario's eps_list.
 
     At a = 0 the 3d run factorizes exactly: it is the line run (b = 0) times
     the _evolve_plane run, so the final field is their outer product and the
     energy E_x |eta|^2 + E_y |phi|^2 at the plane's energy times.  It goes
     through the same extraction as the full 3d run at a > 0.
     """
-    eps_values = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
-        raise DomainError("eps_list must be strictly decreasing")
-    phi0 = _initial_line(scenario)
-    mode_grid = ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
-                                n=scenario.n_y)
-    return [_profile(scenario, phi0, mode_grid, eps) for eps in eps_values]
+    return _mode_and_profiles(scenario)[1]
 
 
 def compare_profiles(scenario: ReductionScenario,
@@ -333,13 +339,10 @@ def compare_profiles(scenario: ReductionScenario,
     return ReductionTable(rows, monotone_err, monotone_orth)
 
 
-def reduction_sweep(scenario: ReductionScenario,
-                    eps_list: Sequence[float]) -> ReductionTable:
-    """Run the 3d model against its 1d reduction for each eps (descending):
-    the profile stage, then the comparison at b = 8 pi a int |chi|^4 of the
-    scenario's trap (b = 0 at a = 0)."""
-    profiles = reduction_profiles(scenario, eps_list)
-    b = 0.0 if scenario.a == 0.0 else coupling_b(
-        scenario.a, ground_state_2d(scenario.v_perp, extent=scenario.base_extent_y,
-                                    n=scenario.mode_n))
-    return compare_profiles(scenario, profiles, b)
+def reduction_sweep(scenario: ReductionScenario) -> ReductionTable:
+    """Run the 3d model against its 1d reduction for each eps of the
+    scenario's eps_list: the profile stage, then the comparison at
+    b = 8 pi a int |chi|^4 of the same n_y-point mode the 3d runs rescale
+    (b = 0 at a = 0).  The mode is solved once per sweep."""
+    mode_grid, profiles = _mode_and_profiles(scenario)
+    return compare_profiles(scenario, profiles, coupling_b(scenario.a, mode_grid))

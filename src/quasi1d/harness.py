@@ -328,9 +328,7 @@ class ScatterSpec:
     potential: scattering.RadialPotential
     height: float = 10.0
     radius: float = 1.0
-    mu: float | None = None       # or epsilon^2 / n_particles; None in a sweep
-    epsilon: float | None = None
-    n_particles: float | None = None
+    mu: float | None = None       # epsilon^2 / N of the paper; None in a sweep
     mu_list: tuple[float, ...] | None = None
     beta_tilde: float | None = None
     radial_table: bool = False
@@ -339,12 +337,11 @@ class ScatterSpec:
 def _parse_scatter(sec: _Section) -> ScatterSpec:
     v = sec.read(ScatterSpec)
     if v["mu_list"] is None:
-        v["mu"] = _resolve_mu(sec, v)
+        _positive(sec, v, "mu")
     elif any(mu <= 0 for mu in v["mu_list"]):
         raise sec.fail("mu_list", "every mu in the sweep must be positive")
     else:
-        _unused(sec, "a sweep takes its mus from mu_list", "mu", "epsilon",
-                "n_particles")
+        _unused(sec, "a sweep takes its mus from mu_list", "mu")
         _unused(sec, "a sweep writes no radial table", "radial_table")
     if v["beta_tilde"] is None:
         _unused(sec, "the radial table is the correction's, which needs "
@@ -356,22 +353,6 @@ def _parse_scatter(sec: _Section) -> ScatterSpec:
     if v["beta_tilde"] is None and v["mu_list"] is not None:
         raise sec.fail("mu_list", "a mu sweep needs beta_tilde")
     return ScatterSpec(**v)
-
-
-def _resolve_mu(sec: _Section, v: dict) -> float:
-    """mu directly, or epsilon^2 / n_particles; both given must agree."""
-    mu, eps, n = v["mu"], v["epsilon"], v["n_particles"]
-    if eps is not None and n is not None:
-        derived = eps * eps / n
-        if mu is not None and not math.isclose(mu, derived, rel_tol=1e-9):
-            raise sec.fail("mu", f"mu = {mu} inconsistent with "
-                                 f"epsilon^2 / n_particles = {derived}")
-        mu = derived
-    if mu is None:
-        raise sec.fail("mu", "mu (or the epsilon, n_particles pair) required")
-    if mu <= 0:
-        raise sec.fail("mu", "mu must be positive")
-    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,9 +388,7 @@ class Evolve1dSpec:
     initial: tuple  # gaussian[:sigma,x0,k0] (default), plane[:mode], constant
     length: float = 16.0
     n: int = 256
-    b: float | None = None        # resolved: b, 8 pi a quartic, or 0
-    a: float | None = None
-    quartic: float | None = None
+    b: float = 0.0                # 8 pi a int |chi|^4 of the paper
     v_par: Callable | None = None
     sample_stride: int = 0
     convergence: bool = False
@@ -419,7 +398,11 @@ class Evolve1dSpec:
 def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
     v = sec.read(Evolve1dSpec)
     _positive(sec, v, "length", "t_final", "dt")
-    v["b"] = _resolve_coupling(sec, v)
+    if v["snapshots"] and v["sample_stride"] < 1:
+        raise sec.fail("snapshots", "snapshots need sample_stride >= 1")
+    if not v["snapshots"]:
+        _unused(sec, "samples are read only to write snapshots",
+                "sample_stride")
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
     _grid_size(sec, v, "n")
     v["initial"] = _parse_initial(sec, v["initial"] or "gaussian", v["n"],
@@ -427,30 +410,9 @@ def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
     return Evolve1dSpec(**v)
 
 
-def _resolve_coupling(sec: _Section, v: dict) -> float:
-    b, a, quartic = v["b"], v["a"], v["quartic"]
-    if b is not None:
-        if a is not None:
-            raise sec.fail("b", "give either b or the a, quartic pair")
-    elif a is not None:
-        if quartic is None:
-            raise sec.fail("quartic", "quartic required alongside a")
-        if a < 0:
-            raise sec.fail("a", "scattering length must be non-negative")
-        return 8.0 * math.pi * a * quartic
-    _unused(sec, "quartic scales a, which is not given", "quartic")
-    return 0.0 if b is None else b
-
-
-@dataclass(frozen=True, eq=False, kw_only=True)
-class Reduce3dSpec(confined3d.ReductionScenario):
-    """A reduction scenario with harmonic v_perp (no key) and its eps sweep."""
-
-    eps_list: tuple[float, ...]
-
-
-def _parse_reduce3d(sec: _Section) -> Reduce3dSpec:
-    v = sec.read(Reduce3dSpec, omit=("v_perp",))
+def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
+    """A reduction scenario with the harmonic v_perp, which has no key."""
+    v = sec.read(confined3d.ReductionScenario, omit=("v_perp",))
     eps_list = v["eps_list"]
     if not eps_list:
         raise sec.fail("eps_list", "at least one epsilon required")
@@ -460,13 +422,11 @@ def _parse_reduce3d(sec: _Section) -> Reduce3dSpec:
                                    "decreasing")
     if v["a"] < 0:
         raise sec.fail("a", "scattering length must be non-negative")
-    if v["eps_ref"] is None:            # the first eps of the sweep
-        v["eps_ref"] = eps_list[0]
-    _positive(sec, v, "t_final", "dt_ref", "eps_ref", "length_x",
-              "base_extent_y", "phi0_sigma")
+    _positive(sec, v, "t_final", "dt_ref", "length_x", "base_extent_y",
+              "phi0_sigma")
     v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
-    _grid_size(sec, v, "n_x", "n_y", "mode_n")
-    return Reduce3dSpec(v_perp=transverse.harmonic_profile, **v)
+    _grid_size(sec, v, "n_x", "n_y")
+    return confined3d.ReductionScenario(v_perp=transverse.harmonic_profile, **v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -598,6 +558,8 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
         if table.shape[1] != 2:
             raise sec.fail("potential", f"{rest}: expected two CSV columns "
                                         f"(r, w)")
+        _unused(sec, "a tabulated potential has no height or radius", "height",
+                "radius")
         return scattering.tabulated_potential(table[:, 0], table[:, 1])
     # the named shapes take height and radius from their own keys, no numbers
     name, = sec.mini_spec("potential", spec, "potential", {
@@ -606,6 +568,8 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
         return scattering.square_barrier(height, radius)
     if name == "smooth_bump":
         return scattering.smooth_bump(height, radius)
+    _unused(sec, "the zero potential has no height or radius", "height",
+            "radius")
     return scattering.zero_potential()
 
 
@@ -1030,7 +994,7 @@ def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
 
 
 def _run_reduce3d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
-    table = confined3d.reduction_sweep(cfg.spec, cfg.spec.eps_list)
+    table = confined3d.reduction_sweep(cfg.spec)
     rows = [(row.epsilon, row.err_l2, row.orthogonal_mass, row.energy_drift,
              row.steps) for row in table.rows]
     _write_csv(out_dir / "reduction.csv",

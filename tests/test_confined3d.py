@@ -1,5 +1,6 @@
 """Confined 3d evolution against its 1d reduction on small grids."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -290,9 +291,9 @@ def test_sweep_holds_one_eps_box_at_a_time(small_box):
     # measured, 8.55 while the previous eps's state and trajectory lived on
     scen = confined3d.ReductionScenario(
         a=0.5, v_perp=transverse.harmonic_profile, v_par=lambda t, x: 0.5 * x**2,
-        t_final=0.02, dt_ref=0.005, eps_ref=0.5,
-        length_x=16.0, n_x=64, n_y=32, mode_n=32)
-    peak = _peak_boxes(lambda: confined3d.reduction_sweep(scen, [0.5, 0.25]),
+        eps_list=(0.5, 0.25), t_final=0.02, dt_ref=0.005,
+        length_x=16.0, n_x=64, n_y=32)
+    peak = _peak_boxes(lambda: confined3d.reduction_sweep(scen),
                        small_box.values.nbytes)
     assert peak <= 6.0
 
@@ -449,9 +450,9 @@ def test_reduction_sweep_converges():
     scen = confined3d.ReductionScenario(
         a=0.5, v_perp=transverse.harmonic_profile,
         v_par=lambda t, x: 0.5 * x**2,
-        t_final=0.2, dt_ref=0.02, eps_ref=0.5,
-        length_x=16.0, n_x=48, n_y=32, mode_n=64)
-    table = confined3d.reduction_sweep(scen, [0.5, 0.25])
+        eps_list=(0.5, 0.25), t_final=0.2, dt_ref=0.02,
+        length_x=16.0, n_x=48, n_y=32)
+    table = confined3d.reduction_sweep(scen)
     assert table.monotone_err and table.monotone_orth
     assert table.err_ratios()[0] < 0.5
     assert table.rows[0].steps == 10          # dt scales with eps^2
@@ -478,12 +479,11 @@ def gate_profiles():
         if v_perp not in cache:
             scen = confined3d.ReductionScenario(
                 a=0.5, v_perp=v_perp, v_par=lambda t, x: 0.5 * x**2,
-                t_final=0.1, dt_ref=0.00625, eps_ref=0.4,
-                length_x=16.0, n_x=64, n_y=32, mode_n=96)
+                eps_list=(0.4, 0.2, 0.1), t_final=0.1, dt_ref=0.00625,
+                length_x=16.0, n_x=64, n_y=32)
             mode = transverse.ground_state_2d(v_perp, extent=scen.base_extent_y,
-                                              n=scen.mode_n)
-            cache[v_perp] = (scen, mode,
-                             confined3d.reduction_profiles(scen, [0.4, 0.2, 0.1]))
+                                              n=scen.n_y)
+            cache[v_perp] = (scen, mode, confined3d.reduction_profiles(scen))
         return cache[v_perp]
 
     return profiles
@@ -518,12 +518,12 @@ def test_reduction_gate_discriminates_the_coupling(gate_profiles, v_perp, wrong_
 def test_reduction_sweep_rejects_bad_eps_order():
     scen = confined3d.ReductionScenario(
         a=0.5, v_perp=transverse.harmonic_profile, v_par=None,
-        t_final=0.1, dt_ref=0.02, eps_ref=0.5,
-        length_x=16.0, n_x=48, n_y=32, mode_n=64)
+        eps_list=(0.25, 0.5), t_final=0.1, dt_ref=0.02,
+        length_x=16.0, n_x=48, n_y=32)
     with pytest.raises(DomainError):
-        confined3d.reduction_sweep(scen, [0.25, 0.5])
+        confined3d.reduction_sweep(scen)
     with pytest.raises(DomainError):
-        confined3d.reduction_sweep(scen, [0.5, 0.5])
+        confined3d.reduction_sweep(dataclasses.replace(scen, eps_list=(0.5, 0.5)))
 
 
 def _pulsing(t, x):
@@ -572,15 +572,14 @@ def test_free_3d_run_is_line_times_plane():
 def test_free_sweep_rows_match_the_3d_run():
     scen = confined3d.ReductionScenario(
         a=0.0, v_perp=transverse.harmonic_profile, v_par=_pulsing,
-        t_final=0.1, dt_ref=0.02, eps_ref=0.5,
+        eps_list=(0.5, 0.25), t_final=0.1, dt_ref=0.02,
         length_x=8.0, n_x=32, base_extent_y=13.0, n_y=32)
-    eps_list = [0.5, 0.25]
-    rows = confined3d.reduction_sweep(scen, eps_list).rows
+    rows = confined3d.reduction_sweep(scen).rows
     # the same rows from the full 3d run of the a > 0 branch
     mode_grid = transverse.ground_state_2d(scen.v_perp,
                                            extent=scen.base_extent_y, n=scen.n_y)
     phi0 = gpe1d.gaussian_packet(gpe1d.Grid1D(scen.length_x, scen.n_x))
-    for row, eps in zip(rows, eps_list):
+    for row, eps in zip(rows, scen.eps_list):
         grid = confined3d.make_grid(scen.length_x, scen.n_x,
                                     scen.base_extent_y, scen.n_y, eps)
         mode = transverse.rescale_mode(mode_grid, eps)
@@ -588,7 +587,7 @@ def test_free_sweep_rows_match_the_3d_run():
         traj3 = confined3d.evolve_3d(psi0, 0.0, scen.v_perp,
                                      lambda t, x, y1, y2: _pulsing(t, x),
                                      scen.t_final,
-                                     scen.dt_ref * (eps / scen.eps_ref) ** 2)
+                                     scen.dt_ref * (eps / scen.eps_list[0]) ** 2)
         n_steps = traj3.times.size - 1
         traj1 = gpe1d.evolve_1d(phi0, scen.t_final, scen.t_final / n_steps,
                                 _pulsing)
@@ -603,23 +602,22 @@ def test_free_sweep_rows_match_the_3d_run():
     assert [row.steps for row in rows] == [5, 20]
 
 
-def _one_loop_sweep(scenario, eps_list):
-    """Reference: each eps's 3d run and its 1d reference in one loop."""
+def _one_loop_sweep(scenario):
+    """Reference: each eps's 3d run and its 1d reference in one loop, at the
+    b of the mode those runs rescale."""
     factorized = scenario.a == 0.0
-    b = 0.0 if factorized else transverse.coupling_b(
-        scenario.a, transverse.ground_state_2d(
-            scenario.v_perp, extent=scenario.base_extent_y, n=scenario.mode_n))
     phi0 = gpe1d.gaussian_packet(gpe1d.Grid1D(scenario.length_x, scenario.n_x),
                                  sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
     mode_grid = transverse.ground_state_2d(scenario.v_perp,
                                            extent=scenario.base_extent_y,
                                            n=scenario.n_y)
+    b = 0.0 if factorized else transverse.coupling_b(scenario.a, mode_grid)
     rows = []
-    for eps in eps_list:
+    for eps in scenario.eps_list:
         grid = confined3d.make_grid(scenario.length_x, scenario.n_x,
                                     scenario.base_extent_y, scenario.n_y, eps)
         mode = transverse.rescale_mode(mode_grid, eps)
-        dt = scenario.dt_ref * (eps / scenario.eps_ref) ** 2
+        dt = scenario.dt_ref * (eps / scenario.eps_list[0]) ** 2
         if factorized:
             traj1 = gpe1d.evolve_1d(phi0, scenario.t_final, dt, scenario.v_par, b)
             n_steps = traj1.times.size - 1
@@ -652,20 +650,27 @@ def _one_loop_sweep(scenario, eps_list):
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5], ids=["a0", "interacting"])
-def test_sweep_stages_compose_to_the_one_loop_sweep(a):
+def test_sweep_stages_compose_to_the_one_loop_sweep(a, monkeypatch):
     scen = confined3d.ReductionScenario(
         a=a, v_perp=transverse.harmonic_profile, v_par=_pulsing,
-        t_final=0.05, dt_ref=0.01, eps_ref=0.5,
-        length_x=8.0, n_x=32, base_extent_y=13.0, n_y=32, mode_n=32)
-    eps_list = [0.5, 0.25]
-    table = confined3d.reduction_sweep(scen, eps_list)
-    assert table.rows == _one_loop_sweep(scen, eps_list)
+        eps_list=(0.5, 0.25), t_final=0.05, dt_ref=0.01,
+        length_x=8.0, n_x=32, base_extent_y=13.0, n_y=32)
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(kwargs["n"])
+        return transverse.ground_state_2d(*args, **kwargs)
+
+    monkeypatch.setattr(confined3d, "ground_state_2d", counted_solve)
+    table = confined3d.reduction_sweep(scen)
+    assert solves == [scen.n_y]             # one mode per sweep, at n_y
+    assert table.rows == _one_loop_sweep(scen)
     assert [row.steps for row in table.rows] == [5, 20]
     # the stages apart give the same rows, and any b reuses the profiles
-    profiles = confined3d.reduction_profiles(scen, eps_list)
-    b = 0.0 if a == 0.0 else transverse.coupling_b(
+    profiles = confined3d.reduction_profiles(scen)
+    b = transverse.coupling_b(
         a, transverse.ground_state_2d(scen.v_perp, extent=scen.base_extent_y,
-                                      n=scen.mode_n))
+                                      n=scen.n_y))
     assert confined3d.compare_profiles(scen, profiles, b).rows == table.rows
     other = confined3d.compare_profiles(scen, profiles, b + 1.0).rows
     assert [row.err_l2 for row in other] != [row.err_l2 for row in table.rows]

@@ -1,5 +1,6 @@
 """Scenario harness: configs, assertions, artifacts, CLI exit codes."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -114,16 +115,19 @@ def test_missing_config_file(tmp_path):
         harness.load_config(tmp_path / "nope.ini")
 
 
-def test_mu_from_confinement_scale(tmp_path):
+def test_mu_is_required_and_positive(tmp_path):
+    # mu = epsilon^2 / N has one key; the pair that spelt it is unknown
+    assert harness.from_mapping("scatter", {"scatter": {"mu": 0.125}}).spec.mu \
+        == 0.125
+    for mu in ("", "0", "-0.1"):
+        with pytest.raises(ConfigError, match=r"\[scatter\] mu: positive mu "
+                                              r"required"):
+            harness.from_mapping("scatter", {"scatter": {"mu": mu}})
     path = write_ini(tmp_path, "[scenario]\nkind = scatter\n"
                                "[scatter]\nepsilon = 0.5\nn_particles = 2\n")
-    cfg = harness.load_config(path)
-    assert cfg.spec.mu == pytest.approx(0.125)
-    bad = write_ini(tmp_path, "[scenario]\nkind = scatter\n"
-                              "[scatter]\nmu = 0.1\nepsilon = 0.5\n"
-                              "n_particles = 2\n", name="bad.ini")
-    with pytest.raises(ConfigError, match="inconsistent"):
-        harness.load_config(bad)
+    with pytest.raises(ConfigError, match=r"scenario\.ini:4 \[scatter\] "
+                                          r"epsilon: unknown key"):
+        harness.load_config(path)
 
 
 def test_parameter_windows(tmp_path):
@@ -245,19 +249,12 @@ def test_radial_potential_specs(tmp_path):
 
 
 def test_coupling_resolution(tmp_path):
+    # b = 8 pi a int |chi|^4 has one key, which defaults to 0
     base = {"length": 16.0, "n": 32, "t_final": 0.01, "dt": 0.01}
-    with pytest.raises(ConfigError, match="either b or"):
-        harness.from_mapping("evolve1d", {"evolve1d": {**base, "b": 1.0,
-                                                       "a": 0.5}})
-    with pytest.raises(ConfigError, match="quartic required"):
-        harness.from_mapping("evolve1d", {"evolve1d": {**base, "a": 0.5}})
-    with pytest.raises(ConfigError, match="non-negative"):
-        harness.from_mapping("evolve1d", {"evolve1d": {
-            **base, "a": -0.5, "quartic": 0.2}})
-    cfg = harness.from_mapping("evolve1d", {"evolve1d": {
-        **base, "a": 0.5, "quartic": 1.0 / (2.0 * math.pi)}})
+    assert harness.from_mapping("evolve1d", {"evolve1d": base}).spec.b == 0.0
+    cfg = harness.from_mapping("evolve1d", {"evolve1d": {**base, "b": 2.0}})
     result = harness.run_scenario(cfg, tmp_path)
-    assert result.metrics["b"] == pytest.approx(2.0, rel=1e-12)
+    assert result.metrics["b"] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +653,12 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     assert cli.main(["validate", config, "--set", "count.v_par=none"]) == 0
 
 
+# the keys that spelt mu, b and the reduce3d step a second time
+SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
+                    ("evolve1d", "a"), ("evolve1d", "quartic"),
+                    ("reduce3d", "eps_ref"), ("reduce3d", "mode_n")]
+
+
 @pytest.mark.parametrize("config, override", [
     ("harmonic_trap", "trap.potential=harmonic:abc"),
     ("gpe_packet", "evolve1d.initial=gaussian:x"),
@@ -668,7 +671,6 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("gpe_packet", "evolve1d.n=7"),
     ("reduction_sweep", "reduce3d.n_x=7"),
     ("reduction_sweep", "reduce3d.n_y=2"),
-    ("reduction_sweep", "reduce3d.mode_n=5"),
     ("gpe_packet", "evolve1d.snapshots=maybe"),
     ("gpe_convergence", "evolve1d.convergence=maybe"),
     ("gpe_packet", "evolve1d.sample_stride=abc"),
@@ -700,7 +702,6 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("reduction_sweep", "reduce3d.potential=shifted:0.7"),
     ("reduction_sweep", "reduce3d.length_x=-1"),
     ("reduction_sweep", "reduce3d.base_extent_y=0"),
-    ("reduction_sweep", "reduce3d.eps_ref=-1"),
     ("counting_pair", "count.length=-1"),
     ("counting_confined", "count.extent=-1"),
     ("counting_confined", "count.epsilon=-2"),
@@ -732,11 +733,10 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_pair", "count.b=-1000"),
     # keys the run would ignore
     ("shell_sweep", "scatter.mu=0.5"),
-    ("shell_sweep", "scatter.epsilon=0.1"),
-    ("shell_sweep", "scatter.n_particles=4"),
     ("shell_sweep", "scatter.radial_table=true"),
     ("barrier_scattering", "scatter.radial_table=true"),
-    ("gpe_packet", "evolve1d.quartic=0.1"),
+    ("gpe_packet", "evolve1d.snapshots=true"),
+    ("gpe_packet", "evolve1d.sample_stride=10"),
     ("counting_triplet", "count.n_y=12"),
     ("counting_triplet", "count.extent=12"),
     ("counting_pair", "count.epsilon=0.5"),
@@ -745,6 +745,14 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     ("counting_triplet", "count.quad_length=1.8"),
     ("counting_confined", "count.quad_n=12"),
     ("counting_confined", "count.quad_samples=10"),
+    # second spellings of mu, b and the reduce3d step: unknown keys
+    ("shell_sweep", "scatter.epsilon=0.1"),
+    ("shell_sweep", "scatter.n_particles=4"),
+    ("barrier_scattering", "scatter.n_particles=2"),
+    ("gpe_packet", "evolve1d.a=0.5"),
+    ("gpe_packet", "evolve1d.quartic=0.1"),
+    ("reduction_sweep", "reduce3d.mode_n=5"),
+    ("reduction_sweep", "reduce3d.eps_ref=-1"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -752,8 +760,46 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     code = cli.main([section, str(path), "--set", override.format(tmp=tmp_path),
                      "--output", str(tmp_path)])
     assert code == 2
-    assert _config_error_at(path, section, key) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert _config_error_at(path, section, key) in err
+    if (section, key) in SECOND_SPELLINGS:
+        assert f"{key}: unknown key" in err
     assert not (tmp_path / config).exists()
+
+
+def test_height_and_radius_apply_to_the_named_shapes_only(tmp_path, capsys):
+    # zero and file:<csv> potentials never read height or radius
+    path = CONFIG_DIR / "barrier_scattering.ini"
+    assert cli.main(["validate", str(path), "--set", "scatter.potential=zero",
+                     "--set", "scatter.radius=0.5"]) == 2
+    assert f"{_config_error_at(path, 'scatter', 'height')}ignored" in \
+        capsys.readouterr().err
+    table = tmp_path / "w.csv"
+    table.write_text("0.0,10.0\n1.0,0.0\n", encoding="utf-8")
+    for potential in ("zero", f"file:{table}"):
+        for key in ("height", "radius"):
+            with pytest.raises(ConfigError, match=rf"^<flags> \[scatter\] {key}: "
+                                                  rf"ignored"):
+                harness.from_mapping("scatter", {"scatter": {
+                    "mu": 0.001, "potential": potential, key: 1.0}})
+        harness.from_mapping("scatter", {"scatter": {"mu": 0.001,
+                                                     "potential": potential}})
+
+
+def test_benchmark_workloads_load():
+    # perfbench/worker.py's WORKLOADS, read from its source without running
+    # it: each (config, overrides) pair must pass the loader
+    source = (CONFIG_DIR.parent / "perfbench" / "worker.py").read_text(
+        encoding="utf-8")
+    workloads = next(
+        ast.literal_eval(node.value) for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets] == ["WORKLOADS"])
+    assert workloads
+    for runs in workloads.values():
+        for name, overrides in runs:
+            harness.load_config(CONFIG_DIR / name,
+                                overrides + ["scenario.seed=1"])
 
 
 @pytest.mark.parametrize("config, override", [
@@ -861,7 +907,12 @@ def test_mini_spec_grammar_property(capsys):
         value = name + (":" + ",".join(map(str, numbers)) if numbers else "")
         path = CONFIG_DIR / f"{config}.ini"
         capsys.readouterr()
-        code = cli.main(["validate", str(path), "--set", f"{option}={value}"])
+        # blank values read as defaults, and the zero potential refuses a
+        # height or radius that is given
+        blank = (["--set", "scatter.height=", "--set", "scatter.radius="]
+                 if option == "scatter.potential" else [])
+        code = cli.main(["validate", str(path), "--set", f"{option}={value}",
+                         *blank])
         section, _, key = option.partition(".")
         err = capsys.readouterr().err
         assert code == _mini_spec_verdict(bound, *table[name], numbers), (value, err)
