@@ -478,12 +478,12 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     direction} under H = -Laplace + V + b psi^2 frozen at psi, until
     |H psi - mu psi| < POLISH_TOL with mu = <psi, H psi>.  Along the sphere
     the quartic term curves the energy by 3 b psi^2, where the frozen H
-    holds b psi^2, so at b > 0 the Ritz matrix gains 2 b <u_i, psi^2 u_j> on
-    the search vectors: each step minimizes the energy's own second-order
-    model.  A search vector that orthogonalization leaves below 1e-8 of its
-    length lies in the span of the others and is dropped.  Its transforms
-    are rfftn/irfftn, since every vector is real.  Raises ResolutionError
-    after MAX_ITERS steps.
+    holds b psi^2, so the Ritz matrix gains 2 b <u_i, psi^2 u_j> on the
+    search vectors (exactly 0 at b = 0): each step minimizes the energy's
+    own second-order model.  A search vector that orthogonalization leaves
+    below 1e-8 of its length lies in the span of the others and is dropped.
+    Its transforms are rfftn/irfftn, since every vector is real.  Raises
+    ResolutionError after MAX_ITERS steps.
 
     Returns the state and the energy of every iterate; the last is the
     state's own, at b = 0 its eigenvalue.
@@ -504,14 +504,14 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     energies = []
     direction = None
     for _ in range(MAX_ITERS):
-        v_frozen = v + b * psi**2 if b else v
+        v_frozen = v + b * psi**2
 
         def apply_h(state: np.ndarray) -> np.ndarray:
             return spectral(state, k2_half) + v_frozen * state
 
         h_psi = apply_h(psi)
         mu = dot(psi, h_psi)
-        energies.append(mu - 0.5 * b * float(np.sum(psi**4)) * dvol if b else mu)
+        energies.append(mu - 0.5 * b * float(np.sum(psi**4)) * dvol)
         resid = h_psi - mu * psi
         if math.sqrt(dot(resid, resid)) < POLISH_TOL:
             return psi, energies
@@ -535,9 +535,8 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
         h_shift = np.array([[dot(f, h_g) for h_g in (h_psi, *h_basis)]
                             for f in (psi, *basis)])
         h_shift = 0.5 * (h_shift + h_shift.T) - mu * np.eye(len(basis) + 1)
-        if b:       # the rest of the quartic term's curvature
-            curve = 2.0 * b * psi**2
-            h_shift[1:, 1:] += [[dot(curve * f, g) for g in basis] for f in basis]
+        curve = 2.0 * b * psi**2    # the rest of the quartic term's curvature
+        h_shift[1:, 1:] += [[dot(curve * f, g) for g in basis] for f in basis]
         ritz = np.linalg.eigh(h_shift)[1][:, 0]
         if ritz[0] < 0.0:
             ritz = -ritz

@@ -431,7 +431,9 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
 
 @dataclass(frozen=True, eq=False)
 class CountSpec:
-    """[count]: the counting run, its one-particle grid and the pair form."""
+    """[count]: the counting run and its one-particle grid.  quad_height,
+    when given, switches on the pair-form check and sets the bump's
+    strength; the check's other settings are the _QUAD_* constants."""
 
     n_particles: int
     xi: float
@@ -447,11 +449,6 @@ class CountSpec:
     pair_height: float | None = None
     pair_mu: float | None = None
     quad_height: float | None = None  # given: sample the pair quadratic form
-    quad_mu: float = 0.64
-    quad_beta_tilde: float = 0.9
-    quad_length: float = 1.8
-    quad_n: int = 12
-    quad_samples: int = 10
 
 
 def _parse_count(sec: _Section) -> CountSpec:
@@ -462,22 +459,17 @@ def _parse_count(sec: _Section) -> CountSpec:
     if v["xi"] is None:
         raise sec.fail("xi", "xi required")
     _check_window(sec, "xi", v["xi"], 0.0, 0.5, XI_WINDOW)
-    for key in ("samples", "quad_samples"):
-        if v[key] < 1:
-            raise sec.fail(key, "at least one sample required")
+    if v["samples"] < 1:
+        raise sec.fail("samples", "at least one sample required")
     if v["grid"] not in ("line", "confined"):
         raise sec.fail("grid", f"unknown grid kind {v['grid']!r}")
     if v["grid"] == "line":
         _unused(sec, "the transverse grid applies on grid = confined only",
                 "n_y", "extent", "epsilon")
-    if v["quad_height"] is None:
-        _unused(sec, "the pair form is sampled only when quad_height is given",
-                "quad_mu", "quad_beta_tilde", "quad_length", "quad_n",
-                "quad_samples")
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
-    _grid_size(sec, v, "dim", "n_y", "quad_n")
-    _positive(sec, v, "length", "extent", "epsilon", "quad_length", "quad_mu")
+    _grid_size(sec, v, "dim", "n_y")
+    _positive(sec, v, "length", "extent", "epsilon")
     if v["b"] < 0:      # a flat ground-state seed would be the flat saddle
         raise sec.fail("b", "the condensate's coupling b must be non-negative")
     if (v["pair_height"] is None) != (v["pair_mu"] is None):
@@ -487,11 +479,10 @@ def _parse_count(sec: _Section) -> CountSpec:
         axes = [gpe1d.Grid1D(v["length"], v["dim"])]
         if v["grid"] == "confined":     # the rescaled mode's transverse axis
             axes.append(gpe1d.Grid1D(v["extent"] * v["epsilon"], v["n_y"]))
-        _pair_resolved(sec, v, "pair_mu", axes)
-    _pair_resolved(sec, v, "quad_mu",
-                   [gpe1d.Grid1D(v["quad_length"], v["quad_n"])])
-    _check_window(sec, "quad_beta_tilde", v["quad_beta_tilde"], 1.0 / 3.0, 1.0,
-                  BETA_WINDOW)
+        try:
+            manybody.check_pair_range(v["pair_mu"], axes)
+        except ResolutionError as exc:
+            raise sec.fail("pair_mu", str(exc)) from None
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
     if v["v_par"] is not None:
         if v["grid"] == "confined":
@@ -523,14 +514,6 @@ def _resolved_potential(sec: _Section, key: str,
         raise sec.fail(key, f"potential reaches |V| = {peak:g} on the grid, "
                             f"beyond its largest k^2 = {bound:g}; refine the "
                             f"grid or weaken the potential")
-
-
-def _pair_resolved(sec: _Section, v: dict, key: str, axes: list) -> None:
-    """The pair range under `key` against the axes the run will build."""
-    try:
-        manybody.check_pair_range(v[key], axes)
-    except ResolutionError as exc:
-        raise sec.fail(key, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1006,8 +989,10 @@ def _run_reduce3d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                "err_first": table.rows[0].err_l2,
                "err_last": table.rows[-1].err_l2,
                "orth_last": table.rows[-1].orthogonal_mass,
-               "max_err_ratio": max(ratios) if ratios else 0.0,
+               "max_err_ratio": max(ratios, default=math.nan),
                "max_energy_drift": max(r.energy_drift for r in table.rows)}
+    if not ratios:      # one eps compares nothing: null, and fails any assertion
+        metrics["monotone_err"] = metrics["monotone_orth"] = math.nan
     detail = {"energy_stride": confined3d.ENERGY_STRIDE,
               "rows": [dataclasses.asdict(row) for row in table.rows]}
     return metrics, detail, ["reduction.csv"]
@@ -1084,21 +1069,33 @@ def _weight_bounds_hold() -> bool:
     return True
 
 
+# The pair-form check's fixed setting: range mu and beta_tilde of the shell
+# correction, the cube's side and points per axis, and the random pair
+# states drawn.  The spacing is 1.8 / 12 = 0.15, so the range 0.64 spans the
+# 4 points that manybody.check_pair_range asks for; 0.9 lies in (1/3, 1).
+_QUAD_MU = 0.64
+_QUAD_BETA_TILDE = 0.9
+_QUAD_LENGTH = 1.8
+_QUAD_N = 12
+_QUAD_SAMPLES = 10
+
+
 def _quad_form_check(spec: CountSpec, seed: int) -> float | None:
-    """Smallest sampled value of the compensated pair quadratic form."""
+    """Smallest sampled value of the compensated pair quadratic form, for
+    the bump of height quad_height; None when that is not given."""
     if spec.quad_height is None:
         return None
-    mu = spec.quad_mu
+    mu = _QUAD_MU
     w = scattering.smooth_bump(spec.quad_height)
     sol = scattering.solve_zero_energy(w, mu)
-    corr = scattering.build_correction(sol, spec.quad_beta_tilde)
-    ham = manybody.box_hamiltonian(spec.quad_length, spec.quad_n,
+    corr = scattering.build_correction(sol, _QUAD_BETA_TILDE)
+    ham = manybody.box_hamiltonian(_QUAD_LENGTH, _QUAD_N,
                                    pair_potential=lambda d: w.scaled(d, mu),
                                    pair_range=mu)
     draws = manybody.random_symmetric_states(2, ham.dim,
                                              np.random.default_rng(seed + 1))
     worst = math.inf
-    for _ in range(spec.quad_samples):
+    for _ in range(_QUAD_SAMPLES):
         worst = min(worst, manybody.pair_indicator_form(next(draws), ham, corr))
     draws.close()       # frees the draw buffer before the product state
     flat = manybody.product_state_mb(np.ones(ham.dim), 2)

@@ -431,26 +431,6 @@ _LANCZOS_STEPS = 40
 _RITZ_TOL = 1e-14
 
 
-def _outside_weight(mat: np.ndarray, orb: np.ndarray, row: np.ndarray) -> float:
-    """||q M||^2 for q = 1 - |phi><phi| on the rows of M, given row = phi^H M.
-
-    Formed from q M itself rather than as ||M||^2 - ||row||^2, so it keeps
-    its relative precision when the state is close to a product; summed by
-    blocks of rows through one buffer.
-    """
-    # the block and the two ufunc buffers of the broadcast product
-    rows = _block_rows(len(mat), mat.size, 3)
-    buf = np.empty((rows, mat.shape[1]), dtype=complex)
-    total = 0.0
-    for start in range(0, len(mat), rows):
-        block = mat[start:start + rows]
-        outside = buf[:len(block)]
-        np.multiply.outer(orb[start:start + rows], row, out=outside)
-        outside -= block
-        total += np.vdot(outside, outside).real
-    return float(total)
-
-
 def trace_distance(state: ManyBodyState, orbital: np.ndarray) -> float:
     """||gamma - |phi><phi|||_1 for the one-particle reduced density matrix.
 
@@ -460,20 +440,32 @@ def trace_distance(state: ManyBodyState, orbital: np.ndarray) -> float:
     lowest eigenvalue of T_k - e_1 e_1^T.  With M the state read as
     d x d^(N-1), gamma x = M (M^H x) / ||M||^2 is taken as two vector-matrix
     products on M, so neither gamma nor the d x d difference is formed.  The
-    first diagonal entry phi^H gamma phi - 1 is -||q M||^2 / ||M||^2.  The
-    iteration stops once the Ritz residual beta_k |s_k| is at round-off,
-    which includes the breakdown beta_k = 0 of a product state at step 1;
-    past the step cap the dense rdm and eigvalsh value is returned instead.
+    first diagonal entry phi^H gamma phi - 1 is -<q_1> = -<n_hat> / N, read
+    from the counter Gram matrix as -sum_k (k / N) ||P_k psi||^2 / ||psi||^2:
+    each term is formed from q-parts, so it keeps its relative precision
+    when the state is close to a product.  That costs a full counter pass
+    (``_counter_sums``), heavier than the Lanczos steps at N = 3;
+    ``counting_sample`` reuses the pass it makes anyway.  The iteration
+    stops once the Ritz residual beta_k |s_k| is at round-off, which
+    includes the breakdown beta_k = 0 of a product state at step 1; past
+    the step cap the dense rdm and eigvalsh value is returned instead.
     """
+    return _lanczos_distance(state, orbital, _counter_sums(state, orbital)[1])
+
+
+def _lanczos_distance(state: ManyBodyState, orbital: np.ndarray,
+                      gram: np.ndarray) -> float:
+    """trace_distance, given the state's counter Gram matrix."""
     orb = _check_orbital(state, orbital)
+    n = state.n_particles
     mat = state.tensor.reshape(state.dim, -1)
     scale = 1.0 / float(np.vdot(mat, mat).real)
-    row = orb.conj() @ mat
-    diag = [-_outside_weight(mat, orb, row) * scale]
+    outside = sum(k * gram[k, k].real for k in range(1, n + 1)) / n
+    diag = [-outside * scale]
     off: list[float] = []
     basis = np.empty((_LANCZOS_STEPS + 1, state.dim), dtype=complex)
     basis[0] = orb
-    w = (mat @ row.conj()) * scale
+    w = (mat @ (orb.conj() @ mat).conj()) * scale
     for k in range(_LANCZOS_STEPS):
         if k:
             diag.append(float(np.vdot(basis[k], w).real))
@@ -777,18 +769,6 @@ class CountingSample:
 _BOUND_SLACK = 1e-9
 
 
-def _counter_checks(state: ManyBodyState, orbital: np.ndarray,
-                    m: np.ndarray) -> tuple[float, float, float]:
-    """Completeness residual, largest counter overlap and <m_hat>, from the
-    blocked counter sums: no component is held whole."""
-    resid_sq, gram = _counter_sums(state, orbital)
-    n = state.n_particles
-    orthogonality = max(abs(complex(gram[j, k]))
-                        for j, k in itertools.combinations(range(n + 1), 2))
-    counting = float(sum(m[k] * gram[k, k].real for k in range(n + 1)))
-    return math.sqrt(resid_sq), orthogonality, counting
-
-
 def counting_sample(state: ManyBodyState, orbital: np.ndarray,
                     weights: WeightTable, ham: HamiltonianSpec,
                     e_phi: float) -> CountingSample:
@@ -796,21 +776,25 @@ def counting_sample(state: ManyBodyState, orbital: np.ndarray,
 
     ``e_phi`` is the line functional of the condensate that ``orbital``
     samples; the counters are checked for completeness and orthogonality on
-    the way.
+    the way.  One counter pass serves <m_hat>, both checks and the trace
+    distance's first Lanczos entry.
     """
-    if weights.n_particles != state.n_particles:
+    n = state.n_particles
+    if weights.n_particles != n:
         raise InterfaceError("weight table built for a different particle number")
-    completeness, orthogonality, counting = _counter_checks(state, orbital,
-                                                            weights.m)
+    resid_sq, gram = _counter_sums(state, orbital)
+    orthogonality = max(abs(complex(gram[j, k]))
+                        for j, k in itertools.combinations(range(n + 1), 2))
+    counting = float(sum(weights.m[k] * gram[k, k].real for k in range(n + 1)))
     gap = abs(energy_per_particle(state, ham) - e_phi)
     alpha = counting + gap
-    dist = trace_distance(state, orbital)
+    dist = _lanczos_distance(state, orbital, gram)
     bound_rhs = math.sqrt(8.0 * alpha)
-    reverse_rhs = gap + math.sqrt(dist) + 0.5 * state.n_particles ** (-weights.xi)
+    reverse_rhs = gap + math.sqrt(dist) + 0.5 * n ** (-weights.xi)
     passed = (dist <= bound_rhs + _BOUND_SLACK
               and alpha <= reverse_rhs + _BOUND_SLACK)
-    return CountingSample(completeness, orthogonality, counting, gap, alpha,
-                          dist, bound_rhs, reverse_rhs, passed)
+    return CountingSample(math.sqrt(resid_sq), orthogonality, counting, gap,
+                          alpha, dist, bound_rhs, reverse_rhs, passed)
 
 
 # ---------------------------------------------------------------------------

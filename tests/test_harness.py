@@ -9,7 +9,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from quasi1d import cli, gpe1d, harness, snapshots, transverse
+from quasi1d import cli, gpe1d, harness, manybody, snapshots, transverse
 from quasi1d.errors import ConfigError, InterfaceError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -657,6 +657,10 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
 SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
                     ("evolve1d", "a"), ("evolve1d", "quartic"),
                     ("reduce3d", "eps_ref"), ("reduce3d", "mode_n")]
+# the keys of the pair-form check's settings, now constants of the harness
+PAIR_FORM_KEYS = ["quad_mu", "quad_beta_tilde", "quad_length", "quad_n",
+                  "quad_samples"]
+UNKNOWN_KEYS = SECOND_SPELLINGS + [("count", key) for key in PAIR_FORM_KEYS]
 
 
 @pytest.mark.parametrize("config, override", [
@@ -685,14 +689,7 @@ SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
     ("barrier_scattering", "scatter.bisect_tol=1e-12"),
     ("counting_triplet", "count.dim=abc"),
     ("counting_triplet", "count.dim=7"),
-    ("counting_pair", "count.quad_n=abc"),
-    ("counting_pair", "count.quad_n=2"),
-    ("counting_pair", "count.quad_n=13"),
-    ("counting_pair", "count.quad_length=-1"),
-    ("counting_pair", "count.quad_mu=0"),
-    ("counting_pair", "count.quad_beta_tilde=2"),
     ("counting_pair", "count.beta_tilde=0.9"),
-    ("counting_pair", "count.quad_samples=0"),
     ("counting_pair", "count.pair_height=5"),
     ("counting_pair", "count.pair_mu=0.5"),
     ("counting_confined", "count.n_y=abc"),
@@ -705,7 +702,6 @@ SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
     ("counting_pair", "count.length=-1"),
     ("counting_confined", "count.extent=-1"),
     ("counting_confined", "count.epsilon=-2"),
-    ("counting_pair", "count.quad_mu=0.1"),
     ("gpe_packet", "evolve1d.initial=plane:1.5"),
     ("gpe_packet", "evolve1d.initial=plane:2,3"),
     ("gpe_packet", "evolve1d.initial=gaussian:0"),
@@ -740,11 +736,6 @@ SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
     ("counting_triplet", "count.n_y=12"),
     ("counting_triplet", "count.extent=12"),
     ("counting_pair", "count.epsilon=0.5"),
-    ("counting_triplet", "count.quad_mu=0.64"),
-    ("counting_triplet", "count.quad_beta_tilde=0.9"),
-    ("counting_triplet", "count.quad_length=1.8"),
-    ("counting_confined", "count.quad_n=12"),
-    ("counting_confined", "count.quad_samples=10"),
     # second spellings of mu, b and the reduce3d step: unknown keys
     ("shell_sweep", "scatter.epsilon=0.1"),
     ("shell_sweep", "scatter.n_particles=4"),
@@ -753,6 +744,20 @@ SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
     ("gpe_packet", "evolve1d.quartic=0.1"),
     ("reduction_sweep", "reduce3d.mode_n=5"),
     ("reduction_sweep", "reduce3d.eps_ref=-1"),
+    # the pair-form check's settings, now constants: unknown keys
+    ("counting_pair", "count.quad_n=abc"),
+    ("counting_pair", "count.quad_n=2"),
+    ("counting_pair", "count.quad_n=13"),
+    ("counting_pair", "count.quad_length=-1"),
+    ("counting_pair", "count.quad_mu=0"),
+    ("counting_pair", "count.quad_beta_tilde=2"),
+    ("counting_pair", "count.quad_samples=0"),
+    ("counting_pair", "count.quad_mu=0.1"),
+    ("counting_triplet", "count.quad_mu=0.64"),
+    ("counting_triplet", "count.quad_beta_tilde=0.9"),
+    ("counting_triplet", "count.quad_length=1.8"),
+    ("counting_confined", "count.quad_n=12"),
+    ("counting_confined", "count.quad_samples=10"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     section, _, key = override.partition("=")[0].partition(".")
@@ -762,9 +767,44 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     assert code == 2
     err = capsys.readouterr().err
     assert _config_error_at(path, section, key) in err
-    if (section, key) in SECOND_SPELLINGS:
+    if (section, key) in UNKNOWN_KEYS:
         assert f"{key}: unknown key" in err
     assert not (tmp_path / config).exists()
+
+
+def test_pair_form_settings_are_constants(tmp_path, capsys):
+    # the check's range resolves on its box and beta_tilde is admissible;
+    # a file line that sets any of the five exits 2 as unknown, as --set does
+    # (test_cli_malformed_input_exits_2)
+    manybody.check_pair_range(harness._QUAD_MU, [
+        gpe1d.Grid1D(harness._QUAD_LENGTH, harness._QUAD_N)])
+    assert 1.0 / 3.0 < harness._QUAD_BETA_TILDE < 1.0
+    text = (CONFIG_DIR / "counting_pair.ini").read_text(encoding="utf-8")
+    for key in PAIR_FORM_KEYS:
+        path = tmp_path / f"{key}.ini"
+        path.write_text(text.replace("[count]\n", f"[count]\n{key} = 1\n"),
+                        encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 2
+        assert f"{_config_error_at(path, 'count', key)}unknown key" in \
+            capsys.readouterr().err
+
+
+def test_one_eps_reduction_fails_its_trend_assertions(tmp_path, capsys):
+    # one eps compares nothing: the ratio and both trends are null and fail
+    path = CONFIG_DIR / "reduction_sweep.ini"
+    code = cli.main(["reduce3d", str(path), "--output", str(tmp_path),
+                     "--set", "reduce3d.eps_list=0.4",
+                     "--set", "reduce3d.t_final=0.05",
+                     "--set", "reduce3d.n_x=32", "--set", "reduce3d.n_y=32"])
+    assert code == 1
+    assert "FAIL (1/4 assertions)" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "reduction_sweep" / "summary.json")
+                         .read_text(encoding="utf-8"))
+    trends = ("max_err_ratio", "monotone_err", "monotone_orth")
+    assert all(summary["metrics"][key] is None for key in trends)
+    assert {row["metric"]: row["passed"] for row in summary["assertions"]} == \
+        {"monotone_err": False, "monotone_orth": False,
+         "max_err_ratio": False, "err_last": True}
 
 
 def test_height_and_radius_apply_to_the_named_shapes_only(tmp_path, capsys):

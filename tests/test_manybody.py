@@ -290,26 +290,54 @@ def test_trace_distance_matches_eigvalsh_property():
     check()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("theta", [0.7, 1e-2, 1e-4, 1e-6])
-def test_trace_distance_closed_form(n, theta):
-    """cos t phi^N + sin t chi^N with chi _|_ phi: gamma - |phi><phi| has
-    eigenvalues +-sin^2 t, so the distance is 2 sin^2 t.  The orbitals sit
-    on disjoint sites, so every tensor entry holds one term and the stored
-    state is exact to round-off; eigvalsh of the formed difference is good
-    to only about 1e-8 relative at t = 1e-4."""
-    gen = np.random.default_rng(17)
-    dim = 10
+def two_orbital_state(gen, n, theta, dim=10):
+    """cos t phi^N + sin t chi^N, with phi and chi on disjoint sites, so
+    every tensor entry holds one term and the stored state is exact to
+    round-off; returns the state and phi."""
     sites = gen.permutation(dim)
     phi = np.zeros(dim, dtype=complex)
     chi = np.zeros(dim, dtype=complex)
     phi[sites[:4]] = random_orbital(gen, 4)
-    chi[sites[4:]] = random_orbital(gen, 6)
+    chi[sites[4:]] = random_orbital(gen, dim - 4)
     tensor = math.cos(theta) * reduce(np.multiply.outer, [phi] * n) \
         + math.sin(theta) * reduce(np.multiply.outer, [chi] * n)
-    state = manybody.ManyBodyState(n, dim, tensor)
+    return manybody.ManyBodyState(n, dim, tensor), phi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("theta", [0.7, 1e-2, 1e-4, 1e-6])
+def test_trace_distance_closed_form(n, theta):
+    """cos t phi^N + sin t chi^N with chi _|_ phi: gamma - |phi><phi| has
+    eigenvalues +-sin^2 t, so the distance is 2 sin^2 t; eigvalsh of the
+    formed difference is good to only about 1e-8 relative at t = 1e-4."""
+    state, phi = two_orbital_state(np.random.default_rng(17), n, theta)
     assert manybody.trace_distance(state, phi) == \
         pytest.approx(2.0 * math.sin(theta) ** 2, rel=1e-12)
+
+
+def slot_zero_outside_weight(state, orb):
+    """||q psi||^2 with q = 1 - |phi><phi| on slot 0, formed from q psi
+    itself with psi read as d x d^(N-1)."""
+    mat = state.tensor.reshape(state.dim, -1)
+    outside = np.multiply.outer(orb, orb.conj() @ mat) - mat
+    return float(np.vdot(outside, outside).real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_counter_gram_gives_the_slot_zero_outside_weight(n):
+    """<q_1> = <n_hat> / N = sum_k (k / N) ||P_k psi||^2 for a symmetric
+    state, on random states and near products alike: each Gram term is
+    formed from q-parts, so the sum keeps its relative precision."""
+    gen = np.random.default_rng(30 + n)
+    cases = [(manybody.random_symmetric_state(n, 7, gen), random_orbital(gen, 7))
+             for _ in range(3)]
+    cases += [two_orbital_state(gen, n, theta)
+              for theta in (0.7, 1e-2, 1e-4, 1e-6)]
+    for state, orb in cases:
+        gram = manybody._counter_sums(state, orb)[1]
+        counted = sum(k * gram[k, k].real for k in range(n + 1)) / n
+        assert counted == pytest.approx(slot_zero_outside_weight(state, orb),
+                                        rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -675,12 +703,13 @@ def test_warm_pair_form_allocates_block_scratch_only(bump_correction):
     assert peak <= 0.1 * BOX_TENSOR_BYTES
 
 
-def test_quad_form_check_holds_under_two_tensors():
+def test_quad_form_check_holds_under_two_tensors(monkeypatch):
     """The pair-form check of counting_pair.ini on its 12^3 box.  Two
     samples are drawn into one buffer, which is freed before the flat
     product state is built, so the check holds one state plus scratch."""
     path = Path(__file__).resolve().parent.parent / "configs" / "counting_pair.ini"
-    cfg = harness.load_config(path, ["count.quad_samples=2"])
+    monkeypatch.setattr(harness, "_QUAD_SAMPLES", 2)
+    cfg = harness.load_config(path)
     peak, value = traced_peak(lambda: harness._quad_form_check(cfg.spec, cfg.seed))
     assert math.isfinite(value)
     assert peak <= 1.2 * BOX_TENSOR_BYTES
@@ -778,10 +807,6 @@ def test_blocked_counter_sums_match_projector_components(monkeypatch, block,
     ref = sum(w * np.vdot(c, c).real for w, c in zip(weights, comps))
     assert manybody.expectation_weighted(state, weights, orb) == \
         pytest.approx(ref, rel=1e-12)
-    completeness, orthogonality, counting = manybody._counter_checks(
-        state, orb, weights)
-    assert completeness < 1e-13 and orthogonality < 1e-13
-    assert counting == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("block", RAGGED_BLOCKS)
@@ -799,6 +824,35 @@ def test_blocked_energy_and_trace_distance(monkeypatch, block):
         orb = random_orbital(gen, ham.dim)
         dense = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
         assert manybody.trace_distance(state, orb) == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("block", RAGGED_BLOCKS)
+@pytest.mark.parametrize("n,dim", [(2, 30), (3, 10), (4, 8)])
+def test_counting_sample_takes_one_counter_pass(monkeypatch, block, n, dim):
+    """The sample's residual, overlap, <m_hat> and trace distance all come
+    from one _counter_sums call, and equal the separate entry points."""
+    unblocked(monkeypatch, block)
+    gen = np.random.default_rng(14)
+    state = manybody.random_symmetric_state(n, dim, gen)
+    orb = random_orbital(gen, dim)
+    table = manybody.WeightTable.build(n, 0.1)
+    ham = manybody.line_hamiltonian(gpe1d.Grid1D(2.0 * math.pi, dim))
+    counter_sums = manybody._counter_sums
+    resid_sq, gram = counter_sums(state, orb)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return counter_sums(*args)
+
+    monkeypatch.setattr(manybody, "_counter_sums", counted)
+    sample = manybody.counting_sample(state, orb, table, ham, 0.0)
+    assert len(calls) == 1
+    assert sample.completeness == math.sqrt(resid_sq)
+    assert sample.orthogonality == max(
+        abs(complex(gram[j, k])) for j, k in itertools.combinations(range(n + 1), 2))
+    assert sample.counting == manybody.expectation_weighted(state, table.m, orb)
+    assert sample.trace_dist == manybody.trace_distance(state, orb)
 
 
 @pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 6)])
