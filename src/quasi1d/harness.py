@@ -1092,13 +1092,12 @@ def _quad_form_check(spec: CountSpec, seed: int) -> float | None:
     ham = manybody.box_hamiltonian(_QUAD_LENGTH, _QUAD_N,
                                    pair_potential=lambda d: w.scaled(d, mu),
                                    pair_range=mu)
-    draws = manybody.random_symmetric_states(2, ham.dim,
-                                             np.random.default_rng(seed + 1))
+    draws = manybody.random_pair_states(ham.dim, np.random.default_rng(seed + 1))
     worst = math.inf
     for _ in range(_QUAD_SAMPLES):
         worst = min(worst, manybody.pair_indicator_form(next(draws), ham, corr))
     draws.close()       # frees the draw buffer before the product state
-    flat = manybody.product_state_mb(np.ones(ham.dim), 2)
+    flat = manybody.PairState.product(np.ones(ham.dim))
     return min(worst, manybody.pair_indicator_form(flat, ham, corr))
 
 

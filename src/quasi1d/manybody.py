@@ -59,7 +59,8 @@ __all__ = ["ManyBodyState", "random_symmetric_state", "random_symmetric_states",
            "trace_distance", "check_pair_range",
            "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
            "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
-           "CountingSample", "counting_sample", "pair_indicator_form"]
+           "CountingSample", "counting_sample", "PairState",
+           "random_pair_states", "pair_indicator_form"]
 
 MAX_PARTICLES = 4
 
@@ -93,8 +94,8 @@ class ManyBodyState:
         return ManyBodyState(self.n_particles, self.dim, self.tensor / self.norm())
 
 
-# Sides of the square blocks of the first coset step and columns of a
-# pair-form block, so these kernels hold one state plus scratch.  On the 12^3
+# Sides of the square blocks of the first coset step and rows of a PairState
+# strip, so these kernels hold one state plus scratch.  On the 12^3
 # box (d = 1728) 48 timed like 64 and better than 16 or 128, and its
 # pair-form scratch is 7% of a state.  The passes over a whole state (the
 # draw, the counter sums, the energy, ||q M||^2) split it instead into blocks
@@ -811,29 +812,91 @@ def _derivative_matrix(axis: Grid1D) -> np.ndarray:
                        axis=0)
 
 
-def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
+@dataclass(eq=False)
+class PairState:
+    """Two bosons on ``dim`` sites, held as the upper block triangle of the
+    symmetric d x d tensor: ``strips[I]`` is tensor[a:b, a:] for the I-th
+    block a:b of rows, all blocks of one size but the last.  That is
+    d (d + block) / 2 entries instead of d^2; the rest is the transpose."""
+
+    dim: int
+    strips: list[np.ndarray]
+
+    def __post_init__(self) -> None:
+        rows = len(self.strips[0])
+        if [s.shape for s in self.strips] != [
+                (min(rows, self.dim - a), self.dim - a)
+                for a in range(0, self.dim, rows)]:
+            raise DomainError("strips do not tile the upper block triangle")
+
+    @classmethod
+    def product(cls, orbital: np.ndarray) -> "PairState":
+        """phi (x) phi for the normalized ``orbital``."""
+        orb = np.asarray(orbital, dtype=complex)
+        orb = orb / np.linalg.norm(orb)
+        return cls(orb.size, [np.multiply.outer(orb[a:a + _BLOCK], orb[a:])
+                              for a in range(0, orb.size, _BLOCK)])
+
+
+def random_pair_states(dim: int,
+                       rng: np.random.Generator) -> Iterator[PairState]:
+    """``random_symmetric_states(2, dim, rng)`` as strips, drawn into the
+    same strips each time.
+
+    The same normals in the same order: all real parts, then all imaginary
+    parts, each drawn one block of _BLOCK rows at a time.  A row block keeps
+    its diagonal block plus its transpose and the blocks right of it; each
+    block left of it is added, transposed, into its mirror in an earlier
+    strip.  So every entry is the sum G_ij + G_ji of the full draw, bit for
+    bit; only the norm, summed over the strips, may differ in the last bit.
+    """
+    starts = range(0, dim, _BLOCK)
+    strips = [np.empty((min(_BLOCK, dim - a), dim - a), dtype=complex)
+              for a in starts]
+    rows = np.empty((min(_BLOCK, dim), dim))
+    while True:
+        for component in ("real", "imag"):
+            views = [getattr(strip, component) for strip in strips]
+            for a, out in zip(starts, views):
+                draw = rows[:len(out)]
+                rng.standard_normal(out=draw)
+                b = a + len(draw)
+                np.add(draw[:, a:b], draw[:, a:b].T, out=out[:, :b - a])
+                out[:, b - a:] = draw[:, b:]
+                for c, left in zip(range(0, a, _BLOCK), views):
+                    left[:, a - c:b - c] += draw[:, c:c + _BLOCK].T
+        # off-diagonal blocks stand for two entries each
+        norm = math.sqrt(sum(2.0 * np.vdot(s, s).real
+                             - np.vdot(s[:, :len(s)], s[:, :len(s)]).real
+                             for s in strips))
+        for strip in strips:
+            parts = strip.view(np.float64)
+            parts /= norm
+        yield PairState(dim, strips)
+
+
+def pair_indicator_form(state: PairState, ham: HamiltonianSpec,
                         corr: CorrectionProfile) -> float:
-    """||1_{|z1-z2|<R} grad_1 psi||^2 + <psi, (w_mu - U) psi> / 2 for N = 2.
+    """||1_{|z1-z2|<R} grad_1 psi||^2 + <psi, (w_mu - U) psi> / 2.
 
     Non-negative in the continuum because the compensated profile has zero
     scattering length; evaluated here exactly on the grid.  With psi read as
-    d x d, grad_1 acts on the row index, so both sums run over blocks of
-    columns: each block is copied into one contiguous buffer, its |psi|^2 is
-    weighted by (w_mu - U) / 2, then grad_1 is applied one axis at a time by
-    its differentiation matrix and |grad_1 psi|^2, accumulated in one real
+    d x d, grad_1 acts on the row index, so both sums run over the column
+    blocks of the strips: each is assembled in one contiguous buffer, its
+    rows above the diagonal block from the strips as stored and the rest
+    from its own strip transposed.  Its |psi|^2 is weighted by
+    (w_mu - U) / 2, then grad_1 is applied one axis at a time by its
+    differentiation matrix and |grad_1 psi|^2, accumulated in one real
     buffer, is summed under the mask.  The mask and (w_mu - U) / 2 of a
     column block are sliced from the Hamiltonian's offset tables.  Scratch is
     five block-sized buffers.
     """
-    if state.n_particles != 2:
-        raise DomainError("the pair quadratic form is defined for N = 2")
     if state.dim != ham.dim:
         raise InterfaceError("state dimension does not match the Hamiltonian grid")
     mask_table, half_wu_table = ham._pair_form_tables(corr)
     d = ham.dim
-    psi = state.tensor.reshape(d, d)
     derivs = [_derivative_matrix(axis) for axis in ham.grid.axes]
-    width = min(_BLOCK, d)
+    width = len(state.strips[0])
     block_buf = np.empty(d * width, dtype=complex)
     grad_buf = np.empty(d * width, dtype=complex)
     sq_buf = np.empty(d * width)
@@ -841,14 +904,16 @@ def pair_indicator_form(state: ManyBodyState, ham: HamiltonianSpec,
     half_wu_buf = np.empty(ham.grid.shape + (width,))
 
     total = 0.0
-    for start in range(0, d, _BLOCK):
-        stop = min(start + _BLOCK, d)
+    for start, strip in zip(range(0, d, width), state.strips):
+        stop = start + len(strip)
         size = d * (stop - start)
         block = block_buf[:size].reshape(d, -1)
         grad = grad_buf[:size].reshape(d, -1)
         sq = sq_buf[:size].reshape(d, -1)    # |psi|^2, then |grad_1 psi|^2
         parts = grad.view(np.float64)        # interleaved re, im
-        np.copyto(block, psi[:, start:stop])
+        for a, upper in zip(range(0, start, width), state.strips):
+            block[a:a + width] = upper[:, start - a:stop - a]
+        block[start:] = strip.T
         np.square(block.view(np.float64), out=parts)
         np.add(parts[:, 0::2], parts[:, 1::2], out=sq)
         sq *= _site_pair_block(half_wu_table, start, stop, half_wu_buf)

@@ -413,22 +413,24 @@ def bump_correction():
 
 def test_pair_quadratic_form_nonnegative(rng, bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
-    flat = np.full((ham.dim,) * 2, 1.0 + 0.0j)
-    states = [manybody.ManyBodyState(2, ham.dim, flat).normalized()]
-    states += [manybody.random_symmetric_state(2, ham.dim, rng)
-               for _ in range(2)]
-    for state in states:
+    flat = manybody.PairState.product(np.ones(ham.dim))
+    assert manybody.pair_indicator_form(flat, ham, bump_correction) > -1e-6
+    draws = manybody.random_pair_states(ham.dim, rng)
+    for _ in range(2):
+        state = next(draws)
         assert manybody.pair_indicator_form(state, ham, bump_correction) > -1e-6
 
 
 def test_pair_form_guards(rng, bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
-    triple = manybody.random_symmetric_state(3, 4, rng)
-    with pytest.raises(DomainError):
-        manybody.pair_indicator_form(triple, ham, bump_correction)
-    small = manybody.random_symmetric_state(2, 8, rng)
+    small = next(manybody.random_pair_states(8, rng))
     with pytest.raises(InterfaceError):
         manybody.pair_indicator_form(small, ham, bump_correction)
+    # strips that do not tile the upper block triangle of a 5 x 5 tensor
+    for shapes in ([(2, 5), (2, 3)], [(2, 5), (3, 3)], [(2, 4), (2, 3), (1, 1)]):
+        with pytest.raises(DomainError):
+            manybody.PairState(5, [np.zeros(shape, dtype=complex)
+                                   for shape in shapes])
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +553,30 @@ def test_energy_per_particle_matches_fft_reference():
                 pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
-def fft_pair_form(state, ham, corr):
-    """The pair form with grad_1 by per-axis FFTs and per-call potentials."""
-    full = state.tensor.reshape(ham.grid.shape * 2)
+def pair_tensor(state):
+    """The d x d tensor of a strip state: each strip's rows, and its
+    transpose as the columns of the same block."""
+    full = np.empty((state.dim, state.dim), dtype=complex)
+    start = 0
+    for strip in state.strips:
+        stop = start + len(strip)
+        full[start:stop, start:] = strip
+        full[start:, start:stop] = strip.T
+        start = stop
+    return full
+
+
+def pair_strips(tensor, block):
+    """The strip state of a symmetric d x d tensor, in blocks of ``block``
+    rows."""
+    return manybody.PairState(len(tensor), [
+        tensor[a:a + block, a:].copy() for a in range(0, len(tensor), block)])
+
+
+def fft_pair_form(tensor, ham, corr):
+    """The pair form of a d x d tensor, with grad_1 by per-axis FFTs and
+    per-call potentials."""
+    full = tensor.reshape(ham.grid.shape * 2)
     grad_sq = np.zeros((ham.dim, ham.dim))
     for axis, side in enumerate(ham.grid.axes):
         n_axis = side.n
@@ -567,18 +590,16 @@ def fft_pair_form(state, ham, corr):
     sol = corr.solution
     w_minus_u = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
     return float(np.sum(grad_sq[dist < corr.outer_radius])
-                 + 0.5 * np.sum(w_minus_u * np.abs(state.tensor) ** 2))
+                 + 0.5 * np.sum(w_minus_u * np.abs(tensor) ** 2))
 
 
 def test_pair_form_matches_fft_reference(rng, bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
-    flat = manybody.product_state_mb(np.ones(ham.dim), 2)
-    psi = manybody.random_symmetric_state(2, ham.dim, rng)
-    # the transpose of a symmetric state is itself, in Fortran order
-    swapped = manybody.ManyBodyState(2, ham.dim, psi.tensor.T)
-    for state in (psi, swapped, flat):
+    flat = manybody.PairState.product(np.ones(ham.dim))
+    psi = next(manybody.random_pair_states(ham.dim, rng))
+    for state in (psi, flat):
         got = manybody.pair_indicator_form(state, ham, bump_correction)
-        ref = fft_pair_form(state, ham, bump_correction)
+        ref = fft_pair_form(pair_tensor(state), ham, bump_correction)
         assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -586,10 +607,11 @@ def test_pair_form_cache_follows_the_correction(rng, bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
     other = scattering.build_correction(bump_correction.solution, 0.6)
     assert other.outer_radius != bump_correction.outer_radius
-    state = manybody.random_symmetric_state(2, ham.dim, rng)
+    state = next(manybody.random_pair_states(ham.dim, rng))
     first = manybody.pair_indicator_form(state, ham, bump_correction)
     second = manybody.pair_indicator_form(state, ham, other)
-    assert second == pytest.approx(fft_pair_form(state, ham, other), rel=1e-12)
+    assert second == pytest.approx(fft_pair_form(pair_tensor(state), ham, other),
+                                   rel=1e-12)
     assert abs(second - first) > 1e-6 * abs(first)
     assert manybody.pair_indicator_form(state, ham, bump_correction) == first
 
@@ -657,17 +679,82 @@ def test_product_state_normalizes_in_place_bitwise():
     assert np.array_equal(manybody.product_state_mb(orb, 2).tensor, ref.tensor)
 
 
+@pytest.mark.parametrize("block", RAGGED_BLOCKS)
+@pytest.mark.parametrize("dim", [13, 28])     # 4 and 7 divide 28, not 13
+def test_pair_strips_are_the_full_states(monkeypatch, block, dim):
+    """The strip draw takes the normals of the full draw and sums them as
+    it does; only the norm is summed in another order.  The product's
+    strips are the outer product's upper entries (a complex product is
+    not symmetric bit for bit, so its lower ones may differ)."""
+    unblocked(monkeypatch, block)
+    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+    state = next(manybody.random_pair_states(dim, gen))
+    ref = manybody.random_symmetric_state(2, dim, ref_gen)
+    np.testing.assert_allclose(pair_tensor(state), ref.tensor, rtol=1e-15, atol=0)
+    # both consumed the same stretch of the stream
+    assert gen.standard_normal() == ref_gen.standard_normal()
+    orb = complex_draw(gen, dim)
+    unit = orb / np.linalg.norm(orb)
+    ref = pair_strips(np.multiply.outer(unit, unit), block)
+    for got, want in zip(manybody.PairState.product(orb).strips, ref.strips,
+                         strict=True):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("block", (1, 7, 100))
 def test_pair_form_with_ragged_blocks(monkeypatch, bump_correction, block):
     monkeypatch.setattr(manybody, "_BLOCK", block)
     ham = manybody.box_hamiltonian(1.8, 6)     # d = 216: 7, 100 leave a rest
-    psi = manybody.random_symmetric_state(2, ham.dim, np.random.default_rng(8))
-    swapped = manybody.ManyBodyState(2, ham.dim, psi.tensor.T)
-    flat = manybody.product_state_mb(np.ones(ham.dim), 2)
-    for state in (psi, swapped, flat):
+    psi = next(manybody.random_pair_states(ham.dim, np.random.default_rng(8)))
+    flat = manybody.PairState.product(np.ones(ham.dim))
+    for state in (psi, flat):
         got = manybody.pair_indicator_form(state, ham, bump_correction)
-        ref = fft_pair_form(state, ham, bump_correction)
+        ref = fft_pair_form(pair_tensor(state), ham, bump_correction)
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_pair_form_is_the_relative_coordinate_form(bump_correction):
+    """psi(z1, z2) = e^{iK.z2} h(z1 - z2) with h(r) = g(r) + e^{iK.r} g(-r)
+    is symmetric, and as the mask, (w_mu - U) / 2 and the spectral grad_1
+    all commute with translations, its form is d times a sum over offsets:
+    sum_r 1_R(r) sum_a |D_a h(r)|^2 + (w_mu - U)(r) / 2 |h(r)|^2, over
+    ||psi||^2 = d ||h||^2."""
+    ham = manybody.box_hamiltonian(1.8, 6)     # d = 216
+    shape, axes = ham.grid.shape, ham.grid.axes
+    sites = np.unravel_index(np.arange(ham.dim), shape)
+    offsets = np.indices(shape)
+    dist = np.sqrt(sum((np.minimum(o, side.n - o) * side.dx) ** 2
+                       for o, side in zip(offsets, axes)))
+    sol = bump_correction.solution
+    half_wu = 0.5 * (sol.potential.scaled(dist, sol.mu)
+                     - bump_correction.u_potential(dist))
+    mask = dist < bump_correction.outer_radius
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=10, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                      k=st.tuples(*[st.integers(0, side.n - 1) for side in axes]))
+    def check(seed, k):
+        g = complex_draw(np.random.default_rng(seed), shape)
+        phase = np.exp(2j * math.pi * sum(
+            kk * o / side.n for kk, o, side in zip(k, offsets, axes)))
+        g_minus = g[tuple((-o) % side.n for o, side in zip(offsets, axes))]
+        h = g + phase * g_minus
+        grad_sq = sum(np.abs(np.fft.ifft(1j * side.k.reshape(
+            [-1 if b == a else 1 for b in range(3)]) * np.fft.fft(h, axis=a),
+            axis=a)) ** 2 for a, side in enumerate(axes))
+        ref = (np.sum(grad_sq[mask]) + np.sum(half_wu * np.abs(h) ** 2)) \
+            / np.sum(np.abs(h) ** 2)
+        rel = tuple((i[:, None] - i[None, :]) % side.n
+                    for i, side in zip(sites, axes))
+        psi = h[rel] * phase.ravel()[None, :]
+        psi /= np.linalg.norm(psi)
+        got = manybody.pair_indicator_form(pair_strips(psi, manybody._BLOCK),
+                                           ham, bump_correction)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    check()
 
 
 def traced_peak(func):
@@ -693,9 +780,16 @@ def test_draw_holds_one_tensor():
     assert peak <= 1.1 * BOX_TENSOR_BYTES
 
 
+def test_pair_draw_holds_half_a_tensor():
+    peak, state = traced_peak(
+        lambda: next(manybody.random_pair_states(1728, np.random.default_rng(1))))
+    assert sum(s.nbytes for s in state.strips) == 1728 * (1728 + 48) // 2 * 16
+    assert peak <= 0.55 * BOX_TENSOR_BYTES
+
+
 def test_warm_pair_form_allocates_block_scratch_only(bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
-    state = manybody.random_symmetric_state(2, ham.dim, np.random.default_rng(1))
+    state = next(manybody.random_pair_states(ham.dim, np.random.default_rng(1)))
     first = manybody.pair_indicator_form(state, ham, bump_correction)
     peak, again = traced_peak(
         lambda: manybody.pair_indicator_form(state, ham, bump_correction))
@@ -703,16 +797,17 @@ def test_warm_pair_form_allocates_block_scratch_only(bump_correction):
     assert peak <= 0.1 * BOX_TENSOR_BYTES
 
 
-def test_quad_form_check_holds_under_two_tensors(monkeypatch):
+def test_quad_form_check_holds_under_two_thirds_of_a_tensor(monkeypatch):
     """The pair-form check of counting_pair.ini on its 12^3 box.  Two
-    samples are drawn into one buffer, which is freed before the flat
-    product state is built, so the check holds one state plus scratch."""
+    samples are drawn into one set of strips, which is freed before the
+    flat product's strips are built, so the check holds one strip state,
+    about half a full tensor, plus scratch."""
     path = Path(__file__).resolve().parent.parent / "configs" / "counting_pair.ini"
     monkeypatch.setattr(harness, "_QUAD_SAMPLES", 2)
     cfg = harness.load_config(path)
     peak, value = traced_peak(lambda: harness._quad_form_check(cfg.spec, cfg.seed))
     assert math.isfinite(value)
-    assert peak <= 1.2 * BOX_TENSOR_BYTES
+    assert peak <= 0.65 * BOX_TENSOR_BYTES
 
 
 # ---------------------------------------------------------------------------
