@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import confined3d, gpe1d, manybody, scattering, snapshots, transverse
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, DomainError, ResolutionError
 
 SCENARIO_KINDS = ("scatter", "trap", "evolve1d", "reduce3d", "count")
 
@@ -323,35 +323,22 @@ def _grid_size(sec: _Section, v: dict, *keys: str, least: int = 4) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ScatterSpec:
-    """[scatter]; potential: square_barrier, smooth_bump, zero, file:<csv>."""
+    """[scatter]; potential: square_barrier[:height,radius],
+    smooth_bump[:height,radius], zero or file:<csv>."""
 
     potential: scattering.RadialPotential
-    height: float = 10.0
-    radius: float = 1.0
-    mu: float | None = None       # epsilon^2 / N of the paper; None in a sweep
-    mu_list: tuple[float, ...] | None = None
+    mu: tuple[float, ...]         # epsilon^2 / N of the paper, one or more
     beta_tilde: float | None = None
-    radial_table: bool = False
 
 
 def _parse_scatter(sec: _Section) -> ScatterSpec:
     v = sec.read(ScatterSpec)
-    if v["mu_list"] is None:
-        _positive(sec, v, "mu")
-    elif any(mu <= 0 for mu in v["mu_list"]):
-        raise sec.fail("mu_list", "every mu in the sweep must be positive")
-    else:
-        _unused(sec, "a sweep takes its mus from mu_list", "mu")
-        _unused(sec, "a sweep writes no radial table", "radial_table")
-    if v["beta_tilde"] is None:
-        _unused(sec, "the radial table is the correction's, which needs "
-                     "beta_tilde", "radial_table")
-    v["potential"] = _parse_radial_potential(
-        sec, v["potential"] or "square_barrier", v["height"], v["radius"])
+    if not v["mu"] or any(mu <= 0 for mu in v["mu"]):
+        raise sec.fail("mu", "positive mu required")
+    v["potential"] = _parse_radial_potential(sec, v["potential"]
+                                             or "square_barrier")
     _check_window(sec, "beta_tilde", v["beta_tilde"], 1.0 / 3.0, 1.0,
                   BETA_WINDOW)
-    if v["beta_tilde"] is None and v["mu_list"] is not None:
-        raise sec.fail("mu_list", "a mu sweep needs beta_tilde")
     return ScatterSpec(**v)
 
 
@@ -363,7 +350,6 @@ class TrapSpec:
     n: int = 128
     extent: float = 16.0
     epsilon: float | None = None
-    chi_slice: bool = False
 
 
 def _parse_trap(sec: _Section) -> TrapSpec:
@@ -472,6 +458,9 @@ def _parse_count(sec: _Section) -> CountSpec:
     _positive(sec, v, "length", "extent", "epsilon")
     if v["b"] < 0:      # a flat ground-state seed would be the flat saddle
         raise sec.fail("b", "the condensate's coupling b must be non-negative")
+    for key in ("pair_height", "quad_height"):
+        if v[key] is not None and not _HEIGHT[0](v[key]):
+            raise sec.fail(key, f"a bump height must be {_HEIGHT[1]}")
     if (v["pair_height"] is None) != (v["pair_mu"] is None):
         raise sec.fail("pair_mu" if v["pair_height"] is None else "pair_height",
                        "give both pair_height and pair_mu or neither")
@@ -522,6 +511,9 @@ def _resolved_potential(sec: _Section, key: str,
 # mini-spec rules: (test, what a number that fails it must be)
 _POSITIVE = (lambda x: x > 0, "positive")
 _INTEGER = (lambda x: x == int(x), "an integer")
+# a repulsive bump's height, and the support radius scattering.py admits
+_HEIGHT = (lambda x: x >= 0, "non-negative")
+_RADIUS = (lambda x: 0 < x <= 1, "in (0, 1]")
 
 
 def _within(lo: float, hi: float, integer: bool = False) -> tuple:
@@ -530,8 +522,8 @@ def _within(lo: float, hi: float, integer: bool = False) -> tuple:
             f"{'an integer' if integer else 'a number'} in [{lo:g}, {hi:g}]")
 
 
-def _parse_radial_potential(sec: _Section, spec: str, height: float,
-                            radius: float) -> scattering.RadialPotential:
+def _parse_radial_potential(sec: _Section,
+                            spec: str) -> scattering.RadialPotential:
     name, _, rest = spec.partition(":")
     if name == "file":
         try:
@@ -541,19 +533,16 @@ def _parse_radial_potential(sec: _Section, spec: str, height: float,
         if table.shape[1] != 2:
             raise sec.fail("potential", f"{rest}: expected two CSV columns "
                                         f"(r, w)")
-        _unused(sec, "a tabulated potential has no height or radius", "height",
-                "radius")
-        return scattering.tabulated_potential(table[:, 0], table[:, 1])
-    # the named shapes take height and radius from their own keys, no numbers
-    name, = sec.mini_spec("potential", spec, "potential", {
-        "square_barrier": (), "smooth_bump": (), "zero": ()})
-    if name == "square_barrier":
-        return scattering.square_barrier(height, radius)
-    if name == "smooth_bump":
-        return scattering.smooth_bump(height, radius)
-    _unused(sec, "the zero potential has no height or radius", "height",
-            "radius")
-    return scattering.zero_potential()
+        try:
+            return scattering.tabulated_potential(table[:, 0], table[:, 1])
+        except DomainError as exc:
+            raise sec.fail("potential", f"{rest}: {exc}") from None
+    shape = (("height", 10.0, _HEIGHT), ("radius", 1.0, _RADIUS))
+    name, *params = sec.mini_spec("potential", spec, "potential", {
+        "square_barrier": shape, "smooth_bump": shape, "zero": ()})
+    return {"square_barrier": scattering.square_barrier,
+            "smooth_bump": scattering.smooth_bump,
+            "zero": scattering.zero_potential}[name](*params)
 
 
 def _parse_v_perp(spec: str, sec: _Section) -> Callable:
@@ -816,7 +805,7 @@ def _scatter_metrics(spec: ScatterSpec, mu: float) -> tuple:
     if closed is not None:
         metrics["closed_form_err"] = abs(sol.a - closed)
     if beta is None:
-        return sol, None, metrics
+        return None, metrics
     corr = scattering.build_correction(sol, beta)
     neutral = scattering.neutrality_residual(corr)
     coupling = scattering.shell_coupling(corr)
@@ -842,27 +831,32 @@ def _scatter_metrics(spec: ScatterSpec, mu: float) -> tuple:
         "g_l2_ratio": gdiag.l2_norm / mu ** (1.0 + beta / 2.0),
         "g_sup_ok": 1.0 if gdiag.sup_ok else 0.0,
     })
-    return sol, corr, metrics
+    return corr, metrics
 
 
 def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
+    """Per-mu metrics under detail.per_mu and their aggregates; a spread
+    over one mu compares nothing, so it is NaN and fails any assertion."""
     spec = cfg.spec
-    artifacts = []
-    extra = {}
+    runs = [_scatter_metrics(spec, mu) for mu in spec.mu]
+    per_mu = [m for _, m in runs]
 
-    if spec.mu_list is not None:
-        per_mu = [_scatter_metrics(spec, mu)[2] for mu in spec.mu_list]
+    def spread(values):
+        return max(values) - min(values) if len(values) > 1 else math.nan
+
+    metrics = {"sweep_size": float(len(per_mu)),
+               "a": per_mu[0]["a"],
+               "scaling_spread": spread([m["a"] for m in per_mu]),
+               "identity_residual_max": max(m["identity_residual"]
+                                            for m in per_mu)}
+    if "closed_form_err" in per_mu[0]:
+        metrics["closed_form_err"] = max(m["closed_form_err"] for m in per_mu)
+    artifacts = []
+    if spec.beta_tilde is not None:
         ratios = [m["r_over_mu_beta"] for m in per_mu]
-        mean_ratio = sum(ratios) / len(ratios)
-        metrics = {
-            "sweep_size": float(len(per_mu)),
-            "a": per_mu[0]["a"],
-            "scaling_spread": max(m["a"] for m in per_mu)
-                              - min(m["a"] for m in per_mu),
-            "identity_residual_max": max(m["identity_residual"]
-                                         for m in per_mu),
+        metrics.update({
             "kappa_window_ok": min(m["kappa_window_ok"] for m in per_mu),
-            "r_ratio_spread": (max(ratios) - min(ratios)) / mean_ratio,
+            "r_ratio_spread": spread(ratios) / (sum(ratios) / len(ratios)),
             "kappa_excess_max": max(m["kappa_excess_ratio"] for m in per_mu),
             "tangency_value_max": max(m["tangency_value_residual"]
                                       for m in per_mu),
@@ -872,10 +866,7 @@ def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
             "coupling_rel_max": max(m["coupling_rel_err"] for m in per_mu),
             "g_l2_ratio_max": max(m["g_l2_ratio"] for m in per_mu),
             "g_sup_ok": min(m["g_sup_ok"] for m in per_mu),
-        }
-        if "closed_form_err" in per_mu[0]:
-            metrics["closed_form_err"] = max(m["closed_form_err"]
-                                             for m in per_mu)
+        })
         _write_csv(out_dir / "sweep.csv",
                    ["mu [length]", "kappa [1]", "outer_radius [length]",
                     "r_over_mu_beta [1]", "kappa_excess_ratio [1]",
@@ -886,23 +877,20 @@ def _run_scatter(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                      m["neutrality_rel"], m["coupling_rel_err"],
                      m["g_l2_ratio"]) for m in per_mu])
         artifacts.append("sweep.csv")
-        extra["per_mu"] = per_mu
-        return metrics, extra, artifacts
-
-    sol, corr, metrics = _scatter_metrics(spec, spec.mu)
-    if corr is not None and spec.radial_table:
-        rr = np.linspace(0.0, 1.05 * corr.outer_radius, 513)
-        f_vals = corr.f(rr)
-        u_vals = corr.u_potential(rr)
-        w_vals = spec.potential.scaled(rr, spec.mu)
-        _write_csv(out_dir / "radial_table.csv",
-                   ["r [length]", "f [1]", "g [1]",
-                    "w_mu [1/length^2]", "u [1/length^2]"],
-                   [(float(r), float(fv), float(1.0 - fv), float(wv),
-                     float(uv))
-                    for r, fv, wv, uv in zip(rr, f_vals, w_vals, u_vals)])
-        artifacts.append("radial_table.csv")
-    return metrics, extra, artifacts
+        if len(runs) == 1:
+            corr = runs[0][0]
+            rr = np.linspace(0.0, 1.05 * corr.outer_radius, 513)
+            f_vals = corr.f(rr)
+            u_vals = corr.u_potential(rr)
+            w_vals = spec.potential.scaled(rr, spec.mu[0])
+            _write_csv(out_dir / "radial_table.csv",
+                       ["r [length]", "f [1]", "g [1]",
+                        "w_mu [1/length^2]", "u [1/length^2]"],
+                       [(float(r), float(fv), float(1.0 - fv), float(wv),
+                         float(uv))
+                        for r, fv, wv, uv in zip(rr, f_vals, w_vals, u_vals)])
+            artifacts.append("radial_table.csv")
+    return metrics, {"per_mu": per_mu}, artifacts
 
 
 def _run_trap(cfg: ScenarioConfig, out_dir: Path) -> tuple:
@@ -911,21 +899,16 @@ def _run_trap(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                                       n=spec.n)
     metrics = {"e0": mode.E0, "quartic": mode.quartic,
                "b_per_a": 8.0 * math.pi * mode.quartic}
-    artifacts = []
     if spec.epsilon is not None:
         scaled = transverse.rescale_mode(mode, spec.epsilon)
         metrics["e0_scaled"] = scaled.E0
         metrics["quartic_identity_err"] = abs(
             spec.epsilon**2 * scaled.quartic - mode.quartic)
-    if spec.chi_slice:
-        axis = mode.axis()
-        mid = mode.n // 2
-        _write_csv(out_dir / "chi_slice.csv",
-                   ["y [length]", "chi [1/length]"],
-                   [(float(y), float(c))
-                    for y, c in zip(axis, mode.chi[:, mid])])
-        artifacts.append("chi_slice.csv")
-    return metrics, {}, artifacts
+    mid = mode.n // 2
+    _write_csv(out_dir / "chi_slice.csv", ["y [length]", "chi [1/length]"],
+               [(float(y), float(c)) for y, c in zip(mode.axis(),
+                                                     mode.chi[:, mid])])
+    return metrics, {}, ["chi_slice.csv"]
 
 
 def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:

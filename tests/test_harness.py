@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import shlex
 from pathlib import Path
 
 import hypothesis
@@ -27,7 +28,7 @@ name = cli-barrier
 
 [scatter]
 mu = 0.001
-height = 10.0
+potential = square_barrier:10
 """
 
 ADMISSIBILITY_INI = """\
@@ -116,10 +117,13 @@ def test_missing_config_file(tmp_path):
 
 
 def test_mu_is_required_and_positive(tmp_path):
-    # mu = epsilon^2 / N has one key; the pair that spelt it is unknown
+    # mu = epsilon^2 / N has one key, which takes one or more values; the
+    # pair that spelt it is unknown
     assert harness.from_mapping("scatter", {"scatter": {"mu": 0.125}}).spec.mu \
-        == 0.125
-    for mu in ("", "0", "-0.1"):
+        == (0.125,)
+    assert harness.from_mapping("scatter", {"scatter": {
+        "mu": "1e-3 1e-4"}}).spec.mu == (1e-3, 1e-4)
+    for mu in ("", "0", "-0.1", "1e-3 0"):
         with pytest.raises(ConfigError, match=r"\[scatter\] mu: positive mu "
                                               r"required"):
             harness.from_mapping("scatter", {"scatter": {"mu": mu}})
@@ -140,11 +144,6 @@ def test_parameter_windows(tmp_path):
                      name="beta.ini")
     with pytest.raises(ConfigError, match=r"\(1/3, 1\)"):
         harness.load_config(path)
-    path = write_ini(tmp_path, "[scenario]\nkind = scatter\n"
-                               "[scatter]\nmu_list = 0.001 0.0001\n",
-                     name="sweep.ini")
-    with pytest.raises(ConfigError, match="beta_tilde"):
-        harness.load_config(path)
 
 
 def test_override_grammar(tmp_path):
@@ -152,32 +151,34 @@ def test_override_grammar(tmp_path):
     with pytest.raises(ConfigError, match="section.key=value"):
         harness.load_config(path, ["oops"])
     with pytest.raises(ConfigError, match="section.key=value"):
-        harness.load_config(path, ["height=12"])
-    cfg = harness.load_config(path, ["scatter.height=12"])
-    assert cfg.spec.height == 12.0
+        harness.load_config(path, ["mu=0.002"])
+    cfg = harness.load_config(path, ["scatter.potential=square_barrier:12"])
+    assert cfg.spec.potential.sup_bound == 12.0
 
 
 def test_config_hash_tracks_effective_values(tmp_path):
     path = write_ini(tmp_path, SCATTER_INI)
     base = harness.load_config(path).sha256
     assert harness.load_config(path).sha256 == base
-    bumped = harness.load_config(path, ["scatter.height=12"]).sha256
+    bumped = harness.load_config(
+        path, ["scatter.potential=square_barrier:12"]).sha256
     assert bumped != base
-    assert harness.load_config(path, ["scatter.height=12"]).sha256 == bumped
+    assert harness.load_config(
+        path, ["scatter.potential=square_barrier:12"]).sha256 == bumped
 
 
 def test_section_diagnostics_carry_file_and_line(tmp_path):
     path = write_ini(tmp_path, SCATTER_INI)
     # lines are the file's own under --set; a key only --set gives has none
-    with pytest.raises(ConfigError, match=r"scenario\.ini:7 \[scatter\] height: "
-                                          r"not a number"):
-        harness.load_config(path, ["scatter.height=abc"])
+    with pytest.raises(ConfigError, match=r"scenario\.ini:7 \[scatter\] "
+                                          r"potential: not a number"):
+        harness.load_config(path, ["scatter.potential=square_barrier:abc"])
     with pytest.raises(ConfigError, match=r"scenario\.ini:--set \[scatter\] "
-                                          r"radius: not a number"):
-        harness.load_config(path, ["scatter.radius=abc"])
-    with pytest.raises(ConfigError, match=r"^<flags> \[scatter\] height: "):
-        harness.from_mapping("scatter", {"scatter": {"mu": 0.001,
-                                                     "height": "abc"}})
+                                          r"beta_tilde: not a number"):
+        harness.load_config(path, ["scatter.beta_tilde=abc"])
+    with pytest.raises(ConfigError, match=r"^<flags> \[scatter\] potential: "):
+        harness.from_mapping("scatter", {"scatter": {
+            "mu": 0.001, "potential": "square_barrier:abc"}})
 
 
 def test_unknown_keys_are_config_errors(tmp_path, capsys):
@@ -208,12 +209,15 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys):
 def test_non_finite_numbers_are_config_errors(tmp_path):
     path = write_ini(tmp_path, SCATTER_INI)
     for bad in ("nan", "inf", "-inf", "Infinity"):
-        with pytest.raises(ConfigError, match=r"\[scatter\] height: not a "
+        with pytest.raises(ConfigError, match=r"\[scatter\] beta_tilde: not a "
                                               r"finite number"):
-            harness.load_config(path, [f"scatter.height={bad}"])
-    with pytest.raises(ConfigError, match=r"\[scatter\] mu_list: not a finite "
+            harness.load_config(path, [f"scatter.beta_tilde={bad}"])
+        with pytest.raises(ConfigError, match=r"\[scatter\] potential: not a "
+                                              r"finite number list"):
+            harness.load_config(path, [f"scatter.potential=smooth_bump:{bad}"])
+    with pytest.raises(ConfigError, match=r"\[scatter\] mu: not a finite "
                                           r"number list"):
-        harness.load_config(path, ["scatter.mu_list=1e-3 nan 1e-4"])
+        harness.load_config(path, ["scatter.mu=1e-3 nan 1e-4"])
     for threshold in ("< nan", "> inf", "~ 0 inf", "~ nan 1"):
         with pytest.raises(ConfigError, match="threshold is not a finite"):
             harness.load_config(path, [f"assert.a={threshold}"])
@@ -529,7 +533,8 @@ def test_snapshot_dataclass_guards():
 
 def test_cli_flag_only_scatter(tmp_path, capsys):
     code = cli.main(["scatter", "--set", "scatter.mu=0.001",
-                     "--set", "scatter.height=10", "--output", str(tmp_path),
+                     "--set", "scatter.potential=square_barrier:10",
+                     "--output", str(tmp_path),
                      "--set", "scenario.name=flagrun"])
     assert code == 0
     out = capsys.readouterr().out
@@ -660,7 +665,12 @@ SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
 # the keys of the pair-form check's settings, now constants of the harness
 PAIR_FORM_KEYS = ["quad_mu", "quad_beta_tilde", "quad_length", "quad_n",
                   "quad_samples"]
-UNKNOWN_KEYS = SECOND_SPELLINGS + [("count", key) for key in PAIR_FORM_KEYS]
+# the keys folded into [scatter] mu and potential, and the artifact switches
+FOLDED_KEYS = [("scatter", "mu_list"), ("scatter", "height"),
+               ("scatter", "radius"), ("scatter", "radial_table"),
+               ("trap", "chi_slice")]
+UNKNOWN_KEYS = (SECOND_SPELLINGS + FOLDED_KEYS
+                + [("count", key) for key in PAIR_FORM_KEYS])
 
 
 @pytest.mark.parametrize("config, override", [
@@ -678,13 +688,14 @@ UNKNOWN_KEYS = SECOND_SPELLINGS + [("count", key) for key in PAIR_FORM_KEYS]
     ("gpe_packet", "evolve1d.snapshots=maybe"),
     ("gpe_convergence", "evolve1d.convergence=maybe"),
     ("gpe_packet", "evolve1d.sample_stride=abc"),
-    ("harmonic_trap", "trap.chi_slice=maybe"),
     ("harmonic_trap", "trap.extent=nan"),
     ("harmonic_trap", "trap.tol=1e-12"),
-    ("shell_profile", "scatter.radial_table=maybe"),
     ("shell_profile", "scatter.potential=square_barrier:1,2"),
     ("shell_profile", "scatter.potential=zero:3"),
-    ("barrier_scattering", "scatter.radius=abc"),
+    ("barrier_scattering", "scatter.potential=square_barrier:10,2"),
+    ("barrier_scattering", "scatter.potential=square_barrier:-1"),
+    ("barrier_scattering", "scatter.potential=smooth_bump:1,0"),
+    ("barrier_scattering", "scatter.potential=zero:1"),
     ("barrier_scattering", "scatter.ode_tol=1e-10"),
     ("barrier_scattering", "scatter.bisect_tol=1e-12"),
     ("counting_triplet", "count.dim=abc"),
@@ -692,6 +703,8 @@ UNKNOWN_KEYS = SECOND_SPELLINGS + [("count", key) for key in PAIR_FORM_KEYS]
     ("counting_pair", "count.beta_tilde=0.9"),
     ("counting_pair", "count.pair_height=5"),
     ("counting_pair", "count.pair_mu=0.5"),
+    ("counting_pair", "count.quad_height=-1"),
+    ("counting_pair", "count.pair_height=-1"),
     ("counting_confined", "count.n_y=abc"),
     ("reduction_sweep", "reduce3d.phi0_sigma=abc"),
     ("gpe_packet", "evolve1d.dt=abc"),
@@ -728,9 +741,6 @@ UNKNOWN_KEYS = SECOND_SPELLINGS + [("count", key) for key in PAIR_FORM_KEYS]
     ("counting_pair", "count.v_par=cosine:1e9,1"),
     ("counting_pair", "count.b=-1000"),
     # keys the run would ignore
-    ("shell_sweep", "scatter.mu=0.5"),
-    ("shell_sweep", "scatter.radial_table=true"),
-    ("barrier_scattering", "scatter.radial_table=true"),
     ("gpe_packet", "evolve1d.snapshots=true"),
     ("gpe_packet", "evolve1d.sample_stride=10"),
     ("counting_triplet", "count.n_y=12"),
@@ -744,6 +754,15 @@ UNKNOWN_KEYS = SECOND_SPELLINGS + [("count", key) for key in PAIR_FORM_KEYS]
     ("gpe_packet", "evolve1d.quartic=0.1"),
     ("reduction_sweep", "reduce3d.mode_n=5"),
     ("reduction_sweep", "reduce3d.eps_ref=-1"),
+    # the second mu key, the barrier's shape keys and the artifact
+    # switches: unknown keys
+    ("shell_sweep", "scatter.mu_list=1e-3 1e-4"),
+    ("barrier_scattering", "scatter.height=10"),
+    ("barrier_scattering", "scatter.radius=abc"),
+    ("shell_sweep", "scatter.radial_table=true"),
+    ("barrier_scattering", "scatter.radial_table=true"),
+    ("shell_profile", "scatter.radial_table=maybe"),
+    ("harmonic_trap", "trap.chi_slice=maybe"),
     # the pair-form check's settings, now constants: unknown keys
     ("counting_pair", "count.quad_n=abc"),
     ("counting_pair", "count.quad_n=2"),
@@ -807,23 +826,59 @@ def test_one_eps_reduction_fails_its_trend_assertions(tmp_path, capsys):
          "max_err_ratio": False, "err_last": True}
 
 
-def test_height_and_radius_apply_to_the_named_shapes_only(tmp_path, capsys):
-    # zero and file:<csv> potentials never read height or radius
-    path = CONFIG_DIR / "barrier_scattering.ini"
-    assert cli.main(["validate", str(path), "--set", "scatter.potential=zero",
-                     "--set", "scatter.radius=0.5"]) == 2
-    assert f"{_config_error_at(path, 'scatter', 'height')}ignored" in \
-        capsys.readouterr().err
-    table = tmp_path / "w.csv"
-    table.write_text("0.0,10.0\n1.0,0.0\n", encoding="utf-8")
-    for potential in ("zero", f"file:{table}"):
-        for key in ("height", "radius"):
-            with pytest.raises(ConfigError, match=rf"^<flags> \[scatter\] {key}: "
-                                                  rf"ignored"):
-                harness.from_mapping("scatter", {"scatter": {
-                    "mu": 0.001, "potential": potential, key: 1.0}})
-        harness.from_mapping("scatter", {"scatter": {"mu": 0.001,
-                                                     "potential": potential}})
+def test_scatter_potential_defaults_and_tables(tmp_path):
+    # a bare shape takes height 10 and radius 1, to the bit; a table whose
+    # potential scattering.py refuses is a config error, not a failed run
+    a = {potential: harness.run_scenario(harness.from_mapping("scatter", {
+        "scenario": {"name": f"w{i}"}, "scatter": {
+            "mu": 0.001, "potential": potential}}), tmp_path).metrics["a"]
+         for i, potential in enumerate(("square_barrier", "square_barrier:10,1",
+                                        "smooth_bump", "smooth_bump:10,1"))}
+    assert np.float64(a["square_barrier"]).tobytes() == \
+        np.float64(a["square_barrier:10,1"]).tobytes()
+    assert np.float64(a["smooth_bump"]).tobytes() == \
+        np.float64(a["smooth_bump:10,1"]).tobytes()
+    for rows, why in (("0.0,1.0\n0.5,-1.0\n", "must be non-negative"),
+                      ("0.0,1.0\n2.0,0.0\n", "support radius")):
+        table = tmp_path / "w.csv"
+        table.write_text(rows, encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^<flags> \[scatter\] "
+                                              rf"potential: .*{why}"):
+            harness.from_mapping("scatter", {"scatter": {
+                "mu": 0.001, "potential": f"file:{table}"}})
+
+
+def test_one_mu_scatter_fails_its_spread_assertions(tmp_path, capsys):
+    # one mu compares nothing: both spreads are null and fail, while the
+    # per-mu values sit under detail.per_mu
+    path = CONFIG_DIR / "shell_sweep.ini"
+    code = cli.main(["scatter", str(path), "--output", str(tmp_path),
+                     "--set", "scatter.mu=1e-4"])
+    assert code == 1
+    assert "FAIL (9/11 assertions)" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "shell_sweep" / "summary.json")
+                         .read_text(encoding="utf-8"))
+    assert summary["metrics"]["scaling_spread"] is None
+    assert summary["metrics"]["r_ratio_spread"] is None
+    assert {row["metric"] for row in summary["assertions"]
+            if not row["passed"]} == {"scaling_spread", "r_ratio_spread"}
+    assert [row["mu"] for row in summary["detail"]["per_mu"]] == [1e-4]
+    assert summary["artifacts"] == ["sweep.csv", "radial_table.csv"]
+
+
+def test_multi_mu_scatter_needs_no_beta_tilde(tmp_path):
+    # without beta_tilde a sweep reports the scattering length's spread
+    # over mu and writes no table
+    cfg = harness.load_config(CONFIG_DIR / "barrier_scattering.ini",
+                              ["scatter.mu=1e-3 1e-4 1e-5"])
+    result = harness.run_scenario(cfg, tmp_path)
+    assert result.ok
+    assert result.metrics["sweep_size"] == 3.0
+    assert 0.0 <= result.metrics["scaling_spread"] < 1e-8
+    assert "r_ratio_spread" not in result.metrics
+    summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
+    assert summary["artifacts"] == []
+    assert len(summary["detail"]["per_mu"]) == 3
 
 
 def test_benchmark_workloads_load():
@@ -840,6 +895,27 @@ def test_benchmark_workloads_load():
         for name, overrides in runs:
             harness.load_config(CONFIG_DIR / name,
                                 overrides + ["scenario.seed=1"])
+
+
+def test_readme_commands_load():
+    # each `quasi1d ...` example of README's "Command line" section,
+    # continued lines joined, loads through the CLI's loader without
+    # running and is of its subcommand's kind
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line)[1:]
+                for line in section.replace("\\\n", " ").splitlines()
+                if line.startswith("quasi1d ")]
+    assert len(commands) >= 9
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        for path in [str(CONFIG_DIR.parent / p) for p in args.configs] or [None]:
+            if args.command == "validate":
+                harness.load_config(path, args.overrides)
+            else:
+                assert cli._load(args.command, path, args.overrides).kind \
+                    == args.command, argv
 
 
 @pytest.mark.parametrize("config, override", [
@@ -884,6 +960,8 @@ ANY = _within(-math.inf, math.inf)
 INTEGER = _within(-math.inf, math.inf, integer=True)
 TRAP_R2 = 128.0          # |y|^2 at the corner of the trap's 16-wide plane
 LINE_X2 = math.pi**2     # x^2 at the end of the counting line, 2 pi long
+# a radial bump's height and support radius
+SHAPE = [(10.0, lambda h: h >= 0), (1.0, lambda r: 0 < r <= 1)]
 
 
 def _well_peak(depth, radius):
@@ -912,8 +990,9 @@ MINI_SPECS = [
                       (0.0, _within(-16.0 * math.pi, 16.0 * math.pi))], None),
         "plane": ([(1.0, _within(-128, 128, integer=True))], None),
         "constant": ([], None)}),
-    ("barrier_scattering", "scatter.potential", None,
-     {"square_barrier": ([], None), "smooth_bump": ([], None), "zero": ([], None)}),
+    ("barrier_scattering", "scatter.potential", None, {
+        "square_barrier": (SHAPE, None), "smooth_bump": (SHAPE, None),
+        "zero": ([], None)}),
 ]
 
 
@@ -947,12 +1026,7 @@ def test_mini_spec_grammar_property(capsys):
         value = name + (":" + ",".join(map(str, numbers)) if numbers else "")
         path = CONFIG_DIR / f"{config}.ini"
         capsys.readouterr()
-        # blank values read as defaults, and the zero potential refuses a
-        # height or radius that is given
-        blank = (["--set", "scatter.height=", "--set", "scatter.radius="]
-                 if option == "scatter.potential" else [])
-        code = cli.main(["validate", str(path), "--set", f"{option}={value}",
-                         *blank])
+        code = cli.main(["validate", str(path), "--set", f"{option}={value}"])
         section, _, key = option.partition(".")
         err = capsys.readouterr().err
         assert code == _mini_spec_verdict(bound, *table[name], numbers), (value, err)
