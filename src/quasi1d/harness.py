@@ -676,7 +676,8 @@ def _parse_admissibility(sec: _Section) -> AdmissibilityReport:
                                       v["delta"], d=v["d"],
                                       beta_tilde=v["beta_tilde"])
     except ConfigError as exc:
-        raise sec.fail("n_values", str(exc)) from None
+        key = "eps_values" if str(exc).endswith("in eps") else "n_values"
+        raise sec.fail(key, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1075,13 +1076,12 @@ def _quad_form_check(spec: CountSpec, seed: int) -> float | None:
     ham = manybody.box_hamiltonian(_QUAD_LENGTH, _QUAD_N,
                                    pair_potential=lambda d: w.scaled(d, mu),
                                    pair_range=mu)
-    draws = manybody.random_pair_states(ham.dim, np.random.default_rng(seed + 1))
-    worst = math.inf
-    for _ in range(_QUAD_SAMPLES):
-        worst = min(worst, manybody.pair_indicator_form(next(draws), ham, corr))
-    draws.close()       # frees the draw buffer before the product state
-    flat = manybody.PairState.product(np.ones(ham.dim))
-    return min(worst, manybody.pair_indicator_form(flat, ham, corr))
+    rng = np.random.default_rng(seed + 1)
+    worst = min(manybody.random_pair_form(ham, corr, rng)
+                for _ in range(_QUAD_SAMPLES))
+    # the flat product phi (x) phi is the K = 0 sector with constant h
+    form, norm = manybody.relative_pair_form(np.ones((1, ham.dim)), ham, corr)
+    return min(worst, form / norm)
 
 
 _RUNNERS = {"scatter": _run_scatter, "trap": _run_trap,

@@ -3,12 +3,12 @@
 States of N bosons live as rank-N tensors over a small single-particle grid
 (a periodic line or a flattened 3d box).  The tensors are symmetric under
 every permutation of their slots, and the kernels rely on it: the reduced
-density matrix and the trace distance read slot 0, the pair form
-differentiates slot 0, and the energy per particle is slot 0's one-body
-energy plus (N - 1) / 2 times the pair (0, 1)'s.  For a reference orbital
-phi the slot projectors p = |phi><phi| and q = 1 - p generate the symmetrized
-counters P_k (exactly k particles outside phi).  A weighted counter f_hat =
-sum_k f(k) P_k enters only through its expectation, evaluated as
+density matrix and the trace distance read slot 0, and the energy per
+particle is slot 0's one-body energy plus (N - 1) / 2 times the pair
+(0, 1)'s.  For a reference orbital phi the slot projectors p = |phi><phi|
+and q = 1 - p generate the symmetrized counters P_k (exactly k particles
+outside phi).  A weighted counter f_hat = sum_k f(k) P_k enters only
+through its expectation, evaluated as
 <psi, f_hat psi> = sum_k f(k) ||P_k psi||^2.  The weight
 
     m(k) = sqrt(k / N)                        for k >= N^(1 - 2 xi),
@@ -59,8 +59,8 @@ __all__ = ["ManyBodyState", "random_symmetric_state", "random_symmetric_states",
            "trace_distance", "check_pair_range",
            "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
            "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
-           "CountingSample", "counting_sample", "PairState",
-           "random_pair_states", "pair_indicator_form"]
+           "CountingSample", "counting_sample", "relative_pair_form",
+           "random_pair_form"]
 
 MAX_PARTICLES = 4
 
@@ -94,15 +94,14 @@ class ManyBodyState:
         return ManyBodyState(self.n_particles, self.dim, self.tensor / self.norm())
 
 
-# Sides of the square blocks of the first coset step and rows of a PairState
-# strip, so these kernels hold one state plus scratch.  On the 12^3
-# box (d = 1728) 48 timed like 64 and better than 16 or 128, and its
-# pair-form scratch is 7% of a state.  The passes over a whole state (the
-# draw, the counter sums, the energy, ||q M||^2) split it instead into blocks
-# of about 1/_BLOCK of the state, so their scratch is a fixed share of it.  A
-# pass's buffers together hold at least _LEAST entries (128 KiB of complex),
-# below which calls cost more than arithmetic, and a state of at most _LEAST
-# entries is one block.
+# Sides of the square blocks of the first coset step, so it holds one state
+# plus scratch, and sectors per block of the pair-form draw, whose three
+# block buffers are 8% of an N = 2 state on the 12^3 box (d = 1728).  The
+# passes over a whole state (the draw, the counter sums, the energy,
+# ||q M||^2) split it instead into blocks of about 1/_BLOCK of the state, so
+# their scratch is a fixed share of it.  A pass's buffers together hold at
+# least _LEAST entries (128 KiB of complex), below which calls cost more
+# than arithmetic, and a state of at most _LEAST entries is one block.
 _BLOCK = 48
 _LEAST = 8192
 
@@ -498,17 +497,16 @@ def check_pair_range(pair_range: float, axes) -> None:
 
 
 def _site_pair_block(tiled: np.ndarray, start: int, stop: int,
-                     out: np.ndarray, rows: bool = False) -> np.ndarray:
-    """Sites start..stop - 1 of the (d, d) site-pair matrix of an even offset
-    table, as columns or, the same numbers, as rows.
+                     out: np.ndarray) -> np.ndarray:
+    """Rows start..stop - 1 of the (d, d) site-pair matrix of an even offset
+    table.
 
     ``tiled`` is the table over the grid's shape tiled twice per axis.  Entry
     (i, j) is table[(i - j) mod n] on each axis, so column j is the slice
     [n - j_a, 2 n - j_a) of ``tiled`` on each axis a, and as the table is
     even it is row j too.  Sites that differ only on the last axis take one
     strided slice of the windows of ``tiled`` along that axis.  ``out`` is
-    shaped (*grid.shape, width) for columns, returned as a (d, stop - start)
-    view, or (width, *grid.shape) for rows, returned as (stop - start, d).
+    shaped (width, *grid.shape) and returned as a (stop - start, d) view.
     """
     shape = tuple(n // 2 for n in tiled.shape)
     last = shape[-1]
@@ -521,15 +519,9 @@ def _site_pair_block(tiled: np.ndarray, start: int, stop: int,
         part = windows[tuple(slice(n - j, 2 * n - j)
                              for n, j in zip(shape, index[:-1]))
                        + (slice(first, first - run, -1),)]
-        k = site - start
-        if rows:
-            out[k:k + run] = np.moveaxis(part, -2, 0)
-        else:
-            out[..., k:k + run] = np.moveaxis(part, -2, -1)
+        out[site - start:site - start + run] = np.moveaxis(part, -2, 0)
         site += run
-    if rows:
-        return out.reshape(len(out), -1)[:stop - start]
-    return out.reshape(-1, out.shape[-1])[:, :stop - start]
+    return out.reshape(len(out), -1)[:stop - start]
 
 
 @dataclass(eq=False)
@@ -541,8 +533,9 @@ class HamiltonianSpec:
     energy per particle is directly comparable with the 1d functional.
     Functions of the distance between two sites (the pair potential, the pair
     form's mask and (w_mu - U) / 2) depend only on the sites' offset on the
-    periodic grid, so they are kept as tables of d offsets, tiled twice per
-    axis; no d x d array is cached.
+    periodic grid, so they are kept as tables of d offsets: the pair
+    potential tiled twice per axis, for the rows of its site-pair matrix, and
+    the pair form's over the grid's shape; no d x d array is cached.
     """
 
     grid: ProductGrid
@@ -551,7 +544,7 @@ class HamiltonianSpec:
     e0_shift: float
     pair_range: float | None = None
     _pair_table: np.ndarray | None = None  # W, tiled
-    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2), tiled
+    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2)
 
     def __post_init__(self) -> None:
         if self.pair_potential is not None and self.pair_range is not None:
@@ -592,14 +585,12 @@ class HamiltonianSpec:
             total = total + (delta**2).reshape(view)
         return np.sqrt(total)
 
-    def _tiled(self, table: np.ndarray) -> np.ndarray:
-        return np.tile(table, (2,) * len(self.grid.axes))
-
     def _pair_potential_table(self) -> np.ndarray | None:
-        """W on the offsets, tiled; built once."""
+        """W on the offsets, tiled twice per axis; built once."""
         if self.pair_potential is not None and self._pair_table is None:
-            self._pair_table = self._tiled(np.asarray(
-                self.pair_potential(self._offset_distances()), dtype=float))
+            self._pair_table = np.tile(np.asarray(
+                self.pair_potential(self._offset_distances()), dtype=float),
+                (2,) * len(self.grid.axes))
         return self._pair_table
 
     def pair_matrix(self) -> np.ndarray | None:
@@ -611,10 +602,11 @@ class HamiltonianSpec:
         if table is None:
             return None
         return _site_pair_block(table, 0, self.dim,
-                                np.empty(self.grid.shape + (self.dim,)))
+                                np.empty((self.dim,) + self.grid.shape))
 
     def _pair_form_tables(self, corr: CorrectionProfile) -> tuple:
-        """Indicator of |z1 - z2| < R and (w_mu - U) / 2 on the offsets, tiled.
+        """Indicator of |z1 - z2| < R, as 0.0 or 1.0, and (w_mu - U) / 2 on
+        the offsets, over the grid's shape.
 
         Both depend only on the grid and the correction profile, so they are
         cached for the last ``corr`` seen and rebuilt for any other one.
@@ -624,8 +616,8 @@ class HamiltonianSpec:
             sol = corr.solution
             half_wu = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
             half_wu *= 0.5
-            self._pair_form = (corr, self._tiled(dist < corr.outer_radius),
-                               self._tiled(half_wu))
+            self._pair_form = (corr, (dist < corr.outer_radius).astype(float),
+                               half_wu)
         return self._pair_form[1:]
 
 
@@ -745,7 +737,7 @@ def energy_per_particle(state: ManyBodyState, ham: HamiltonianSpec) -> float:
         dens **= 2
         slot_dens[start:stop] = dens.sum(axis=(1, 2))
         if table is not None:
-            w_rows = _site_pair_block(table, start, stop, w_buf, rows=True)
+            w_rows = _site_pair_block(table, start, stop, w_buf)
             pair += float(np.sum(np.matmul(w_rows[:, None], dens)))
     return (kinetic + float(ham.v_diag @ slot_dens)
             + 0.5 * (state.n_particles - 1) * pair - ham.e0_shift)
@@ -812,124 +804,85 @@ def _derivative_matrix(axis: Grid1D) -> np.ndarray:
                        axis=0)
 
 
-@dataclass(eq=False)
-class PairState:
-    """Two bosons on ``dim`` sites, held as the upper block triangle of the
-    symmetric d x d tensor: ``strips[I]`` is tensor[a:b, a:] for the I-th
-    block a:b of rows, all blocks of one size but the last.  That is
-    d (d + block) / 2 entries instead of d^2; the rest is the transpose."""
+def relative_pair_form(h: np.ndarray, ham: HamiltonianSpec,
+                       corr: CorrectionProfile) -> tuple[float, float]:
+    """sum_K q(h_K) and sum_K ||h_K||^2 over the sectors h_K, the rows of ``h``.
 
-    dim: int
-    strips: list[np.ndarray]
+    Read in relative coordinates, a pair state is
+    psi(z1, z2) = d^(-1/2) sum_K e^{iK.z2} h_K(z1 - z2): a permutation of
+    its entries, then a DFT over z2, so the map is unitary and
+    ||psi||^2 = sum_K ||h_K||^2.  The mask 1_{|z1-z2|<R}, (w_mu - U) / 2 and
+    the spectral grad_1 commute with joint translations, so the compensated
+    pair form ||1_R grad_1 psi||^2 + <psi, (w_mu - U) psi> / 2 is
+    sum_K q(h_K), with
 
-    def __post_init__(self) -> None:
-        rows = len(self.strips[0])
-        if [s.shape for s in self.strips] != [
-                (min(rows, self.dim - a), self.dim - a)
-                for a in range(0, self.dim, rows)]:
-            raise DomainError("strips do not tile the upper block triangle")
+        q(h) = sum_r 1_R(r) sum_a |D_a h(r)|^2 + (w_mu - U)(r) / 2 |h(r)|^2.
 
-    @classmethod
-    def product(cls, orbital: np.ndarray) -> "PairState":
-        """phi (x) phi for the normalized ``orbital``."""
-        orb = np.asarray(orbital, dtype=complex)
-        orb = orb / np.linalg.norm(orb)
-        return cls(orb.size, [np.multiply.outer(orb[a:a + _BLOCK], orb[a:])
-                              for a in range(0, orb.size, _BLOCK)])
-
-
-def random_pair_states(dim: int,
-                       rng: np.random.Generator) -> Iterator[PairState]:
-    """``random_symmetric_states(2, dim, rng)`` as strips, drawn into the
-    same strips each time.
-
-    The same normals in the same order: all real parts, then all imaginary
-    parts, each drawn one block of _BLOCK rows at a time.  A row block keeps
-    its diagonal block plus its transpose and the blocks right of it; each
-    block left of it is added, transposed, into its mirror in an earlier
-    strip.  So every entry is the sum G_ij + G_ji of the full draw, bit for
-    bit; only the norm, summed over the strips, may differ in the last bit.
+    psi is symmetric exactly when h_K(r) = e^{iK.r} h_K(-r) for every K.  The
+    form is non-negative in the continuum because the compensated profile has
+    zero scattering length; here it is evaluated exactly on the grid.  A row
+    holds one sector's d offsets in the grid's C order.  The tables are the
+    Hamiltonian's, over the grid's shape; D_a is applied by its
+    differentiation matrix and masked, as the mask is 0 or 1, in one scratch
+    buffer of h's shape.
     """
-    starts = range(0, dim, _BLOCK)
-    strips = [np.empty((min(_BLOCK, dim - a), dim - a), dtype=complex)
-              for a in starts]
-    rows = np.empty((min(_BLOCK, dim), dim))
-    while True:
-        for component in ("real", "imag"):
-            views = [getattr(strip, component) for strip in strips]
-            for a, out in zip(starts, views):
-                draw = rows[:len(out)]
-                rng.standard_normal(out=draw)
-                b = a + len(draw)
-                np.add(draw[:, a:b], draw[:, a:b].T, out=out[:, :b - a])
-                out[:, b - a:] = draw[:, b:]
-                for c, left in zip(range(0, a, _BLOCK), views):
-                    left[:, a - c:b - c] += draw[:, c:c + _BLOCK].T
-        # off-diagonal blocks stand for two entries each
-        norm = math.sqrt(sum(2.0 * np.vdot(s, s).real
-                             - np.vdot(s[:, :len(s)], s[:, :len(s)]).real
-                             for s in strips))
-        for strip in strips:
-            parts = strip.view(np.float64)
-            parts /= norm
-        yield PairState(dim, strips)
+    h = np.ascontiguousarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[1] != ham.dim:
+        raise InterfaceError("sectors do not match the Hamiltonian grid")
+    mask, half_wu = (table.reshape(-1) for table in ham._pair_form_tables(corr))
+    work = np.empty_like(h)
+    norm = float(np.vdot(h, h).real)
+    np.multiply(h, half_wu, out=work)
+    form = float(np.vdot(h, work).real)
+    lead = len(h)
+    for axis in ham.grid.axes:
+        np.matmul(_derivative_matrix(axis), h.reshape(lead, axis.n, -1),
+                  out=work.reshape(lead, axis.n, -1))
+        work *= mask
+        form += float(np.vdot(work, work).real)
+        lead *= axis.n
+    return form, norm
 
 
-def pair_indicator_form(state: PairState, ham: HamiltonianSpec,
-                        corr: CorrectionProfile) -> float:
-    """||1_{|z1-z2|<R} grad_1 psi||^2 + <psi, (w_mu - U) psi> / 2.
+def random_pair_form(ham: HamiltonianSpec, corr: CorrectionProfile,
+                     rng: np.random.Generator) -> float:
+    """Q(psi) / ||psi||^2 for one random symmetric pair state, drawn sector by
+    sector.
 
-    Non-negative in the continuum because the compensated profile has zero
-    scattering length; evaluated here exactly on the grid.  With psi read as
-    d x d, grad_1 acts on the row index, so both sums run over the column
-    blocks of the strips: each is assembled in one contiguous buffer, its
-    rows above the diagonal block from the strips as stored and the rest
-    from its own strip transposed.  Its |psi|^2 is weighted by
-    (w_mu - U) / 2, then grad_1 is applied one axis at a time by its
-    differentiation matrix and |grad_1 psi|^2, accumulated in one real
-    buffer, is summed under the mask.  The mask and (w_mu - U) / 2 of a
-    column block are sliced from the Hamiltonian's offset tables.  Scratch is
-    five block-sized buffers.
+    psi is G + G^T for a complex Gaussian d x d tensor G, the distribution of
+    ``random_symmetric_state(2, d, rng)``.  The change to relative
+    coordinates (see ``relative_pair_form``) is unitary, so it maps G to
+    independent complex Gaussian sectors g_K, and G^T to e^{iK.r} g_K(-r).
+    The sectors are drawn _BLOCK at a time into one buffer, and
+    h_K = g_K + e^{iK.r} g_K(-r) is formed in another, with the phase as one
+    factor per axis; psi itself is never formed.  The normals are taken from
+    the stream in another order than ``random_symmetric_state`` takes them,
+    so the value is that of another state of the same distribution.
     """
-    if state.dim != ham.dim:
-        raise InterfaceError("state dimension does not match the Hamiltonian grid")
-    mask_table, half_wu_table = ham._pair_form_tables(corr)
-    d = ham.dim
-    derivs = [_derivative_matrix(axis) for axis in ham.grid.axes]
-    width = len(state.strips[0])
-    block_buf = np.empty(d * width, dtype=complex)
-    grad_buf = np.empty(d * width, dtype=complex)
-    sq_buf = np.empty(d * width)
-    mask_buf = np.empty(ham.grid.shape + (width,), dtype=bool)
-    half_wu_buf = np.empty(ham.grid.shape + (width,))
-
-    total = 0.0
-    for start, strip in zip(range(0, d, width), state.strips):
-        stop = start + len(strip)
-        size = d * (stop - start)
-        block = block_buf[:size].reshape(d, -1)
-        grad = grad_buf[:size].reshape(d, -1)
-        sq = sq_buf[:size].reshape(d, -1)    # |psi|^2, then |grad_1 psi|^2
-        parts = grad.view(np.float64)        # interleaved re, im
-        for a, upper in zip(range(0, start, width), state.strips):
-            block[a:a + width] = upper[:, start - a:stop - a]
-        block[start:] = strip.T
-        np.square(block.view(np.float64), out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=sq)
-        sq *= _site_pair_block(half_wu_table, start, stop, half_wu_buf)
-        total += float(np.sum(sq))
-        lead = 1
-        for i, (axis, deriv) in enumerate(zip(ham.grid.axes, derivs)):
-            np.matmul(deriv, block.reshape(lead, axis.n, -1),
-                      out=grad.reshape(lead, axis.n, -1))
-            np.square(parts, out=parts)
-            if i == 0:
-                np.add(parts[:, 0::2], parts[:, 1::2], out=sq)
-            else:
-                sq += parts[:, 0::2]
-                sq += parts[:, 1::2]
-            lead *= axis.n
-        total += float(np.sum(
-            sq, where=_site_pair_block(mask_table, start, stop, mask_buf)))
-    return total
-
+    shape, d = ham.grid.shape, ham.dim
+    offsets = np.indices(shape).reshape(len(shape), -1)
+    reflected = np.ravel_multi_index(tuple(-offsets), shape, mode="wrap")
+    # e^{iK_a r_a} on each axis, from the exact residue of K_a r_a mod n
+    waves = [np.exp(2j * math.pi / n * (np.multiply.outer(range(n), range(n)) % n))
+             for n in shape]
+    rows = min(_BLOCK, d)
+    raw = np.empty((rows, 2 * d))
+    h_buf = np.empty((rows, d), dtype=complex)
+    form = norm = 0.0
+    for start in range(0, d, rows):
+        draw = raw[:min(rows, d - start)]
+        rng.standard_normal(out=draw)
+        g = draw.view(complex)
+        h = h_buf[:len(g)]
+        # g_K(-r); mode="raise" would buffer the output, and no index clips
+        np.take(g, reflected, axis=1, out=h, mode="clip")
+        on_grid = h.reshape((len(h),) + shape)
+        sectors = np.unravel_index(range(start, start + len(h)), shape)
+        for a, (k, wave) in enumerate(zip(sectors, waves)):
+            on_grid *= wave[k].reshape((len(h),) + tuple(
+                n if b == a else 1 for b, n in enumerate(shape)))
+        h += g
+        block_form, block_norm = relative_pair_form(h, ham, corr)
+        form += block_form
+        norm += block_norm
+    return form / norm

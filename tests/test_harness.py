@@ -83,6 +83,22 @@ def test_admissibility_guards():
         harness.validate_admissibility([(2, 0.25), (3, 0.25)], 0.2)
 
 
+def test_admissibility_order_errors_cite_their_key(capsys):
+    """An N out of order is n_values' error, an eps out of order
+    eps_values'."""
+    config = str(CONFIG_DIR / "counting_pair.ini")
+    for override, cited in (("n_values=8 9 10 10 12", "22 [admissibility] "
+                             "n_values: sequence must be strictly increasing "
+                             "in N"),
+                            ("eps_values=0.001 0.002 0.0009765625 "
+                             "0.00048828125 0.000244140625",
+                             "23 [admissibility] eps_values: sequence must be "
+                             "strictly decreasing in eps")):
+        code = cli.main(["validate", config, "--set", f"admissibility.{override}"])
+        assert code == 2, override
+        assert f"counting_pair.ini:{cited}" in capsys.readouterr().err
+
+
 def test_admissibility_window():
     pairs = [(2, 0.5), (3, 0.25)]
     report = harness.validate_admissibility(pairs, 0.2, d=0.85, beta_tilde=0.88)

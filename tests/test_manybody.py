@@ -413,24 +413,18 @@ def bump_correction():
 
 def test_pair_quadratic_form_nonnegative(rng, bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
-    flat = manybody.PairState.product(np.ones(ham.dim))
-    assert manybody.pair_indicator_form(flat, ham, bump_correction) > -1e-6
-    draws = manybody.random_pair_states(ham.dim, rng)
+    form, norm = manybody.relative_pair_form(np.ones((1, ham.dim)), ham,
+                                             bump_correction)
+    assert form / norm > -1e-6
     for _ in range(2):
-        state = next(draws)
-        assert manybody.pair_indicator_form(state, ham, bump_correction) > -1e-6
+        assert manybody.random_pair_form(ham, bump_correction, rng) > -1e-6
 
 
-def test_pair_form_guards(rng, bump_correction):
+def test_pair_form_guards(bump_correction):
     ham = manybody.box_hamiltonian(1.8, 12)
-    small = next(manybody.random_pair_states(8, rng))
-    with pytest.raises(InterfaceError):
-        manybody.pair_indicator_form(small, ham, bump_correction)
-    # strips that do not tile the upper block triangle of a 5 x 5 tensor
-    for shapes in ([(2, 5), (2, 3)], [(2, 5), (3, 3)], [(2, 4), (2, 3), (1, 1)]):
-        with pytest.raises(DomainError):
-            manybody.PairState(5, [np.zeros(shape, dtype=complex)
-                                   for shape in shapes])
+    for sectors in (np.ones((2, 8)), np.ones(ham.dim), np.ones((1, 2, ham.dim))):
+        with pytest.raises(InterfaceError):
+            manybody.relative_pair_form(sectors, ham, bump_correction)
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +547,51 @@ def test_energy_per_particle_matches_fft_reference():
                 pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
-def pair_tensor(state):
-    """The d x d tensor of a strip state: each strip's rows, and its
-    transpose as the columns of the same block."""
-    full = np.empty((state.dim, state.dim), dtype=complex)
-    start = 0
-    for strip in state.strips:
-        stop = start + len(strip)
-        full[start:stop, start:] = strip
-        full[start:, start:stop] = strip.T
-        start = stop
-    return full
+def site_sums(shape, sign):
+    """Flat index of (a + sign b) mod n on each axis, for all flat sites a
+    (rows) and b (columns) of ``shape``."""
+    sites = np.unravel_index(np.arange(math.prod(shape)), shape)
+    return np.ravel_multi_index(
+        tuple(i[:, None] + sign * i[None, :] for i in sites), shape, mode="wrap")
 
 
-def pair_strips(tensor, block):
-    """The strip state of a symmetric d x d tensor, in blocks of ``block``
-    rows."""
-    return manybody.PairState(len(tensor), [
-        tensor[a:a + block, a:].copy() for a in range(0, len(tensor), block)])
+def assembled(h, shape):
+    """psi(z1, z2) = d^(-1/2) sum_K e^{iK.z2} h_K(z1 - z2), with the d sectors
+    K, in C order, as the rows of ``h``: an inverse DFT over K, then each
+    entry read at its offset."""
+    d = math.prod(shape)
+    axes = tuple(range(len(shape)))
+    over_z2 = np.fft.ifftn(h.reshape(shape + (d,)), axes=axes).reshape(d, d)
+    over_z2 *= math.sqrt(d)
+    return over_z2[np.arange(d)[None, :], site_sums(shape, -1)]
+
+
+def sectors_of(psi, shape):
+    """The inverse of ``assembled``: h_K(r) = d^(-1/2) sum_z2 e^{-iK.z2}
+    psi(r + z2, z2)."""
+    d = math.prod(shape)
+    axes = tuple(range(len(shape)))
+    by_z2 = psi[site_sums(shape, 1), np.arange(d)[:, None]]     # [z2, r]
+    return np.fft.fftn(by_z2.reshape(shape + (d,)), axes=axes).reshape(d, d) \
+        / math.sqrt(d)
+
+
+def reflected_sectors(g, shape):
+    """e^{iK.r} g_K(-r) for the d sectors K, in C order, the rows of ``g``."""
+    sectors = np.unravel_index(np.arange(len(g)), shape)
+    offsets = np.indices(shape).reshape(len(shape), -1)
+    angle = sum(np.multiply.outer(k, o) / n
+                for k, o, n in zip(sectors, offsets, shape))
+    minus = np.ravel_multi_index(tuple(-offsets), shape, mode="wrap")
+    return np.exp(2j * math.pi * angle) * g[:, minus]
+
+
+def symmetric_sectors(gen, shape):
+    """h_K = g_K + e^{iK.r} g_K(-r) for complex Gaussian sectors g_K, drawn
+    as random_pair_form draws them: one row of 2 d normals per sector."""
+    d = math.prod(shape)
+    g = gen.standard_normal((d, 2 * d)).view(complex)
+    return g + reflected_sectors(g, shape)
 
 
 def fft_pair_form(tensor, ham, corr):
@@ -593,27 +614,52 @@ def fft_pair_form(tensor, ham, corr):
                  + 0.5 * np.sum(w_minus_u * np.abs(tensor) ** 2))
 
 
-def test_pair_form_matches_fft_reference(rng, bump_correction):
-    ham = manybody.box_hamiltonian(1.8, 12)
-    flat = manybody.PairState.product(np.ones(ham.dim))
-    psi = next(manybody.random_pair_states(ham.dim, rng))
-    for state in (psi, flat):
-        got = manybody.pair_indicator_form(state, ham, bump_correction)
-        ref = fft_pair_form(pair_tensor(state), ham, bump_correction)
-        assert got == pytest.approx(ref, rel=1e-12)
+def test_sector_draw_is_the_symmetric_draw(rng):
+    """Relative coordinates are unitary, take a complex Gaussian tensor G to
+    its sectors g_K, and G^T to e^{iK.r} g_K(-r): so the sectors
+    g_K + e^{iK.r} g_K(-r) are those of G + G^T, the symmetric draw."""
+    shape = (6, 4, 2)
+    tensor = complex_draw(rng, (48, 48))
+    g = sectors_of(tensor, shape)
+    np.testing.assert_allclose(assembled(g, shape), tensor, rtol=0, atol=1e-13)
+    assert np.vdot(g, g).real == pytest.approx(np.vdot(tensor, tensor).real,
+                                               rel=1e-13)
+    np.testing.assert_allclose(sectors_of(tensor.T, shape),
+                               reflected_sectors(g, shape), rtol=0, atol=1e-13)
 
 
-def test_pair_form_cache_follows_the_correction(rng, bump_correction):
-    ham = manybody.box_hamiltonian(1.8, 12)
+def test_pair_form_matches_fft_reference(bump_correction):
+    """The sector sums against the d^2 form of the assembled tensor, on
+    d = 216 and on the 12^3 box, for a random symmetric state and for the
+    flat product, the K = 0 sector with constant h."""
+    for n in (6, 12):
+        ham = manybody.box_hamiltonian(1.8, n)
+        shape, d = ham.grid.shape, ham.dim
+        flat = np.zeros((d, d), dtype=complex)
+        flat[0] = 1.0
+        for h in (symmetric_sectors(np.random.default_rng(n), shape), flat):
+            form, norm = manybody.relative_pair_form(h, ham, bump_correction)
+            psi = assembled(h, shape)
+            assert np.max(np.abs(psi - psi.T)) <= 1e-12 * np.max(np.abs(psi))
+            assert norm == pytest.approx(np.sum(np.abs(psi) ** 2), rel=1e-12)
+            assert form == pytest.approx(
+                fft_pair_form(psi, ham, bump_correction), rel=1e-12)
+            del psi
+        assert manybody.relative_pair_form(flat[:1], ham, bump_correction) \
+            == pytest.approx((form, norm), rel=1e-12)
+
+
+def test_pair_form_cache_follows_the_correction(bump_correction):
+    ham = manybody.box_hamiltonian(1.8, 6)
     other = scattering.build_correction(bump_correction.solution, 0.6)
     assert other.outer_radius != bump_correction.outer_radius
-    state = next(manybody.random_pair_states(ham.dim, rng))
-    first = manybody.pair_indicator_form(state, ham, bump_correction)
-    second = manybody.pair_indicator_form(state, ham, other)
-    assert second == pytest.approx(fft_pair_form(pair_tensor(state), ham, other),
-                                   rel=1e-12)
+    h = symmetric_sectors(np.random.default_rng(3), ham.grid.shape)
+    first = manybody.relative_pair_form(h, ham, bump_correction)[0]
+    second = manybody.relative_pair_form(h, ham, other)[0]
+    psi = assembled(h, ham.grid.shape)
+    assert second == pytest.approx(fft_pair_form(psi, ham, other), rel=1e-12)
     assert abs(second - first) > 1e-6 * abs(first)
-    assert manybody.pair_indicator_form(state, ham, bump_correction) == first
+    assert manybody.relative_pair_form(h, ham, bump_correction)[0] == first
 
 
 # ---------------------------------------------------------------------------
@@ -679,38 +725,20 @@ def test_product_state_normalizes_in_place_bitwise():
     assert np.array_equal(manybody.product_state_mb(orb, 2).tensor, ref.tensor)
 
 
-@pytest.mark.parametrize("block", RAGGED_BLOCKS)
-@pytest.mark.parametrize("dim", [13, 28])     # 4 and 7 divide 28, not 13
-def test_pair_strips_are_the_full_states(monkeypatch, block, dim):
-    """The strip draw takes the normals of the full draw and sums them as
-    it does; only the norm is summed in another order.  The product's
-    strips are the outer product's upper entries (a complex product is
-    not symmetric bit for bit, so its lower ones may differ)."""
-    unblocked(monkeypatch, block)
-    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
-    state = next(manybody.random_pair_states(dim, gen))
-    ref = manybody.random_symmetric_state(2, dim, ref_gen)
-    np.testing.assert_allclose(pair_tensor(state), ref.tensor, rtol=1e-15, atol=0)
-    # both consumed the same stretch of the stream
-    assert gen.standard_normal() == ref_gen.standard_normal()
-    orb = complex_draw(gen, dim)
-    unit = orb / np.linalg.norm(orb)
-    ref = pair_strips(np.multiply.outer(unit, unit), block)
-    for got, want in zip(manybody.PairState.product(orb).strips, ref.strips,
-                         strict=True):
-        assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("block", (1, 7, 100))
 def test_pair_form_with_ragged_blocks(monkeypatch, bump_correction, block):
+    """The sector draw takes its sectors' normals row by row from one
+    stream, so in blocks of any size it draws the sectors of one
+    (d, 2 d) draw; its value is the d^2 form of their assembled state."""
     monkeypatch.setattr(manybody, "_BLOCK", block)
     ham = manybody.box_hamiltonian(1.8, 6)     # d = 216: 7, 100 leave a rest
-    psi = next(manybody.random_pair_states(ham.dim, np.random.default_rng(8)))
-    flat = manybody.PairState.product(np.ones(ham.dim))
-    for state in (psi, flat):
-        got = manybody.pair_indicator_form(state, ham, bump_correction)
-        ref = fft_pair_form(pair_tensor(state), ham, bump_correction)
-        assert got == pytest.approx(ref, rel=1e-12)
+    gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+    got = manybody.random_pair_form(ham, bump_correction, gen)
+    psi = assembled(symmetric_sectors(ref_gen, ham.grid.shape), ham.grid.shape)
+    ref = fft_pair_form(psi, ham, bump_correction) / np.sum(np.abs(psi) ** 2)
+    assert got == pytest.approx(ref, rel=1e-12)
+    # both consumed the same stretch of the stream
+    assert gen.standard_normal() == ref_gen.standard_normal()
 
 
 def test_pair_form_is_the_relative_coordinate_form(bump_correction):
@@ -718,7 +746,7 @@ def test_pair_form_is_the_relative_coordinate_form(bump_correction):
     is symmetric, and as the mask, (w_mu - U) / 2 and the spectral grad_1
     all commute with translations, its form is d times a sum over offsets:
     sum_r 1_R(r) sum_a |D_a h(r)|^2 + (w_mu - U)(r) / 2 |h(r)|^2, over
-    ||psi||^2 = d ||h||^2."""
+    ||psi||^2 = d ||h||^2.  The sector kernel takes h as a one-row stack."""
     ham = manybody.box_hamiltonian(1.8, 6)     # d = 216
     shape, axes = ham.grid.shape, ham.grid.axes
     sites = np.unravel_index(np.arange(ham.dim), shape)
@@ -749,10 +777,12 @@ def test_pair_form_is_the_relative_coordinate_form(bump_correction):
         rel = tuple((i[:, None] - i[None, :]) % side.n
                     for i, side in zip(sites, axes))
         psi = h[rel] * phase.ravel()[None, :]
-        psi /= np.linalg.norm(psi)
-        got = manybody.pair_indicator_form(pair_strips(psi, manybody._BLOCK),
-                                           ham, bump_correction)
-        assert got == pytest.approx(ref, rel=1e-12)
+        assert np.max(np.abs(psi - psi.T)) <= 1e-12 * np.max(np.abs(psi))
+        full = fft_pair_form(psi, ham, bump_correction) / np.sum(np.abs(psi) ** 2)
+        assert full == pytest.approx(ref, rel=1e-12)
+        form, norm = manybody.relative_pair_form(h.reshape(1, -1), ham,
+                                                 bump_correction)
+        assert form / norm == pytest.approx(ref, rel=1e-12)
 
     check()
 
@@ -780,34 +810,34 @@ def test_draw_holds_one_tensor():
     assert peak <= 1.1 * BOX_TENSOR_BYTES
 
 
-def test_pair_draw_holds_half_a_tensor():
-    peak, state = traced_peak(
-        lambda: next(manybody.random_pair_states(1728, np.random.default_rng(1))))
-    assert sum(s.nbytes for s in state.strips) == 1728 * (1728 + 48) // 2 * 16
-    assert peak <= 0.55 * BOX_TENSOR_BYTES
-
-
 def test_warm_pair_form_allocates_block_scratch_only(bump_correction):
+    """A block of sectors costs the sector kernel one scratch buffer of its
+    size, plus the buffers in which numpy casts the real tables to complex
+    (8192 entries, 10% of this block)."""
     ham = manybody.box_hamiltonian(1.8, 12)
-    state = next(manybody.random_pair_states(ham.dim, np.random.default_rng(1)))
-    first = manybody.pair_indicator_form(state, ham, bump_correction)
+    h = complex_draw(np.random.default_rng(1), (manybody._BLOCK, ham.dim))
+    first = manybody.relative_pair_form(h, ham, bump_correction)
     peak, again = traced_peak(
-        lambda: manybody.pair_indicator_form(state, ham, bump_correction))
+        lambda: manybody.relative_pair_form(h, ham, bump_correction))
     assert again == first
-    assert peak <= 0.1 * BOX_TENSOR_BYTES
+    assert peak <= 1.15 * h.nbytes
 
 
-def test_quad_form_check_holds_under_two_thirds_of_a_tensor(monkeypatch):
+# sector blocks of the pair-form check on the 12^3 box
+BOX_SECTOR_BLOCK_BYTES = 48 * 1728 * 16
+
+
+def test_quad_form_check_holds_eight_sector_blocks(monkeypatch):
     """The pair-form check of counting_pair.ini on its 12^3 box.  Two
-    samples are drawn into one set of strips, which is freed before the
-    flat product's strips are built, so the check holds one strip state,
-    about half a full tensor, plus scratch."""
+    samples are drawn sector block by sector block, so the check holds a
+    draw buffer, a sector buffer, the form's scratch and the offset tables,
+    never a pair state."""
     path = Path(__file__).resolve().parent.parent / "configs" / "counting_pair.ini"
     monkeypatch.setattr(harness, "_QUAD_SAMPLES", 2)
     cfg = harness.load_config(path)
     peak, value = traced_peak(lambda: harness._quad_form_check(cfg.spec, cfg.seed))
     assert math.isfinite(value)
-    assert peak <= 0.65 * BOX_TENSOR_BYTES
+    assert peak <= 8 * BOX_SECTOR_BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +859,10 @@ def pair_hamiltonians():
                 transverse.harmonic_profile, pair_potential=pair)]
 
 
-def all_columns(ham, tiled):
-    out = np.empty(ham.grid.shape + (ham.dim,), dtype=tiled.dtype)
-    return manybody._site_pair_block(tiled, 0, ham.dim, out)
+def site_pair_matrix(ham, table):
+    """Entry (i, j) is the offset table, over the grid's shape, at the
+    offset of site i from site j."""
+    return table.reshape(-1)[site_sums(ham.grid.shape, -1)]
 
 
 def assert_table_close(got, ref):
@@ -851,31 +882,30 @@ def test_offset_tables_match_the_site_pair_distances(bump_correction):
         np.testing.assert_array_equal(w_mat, w_mat.T)
         assert_table_close(w_mat, ham.pair_potential(dist))
         mask_table, half_wu_table = ham._pair_form_tables(corr)
-        mask, half_wu = all_columns(ham, mask_table), all_columns(ham, half_wu_table)
+        assert mask_table.shape == half_wu_table.shape == ham.grid.shape
+        mask = site_pair_matrix(ham, mask_table)
+        half_wu = site_pair_matrix(ham, half_wu_table)
         # the mask and the shell of U may differ only where a distance sits
         # on R or r0 to round-off
         edges = [corr.outer_radius, corr.inner_radius]
         away = np.all([np.abs(dist - r) >= 1e-12 for r in edges], axis=0)
-        assert np.count_nonzero(mask & away) > 0
+        assert np.count_nonzero((mask == 1.0) & away) > 0
         np.testing.assert_array_equal(mask[away], (dist < corr.outer_radius)[away])
         ref = 0.5 * (sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist))
         assert_table_close(half_wu[away], ref[away])
 
 
 def test_site_pair_blocks_are_slices_of_the_matrix():
-    """Any block of columns, or of rows, on ragged sizes."""
+    """Any block of rows, on ragged sizes."""
     ham = pair_hamiltonians()[2]
     table = ham._pair_potential_table()
-    whole = all_columns(ham, table)
-    cols = np.empty(ham.grid.shape + (7,))
+    whole = site_pair_matrix(ham, ham.pair_potential(ham._offset_distances()))
+    np.testing.assert_array_equal(ham.pair_matrix(), whole)
     rows = np.empty((7,) + ham.grid.shape)
     for start in range(0, ham.dim, 7):
         stop = min(start + 7, ham.dim)
         np.testing.assert_array_equal(
-            manybody._site_pair_block(table, start, stop, cols),
-            whole[:, start:stop])
-        np.testing.assert_array_equal(
-            manybody._site_pair_block(table, start, stop, rows, rows=True),
+            manybody._site_pair_block(table, start, stop, rows),
             whole[start:stop])
 
 
