@@ -104,7 +104,7 @@ def _report_all(outcomes) -> int:
         for row in assertions:
             if not row["passed"]:
                 note = row.get("note")
-                detail = note if note else f"value {row['value']!r}"
+                detail = note if note else f"value {float(row['value'])!r}"
                 print(f"  assert {row['metric']} {row['op']} "
                       f"{row['threshold']}: {detail}")
         all_ok = all_ok and ok

@@ -1013,7 +1013,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     completeness_max = 0.0
     orthogonality_max = 0.0
     all_pass = True
-    draws = manybody.random_symmetric_states(n, ham.dim, rng)
+    draws = manybody.random_symmetric_states(n, ham.dim, rng, samples)
     for idx in range(samples):
         check = manybody.counting_sample(next(draws), orbital, table, ham,
                                          e_phi)

@@ -95,8 +95,8 @@ class ManyBodyState:
 
 
 # Sides of the square blocks of the first coset step, so it holds one state
-# plus scratch, and sectors per block of the pair-form draw, whose three
-# block buffers are 8% of an N = 2 state on the 12^3 box (d = 1728).  The
+# plus scratch, and sectors per block of the pair-form draw, whose four
+# block buffers are 11% of an N = 2 state on the 12^3 box (d = 1728).  The
 # passes over a whole state (the draw, the counter sums, the energy,
 # ||q M||^2) split it instead into blocks of about 1/_BLOCK of the state, so
 # their scratch is a fixed share of it.  A pass's buffers together hold at
@@ -183,9 +183,97 @@ def _standard_normal_into(rng: np.random.Generator, part: np.ndarray) -> None:
         block[...] = chunk
 
 
-def random_symmetric_states(n_particles: int, dim: int,
-                            rng: np.random.Generator) -> Iterator[ManyBodyState]:
-    """Endless symmetrized complex-Gaussian tensors, normalized, in one buffer.
+def _complex_normals_into(rng: np.random.Generator, tensor: np.ndarray) -> None:
+    """All real parts of ``tensor``, then all imaginary parts, from the
+    stream."""
+    _standard_normal_into(rng, tensor.real)
+    _standard_normal_into(rng, tensor.imag)
+
+
+def _openblas_threads() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy, or None where there is none.
+
+    The library is looked up in ``numpy.libs`` by the symbol names of the
+    scipy-openblas builds, of other builds with 64-bit integers and of
+    builds with 32-bit ones.
+    """
+    import ctypes
+    import glob
+    import os
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get_name = f"{prefix}_get_num_threads{suffix}"
+            set_name = f"{prefix}_set_num_threads{suffix}"
+            if hasattr(handle, get_name) and hasattr(handle, set_name):
+                getter, setter = getattr(handle, get_name), getattr(handle, set_name)
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                return getter, setter
+    return None
+
+
+class _DrawHelper:
+    """Draws on a second thread while the caller's kernels run on one.
+
+    Inside ``with``, OpenBLAS runs on one thread, so a draw does not contend
+    with a spinning BLAS thread, and a BLAS sum always takes one order.  The
+    previous thread count comes back on exit, exceptions included; where
+    numpy's bundled OpenBLAS is not found, only the draws move.  ``start``
+    runs one draw on a thread named quasi1d-draw; ``wait`` joins it and
+    raises its exception, if any, in the caller.  numpy's generators hold a
+    lock and release the GIL while they fill, so the caller must not use the
+    stream of a draw in flight.
+    """
+
+    def __enter__(self) -> "_DrawHelper":
+        self._thread = self._error = None
+        self._blas = _openblas_threads()
+        if self._blas is not None:
+            getter, setter = self._blas
+            self._threads = getter()
+            setter(1)
+        return self
+
+    def start(self, draw: Callable, *args, **kwargs) -> None:
+        import threading
+
+        def run() -> None:
+            try:
+                draw(*args, **kwargs)
+            except BaseException as exc:    # raised again by wait()
+                self._error = exc
+
+        self._thread = threading.Thread(target=run, name="quasi1d-draw")
+        self._thread.start()
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            self.wait()
+        except BaseException:
+            if exc_type is None:    # else the caller's exception goes on
+                raise
+        finally:
+            if self._blas is not None:
+                self._blas[1](self._threads)
+
+
+def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator,
+                            count: int | None = None) -> Iterator[ManyBodyState]:
+    """``count`` symmetrized complex-Gaussian tensors, normalized, in one or
+    two buffers; endless when ``count`` is None.
 
     All real parts are drawn, then all imaginary parts, in the stream order
     of two ``standard_normal((dim,) * N)`` calls, but through a block-sized
@@ -193,27 +281,41 @@ def random_symmetric_states(n_particles: int, dim: int,
     place, so for N = 2 the draws cost one tensor; N >= 3 keeps one spare
     tensor for the later steps.  The 1/N! of the permutation average cancels
     in the normalization, also done in place.  Both tensors are allocated
-    once: each draw overwrites the state the previous one yielded.
+    once: each step overwrites the state the step before it yielded.
+
+    For N >= 3 the sum leaves one tensor free (at N = 3 always the first, at
+    N = 4 the two alternate), and a ``_DrawHelper`` draws the next state's
+    normals into it while the caller holds the state yielded; the stream is
+    read one state ahead, but never past the ``count``-th, and must not be
+    used elsewhere before the iterator ends.  N = 2 has no free tensor and
+    draws each state when it is asked for.
     """
     shape = (dim,) * n_particles
     tensor = np.empty(shape, dtype=complex)
     spare = np.empty(shape, dtype=complex) if n_particles >= 3 else None
-    while True:
-        _standard_normal_into(rng, tensor.real)
-        _standard_normal_into(rng, tensor.imag)
-        out = _permutation_sum(tensor, spare)
-        # each real component divided by the real norm: cheaper than the
-        # complex division, which scales by a reciprocal and can differ in the
-        # last bit
-        parts = out.reshape(-1).view(np.float64)
-        parts /= np.linalg.norm(out.ravel())
-        yield ManyBodyState(n_particles, dim, out)
+    with _DrawHelper() as helper:
+        for i in itertools.count() if count is None else range(count):
+            if i == 0 or spare is None:
+                _complex_normals_into(rng, tensor)
+            helper.wait()
+            out = _permutation_sum(tensor, spare)
+            if spare is not None:
+                tensor, spare = (spare if out is tensor else tensor), out
+                if i + 1 != count:
+                    helper.start(_complex_normals_into, rng, tensor)
+            # each real component divided by the real norm: cheaper than the
+            # complex division, which scales by a reciprocal and can differ in
+            # the last bit
+            parts = out.reshape(-1).view(np.float64)
+            parts /= np.linalg.norm(out.ravel())
+            yield ManyBodyState(n_particles, dim, out)
 
 
 def random_symmetric_state(n_particles: int, dim: int,
                            rng: np.random.Generator) -> ManyBodyState:
-    """The first draw of ``random_symmetric_states``, in tensors of its own."""
-    return next(random_symmetric_states(n_particles, dim, rng))
+    """The first draw of ``random_symmetric_states``, in tensors of its own;
+    the stream is read no further."""
+    return next(random_symmetric_states(n_particles, dim, rng, 1))
 
 
 def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
@@ -544,7 +646,7 @@ class HamiltonianSpec:
     e0_shift: float
     pair_range: float | None = None
     _pair_table: np.ndarray | None = None  # W, tiled
-    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2)
+    _pair_form: tuple | None = None        # (corr, mask, (w_mu - U) / 2, D_a)
 
     def __post_init__(self) -> None:
         if self.pair_potential is not None and self.pair_range is not None:
@@ -606,9 +708,10 @@ class HamiltonianSpec:
 
     def _pair_form_tables(self, corr: CorrectionProfile) -> tuple:
         """Indicator of |z1 - z2| < R, as 0.0 or 1.0, and (w_mu - U) / 2 on
-        the offsets, over the grid's shape.
+        the offsets, over the grid's shape, and each axis's differentiation
+        matrix.
 
-        Both depend only on the grid and the correction profile, so they are
+        They depend only on the grid and the correction profile, so they are
         cached for the last ``corr`` seen and rebuilt for any other one.
         """
         if self._pair_form is None or self._pair_form[0] is not corr:
@@ -617,7 +720,8 @@ class HamiltonianSpec:
             half_wu = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
             half_wu *= 0.5
             self._pair_form = (corr, (dist < corr.outer_radius).astype(float),
-                               half_wu)
+                               half_wu,
+                               [_derivative_matrix(axis) for axis in self.grid.axes])
         return self._pair_form[1:]
 
 
@@ -829,14 +933,15 @@ def relative_pair_form(h: np.ndarray, ham: HamiltonianSpec,
     h = np.ascontiguousarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[1] != ham.dim:
         raise InterfaceError("sectors do not match the Hamiltonian grid")
-    mask, half_wu = (table.reshape(-1) for table in ham._pair_form_tables(corr))
+    mask, half_wu, derivatives = ham._pair_form_tables(corr)
+    mask, half_wu = mask.reshape(-1), half_wu.reshape(-1)
     work = np.empty_like(h)
     norm = float(np.vdot(h, h).real)
     np.multiply(h, half_wu, out=work)
     form = float(np.vdot(h, work).real)
     lead = len(h)
-    for axis in ham.grid.axes:
-        np.matmul(_derivative_matrix(axis), h.reshape(lead, axis.n, -1),
+    for axis, derivative in zip(ham.grid.axes, derivatives):
+        np.matmul(derivative, h.reshape(lead, axis.n, -1),
                   out=work.reshape(lead, axis.n, -1))
         work *= mask
         form += float(np.vdot(work, work).real)
@@ -853,8 +958,9 @@ def random_pair_form(ham: HamiltonianSpec, corr: CorrectionProfile,
     ``random_symmetric_state(2, d, rng)``.  The change to relative
     coordinates (see ``relative_pair_form``) is unitary, so it maps G to
     independent complex Gaussian sectors g_K, and G^T to e^{iK.r} g_K(-r).
-    The sectors are drawn _BLOCK at a time into one buffer, and
-    h_K = g_K + e^{iK.r} g_K(-r) is formed in another, with the phase as one
+    The sectors are drawn _BLOCK at a time, a ``_DrawHelper`` drawing the
+    next block into a second buffer while the form sums this one, and
+    h_K = g_K + e^{iK.r} g_K(-r) is formed in a third, with the phase as one
     factor per axis; psi itself is never formed.  The normals are taken from
     the stream in another order than ``random_symmetric_state`` takes them,
     so the value is that of another state of the same distribution.
@@ -866,23 +972,29 @@ def random_pair_form(ham: HamiltonianSpec, corr: CorrectionProfile,
     waves = [np.exp(2j * math.pi / n * (np.multiply.outer(range(n), range(n)) % n))
              for n in shape]
     rows = min(_BLOCK, d)
-    raw = np.empty((rows, 2 * d))
+    raws = [np.empty((rows, 2 * d)), np.empty((rows, 2 * d))]
     h_buf = np.empty((rows, d), dtype=complex)
     form = norm = 0.0
-    for start in range(0, d, rows):
-        draw = raw[:min(rows, d - start)]
-        rng.standard_normal(out=draw)
-        g = draw.view(complex)
-        h = h_buf[:len(g)]
-        # g_K(-r); mode="raise" would buffer the output, and no index clips
-        np.take(g, reflected, axis=1, out=h, mode="clip")
-        on_grid = h.reshape((len(h),) + shape)
-        sectors = np.unravel_index(range(start, start + len(h)), shape)
-        for a, (k, wave) in enumerate(zip(sectors, waves)):
-            on_grid *= wave[k].reshape((len(h),) + tuple(
-                n if b == a else 1 for b, n in enumerate(shape)))
-        h += g
-        block_form, block_norm = relative_pair_form(h, ham, corr)
-        form += block_form
-        norm += block_norm
+    with _DrawHelper() as helper:
+        rng.standard_normal(out=raws[0][:rows])
+        for start in range(0, d, rows):
+            helper.wait()
+            draw = raws[0][:min(rows, d - start)]
+            raws.reverse()
+            if start + rows < d:    # the next block, while this one is summed
+                helper.start(rng.standard_normal,
+                             out=raws[0][:min(rows, d - start - rows)])
+            g = draw.view(complex)
+            h = h_buf[:len(g)]
+            # g_K(-r); mode="raise" would buffer the output, and no index clips
+            np.take(g, reflected, axis=1, out=h, mode="clip")
+            on_grid = h.reshape((len(h),) + shape)
+            sectors = np.unravel_index(range(start, start + len(h)), shape)
+            for a, (k, wave) in enumerate(zip(sectors, waves)):
+                on_grid *= wave[k].reshape((len(h),) + tuple(
+                    n if b == a else 1 for b, n in enumerate(shape)))
+            h += g
+            block_form, block_norm = relative_pair_form(h, ham, corr)
+            form += block_form
+            norm += block_norm
     return form / norm

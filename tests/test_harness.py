@@ -3,7 +3,10 @@
 import ast
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis
@@ -580,6 +583,37 @@ def test_cli_config_run_and_assertion_failure(tmp_path, capsys):
                      "--output", str(tmp_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_count_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """The counting holds OpenBLAS on one thread, so its artifacts keep
+    their bytes whatever thread count the process starts with."""
+    if manybody._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    names = ["counting_pair", "counting_triplet"]
+    src = str(CONFIG_DIR.parent / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "quasi1d.cli", "count",
+             *(str(CONFIG_DIR / f"{name}.ini") for name in names),
+             "--set", "count.samples=2", "--output", str(tmp_path / threads)],
+            env=env, check=True, stdout=subprocess.DEVNULL)
+    for name in names:
+        for artifact in ("samples.csv", "summary.json"):
+            assert (tmp_path / "1" / name / artifact).read_bytes() == \
+                (tmp_path / "2" / name / artifact).read_bytes()
+
+
+def test_cli_failed_assertion_prints_a_plain_number(tmp_path, capsys):
+    path = str(CONFIG_DIR / "barrier_scattering.ini")
+    code = cli.main(["scatter", path, "--set",
+                     "scatter.potential=square_barrier:1e16,1",
+                     "--output", str(tmp_path)])
+    assert code == 1
+    line, = (line for line in capsys.readouterr().out.splitlines()
+             if "assert identity_residual_max" in line)
+    assert float(line.rsplit(": value ", 1)[1]) > 1e-6
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):

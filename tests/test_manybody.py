@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -881,7 +883,7 @@ def test_offset_tables_match_the_site_pair_distances(bump_correction):
         w_mat = ham.pair_matrix()
         np.testing.assert_array_equal(w_mat, w_mat.T)
         assert_table_close(w_mat, ham.pair_potential(dist))
-        mask_table, half_wu_table = ham._pair_form_tables(corr)
+        mask_table, half_wu_table, _ = ham._pair_form_tables(corr)
         assert mask_table.shape == half_wu_table.shape == ham.grid.shape
         mask = site_pair_matrix(ham, mask_table)
         half_wu = site_pair_matrix(ham, half_wu_table)
@@ -983,15 +985,89 @@ def test_counting_sample_takes_one_counter_pass(monkeypatch, block, n, dim):
 @pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 6)])
 def test_reused_draws_are_the_seed_recipe_bitwise(n, dim):
     gen, ref_gen = np.random.default_rng(6), np.random.default_rng(6)
-    draws = manybody.random_symmetric_states(n, dim, gen)
+    draws = manybody.random_symmetric_states(n, dim, gen, 3)
     tensors = []
-    for _ in range(3):
-        state = next(draws)
+    for state in draws:
         assert np.array_equal(state.tensor, seed_recipe_state(ref_gen, n, dim))
         tensors.append(state.tensor)
-    # every draw overwrites the one before it, in the same buffer
-    assert all(t is tensors[0] for t in tensors)
+    assert len(tensors) == 3
+    # the draws reuse one buffer; at N = 4 the coset sum alternates two
+    assert len({id(t) for t in tensors}) <= (2 if n == 4 else 1)
+    # the read-ahead stops at the third state
     assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+@pytest.mark.parametrize("n,dim", [(3, 9), (4, 6)])
+def test_read_ahead_under_a_short_switch_interval(n, dim):
+    """With the interpreter switching threads every microsecond, each state
+    is still the seed recipe's: the helper never writes the yielded buffer."""
+    gen, ref_gen = np.random.default_rng(10), np.random.default_rng(10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for state in manybody.random_symmetric_states(n, dim, gen, 6):
+            expected = seed_recipe_state(ref_gen, n, dim)
+            assert np.array_equal(state.tensor, expected)
+    finally:
+        sys.setswitchinterval(interval)
+    assert gen.standard_normal() == ref_gen.standard_normal()
+
+
+class FailingStream:
+    """A stream whose draw fails once more than ``limit`` normals are asked
+    for; it records the OpenBLAS thread count each draw sees."""
+
+    def __init__(self, limit, blas_threads):
+        self.gen = np.random.default_rng(9)
+        self.left = limit
+        self.blas_threads = blas_threads
+        self.seen = []
+
+    def standard_normal(self, out):
+        self.seen.append(self.blas_threads())
+        self.left -= out.size
+        if self.left < 0:
+            raise RuntimeError("draw failed")
+        self.gen.standard_normal(out=out)
+
+
+def assert_helper_gone(blas, threads_before):
+    assert not [t for t in threading.enumerate() if t.name == "quasi1d-draw"]
+    if blas is not None:
+        assert blas[0]() == threads_before
+
+
+@pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 6)])
+def test_failed_draw_reaches_the_caller(n, dim):
+    """The second state's draw fails: on the helper thread for N >= 3,
+    inline for N = 2.  Its exception comes out of next(), no helper thread
+    is left and the BLAS thread count is restored."""
+    blas = manybody._openblas_threads()
+    blas_threads = blas[0] if blas is not None else lambda: None
+    before = blas_threads()
+    stream = FailingStream(2 * dim**n, blas_threads)
+    draws = manybody.random_symmetric_states(n, dim, stream, 3)
+    next(draws)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        next(draws)
+    assert_helper_gone(blas, before)
+    if blas is not None:
+        assert set(stream.seen) == {1}
+
+
+def test_failed_sector_draw_reaches_the_caller(bump_correction):
+    """The pair-form check's second sector block fails on the helper."""
+    ham = manybody.box_hamiltonian(1.8, 6)     # d = 216, blocks of 48 sectors
+    blas = manybody._openblas_threads()
+    blas_threads = blas[0] if blas is not None else lambda: None
+    before = blas_threads()
+    stream = FailingStream(manybody._BLOCK * 2 * ham.dim, blas_threads)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        manybody.random_pair_form(ham, bump_correction, stream)
+    assert len(stream.seen) == 2
+    assert_helper_gone(blas, before)
+    if blas is not None:
+        assert set(stream.seen) == {1}
 
 
 LINE_256_BYTES = 256**2 * 16      # one N = 2 state on a 256-point line

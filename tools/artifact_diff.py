@@ -14,8 +14,9 @@ neither CSV nor JSON are reported as such.  Exits 0 when every artifact is
 identical and 1 otherwise, so that an identical config and seed giving
 other bytes fails.
 
-The counting artifacts move in their last bits with the BLAS thread count,
-so compare trees on one machine with one thread count.
+Sums through a threaded BLAS can move in their last bits with its thread
+count, so compare trees on one machine with one thread count.  The counting
+runs hold numpy's bundled OpenBLAS on one thread, so theirs do not.
 """
 
 from __future__ import annotations
