@@ -1029,8 +1029,9 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
                 "reverse_lhs [1]", "reverse_rhs [1]", "passed [bool]"], rows)
 
     draws.close()       # frees the draw buffers before the product state
-    product = manybody.product_state_mb(orbital, n)
-    product_alpha = manybody.expectation_weighted(product, table.m, orbital)
+    with manybody._OneBlasThread():     # the BLAS sum order of the samples
+        product = manybody.product_state_mb(orbital, n)
+        product_alpha = manybody.expectation_weighted(product, table.m, orbital)
     metrics = {"samples": float(samples),
                "all_pass": 1.0 if all_pass else 0.0,
                "completeness_max": completeness_max,

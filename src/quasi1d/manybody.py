@@ -134,34 +134,85 @@ def _swap_sum_in_place(tensor: np.ndarray) -> None:
             lower[...] = upper.swapaxes(0, 1)
 
 
-def _permutation_sum(tensor: np.ndarray,
-                     spare: np.ndarray | None = None) -> np.ndarray:
-    """Sum of ``tensor`` over all N! permutations of its axes, unscaled.
+def _cycle_side(tensor: np.ndarray, m: int) -> int:
+    """Side of the cubic blocks of the coset step over the first m axes: as
+    many blocks an axis as leaves each at least a pass's block of entries,
+    evened out."""
+    d = tensor.shape[0]
+    rows = _block_rows(d ** m, tensor.size, m)
+    side = 1
+    while side < d and side ** m < rows:
+        side += 1
+    return -(-d // max(1, d // side))
+
+
+def _coset_buffers(tensor: np.ndarray) -> list[np.ndarray]:
+    """N + 1 flat buffers, each as large as a block of any coset step of
+    ``tensor``'s shape; none for N = 2."""
+    d, n = tensor.shape[0], tensor.ndim
+    size = max((_cycle_side(tensor, m) ** m * d ** (n - m) for m in range(3, n + 1)),
+               default=0)
+    return [np.empty(size, dtype=tensor.dtype) for _ in range(n + 1 if size else 0)]
+
+
+def _cycle_sum_in_place(tensor: np.ndarray, m: int, bufs: list[np.ndarray]) -> None:
+    """tensor <- its sum over the m cyclic shifts of its first m axes, the
+    shift by s being ``tensor.transpose(perm_s)``, by orbits of blocks.
+
+    The first m axes are cut into cubic blocks (``_cycle_side``), which the
+    shifts permute in orbits.  An orbit's blocks are copied, each in the
+    coordinates of its first block, to m of ``bufs`` before any of them is
+    written; an entry x of the orbit is then ((x + x o s_1) + x o s_2)
+    (+ x o s_3), the association of the out-of-place sum, so the bits are
+    its.  Each sum is formed in one more buffer, or in place in the buffer
+    the orbit's last sum no longer needs, and copied back, so every add
+    runs over contiguous buffers.  A block that a shift maps to itself has
+    a shorter orbit.
+    """
+    d, rest = tensor.shape[0], tensor.shape[m:]
+    side = _cycle_side(tensor, m)
+    views = [tensor.transpose([(axis + shift) % m for axis in range(m)]
+                              + list(range(m, tensor.ndim)))
+             for shift in range(m)]
+    for tile in itertools.product(range(0, d, side), repeat=m):
+        tiles = [tile[m - shift:] + tile[:m - shift] for shift in range(m)]
+        if min(tiles) != tile:
+            continue        # the orbit is summed at its least block
+        orbit = tiles.index(tile, 1) if tiles.count(tile) > 1 else m
+        index = tuple(slice(i, i + side) for i in tile)
+        shape = tuple(min(side, d - i) for i in tile) + rest
+        *blocks, work = [buf[:math.prod(shape)].reshape(shape)
+                         for buf in bufs[:m + 1]]
+        for view, block in zip(views, blocks):
+            block[...] = view[index]
+        for j in range(orbit):
+            out = blocks[j] if j == orbit - 1 else work
+            np.add(blocks[j], blocks[(j + 1) % m], out=out)
+            for k in range(2, m):
+                out += blocks[(j + k) % m]
+            views[j][index] = out
+
+
+def _permutation_sum(tensor: np.ndarray, bufs: list[np.ndarray]) -> None:
+    """tensor <- the sum of ``tensor`` over all N! permutations of its axes,
+    unscaled, in place, with the block buffers ``bufs`` of
+    ``_coset_buffers``.
 
     Built by cosets: once the sum is symmetric in the first m - 1 axes, the
     m cyclic shifts of the first m axes extend it to all of S_m, so the cost
     is 1, 3 or 6 full-size adds for N = 2, 3, 4 instead of N! strided ones.
-    The first step, the transposition of axes 0 and 1, overwrites ``tensor``;
-    the later ones alternate between ``tensor`` and one spare of its shape
-    (``spare``, or a new one), and the buffer holding the sum is returned.
+    Each step sums in place, and every entry keeps the association of the
+    out-of-place steps, so the bits are theirs.
     """
-    n = tensor.ndim
     _swap_sum_in_place(tensor)
-    out = tensor
-    for m in range(3, n + 1):
-        part, out = out, (spare if spare is not None else np.empty_like(out))
-        spare = part
-        shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
-                  for shift in range(1, m)]
-        np.add(part, part.transpose(shifts[0]), out=out)
-        for perm in shifts[1:]:
-            out += part.transpose(perm)
-    return out
+    for m in range(3, tensor.ndim + 1):
+        _cycle_sum_in_place(tensor, m, bufs)
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
     """Average of ``tensor`` over all permutations of its axes."""
-    out = _permutation_sum(np.array(tensor))
+    out = np.array(tensor)
+    _permutation_sum(out, _coset_buffers(out))
     out /= math.factorial(tensor.ndim)
     return out
 
@@ -217,27 +268,39 @@ def _openblas_threads() -> tuple | None:
     return None
 
 
-class _DrawHelper:
-    """Draws on a second thread while the caller's kernels run on one.
-
-    Inside ``with``, OpenBLAS runs on one thread, so a draw does not contend
-    with a spinning BLAS thread, and a BLAS sum always takes one order.  The
-    previous thread count comes back on exit, exceptions included; where
-    numpy's bundled OpenBLAS is not found, only the draws move.  ``start``
-    runs one draw on a thread named quasi1d-draw; ``wait`` joins it and
-    raises its exception, if any, in the caller.  numpy's generators hold a
-    lock and release the GIL while they fill, so the caller must not use the
-    stream of a draw in flight.
+class _OneBlasThread:
+    """OpenBLAS on one thread inside ``with``, so a BLAS sum always takes
+    one order; the previous thread count comes back on exit, exceptions
+    included.  Where numpy's bundled OpenBLAS is not found it does nothing.
     """
 
-    def __enter__(self) -> "_DrawHelper":
-        self._thread = self._error = None
+    def __enter__(self) -> "_OneBlasThread":
         self._blas = _openblas_threads()
         if self._blas is not None:
             getter, setter = self._blas
             self._threads = getter()
             setter(1)
         return self
+
+    def __exit__(self, *_) -> None:
+        if self._blas is not None:
+            self._blas[1](self._threads)
+
+
+class _DrawHelper(_OneBlasThread):
+    """Draws on a second thread while the caller's kernels run on one.
+
+    Inside ``with``, OpenBLAS runs on one thread, so a draw does not contend
+    with a spinning BLAS thread; where numpy's bundled OpenBLAS is not
+    found, only the draws move.  ``start`` runs one draw, or a state's whole
+    preparation, on a thread named quasi1d-draw; ``wait`` joins it and
+    raises its exception, if any, in the caller.  numpy's generators hold a lock and release the GIL while they
+    fill, so the caller must not use the stream of a draw in flight.
+    """
+
+    def __enter__(self) -> "_DrawHelper":
+        self._thread = self._error = None
+        return super().__enter__()
 
     def start(self, draw: Callable, *args, **kwargs) -> None:
         import threading
@@ -259,15 +322,25 @@ class _DrawHelper:
         if error is not None:
             raise error
 
-    def __exit__(self, exc_type, *_) -> None:
+    def __exit__(self, exc_type, *rest) -> None:
         try:
             self.wait()
         except BaseException:
             if exc_type is None:    # else the caller's exception goes on
                 raise
         finally:
-            if self._blas is not None:
-                self._blas[1](self._threads)
+            super().__exit__(exc_type, *rest)
+
+
+def _random_state_into(rng: np.random.Generator, tensor: np.ndarray,
+                       bufs: list[np.ndarray]) -> None:
+    """One draw of ``random_symmetric_states`` into ``tensor``."""
+    _complex_normals_into(rng, tensor)
+    _permutation_sum(tensor, bufs)
+    # each real component divided by the real norm: cheaper than the complex
+    # division, which scales by a reciprocal and can differ in the last bit
+    parts = tensor.reshape(-1).view(np.float64)
+    parts /= np.linalg.norm(tensor.ravel())
 
 
 def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator,
@@ -277,38 +350,33 @@ def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator
 
     All real parts are drawn, then all imaginary parts, in the stream order
     of two ``standard_normal((dim,) * N)`` calls, but through a block-sized
-    buffer straight into one complex tensor.  The first coset step sums in
-    place, so for N = 2 the draws cost one tensor; N >= 3 keeps one spare
-    tensor for the later steps.  The 1/N! of the permutation average cancels
-    in the normalization, also done in place.  Both tensors are allocated
-    once: each step overwrites the state the step before it yielded.
+    buffer straight into one complex tensor.  The coset sum runs in place
+    through block buffers (N + 1 of them for N >= 3, 16% of a state on the
+    64-point line at N = 3), and the 1/N! of the permutation average cancels
+    in the normalization, also done in place, so a state costs one tensor.
+    The tensors and the coset sum's buffers are allocated once: each step
+    overwrites a state an earlier step yielded.
 
-    For N >= 3 the sum leaves one tensor free (at N = 3 always the first, at
-    N = 4 the two alternate), and a ``_DrawHelper`` draws the next state's
-    normals into it while the caller holds the state yielded; the stream is
-    read one state ahead, but never past the ``count``-th, and must not be
-    used elsewhere before the iterator ends.  N = 2 has no free tensor and
-    draws each state when it is asked for.
+    For N >= 3 there are two tensors, and a ``_DrawHelper`` prepares the
+    next state whole (draw, coset sum and normalization) in the one the
+    caller is not reading; the stream is read one state ahead, but never
+    past the ``count``-th, and must not be used elsewhere before the
+    iterator ends.  N = 2 keeps one tensor, as a second would cost a whole
+    state, and prepares each state when it is asked for.
     """
     shape = (dim,) * n_particles
-    tensor = np.empty(shape, dtype=complex)
-    spare = np.empty(shape, dtype=complex) if n_particles >= 3 else None
+    tensors = [np.empty(shape, dtype=complex)
+               for _ in range(1 if n_particles == 2 else 2)]
+    bufs = _coset_buffers(tensors[0])
     with _DrawHelper() as helper:
         for i in itertools.count() if count is None else range(count):
-            if i == 0 or spare is None:
-                _complex_normals_into(rng, tensor)
+            if i == 0 or len(tensors) == 1:
+                _random_state_into(rng, tensors[0], bufs)
             helper.wait()
-            out = _permutation_sum(tensor, spare)
-            if spare is not None:
-                tensor, spare = (spare if out is tensor else tensor), out
-                if i + 1 != count:
-                    helper.start(_complex_normals_into, rng, tensor)
-            # each real component divided by the real norm: cheaper than the
-            # complex division, which scales by a reciprocal and can differ in
-            # the last bit
-            parts = out.reshape(-1).view(np.float64)
-            parts /= np.linalg.norm(out.ravel())
-            yield ManyBodyState(n_particles, dim, out)
+            if len(tensors) == 2 and i + 1 != count:
+                helper.start(_random_state_into, rng, tensors[1], bufs)
+            yield ManyBodyState(n_particles, dim, tensors[0])
+            tensors.reverse()
 
 
 def random_symmetric_state(n_particles: int, dim: int,
@@ -928,7 +996,9 @@ def relative_pair_form(h: np.ndarray, ham: HamiltonianSpec,
     holds one sector's d offsets in the grid's C order.  The tables are the
     Hamiltonian's, over the grid's shape; D_a is applied by its
     differentiation matrix and masked, as the mask is 0 or 1, in one scratch
-    buffer of h's shape.
+    buffer of h's shape.  On the last, contiguous axis that is one matrix
+    product over all rows, h (rows, n) times D^T; on the others a stack of
+    D times (n, trailing) products.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[1] != ham.dim:
@@ -939,10 +1009,15 @@ def relative_pair_form(h: np.ndarray, ham: HamiltonianSpec,
     norm = float(np.vdot(h, h).real)
     np.multiply(h, half_wu, out=work)
     form = float(np.vdot(h, work).real)
-    lead = len(h)
+    lead, trail = len(h), ham.dim
     for axis, derivative in zip(ham.grid.axes, derivatives):
-        np.matmul(derivative, h.reshape(lead, axis.n, -1),
-                  out=work.reshape(lead, axis.n, -1))
+        trail //= axis.n
+        if trail == 1:      # the last axis: one product over all rows
+            np.matmul(h.reshape(-1, axis.n), derivative.T,
+                      out=work.reshape(-1, axis.n))
+        else:
+            np.matmul(derivative, h.reshape(lead, axis.n, trail),
+                      out=work.reshape(lead, axis.n, trail))
         work *= mask
         form += float(np.vdot(work, work).real)
         lead *= axis.n

@@ -586,11 +586,14 @@ def test_cli_config_run_and_assertion_failure(tmp_path, capsys):
 
 
 def test_count_artifacts_do_not_depend_on_blas_threads(tmp_path):
-    """The counting holds OpenBLAS on one thread, so its artifacts keep
-    their bytes whatever thread count the process starts with."""
+    """The counting holds OpenBLAS on one thread while it samples and while
+    it checks the product state after them, so its artifacts keep their
+    bytes whatever thread count the process starts with.  The confined
+    geometry's product state is large enough for OpenBLAS to split its
+    sums over threads."""
     if manybody._openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
-    names = ["counting_pair", "counting_triplet"]
+    names = ["counting_pair", "counting_triplet", "counting_confined"]
     src = str(CONFIG_DIR.parent / "src")
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)

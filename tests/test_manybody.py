@@ -668,11 +668,11 @@ def test_pair_form_cache_follows_the_correction(bump_correction):
 # blocked kernels: the bits of the whole-array recipes, in one state's memory
 
 
-def seed_recipe_state(gen, n, dim):
-    """Two full-size draws, the coset sum out of place, and each real
-    component divided by the real norm: the draw as first shipped."""
-    out = complex_draw(gen, (dim,) * n)
-    out = out + out.swapaxes(0, 1)
+def coset_sum_recipe(tensor):
+    """The permutation sum by cosets, each step out of place: the coset sum
+    as first shipped."""
+    n = tensor.ndim
+    out = tensor + tensor.swapaxes(0, 1)
     for m in range(3, n + 1):
         part = out
         shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
@@ -680,6 +680,13 @@ def seed_recipe_state(gen, n, dim):
         out = part + part.transpose(shifts[0])
         for perm in shifts[1:]:
             out += part.transpose(perm)
+    return out
+
+
+def seed_recipe_state(gen, n, dim):
+    """Two full-size draws, the coset sum out of place, and each real
+    component divided by the real norm: the draw as first shipped."""
+    out = coset_sum_recipe(complex_draw(gen, (dim,) * n))
     parts = out.reshape(-1).view(np.float64)
     parts /= np.linalg.norm(out.ravel())
     return out
@@ -693,9 +700,11 @@ RAGGED_BLOCKS = (1, 4, 7)
 
 def unblocked(monkeypatch, block):
     """_BLOCK = block, and no least block size, so that small states are
-    split too."""
+    split too; the coset steps cut blocks of side ``block``, as their rule
+    gives small states one block."""
     monkeypatch.setattr(manybody, "_BLOCK", block)
     monkeypatch.setattr(manybody, "_LEAST", 0)
+    monkeypatch.setattr(manybody, "_cycle_side", lambda tensor, m: block)
 
 
 @pytest.mark.parametrize("block", RAGGED_BLOCKS)
@@ -710,12 +719,16 @@ def test_blocked_draw_is_the_seed_recipe_bitwise(monkeypatch, block, n, dim):
 
 
 @pytest.mark.parametrize("block", RAGGED_BLOCKS)
-def test_symmetrize_by_blocks_leaves_its_input(monkeypatch, block):
+@pytest.mark.parametrize("n,dim", [(2, 11), (3, 10), (4, 7)])
+def test_symmetrize_by_blocks_leaves_its_input(monkeypatch, block, n, dim):
+    """Each coset step sums in place by blocks, also of a Fortran-ordered
+    copy, and keeps the bits of the out-of-place steps."""
     monkeypatch.setattr(manybody, "_BLOCK", block)
-    raw = np.asfortranarray(complex_draw(np.random.default_rng(2), (11, 11)))
+    monkeypatch.setattr(manybody, "_cycle_side", lambda tensor, m: block)
+    raw = np.asfortranarray(complex_draw(np.random.default_rng(2), (dim,) * n))
     before = raw.copy()
     got = manybody.symmetrize(raw)
-    assert np.array_equal(got, (raw + raw.T) / 2)
+    assert np.array_equal(got, coset_sum_recipe(raw) / math.factorial(n))
     assert np.array_equal(raw, before)
 
 
@@ -982,7 +995,9 @@ def test_counting_sample_takes_one_counter_pass(monkeypatch, block, n, dim):
     assert sample.trace_dist == manybody.trace_distance(state, orb)
 
 
-@pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 6)])
+# (3, 64) and (4, 24) are large enough for the coset steps' own rule to cut
+# several blocks an axis, ragged at 64
+@pytest.mark.parametrize("n,dim", [(2, 13), (3, 9), (4, 6), (3, 64), (4, 24)])
 def test_reused_draws_are_the_seed_recipe_bitwise(n, dim):
     gen, ref_gen = np.random.default_rng(6), np.random.default_rng(6)
     draws = manybody.random_symmetric_states(n, dim, gen, 3)
@@ -991,8 +1006,9 @@ def test_reused_draws_are_the_seed_recipe_bitwise(n, dim):
         assert np.array_equal(state.tensor, seed_recipe_state(ref_gen, n, dim))
         tensors.append(state.tensor)
     assert len(tensors) == 3
-    # the draws reuse one buffer; at N = 4 the coset sum alternates two
-    assert len({id(t) for t in tensors}) <= (2 if n == 4 else 1)
+    # N = 2 reuses one buffer; N >= 3 alternates two, as the next state is
+    # prepared in the one the caller is not reading
+    assert len({id(t) for t in tensors}) == (1 if n == 2 else 2)
     # the read-ahead stops at the third state
     assert gen.standard_normal() == ref_gen.standard_normal()
 
@@ -1093,17 +1109,22 @@ def test_warm_counting_sample_allocates_block_scratch_only(n, dim, nbytes):
 
 
 def test_second_counting_loop_allocates_no_tensor():
-    grid = gpe1d.Grid1D(2.0 * math.pi, 64)
-    ham = manybody.line_hamiltonian(grid)
-    table = manybody.WeightTable.build(3, 0.2)
-    orb = np.full(64, 1.0 / 8.0, dtype=complex)
-    draws = manybody.random_symmetric_states(3, 64, np.random.default_rng(4))
+    """Neither the kernels nor the helper preparing the next state allocate
+    a tensor once the draw buffers exist.  On the small N = 4 state the
+    kernels' block scratch alone is 0.43 of a tensor."""
+    for n, dim, share in [(3, 64, 0.25), (4, 24, 0.6)]:
+        grid = gpe1d.Grid1D(2.0 * math.pi, dim)
+        ham = manybody.line_hamiltonian(grid)
+        table = manybody.WeightTable.build(n, 0.2)
+        orb = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+        draws = manybody.random_symmetric_states(n, dim, np.random.default_rng(4))
 
-    def loop():
-        return [manybody.counting_sample(next(draws), orb, table, ham, 0.5)
-                for _ in range(2)]
+        def loop():
+            return [manybody.counting_sample(next(draws), orb, table, ham, 0.5)
+                    for _ in range(2)]
 
-    loop()
-    peak, samples = traced_peak(loop)
-    assert all(sample.passed for sample in samples)
-    assert peak <= 0.25 * LINE_64_BYTES
+        loop()
+        peak, samples = traced_peak(loop)
+        draws.close()
+        assert all(sample.passed for sample in samples)
+        assert peak <= share * dim**n * 16
