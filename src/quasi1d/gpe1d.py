@@ -34,9 +34,11 @@ __all__ = ["Grid1D", "ProductGrid", "Field", "Trajectory", "strang_step",
 Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 
 # Boxes with fewer points run the Strang step on the calling thread alone.
-# Measured per step on a 2-vCPU VM (numpy 2.4), two slabs against one took
-# 1.5x as long at 64x32x32, broke even at 128x32x32 and 64x48x48, and took
-# 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.
+# Measured per step on a 2-vCPU Xeon VM (numpy 2.4), two slabs against one
+# took 1.5x as long at 64x32x32, broke even at 128x32x32 and 64x48x48, and
+# took 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.  With the
+# one-tangent phase on a 2-vCPU AMD EPYC (AVX-512) they took 0.65-0.82x from
+# 64x32x32 to 128x48x48 (0.57-0.72x with cos and sin; medians of 8 runs).
 SLAB_MIN_POINTS = 200_000
 
 # The loop evaluates its recorded energies in stacks of max(1, BATCH_POINTS //
@@ -239,6 +241,18 @@ def _slab_of(values, index, ndim: int):
     return values[index]
 
 
+def _phase_factor(alpha: np.ndarray, fac: np.ndarray) -> None:
+    """fac = exp(2i alpha) from one tangent a point, overwriting alpha: with
+    t = tan alpha and w = 2/(1 + t^2), cos 2 alpha = w - 1 and sin 2 alpha =
+    t w.  numpy vectorises float64 tan on AVX-512 hosts, but not cos or sin."""
+    np.tan(alpha, out=alpha)
+    np.multiply(alpha, alpha, out=fac.real)
+    np.add(fac.real, 1.0, out=fac.real)
+    np.divide(2.0, fac.real, out=fac.real)
+    np.multiply(alpha, fac.real, out=fac.imag)
+    np.subtract(fac.real, 1.0, out=fac.real)
+
+
 def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
                  v_static, v_axial: Callable[[float], Any], g: float,
                  energy_stride: int, sample_stride: int = 0) -> Trajectory:
@@ -250,7 +264,9 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     the kinetic step exp(-i dt k2) by in-place FFTs, and a second phase
     half-step with V_i.  A phase factor keeps |psi|, so the closing
     half-step of step i and the opening half-step of step i+1 are applied
-    as one factor exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  The half-step
+    as one factor exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  Each factor
+    exp(-i h Theta) comes from tan(-h Theta/2) alone (_phase_factor), so a
+    non-finite angle still gives a non-finite factor.  The half-step
     is closed in place only at each sample and at the last step, and on a
     3d box also every `energy_stride` steps.  Norms are recorded at every
     step, energies at `energy_times` only; a non-finite field raises
@@ -310,9 +326,8 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
         np.multiply(r, g, out=th)
         np.add(th, vs, out=th)
         np.add(th, _slab_of(vp, index, ndim), out=th)
-        np.multiply(th, -h, out=th)
-        np.cos(th, out=fac.real)
-        np.sin(th, out=fac.imag)
+        np.multiply(th, -0.5 * h, out=th)
+        _phase_factor(th, fac)
         np.multiply(p, fac, out=p)
 
     def phase_forward(slab: tuple, h: float, vp) -> None:           # stage A
@@ -363,9 +378,8 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
         np.multiply(fac.real, g, out=fac.real)
         np.add(fac.real, v_static, out=fac.real)
         np.add(fac.real, phase, out=phase)
-        np.multiply(phase, -stack_h[:rows], out=phase)
-        np.cos(phase, out=fac.real)
-        np.sin(phase, out=fac.imag)
+        np.multiply(phase, -0.5 * stack_h[:rows], out=phase)
+        _phase_factor(phase, fac)
         np.multiply(fields, fac, out=fields)
         energies[evaluated:recorded] = _energy(
             fields, k2, dvol, v_static, stack_v[:rows], g, fac, phase)

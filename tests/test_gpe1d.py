@@ -416,6 +416,49 @@ def test_evolve_matches_unfused_strang():
     np.testing.assert_allclose(traj.energies, ref_energies, rtol=1e-12)
 
 
+def test_phase_factor_matches_cos_and_sin():
+    # phase angles theta log-spread over 1e-12 .. 1e4 of both signs, the
+    # quarter turns up to 3 pi and the doubles beside each; the helper
+    # takes alpha = theta / 2, exact in binary
+    spread = np.geomspace(1e-12, 1e4, 200_001)
+    turns = 0.5 * math.pi * np.arange(7.0)
+    turns = np.concatenate([turns, np.nextafter(turns, -np.inf),
+                            np.nextafter(turns, np.inf)])
+    theta = np.concatenate([spread, turns])
+    theta = np.concatenate([theta, -theta])
+    fac = np.empty(theta.shape, dtype=complex)
+    gpe1d._phase_factor(0.5 * theta, fac)
+    # Budget in eps = 2^-52, the ulp of 1; a rounding errs by at most eps/2
+    # relative.  With t = tan alpha, w = 2/(1 + t^2) = 2 cos^2 alpha,
+    # c = cos^2 alpha, s = 1 - c, and tan within 1 ulp (numpy's accuracy
+    # tests hold its float64 tan, cos and sin to 1 ulp):
+    # - tan's error moves w by eps sin^2 2alpha = 4cs eps, and the roundings
+    #   of t^2, 1 + t^2 and 2/(1 + t^2) by (2 + s) w eps/2 = c(2 + s) eps;
+    #   w - 1 is exact for w >= 1/2 and errs by eps/2 below, where c < 1/4.
+    #   The sum peaks at 2.45 eps (c = 0.7).
+    # - sin 2alpha = t w: tan's error moves it by |sin 2alpha cos 2alpha| eps
+    #   <= eps/2, w's roundings and the product's by (3 + s)|sin 2alpha|
+    #   eps/2; the sum peaks at 2.07 eps.
+    # - np.cos and np.sin add 1 ulp of a value at most 1, eps/2, so each
+    #   part stays within 3 eps.
+    # - The modulus does not see tan's error, since (1 - t^2)^2 + 4t^2 =
+    #   (1 + t^2)^2 for every t: a relative error r of w moves it by w r,
+    #   so w's roundings move it by c(2 + s) eps <= 2 eps, the subtraction
+    #   and the product by at most (|cos| + |sin|) eps/2 <= 0.71 eps, and
+    #   np.abs adds 1 ulp of 1, eps: |fac| - 1 stays within 4 eps.
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(fac.real - np.cos(theta))) <= 3 * eps
+    assert np.max(np.abs(fac.imag - np.sin(theta))) <= 3 * eps
+    assert np.max(np.abs(np.abs(fac) - 1.0)) <= 4 * eps
+    # a non-finite angle gives a non-finite factor, which the loop's
+    # non-finite guard sees
+    bad = np.array([np.nan, np.inf, -np.inf])
+    fac = np.empty(bad.shape, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        gpe1d._phase_factor(bad, fac)
+    assert not np.isfinite(fac.real).any() and not np.isfinite(fac.imag).any()
+
+
 def test_loop_energies_are_energy_1d_bitwise():
     # the loop's energy runs in its own buffers, energy_1d in fresh ones;
     # the operations are the same, so the bits are too
