@@ -14,9 +14,11 @@ b = 8 pi a int |chi|^4.
 
 The 3d dynamics uses the time-splitting spectral scheme of Bao, Jaksch &
 Markowich (J. Comput. Phys. 187, 2003), on the fused Strang loop of gpe1d:
-one phase and two in-place FFTs per step, the energy every ENERGY_STRIDE
-steps.  Every operation of the step is pointwise or a batch of 1d FFTs along
-one axis, so the loop runs it on slabs of the box, one per usable CPU.
+one phase and a forward and an inverse 3d FFT per step, the transverse axes
+transformed in place and the x lines gathered into a spare buffer of the
+box's size, and the energy every ENERGY_STRIDE steps.  Every operation of
+the step is pointwise or a batch of 1d FFTs along one axis, so the loop runs
+it on slabs of the box, one per usable CPU.
 
 Without interaction (a = 0) every factor of that step acts on x alone
 (V_par, k_x^2) or on y alone (V_perp / eps^2, k_y^2), so from a product
@@ -50,9 +52,10 @@ __all__ = ["ENERGY_STRIDE", "Grid3D", "make_grid",
 # ignore the trailing arguments.
 Potential3D = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None
 
-# evolve_3d records energy_3d, which costs about as much as a two-slab step
-# (6.5 ms each on 128x48x48, 2-vCPU AMD EPYC, numpy 2.4), every this many
-# steps, plus at the start, at every sample and at the last step.
+# evolve_3d records energy_3d, which costs more than a two-slab step (4.9 ms
+# against 3.3 ms on 128x48x48, medians of 8 runs on a 2-vCPU AMD EPYC, numpy
+# 2.4), every this many steps, plus at the start, at every sample and at the
+# last step.
 ENERGY_STRIDE = 16
 
 

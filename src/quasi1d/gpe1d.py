@@ -36,9 +36,11 @@ Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 # Boxes with fewer points run the Strang step on the calling thread alone.
 # Measured per step on a 2-vCPU Xeon VM (numpy 2.4), two slabs against one
 # took 1.5x as long at 64x32x32, broke even at 128x32x32 and 64x48x48, and
-# took 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.  With the
-# one-tangent phase on a 2-vCPU AMD EPYC (AVX-512) they took 0.65-0.82x from
-# 64x32x32 to 128x48x48 (0.57-0.72x with cos and sin; medians of 8 runs).
+# took 0.67-0.86x from 96x48x48 (221 k points) to 128x48x48.  On a 2-vCPU
+# AMD EPYC (AVX-512), with the one-tangent phase and stage B on contiguous
+# x lines, they took 0.53-0.83x from 64x32x32 to 128x48x48 (medians of two
+# sets of 8 alternating 64-step runs a box; 0.65-0.82x with stage B in
+# place), so there the bound errs towards one thread.
 SLAB_MIN_POINTS = 200_000
 
 # The loop evaluates its recorded energies in stacks of max(1, BATCH_POINTS //
@@ -261,16 +263,16 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     dt is adjusted to divide span; both may be negative.
 
     Step i is the phase half-step with V_i = V_static + v(t_{i-1} + dt/2),
-    the kinetic step exp(-i dt k2) by in-place FFTs, and a second phase
-    half-step with V_i.  A phase factor keeps |psi|, so the closing
-    half-step of step i and the opening half-step of step i+1 are applied
-    as one factor exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  Each factor
-    exp(-i h Theta) comes from tan(-h Theta/2) alone (_phase_factor), so a
-    non-finite angle still gives a non-finite factor.  The half-step
-    is closed in place only at each sample and at the last step, and on a
-    3d box also every `energy_stride` steps.  Norms are recorded at every
-    step, energies at `energy_times` only; a non-finite field raises
-    ResolutionError at the step where it appears.
+    the kinetic step exp(-i dt k2) by FFTs, and a second phase half-step
+    with V_i.  A phase factor keeps |psi|, so the closing half-step of step
+    i and the opening half-step of step i+1 are applied as one factor
+    exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  Each factor exp(-i h Theta)
+    comes from tan(-h Theta/2) alone (_phase_factor), so a non-finite angle
+    still gives a non-finite factor.  The half-step is closed in place only
+    at each sample and at the last step, and on a 3d box also every
+    `energy_stride` steps.  Norms are recorded at every step, energies at
+    `energy_times` only; a non-finite field raises ResolutionError at the
+    step where it appears.
 
     An energy is not evaluated at its step.  The field, v(t) and the
     step's closing potential V_i are copied into the next row of a stack of
@@ -284,26 +286,35 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
 
     A step runs in three stages, each on independent slabs of the box:
     (A) on slabs along axis 0, the phase and the forward FFT over the other
-    axes; (B) on slabs along axis 1, the FFT along axis 0, the factor
-    exp(-i dt k2) and its inverse; (C) on slabs along axis 0 again, the
-    inverse FFT over the other axes, |psi|^2 and its sum over each axis-0
-    row.  The step mass is the sum of those row sums, and every row lies in
-    one slab, so results do not depend on the number of slabs.  Slab 0 runs
-    on the calling thread, the others on helper threads (_slab_workers).
+    axes; (B) on slabs along axis 1, the FFT along axis 0 from psi into
+    the slab's own consecutive chunk of factor, so each line's spectrum is
+    contiguous, the factor exp(-i dt k2) there (kin is stored with axis 0
+    last, in the order the chunks read it) and the inverse FFT back into
+    psi; (C) on slabs along axis 0 again, the inverse FFT over the other
+    axes, |psi|^2 and its sum over each axis-0 row.  The line, with no
+    other axes, runs (B) in place on psi.  The step mass is the sum of
+    those row sums, and every row lies in one slab, so results do not
+    depend on the number of slabs.  Slab 0 runs on the calling thread, the
+    others on helper threads (_slab_workers).
 
     The loop holds six arrays of the box: psi, kin and factor (complex) and
-    k2, rho and theta (real).  For B = 1 the energy writes only into factor
-    and theta, so recording it allocates nothing of the box's size; for
-    B > 1 the stack, v(t), the closing potentials (then the closing phase,
-    then _energy's real scratch) and _energy's complex scratch hold four
-    arrays of at most BATCH_POINTS points (384 KiB), whatever the number
-    of steps.
+    k2, rho and theta (real).  factor holds the phase factor in stage A and
+    at a closing half-step, and the spectrum in stage B.  For B = 1 the
+    energy writes only into factor and theta, so recording it allocates
+    nothing of the box's size; for B > 1 the stack, v(t), the closing
+    potentials (then the closing phase, then _energy's real scratch) and
+    _energy's complex scratch hold four arrays of at most BATCH_POINTS
+    points (384 KiB), whatever the number of steps.
     """
     n_steps = max(1, round(span / dt))
     dt = span / n_steps
     grid = psi0.grid
     dvol = grid.dvol
-    kin = np.exp(-1j * dt * k2)
+    # exp(-i dt k2) in (axes 1.., axis 0) order, the order stage B reads
+    # it in, formed in its own memory
+    k2_b = np.moveaxis(k2, 0, -1)
+    kin = np.multiply(-1j * dt, k2_b, out=np.empty(k2_b.shape, dtype=complex))
+    np.exp(kin, out=kin)
 
     psi = np.array(psi0.values, dtype=complex, order="C")
     rho = psi.real**2 + psi.imag**2
@@ -314,11 +325,21 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     trailing = tuple(range(1, ndim))
     workers = _slab_workers(psi.shape)
     # each slab's views, cut once: x slabs hold (index, psi, rho, theta,
-    # factor, rows, V_static), y slabs (psi, kin)
+    # factor, rows, V_static), y slabs (psi with axis 0 last, its spectrum
+    # in the next chunk of factor, kin)
     x_slabs = [(index, psi[index], rho[index], theta[index], factor[index],
                 rows[index], _slab_of(v_static, index, ndim))
                for index in _slabs(psi.shape, 0, workers)]
-    y_slabs = [(psi[index], kin[index]) for index in _slabs(psi.shape, 1, workers)]
+    if ndim == 1:
+        y_slabs = [(psi, psi, kin)]
+    else:
+        y_slabs, start = [], 0
+        for index, kin_index in zip(_slabs(psi.shape, 1, workers),
+                                    _slabs(kin.shape, 0, workers)):
+            lines = np.moveaxis(psi[index], 0, -1)
+            spectrum = factor.reshape(-1)[start:start + lines.size]
+            y_slabs.append((lines, spectrum.reshape(lines.shape), kin[kin_index]))
+            start += lines.size
 
     def apply_phase(slab: tuple, h: float, vp) -> None:
         # psi *= exp(-i h (V_static + vp + g rho)); rho is |psi|^2 and stays valid
@@ -336,10 +357,10 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
             np.fft.fftn(slab[1], axes=trailing, out=slab[1])
 
     def kinetic(slab: tuple) -> None:                               # stage B
-        p, kin_slab = slab
-        np.fft.fft(p, axis=0, out=p)
-        np.multiply(p, kin_slab, out=p)
-        np.fft.ifft(p, axis=0, out=p)
+        lines, spec, kin_slab = slab
+        np.fft.fft(lines, axis=-1, out=spec)
+        np.multiply(spec, kin_slab, out=spec)
+        np.fft.ifft(spec, axis=-1, out=lines)
 
     def inverse_density(slab: tuple) -> None:                       # stage C
         _, p, r, th, _, rw, _ = slab

@@ -389,14 +389,9 @@ def _check_slab_counts_agree(psi0, v_par, stride, monkeypatch):
         finally:
             sys.setswitchinterval(interval)
     one = runs[0]
+    assert len(one.samples) == 6
     for other in (*runs[1:], chosen):
-        for name in ("times", "norms", "energies", "energy_times"):
-            assert np.array_equal(getattr(one, name), getattr(other, name)), name
-        assert np.array_equal(one.final.values, other.final.values)
-        assert len(one.samples) == len(other.samples) == 6
-        for a, b in zip(one.samples, other.samples):
-            assert a.time == b.time
-            assert np.array_equal(a.values, b.values)
+        _assert_same_bits(one, other)
     # start, samples 7, 14, 21, 28, the stride multiple 16, the last step 30
     np.testing.assert_array_equal(one.energy_times,
                                   one.times[[0, 7, 14, 16, 21, 28, 30]])
@@ -409,6 +404,84 @@ def _check_slab_counts_agree(psi0, v_par, stride, monkeypatch):
     assert rel(chosen.final.values, ref_final) <= 1e-12
     for sample, ref in zip(chosen.samples, ref_samples):
         assert rel(sample.values, ref) <= 1e-12
+
+
+def _assert_same_bits(one, other):
+    """Two trajectories with the same times, norms, energies and samples,
+    bit for bit."""
+    for name in ("times", "norms", "energies", "energy_times"):
+        assert np.array_equal(getattr(one, name), getattr(other, name)), name
+    assert np.array_equal(one.final.values, other.final.values)
+    assert len(one.samples) == len(other.samples)
+    for a, b in zip(one.samples, other.samples):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
+
+
+def test_slab_count_does_not_change_small_box_results(monkeypatch):
+    # with no size floor the loop cuts even small boxes into 1-4 slabs: the
+    # 2d plane too, and y1 cuts of unequal widths, so that stage B's
+    # spectra start at uneven offsets of the factor buffer
+    st = hypothesis.strategies
+    monkeypatch.setattr(gpe1d, "SLAB_MIN_POINTS", 0)
+
+    def by_slab_count(shape, evolve):
+        runs = []
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: cpus)
+            assert gpe1d._slab_workers(shape) == cpus
+            runs.append(evolve())
+        for other in runs[1:]:
+            _assert_same_bits(runs[0], other)
+        return runs[0]
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(half_n_x=st.integers(2, 12), half_n_y=st.integers(4, 9),
+                      plane=st.booleans(), x0=st.floats(-1.0, 1.0),
+                      k0=st.floats(-2.0, 2.0))
+    def check(half_n_x, half_n_y, plane, x0, k0):
+        n_x, n_y = 2 * half_n_x, 2 * half_n_y
+        grid = confined3d.make_grid(8.0, n_x, 4.0, n_y, 0.5)
+        x, y1, y2 = grid.mesh(sparse=True)
+        packet = np.exp(-(x - x0) ** 2 - (y1 - 0.2) ** 2 / 0.1 - y2**2 / 0.1
+                        + 1j * k0 * (x + 4.0 * y1))
+        if plane:
+            # the loop on the (x, y1) plane, with an interaction and a
+            # potential that varies along axis 0 and in time
+            box = gpe1d.ProductGrid(grid.axes[:2])
+            psi0 = gpe1d.Field(box, packet[:, :, n_y // 2]).normalized()
+            v_static = 0.5 * (x[:, :, 0] ** 2 + 4.0 * y1[:, :, 0] ** 2)
+
+            def evolve():
+                return gpe1d._strang_loop(
+                    psi0, 0.02, 1e-3, box.k_squared(), v_static,
+                    lambda t: np.sin(40.0 * t) * x[:, :, 0], 1.0, 5,
+                    sample_stride=7)
+
+            by_slab_count(box.shape, evolve)
+            return
+        psi0 = gpe1d.Field(grid, packet).normalized()
+
+        def evolve():
+            return confined3d.evolve_3d(psi0, 0.5, transverse.harmonic_profile,
+                                        _axial_shaking, 0.02, 1e-3,
+                                        sample_stride=7)
+
+        traj = by_slab_count(grid.shape, evolve)
+        ref_final, ref_samples = _unfused_strang(
+            psi0, 0.5, transverse.harmonic_profile, _axial_shaking, 0.02, 1e-3, 7)
+
+        def rel(values, ref):
+            return np.linalg.norm(values - ref) / np.linalg.norm(ref)
+
+        assert rel(traj.final.values, ref_final) <= 1e-12
+        assert len(traj.samples) == len(ref_samples) == 4
+        for sample, ref in zip(traj.samples, ref_samples):
+            assert rel(sample.values, ref) <= 1e-12
+
+    check()
+    assert not _slab_threads()
 
 
 def test_small_grids_start_no_thread(monkeypatch):
