@@ -415,6 +415,14 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
     return confined3d.ReductionScenario(v_perp=transverse.harmonic_profile, **v)
 
 
+# The largest counting state the loader admits, in bytes: d^N complex
+# entries of 16 bytes, with d = dim on the line and dim * n_y^2 confined.
+# The largest shipped state, counting_confined.ini's 2304^2 entries, takes
+# 85 MB.  2^28 bytes (268 MB) is N = 3 on the shipped 256-point counting
+# line, and 3.2 times that state as headroom.
+_MAX_STATE_BYTES = 2**28
+
+
 @dataclass(frozen=True, eq=False)
 class CountSpec:
     """[count]: the counting run and its one-particle grid.  quad_height,
@@ -455,6 +463,14 @@ def _parse_count(sec: _Section) -> CountSpec:
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
     _grid_size(sec, v, "dim", "n_y")
+    d = v["dim"] * (v["n_y"] ** 2 if v["grid"] == "confined" else 1)
+    state_bytes = 16 * d ** v["n_particles"]
+    if state_bytes > _MAX_STATE_BYTES:
+        key = "dim" if 16 * d**2 > _MAX_STATE_BYTES else "n_particles"
+        raise sec.fail(key, f"a {v['n_particles']}-particle state on {d} sites "
+                            f"takes {state_bytes / 1e6:,.0f} MB, above the "
+                            f"{_MAX_STATE_BYTES / 1e6:.0f} MB a counting run "
+                            f"may hold")
     _positive(sec, v, "length", "extent", "epsilon")
     if v["b"] < 0:      # a flat ground-state seed would be the flat saddle
         raise sec.fail("b", "the condensate's coupling b must be non-negative")

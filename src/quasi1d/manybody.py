@@ -54,9 +54,8 @@ from .scattering import CorrectionProfile
 from .transverse import TransverseMode, _confinement
 
 __all__ = ["ManyBodyState", "random_symmetric_state", "random_symmetric_states",
-           "product_state_mb", "symmetrize", "projector_components",
-           "expectation_weighted", "WeightTable", "rdm", "trace_norm_vs_pure",
-           "trace_distance", "check_pair_range",
+           "product_state_mb", "expectation_weighted", "WeightTable", "rdm",
+           "trace_norm_vs_pure", "trace_distance", "check_pair_range",
            "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
            "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
            "CountingSample", "counting_sample", "relative_pair_form",
@@ -72,13 +71,14 @@ MAX_PARTICLES = 4
 @dataclass(eq=False)
 class ManyBodyState:
     """N bosons: ``tensor`` is symmetric under every permutation of its
-    slots, the convention the kernels of this module rely on.  The states
-    the program builds, ``random_symmetric_states`` and ``product_state_mb``,
-    are."""
+    slots, the convention the kernels of this module rely on, and has unit
+    l2 norm wherever an expectation is read from it; only its shape is
+    checked.  The states the program builds, ``random_symmetric_states``
+    and ``product_state_mb``, hold both."""
 
     n_particles: int
     dim: int
-    tensor: np.ndarray     # shape (dim,) * n_particles, plain l2 normalization
+    tensor: np.ndarray     # shape (dim,) * n_particles
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_particles <= MAX_PARTICLES:
@@ -86,12 +86,6 @@ class ManyBodyState:
                               f"for dense tensors")
         if self.tensor.shape != (self.dim,) * self.n_particles:
             raise DomainError("tensor shape does not match (dim,) * n_particles")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor.ravel()))
-
-    def normalized(self) -> "ManyBodyState":
-        return ManyBodyState(self.n_particles, self.dim, self.tensor / self.norm())
 
 
 # Sides of the square blocks of the first coset step, so it holds one state
@@ -207,14 +201,6 @@ def _permutation_sum(tensor: np.ndarray, bufs: list[np.ndarray]) -> None:
     _swap_sum_in_place(tensor)
     for m in range(3, tensor.ndim + 1):
         _cycle_sum_in_place(tensor, m, bufs)
-
-
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Average of ``tensor`` over all permutations of its axes."""
-    out = np.array(tensor)
-    _permutation_sum(out, _coset_buffers(out))
-    out /= math.factorial(tensor.ndim)
-    return out
 
 
 def _standard_normal_into(rng: np.random.Generator, part: np.ndarray) -> None:
@@ -390,7 +376,7 @@ def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
     orb = np.asarray(orbital, dtype=complex)
     orb = orb / np.linalg.norm(orb)
     tensor = reduce(np.multiply.outer, [orb] * n_particles)
-    tensor /= np.linalg.norm(tensor.ravel())    # the bits of normalized()
+    tensor /= np.linalg.norm(tensor.ravel())    # the bits of tensor / norm
     return ManyBodyState(n_particles, orb.size, tensor)
 
 
@@ -408,48 +394,16 @@ def _check_orbital(state: ManyBodyState, orbital: np.ndarray) -> np.ndarray:
     return orb
 
 
-def _apply_p(tensor: np.ndarray, orb: np.ndarray, slot: int) -> np.ndarray:
-    """p = |phi><phi| on one slot, contracted through a contiguous view.
-
-    The tensor is read as (d**slot, d, rest), so the slot is the middle axis
-    and the result comes out C-contiguous without any axis moves.
-    """
-    d = orb.size
-    view = tensor.reshape(d**slot, d, -1)
-    coef = orb.conj() @ view
-    return (orb[None, :, None] * coef[:, None, :]).reshape(tensor.shape)
-
-
-def projector_components(state: ManyBodyState, orbital: np.ndarray) -> list[np.ndarray]:
-    """[P_0 psi, ..., P_N psi]: the tensor split by number of slots outside phi.
-
-    Built by running over slots and collecting p/q choices with exactly k
-    q-factors; numerically stable because only sums of projections appear.
-    Each slot costs one projection per component, and the q-parts are formed
-    in place in the previous slot's buffers, so every component is a
-    C-contiguous array of its own.
-    """
-    orb = _check_orbital(state, orbital)
-    comps = [state.tensor]
-    for slot in range(state.n_particles):
-        p_parts = [_apply_p(c, orb, slot) for c in comps]
-        # the input tensor is the caller's; later buffers are ours to reuse
-        q_parts = [np.subtract(c, p, out=c if slot else None)
-                   for c, p in zip(comps, p_parts)]
-        for k in range(1, len(p_parts)):
-            q_parts[k - 1] += p_parts[k]
-        comps = [p_parts[0]] + q_parts
-    return comps
-
-
 def _counter_sums(state: ManyBodyState,
                   orbital: np.ndarray) -> tuple[float, np.ndarray]:
     """||psi - sum_k P_k psi||^2 and the Gram matrix <P_j psi, P_k psi>, j <= k.
 
     With psi read as d x d^(N-1) and c_0 = phi^H psi over slot 0, formed
     once, the slot-0 split of a block B of leading rows is phi[B] (x) c_0 and
-    psi[B] - phi[B] (x) c_0.  Slots 1..N-1 then act inside the block as in
-    ``projector_components``, and the block adds its share to both sums.
+    psi[B] - phi[B] (x) c_0.  Slots 1..N-1 then act inside the block: each
+    splits every component into its p-part phi (x) (phi^H c) over the slot
+    and its q-part c minus that, formed in place, and the parts regroup by
+    their number of q-factors.  The block adds its share to both sums.
     Scratch is 2N block buffers, each about 1/_BLOCK of a state, and the
     ufunc buffers of the broadcast products, no larger than a block.  A state
     that is one block gets the bits of the whole-array sums: the squared
@@ -458,7 +412,7 @@ def _counter_sums(state: ManyBodyState,
     orb = _check_orbital(state, orbital)
     n, d = state.n_particles, state.dim
     psi = state.tensor.reshape(d, -1)
-    c0 = (orb.conj() @ psi.reshape(1, d, -1))[0]    # as _apply_p forms it
+    c0 = (orb.conj() @ psi.reshape(1, d, -1))[0]    # as the later slots' are
     rows = _block_rows(d, psi.size, 2 * n + 2)     # and two ufunc buffers
     pool = np.empty((2 * n, rows * psi.shape[1]), dtype=complex)
     resid_sq = 0.0
@@ -705,7 +659,7 @@ class HamiltonianSpec:
     form's mask and (w_mu - U) / 2) depend only on the sites' offset on the
     periodic grid, so they are kept as tables of d offsets: the pair
     potential tiled twice per axis, for the rows of its site-pair matrix, and
-    the pair form's over the grid's shape; no d x d array is cached.
+    the pair form's over the grid's shape; no d x d array is formed.
     """
 
     grid: ProductGrid
@@ -723,20 +677,6 @@ class HamiltonianSpec:
     @property
     def dim(self) -> int:
         return math.prod(self.grid.shape)
-
-    def pair_distances(self) -> np.ndarray:
-        """Minimum-image distances between all site pairs, (d, d), from the
-        site coordinates; the kernels use ``_offset_distances`` instead."""
-        sites = np.unravel_index(np.arange(self.dim), self.grid.shape)
-        ndim = len(self.grid.axes)
-        total = 0.0
-        for i, (axis, index) in enumerate(zip(self.grid.axes, sites)):
-            delta = np.abs(axis.x[index, None] - axis.x[None, :])
-            delta = np.minimum(delta, axis.length - delta)
-            view = [1] * ndim
-            view[i] = axis.n
-            total = total + (delta**2).reshape(self.dim, *view)
-        return np.sqrt(total).reshape(self.dim, self.dim)
 
     def _offset_distances(self) -> np.ndarray:
         """Minimum-image distance of each site from site 0, over grid.shape.
@@ -762,17 +702,6 @@ class HamiltonianSpec:
                 self.pair_potential(self._offset_distances()), dtype=float),
                 (2,) * len(self.grid.axes))
         return self._pair_table
-
-    def pair_matrix(self) -> np.ndarray | None:
-        """W on all site pairs, (d, d), from the offset table; not cached.
-
-        No kernel uses it: it is the reference the tests check the offset
-        tables and the energy against."""
-        table = self._pair_potential_table()
-        if table is None:
-            return None
-        return _site_pair_block(table, 0, self.dim,
-                                np.empty((self.dim,) + self.grid.shape))
 
     def _pair_form_tables(self, corr: CorrectionProfile) -> tuple:
         """Indicator of |z1 - z2| < R, as 0.0 or 1.0, and (w_mu - U) / 2 on

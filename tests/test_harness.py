@@ -711,6 +711,31 @@ def test_axial_potential_on_confined_count_is_config_error(capsys):
     assert cli.main(["validate", config, "--set", "count.v_par=none"]) == 0
 
 
+@pytest.mark.parametrize("override, key, state", [
+    ("count.n_particles=4", "n_particles", "a 4-particle state on 256 sites"),
+    ("count.dim=100000", "dim", "a 2-particle state on 100000 sites"),
+])
+def test_counting_state_beyond_memory_is_config_error(tmp_path, capsys,
+                                                      override, key, state):
+    # 256^4 and 100000^2 complex entries, 69 GB and 160 GB: the loader
+    # refuses them before any output exists
+    path = str(CONFIG_DIR / "counting_pair.ini")
+    assert cli.main(["validate", path, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert path in err and f"[count] {key}: {state} takes " in err
+    code = cli.main(["count", path, "--set", override, "--output", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "counting_pair").exists()
+
+
+def test_every_shipped_config_validates(capsys):
+    # the largest shipped counting state, counting_confined.ini's, fits
+    configs = sorted(str(path) for path in CONFIG_DIR.glob("*.ini"))
+    assert cli.main(["validate", *configs]) == 0
+    out = capsys.readouterr().out
+    assert all(f"{path}: OK" in out for path in configs)
+
+
 # the keys that spelt mu, b and the reduce3d step a second time
 SECOND_SPELLINGS = [("scatter", "epsilon"), ("scatter", "n_particles"),
                     ("evolve1d", "a"), ("evolve1d", "quartic"),

@@ -1,4 +1,7 @@
-"""Counting formalism: projector algebra, weights, condensation bounds."""
+"""Counting formalism: projector algebra, weights, condensation bounds.
+
+The blocked kernels are held against the whole-array recipes of
+``oracles``."""
 
 import itertools
 import math
@@ -12,6 +15,9 @@ import hypothesis
 import numpy as np
 import pytest
 
+from oracles import (coords_of, coset_sum_recipe, hand_distances,
+                     permutation_average, site_pair_matrix, site_sums,
+                     subset_components)
 from quasi1d import gpe1d, harness, manybody, scattering, transverse
 from quasi1d.errors import DomainError, InterfaceError, ResolutionError
 
@@ -38,7 +44,7 @@ def rng():
 
 def test_random_state_is_symmetric_and_normalized(rng):
     state = manybody.random_symmetric_state(3, 5, rng)
-    assert state.norm() == pytest.approx(1.0, abs=1e-13)
+    assert np.linalg.norm(state.tensor) == pytest.approx(1.0, abs=1e-13)
     swapped = state.tensor.transpose(1, 0, 2)
     assert np.max(np.abs(swapped - state.tensor)) < 1e-13
     swapped = state.tensor.transpose(0, 2, 1)
@@ -57,34 +63,27 @@ def test_state_guards(rng):
 @pytest.mark.parametrize("n,dim", [(2, 12), (3, 6)])
 def test_counter_decomposition(rng, n, dim):
     state = manybody.random_symmetric_state(n, dim, rng)
-    orb = unit_vector(dim, 0)
-    comps = manybody.projector_components(state, orb)
-    assert len(comps) == n + 1
-    # completeness: the counters partition the state
-    total = sum(comps)
-    assert np.max(np.abs(total - state.tensor)) < 1e-12
-    # mutual orthogonality
-    for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            assert abs(np.vdot(comps[j], comps[k])) < 1e-12
-    # the counters are orthogonal idempotents, P_j P_k = delta_jk P_k, the
-    # law behind f_hat g_hat = (f g)_hat
-    for k in range(n + 1):
-        piece = manybody.ManyBodyState(n, dim, comps[k])
-        again = manybody.projector_components(piece, orb)
-        for j in range(n + 1):
-            expected = comps[k] if j == k else 0.0
-            assert np.max(np.abs(again[j] - expected)) < 1e-12
-
-
-@pytest.mark.parametrize("n,dim", [(2, 6), (3, 5)])
-def test_slot_projector_is_idempotent(rng, n, dim):
-    state = manybody.random_symmetric_state(n, dim, rng)
-    for orb in (unit_vector(dim, 1), random_orbital(rng, dim)):
-        for slot in range(n):
-            p_psi = manybody._apply_p(state.tensor, orb, slot)
-            again = manybody._apply_p(p_psi, orb, slot)
-            assert np.max(np.abs(again - p_psi)) < 1e-14
+    for orb in (unit_vector(dim, 0), random_orbital(np.random.default_rng(dim), dim)):
+        resid_sq, gram = manybody._counter_sums(state, orb)
+        assert gram.shape == (n + 1, n + 1)
+        # completeness: the counters partition the state
+        assert math.sqrt(resid_sq) < 1e-12
+        # mutual orthogonality
+        for j, k in itertools.combinations(range(n + 1), 2):
+            assert abs(gram[j, k]) < 1e-12
+        # the counters are orthogonal idempotents, P_j P_k = delta_jk P_k,
+        # the law behind f_hat g_hat = (f g)_hat: a component's counter sums
+        # hold its whole mass at [k, k] and none elsewhere
+        for k, comp in enumerate(subset_components(state.tensor, orb)):
+            piece = manybody.ManyBodyState(n, dim, comp)
+            piece_resid_sq, again = manybody._counter_sums(piece, orb)
+            assert math.sqrt(piece_resid_sq) < 1e-12
+            assert abs(again[k, k] - np.vdot(comp, comp)) < 1e-12
+            for j in range(n + 1):
+                if j != k:      # ||P_j P_k psi||, a norm, bounds every entry
+                    assert math.sqrt(abs(again[j, j])) < 1e-12
+            for j, i in itertools.combinations(range(n + 1), 2):
+                assert abs(again[j, i]) < 1e-12
 
 
 def test_orbital_guards(rng):
@@ -95,7 +94,7 @@ def test_orbital_guards(rng):
     table = manybody.WeightTable.build(2, 0.1)
     for bad in (2.0 * orb, unit_vector(7, 0)):
         with pytest.raises(InterfaceError):
-            manybody.projector_components(state, bad)
+            manybody._counter_sums(state, bad)
         with pytest.raises(InterfaceError):
             manybody.counting_sample(state, bad, table, ham, 0.0)
 
@@ -122,8 +121,9 @@ def test_counting_expectation_on_reference_states():
     assert abs(value - 0.5 * n ** (-xi)) < 1e-15
     # one particle promoted out of the condensate counts as m(1)
     u = unit_vector(dim, 3)
-    tensor = manybody.symmetrize(np.multiply.outer(orb, u))
-    one = manybody.ManyBodyState(n, dim, tensor).normalized()
+    tensor = permutation_average(np.multiply.outer(orb, u))
+    tensor /= np.linalg.norm(tensor)
+    one = manybody.ManyBodyState(n, dim, tensor)
     value = manybody.expectation_weighted(one, table.m, orb)
     assert abs(value - table.m[1]) < 1e-14
 
@@ -254,18 +254,22 @@ def test_counter_completeness_and_orthogonality_property():
         grid = gpe1d.Grid1D(2.0 * math.pi, 2 * half_dim)
         state = manybody.random_symmetric_state(n, grid.n, gen)
         orb = random_orbital(gen, grid.n)
-        comps = manybody.projector_components(state, orb)
-        resid = state.tensor - sum(comps)
-        assert np.max(np.abs(resid)) < 1e-12
-        overlaps = [abs(complex(np.vdot(comps[j], comps[k])))
+        resid_sq, gram = manybody._counter_sums(state, orb)
+        assert math.sqrt(resid_sq) < 1e-12
+        overlaps = [abs(complex(gram[j, k]))
                     for j, k in itertools.combinations(range(n + 1), 2)]
         assert max(overlaps) < 1e-12
+        comps = subset_components(state.tensor, orb)
+        for j, k in itertools.combinations_with_replacement(range(n + 1), 2):
+            assert abs(gram[j, k] - np.vdot(comps[j], comps[k])) < 1e-14
         # the shared sample reports the same residuals, to the bit
-        sample = manybody.counting_sample(
-            state, orb, manybody.WeightTable.build(n, 0.1),
-            manybody.line_hamiltonian(grid), 0.0)
-        assert sample.completeness == float(np.linalg.norm(resid.ravel()))
+        table = manybody.WeightTable.build(n, 0.1)
+        sample = manybody.counting_sample(state, orb, table,
+                                          manybody.line_hamiltonian(grid), 0.0)
+        assert sample.completeness == math.sqrt(resid_sq)
         assert sample.orthogonality == max(overlaps)
+        assert sample.counting == pytest.approx(
+            sum(m * np.vdot(c, c).real for m, c in zip(table.m, comps)), rel=1e-12)
 
     check()
 
@@ -368,9 +372,18 @@ def test_trace_distance_falls_back_to_eigvalsh(rng, monkeypatch):
 # Hamiltonians on desk-scale grids
 
 
+def grid_distances(ham):
+    """Minimum-image distances of all site pairs, (d, d), from the grid's
+    site coordinates."""
+    axes = ham.grid.axes
+    return hand_distances(coords_of(*(axis.x for axis in axes)),
+                          tuple(axis.length for axis in axes))
+
+
 def test_minimum_image_distances():
     ham = manybody.line_hamiltonian(gpe1d.Grid1D(8.0, 8))
-    dist = ham.pair_distances()
+    dist = site_pair_matrix(ham, ham._offset_distances())
+    np.testing.assert_array_equal(dist, grid_distances(ham))
     assert dist[0, 7] == pytest.approx(1.0)    # wraps around the ring
     assert dist[0, 4] == pytest.approx(4.0)
     assert np.max(dist) <= 4.0 + 1e-12
@@ -433,22 +446,24 @@ def test_pair_form_guards(bump_correction):
 # kernels against the direct recipes they replace
 
 
-def permutation_average(tensor):
-    perms = list(itertools.permutations(range(tensor.ndim)))
-    return sum(tensor.transpose(perm) for perm in perms) / len(perms)
-
-
 def complex_draw(gen, shape):
     return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def permutation_sum(tensor):
+    """_permutation_sum of a copy of ``tensor``, with its own buffers."""
+    out = np.array(tensor)
+    manybody._permutation_sum(out, manybody._coset_buffers(out))
+    return out
 
 
 @pytest.mark.parametrize("n,dim", [(2, 7), (3, 5), (4, 4)])
 def test_symmetrize_matches_permutation_sum(n, dim):
     raw = complex_draw(np.random.default_rng(11), (dim,) * n)
-    before = raw.copy()
-    got = manybody.symmetrize(raw)
+    got = permutation_sum(raw)
+    assert np.array_equal(got, coset_sum_recipe(raw))
+    got /= math.factorial(n)
     assert np.max(np.abs(got - permutation_average(raw))) < 1e-14
-    assert np.array_equal(raw, before)
 
 
 @pytest.mark.parametrize("n,dim", [(2, 9), (3, 6), (4, 4)])
@@ -460,45 +475,9 @@ def test_random_state_follows_seed_recipe(n, dim):
     assert np.max(np.abs(state.tensor - ref)) < 1e-14
 
 
-def subset_components(tensor, orb):
-    """P_k psi as the sum over slot sets S, |S| = k, of prod_S q prod_rest p."""
-    def p_slot(t, slot):
-        moved = np.moveaxis(t, slot, 0).reshape(orb.size, -1)
-        projected = np.outer(orb, orb.conj() @ moved)
-        return np.moveaxis(projected.reshape((orb.size,) + t.shape[1:]),
-                           0, slot)
-
-    n = tensor.ndim
-    comps = [np.zeros_like(tensor) for _ in range(n + 1)]
-    for outside in itertools.product((False, True), repeat=n):
-        term = tensor
-        for slot, is_q in enumerate(outside):
-            p_term = p_slot(term, slot)
-            term = term - p_term if is_q else p_term
-        comps[sum(outside)] += term
-    return comps
-
-
-@pytest.mark.parametrize("n,dim", [(2, 8), (3, 5), (4, 4)])
-def test_projector_components_match_moveaxis_reference(n, dim):
-    gen = np.random.default_rng(3)
-    state = manybody.random_symmetric_state(n, dim, gen)
-    orb = complex_draw(gen, dim)
-    orb /= np.linalg.norm(orb)
-    before = state.tensor.copy()
-    comps = manybody.projector_components(state, orb)
-    assert np.array_equal(state.tensor, before)
-    refs = subset_components(state.tensor, orb)
-    for got, ref in zip(comps, refs):
-        assert got.flags.c_contiguous
-        assert np.max(np.abs(got - ref)) < 1e-14
-    fortran = manybody.ManyBodyState(n, dim, np.asfortranarray(state.tensor))
-    for got, ref in zip(manybody.projector_components(fortran, orb), refs):
-        assert np.max(np.abs(got - ref)) < 1e-14
-
-
 def fft_energy_per_particle(state, ham):
-    """The per-slot FFT recipe with full-size |.|^2 weights."""
+    """The per-slot FFT recipe with full-size |.|^2 weights, and W on the
+    distances of the grid's sites."""
     n = state.n_particles
     sp_ndim = len(ham.grid.shape)
     full = state.tensor.reshape(ham.grid.shape * n)
@@ -513,8 +492,8 @@ def fft_energy_per_particle(state, ham):
         total += np.sum(ham.grid.k_squared().reshape(shape) * power) / ham.dim
         others = tuple(i for i in range(n) if i != slot)
         total += ham.v_diag @ density.sum(axis=others)
-    w_mat = ham.pair_matrix()
-    if w_mat is not None:
+    if ham.pair_potential is not None:
+        w_mat = ham.pair_potential(grid_distances(ham))
         for i, j in itertools.combinations(range(n), 2):
             others = tuple(s for s in range(n) if s not in (i, j))
             total += np.sum(w_mat * (density.sum(axis=others) if others
@@ -547,14 +526,6 @@ def test_energy_per_particle_matches_fft_reference():
         for layout in (state, fortran):
             assert manybody.energy_per_particle(layout, ham) == \
                 pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-
-def site_sums(shape, sign):
-    """Flat index of (a + sign b) mod n on each axis, for all flat sites a
-    (rows) and b (columns) of ``shape``."""
-    sites = np.unravel_index(np.arange(math.prod(shape)), shape)
-    return np.ravel_multi_index(
-        tuple(i[:, None] + sign * i[None, :] for i in sites), shape, mode="wrap")
 
 
 def assembled(h, shape):
@@ -609,7 +580,7 @@ def fft_pair_form(tensor, ham, corr):
         grad = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(full, axis=axis),
                            axis=axis)
         grad_sq += np.abs(grad.reshape(ham.dim, ham.dim)) ** 2
-    dist = ham.pair_distances()
+    dist = grid_distances(ham)
     sol = corr.solution
     w_minus_u = sol.potential.scaled(dist, sol.mu) - corr.u_potential(dist)
     return float(np.sum(grad_sq[dist < corr.outer_radius])
@@ -668,21 +639,6 @@ def test_pair_form_cache_follows_the_correction(bump_correction):
 # blocked kernels: the bits of the whole-array recipes, in one state's memory
 
 
-def coset_sum_recipe(tensor):
-    """The permutation sum by cosets, each step out of place: the coset sum
-    as first shipped."""
-    n = tensor.ndim
-    out = tensor + tensor.swapaxes(0, 1)
-    for m in range(3, n + 1):
-        part = out
-        shifts = [[(axis + shift) % m for axis in range(m)] + list(range(m, n))
-                  for shift in range(1, m)]
-        out = part + part.transpose(shifts[0])
-        for perm in shifts[1:]:
-            out += part.transpose(perm)
-    return out
-
-
 def seed_recipe_state(gen, n, dim):
     """Two full-size draws, the coset sum out of place, and each real
     component divided by the real norm: the draw as first shipped."""
@@ -727,8 +683,9 @@ def test_symmetrize_by_blocks_leaves_its_input(monkeypatch, block, n, dim):
     monkeypatch.setattr(manybody, "_cycle_side", lambda tensor, m: block)
     raw = np.asfortranarray(complex_draw(np.random.default_rng(2), (dim,) * n))
     before = raw.copy()
-    got = manybody.symmetrize(raw)
-    assert np.array_equal(got, coset_sum_recipe(raw) / math.factorial(n))
+    got = permutation_sum(raw)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, coset_sum_recipe(raw))
     assert np.array_equal(raw, before)
 
 
@@ -736,8 +693,8 @@ def test_product_state_normalizes_in_place_bitwise():
     orb = complex_draw(np.random.default_rng(4), 10)
     unit = orb / np.linalg.norm(orb)
     outer = np.multiply.outer(unit, unit)
-    ref = manybody.ManyBodyState(2, 10, outer).normalized()
-    assert np.array_equal(manybody.product_state_mb(orb, 2).tensor, ref.tensor)
+    ref = outer / np.linalg.norm(outer.ravel())
+    assert np.array_equal(manybody.product_state_mb(orb, 2).tensor, ref)
 
 
 @pytest.mark.parametrize("block", (1, 7, 100))
@@ -874,10 +831,10 @@ def pair_hamiltonians():
                 transverse.harmonic_profile, pair_potential=pair)]
 
 
-def site_pair_matrix(ham, table):
-    """Entry (i, j) is the offset table, over the grid's shape, at the
-    offset of site i from site j."""
-    return table.reshape(-1)[site_sums(ham.grid.shape, -1)]
+def whole_site_pair_block(ham):
+    """All d rows of W's site-pair matrix, as the energy's blocks take them."""
+    return manybody._site_pair_block(ham._pair_potential_table(), 0, ham.dim,
+                                     np.empty((ham.dim,) + ham.grid.shape))
 
 
 def assert_table_close(got, ref):
@@ -891,9 +848,9 @@ def test_offset_tables_match_the_site_pair_distances(bump_correction):
     corr = bump_correction
     sol = corr.solution
     for ham in pair_hamiltonians():
-        dist = ham.pair_distances()
+        dist = grid_distances(ham)
         # W: the offset table is even, so the matrix is symmetric bit for bit
-        w_mat = ham.pair_matrix()
+        w_mat = whole_site_pair_block(ham)
         np.testing.assert_array_equal(w_mat, w_mat.T)
         assert_table_close(w_mat, ham.pair_potential(dist))
         mask_table, half_wu_table, _ = ham._pair_form_tables(corr)
@@ -915,7 +872,7 @@ def test_site_pair_blocks_are_slices_of_the_matrix():
     ham = pair_hamiltonians()[2]
     table = ham._pair_potential_table()
     whole = site_pair_matrix(ham, ham.pair_potential(ham._offset_distances()))
-    np.testing.assert_array_equal(ham.pair_matrix(), whole)
+    np.testing.assert_array_equal(whole_site_pair_block(ham), whole)
     rows = np.empty((7,) + ham.grid.shape)
     for start in range(0, ham.dim, 7):
         stop = min(start + 7, ham.dim)
@@ -937,12 +894,19 @@ def test_blocked_counter_sums_match_projector_components(monkeypatch, block,
     gen = np.random.default_rng(12)
     state = manybody.random_symmetric_state(n, dim, gen)
     orb = random_orbital(gen, dim)
-    comps = manybody.projector_components(state, orb)
+    before = state.tensor.copy()
     resid_sq, gram = manybody._counter_sums(state, orb)
+    assert np.array_equal(state.tensor, before)
+    comps = subset_components(state.tensor, orb)
     resid = state.tensor - sum(comps)
     assert resid_sq == pytest.approx(np.vdot(resid, resid).real, abs=1e-28)
     for j, k in itertools.combinations_with_replacement(range(n + 1), 2):
         assert abs(gram[j, k] - np.vdot(comps[j], comps[k])) < 1e-14
+    # a Fortran-ordered copy is read as the same state
+    fortran = manybody.ManyBodyState(n, dim, np.asfortranarray(state.tensor))
+    f_resid_sq, f_gram = manybody._counter_sums(fortran, orb)
+    assert f_resid_sq == pytest.approx(np.vdot(resid, resid).real, abs=1e-28)
+    assert np.max(np.abs(f_gram - gram)) < 1e-14
     weights = np.linspace(0.1, 1.0, n + 1)
     ref = sum(w * np.vdot(c, c).real for w, c in zip(weights, comps))
     assert manybody.expectation_weighted(state, weights, orb) == \

@@ -3,13 +3,16 @@
 The line, the transverse plane, the 3d tube and the N-body one-particle
 spaces all take their k^2, volume element, coordinate mesh and pair
 distances from gpe1d.ProductGrid.  Here those are rebuilt from fftfreq,
-meshgrid and a (d, ndim) coordinate array, one level at a time.
+meshgrid and a (d, ndim) coordinate array, one level at a time; the pair
+distances are the offset table the N-body kernels read, spread over all
+site pairs.
 """
 
 import math
 
 import numpy as np
 
+from oracles import coords_of, hand_distances, site_pair_matrix
 from quasi1d import confined3d, gpe1d, manybody, scattering, transverse
 
 
@@ -21,19 +24,9 @@ def hand_axis(length, n):
     return (np.arange(n) - n // 2) * (length / n)
 
 
-def hand_distances(coords, box_lengths):
-    """Minimum-image distances from a (d, ndim) array of site coordinates."""
-    total = np.zeros((len(coords), len(coords)))
-    for axis, box in enumerate(box_lengths):
-        delta = np.abs(coords[:, None, axis] - coords[None, :, axis])
-        delta = np.minimum(delta, box - delta)
-        total += delta**2
-    return np.sqrt(total)
-
-
-def coords_of(*axes):
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
-                    axis=1)
+def offset_distances(ham):
+    """The kernels' distance table, (d, d) over all site pairs."""
+    return site_pair_matrix(ham, ham._offset_distances())
 
 
 def test_product_grid_matches_hand_built_tables():
@@ -81,7 +74,7 @@ def test_hamiltonian_grids_match_hand_built_tables():
     ham = manybody.line_hamiltonian(line)
     np.testing.assert_array_equal(ham.grid.k_squared(), hand_k(8.0, 8) ** 2)
     np.testing.assert_array_equal(
-        ham.pair_distances(), hand_distances(hand_axis(8.0, 8)[:, None], (8.0,)))
+        offset_distances(ham), hand_distances(hand_axis(8.0, 8)[:, None], (8.0,)))
 
     # the confined box: bit-identical tables and distances
     base = transverse.ground_state_2d(transverse.harmonic_profile,
@@ -102,11 +95,12 @@ def test_hamiltonian_grids_match_hand_built_tables():
     np.testing.assert_array_equal(
         ham.v_diag, (0.5 * x[:, None, None] ** 2 + conf[None, :, :]).ravel())
     np.testing.assert_array_equal(
-        ham.pair_distances(),
+        offset_distances(ham),
         hand_distances(coords_of(x, y, y), (6.0, mode.extent, mode.extent)))
 
-    # the bare cube: its sites used to start at 0, now the axes are centred,
-    # so the distances move by round-off and the |z1 - z2| < R mask not at all
+    # the bare cube: the hand-built sites start at 0 and the table takes each
+    # offset as a whole number of spacings, so the distances differ by
+    # round-off and the |z1 - z2| < R mask not at all
     ham = manybody.box_hamiltonian(1.8, 12)
     k = hand_k(1.8, 12)
     np.testing.assert_array_equal(
@@ -118,7 +112,7 @@ def test_hamiltonian_grids_match_hand_built_tables():
             np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(12), axis=0), axis=0))
     site = (1.8 / 12) * np.arange(12)
     ref = hand_distances(coords_of(site, site, site), (1.8, 1.8, 1.8))
-    dist = ham.pair_distances()
+    dist = offset_distances(ham)
     assert np.max(np.abs(dist - ref)) <= 1e-15
     sol = scattering.solve_zero_energy(scattering.smooth_bump(40.0), 0.64)
     radius = scattering.build_correction(sol, 0.9).outer_radius

@@ -1,9 +1,15 @@
-"""Repository tools: the artifact comparer on hand-written artifact roots."""
+"""Repository tools: the artifact comparer on hand-written artifact roots,
+and the peak-RSS gate on a short CLI run."""
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BARRIER = TOOLS.parent / "configs" / "barrier_scattering.ini"
 
 
 def _load(name):
@@ -83,3 +89,35 @@ def test_artifact_diff_exits_1_unless_byte_identical(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert "a/t.csv:\n  same values" in out
     assert "a/t.csv: only in old" in out
+
+
+def _peak_rss(tmp_path, *args):
+    """tools/peak_rss.py on barrier_scattering.ini, in a process of its own,
+    so that its only child is the CLI's run."""
+    env = dict(os.environ, QUASI1D_OUTPUT_ROOT=str(tmp_path))
+    return subprocess.run([sys.executable, str(TOOLS / "peak_rss.py"),
+                           str(BARRIER), *args],
+                          env=env, capture_output=True, text=True, check=False)
+
+
+def test_peak_rss_passes_under_its_cap(tmp_path):
+    run = _peak_rss(tmp_path, "1000")
+    assert run.returncode == 0, run.stderr
+    assert re.search(r"peak RSS of scatter \S*barrier_scattering\.ini: "
+                     r"\d+\.\d MB \(cap 1000 MB\)", run.stdout)
+    assert (tmp_path / "barrier_scattering" / "summary.json").exists()
+
+
+def test_peak_rss_above_its_cap_exits_1(tmp_path):
+    run = _peak_rss(tmp_path, "1")
+    assert run.returncode == 1
+    assert "barrier_scattering: PASS" in run.stdout
+    assert "peak RSS above 1 MB" in run.stderr
+
+
+def test_peak_rss_passes_a_failed_run_code_through(tmp_path):
+    # the CLI refuses the override with exit 2, which wins over the cap
+    run = _peak_rss(tmp_path, "1", "--set", "scatter.mu=-1")
+    assert run.returncode == 2
+    assert "[scatter] mu: positive mu required" in run.stderr
+    assert not (tmp_path / "barrier_scattering").exists()
