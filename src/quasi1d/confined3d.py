@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError
-from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _energy,
-                    _line_potential, _strang_loop, evolve_1d, gaussian_packet,
-                    phase_distance)
+from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _energy, _potential,
+                    _strang_loop, evolve_1d, gaussian_packet, phase_distance)
 from .transverse import (TransverseMode, _confinement, coupling_b, ground_state_2d,
                          rescale_mode)
 
@@ -118,11 +117,6 @@ def product_state(phi: Field, mode: TransverseMode, grid: Grid3D) -> Field:
     return psi
 
 
-def _box_potential(v_par: Potential3D, grid: Grid3D) -> Callable[[float], Any]:
-    mesh = grid.mesh(sparse=True)
-    return lambda t: 0.0 if v_par is None else v_par(t, *mesh)
-
-
 def energy_3d(psi: Field, a: float,
               v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
               v_par: Potential3D = None) -> float:
@@ -130,7 +124,7 @@ def energy_3d(psi: Field, a: float,
     grid = psi.grid
     return float(_energy(psi.values[None], grid.k_squared(), grid.dvol,
                          _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
-                         _box_potential(v_par, grid)(psi.time),
+                         _potential(v_par, grid)(psi.time),
                          8.0 * math.pi * a * grid.epsilon**2)[0])
 
 
@@ -150,10 +144,9 @@ def evolve_3d(psi0: Field, a: float,
     if a < 0.0:
         raise DomainError("scattering length must be non-negative")
     grid = psi0.grid
-    return _strang_loop(psi0, t_final, dt, grid.k_squared(),
+    return _strang_loop(psi0, t_final, dt,
                         _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
-                        _box_potential(v_par, grid),
-                        8.0 * math.pi * a * grid.epsilon**2, ENERGY_STRIDE,
+                        v_par, 8.0 * math.pi * a * grid.epsilon**2, ENERGY_STRIDE,
                         sample_stride)
 
 
@@ -166,11 +159,9 @@ def _evolve_plane(eta0: np.ndarray, grid: Grid3D,
     with the steps, energy times and samples evolve_3d would take; the 3d
     field at every recorded time is the line field times this one.
     """
-    plane = grid.plane
-    return _strang_loop(Field(plane, np.asarray(eta0, dtype=complex)), t_final,
-                        dt, plane.k_squared(),
-                        _confinement(grid.axes[1], grid.epsilon, v_perp),
-                        lambda t: 0.0, 0.0, ENERGY_STRIDE, sample_stride)
+    return _strang_loop(Field(grid.plane, np.asarray(eta0, dtype=complex)),
+                        t_final, dt, _confinement(grid.axes[1], grid.epsilon, v_perp),
+                        None, 0.0, ENERGY_STRIDE, sample_stride)
 
 
 def extract_profile(psi: Field, mode: TransverseMode):
@@ -291,9 +282,16 @@ def _profile(scenario: ReductionScenario, phi0: Field, mode_grid: TransverseMode
                             energy_drift=drift, steps=traj.times.size - 1)
 
 
-def _mode_and_profiles(
+def reduction_profiles(
         scenario: ReductionScenario) -> tuple[TransverseMode, list[ReductionProfile]]:
-    """The trap's mode on the n_y-point plane and the profile at each eps."""
+    """Profile stage: the trap's mode on the n_y-point plane, and the 3d run
+    and its extracted profile at each eps of the scenario's eps_list.
+
+    At a = 0 the 3d run factorizes exactly: it is the line run (b = 0) times
+    the _evolve_plane run, so the final field is their outer product and the
+    energy E_x |eta|^2 + E_y |phi|^2 at the plane's energy times.  It goes
+    through the same extraction as the full 3d run at a > 0.
+    """
     eps_list = scenario.eps_list
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be strictly decreasing")
@@ -304,18 +302,6 @@ def _mode_and_profiles(
                        for eps in eps_list]
 
 
-def reduction_profiles(scenario: ReductionScenario) -> list[ReductionProfile]:
-    """Profile stage: the 3d run and its extracted profile at each eps of
-    the scenario's eps_list.
-
-    At a = 0 the 3d run factorizes exactly: it is the line run (b = 0) times
-    the _evolve_plane run, so the final field is their outer product and the
-    energy E_x |eta|^2 + E_y |phi|^2 at the plane's energy times.  It goes
-    through the same extraction as the full 3d run at a > 0.
-    """
-    return _mode_and_profiles(scenario)[1]
-
-
 def compare_profiles(scenario: ReductionScenario,
                      profiles: Sequence[ReductionProfile], b: float) -> ReductionTable:
     """Comparison stage: each profile against the 1d run at coupling b, on
@@ -323,13 +309,11 @@ def compare_profiles(scenario: ReductionScenario,
     is read, so the 1d run records an energy at its first and last step
     alone."""
     phi0 = _initial_line(scenario)
-    k2 = phi0.grid.k_squared()
-    v_axial = _line_potential(scenario.v_par, phi0.grid)
     rows = []
     for profile in profiles:
         reference = _strang_loop(phi0, scenario.t_final,
-                                 scenario.t_final / profile.steps, k2, 0.0,
-                                 v_axial, b, profile.steps + 1)
+                                 scenario.t_final / profile.steps, 0.0,
+                                 scenario.v_par, b, profile.steps + 1)
         rows.append(ReductionRow(
             epsilon=profile.epsilon,
             err_l2=phase_distance(profile.phi_eff, reference.final),
@@ -348,5 +332,5 @@ def reduction_sweep(scenario: ReductionScenario) -> ReductionTable:
     scenario's eps_list: the profile stage, then the comparison at
     b = 8 pi a int |chi|^4 of the same n_y-point mode the 3d runs rescale
     (b = 0 at a = 0).  The mode is solved once per sweep."""
-    mode_grid, profiles = _mode_and_profiles(scenario)
+    mode_grid, profiles = reduction_profiles(scenario)
     return compare_profiles(scenario, profiles, coupling_b(scenario.a, mode_grid))

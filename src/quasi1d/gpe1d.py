@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 
-__all__ = ["Grid1D", "ProductGrid", "Field", "Trajectory", "strang_step",
-           "energy_1d", "evolve_1d", "ground_state_1d", "gaussian_packet",
-           "plane_wave", "align_phase", "phase_distance"]
+__all__ = ["Grid1D", "ProductGrid", "Field", "Trajectory", "energy_1d",
+           "evolve_1d", "ground_state_1d", "gaussian_packet", "plane_wave",
+           "align_phase", "phase_distance"]
 
 Potential1D = Callable[[float, np.ndarray], np.ndarray] | None
 
@@ -91,6 +91,10 @@ class Grid1D:
     def k_squared(self) -> np.ndarray:
         return self.k**2
 
+    def mesh(self, sparse: bool = False) -> list[np.ndarray]:
+        """[x], as ProductGrid.mesh gives one array per axis."""
+        return [self.x]
+
 
 @dataclass(frozen=True, eq=False)
 class ProductGrid:
@@ -119,7 +123,8 @@ class ProductGrid:
 
 @dataclass(eq=False)
 class Field:
-    """Values on a grid with `dvol` and `k_squared()`: a Grid1D or a ProductGrid."""
+    """Values on a grid with `dvol`, `k_squared()` and `mesh()`: a Grid1D or a
+    ProductGrid."""
 
     grid: Any
     values: np.ndarray
@@ -255,12 +260,20 @@ def _phase_factor(alpha: np.ndarray, fac: np.ndarray) -> None:
     np.subtract(fac.real, 1.0, out=fac.real)
 
 
-def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
-                 v_static, v_axial: Callable[[float], Any], g: float,
-                 energy_stride: int, sample_stride: int = 0) -> Trajectory:
+def _potential(v_par, grid) -> Callable[[float], Any]:
+    """t -> v_par(t, *grid.mesh(sparse=True)), or 0 for v_par None."""
+    if v_par is None:
+        return lambda t: 0.0
+    mesh = grid.mesh(sparse=True)
+    return lambda t: v_par(t, *mesh)
+
+
+def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
+                 g: float, energy_stride: int, sample_stride: int = 0) -> Trajectory:
     """Strang steps over `span` under -Laplace + V_static + v(t) + g|psi|^2.
 
-    dt is adjusted to divide span; both may be negative.
+    k^2 is psi0.grid's, and v(t) = v_par(t, *psi0.grid.mesh(sparse=True)),
+    0 for v_par None.  dt is adjusted to divide span; both may be negative.
 
     Step i is the phase half-step with V_i = V_static + v(t_{i-1} + dt/2),
     the kinetic step exp(-i dt k2) by FFTs, and a second phase half-step
@@ -310,6 +323,8 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
     dt = span / n_steps
     grid = psi0.grid
     dvol = grid.dvol
+    k2 = grid.k_squared()
+    v_axial = _potential(v_par, grid)
     # exp(-i dt k2) in (axes 1.., axis 0) order, the order stage B reads
     # it in, formed in its own memory
     k2_b = np.moveaxis(k2, 0, -1)
@@ -474,23 +489,11 @@ def _strang_loop(psi0: Field, span: float, dt: float, k2: np.ndarray,
                       Field(grid, psi, t), samples)
 
 
-def _line_potential(v_par: Potential1D, grid: Grid1D) -> Callable[[float], Any]:
-    x = grid.x
-    return lambda t: 0.0 if v_par is None else v_par(t, x)
-
-
-def strang_step(phi: Field, dt: float, v_par: Potential1D = None,
-                b: float = 0.0) -> Field:
-    """One splitting step; returns a new field at phi.time + dt."""
-    return _strang_loop(phi, dt, dt, phi.grid.k_squared(), 0.0,
-                        _line_potential(v_par, phi.grid), b, 1).final
-
-
 def energy_1d(phi: Field, v_par: Potential1D = None, b: float = 0.0) -> float:
     """<Phi, (-d^2/dx^2 + V + b/2 |Phi|^2) Phi>, manifestly real."""
     grid = phi.grid
     return float(_energy(phi.values[None], grid.k_squared(), grid.dvol, 0.0,
-                         _line_potential(v_par, grid)(phi.time), b)[0])
+                         _potential(v_par, grid)(phi.time), b)[0])
 
 
 def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
@@ -498,8 +501,7 @@ def evolve_1d(phi0: Field, t_final: float, dt: float, v_par: Potential1D = None,
     """Evolve to t_final (dt adjusted to divide it); norm and energy every step."""
     if t_final <= 0.0 or dt <= 0.0:
         raise DomainError("t_final and dt must be positive")
-    return _strang_loop(phi0, t_final, dt, phi0.grid.k_squared(), 0.0,
-                        _line_potential(v_par, phi0.grid), b, 1, sample_stride)
+    return _strang_loop(phi0, t_final, dt, 0.0, v_par, b, 1, sample_stride)
 
 
 def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,

@@ -53,8 +53,8 @@ from .gpe1d import Field, Grid1D, ProductGrid
 from .scattering import CorrectionProfile
 from .transverse import TransverseMode, _confinement
 
-__all__ = ["ManyBodyState", "random_symmetric_state", "random_symmetric_states",
-           "product_state_mb", "expectation_weighted", "WeightTable", "rdm",
+__all__ = ["ManyBodyState", "random_symmetric_states", "product_state_mb",
+           "expectation_weighted", "WeightTable", "rdm",
            "trace_norm_vs_pure", "trace_distance", "check_pair_range",
            "HamiltonianSpec", "line_hamiltonian", "box_hamiltonian",
            "confined_hamiltonian", "orbital_from_fields", "energy_per_particle",
@@ -365,13 +365,6 @@ def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator
             tensors.reverse()
 
 
-def random_symmetric_state(n_particles: int, dim: int,
-                           rng: np.random.Generator) -> ManyBodyState:
-    """The first draw of ``random_symmetric_states``, in tensors of its own;
-    the stream is read no further."""
-    return next(random_symmetric_states(n_particles, dim, rng, 1))
-
-
 def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
     orb = np.asarray(orbital, dtype=complex)
     orb = orb / np.linalg.norm(orb)
@@ -518,18 +511,12 @@ def expectation_weighted(state: ManyBodyState, weights, orbital: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# reduced density matrices
+# the one-particle reduced density matrix
 
 
-def rdm(state: ManyBodyState, k: int) -> np.ndarray:
-    """k-particle reduced density matrix (trace normalized to 1).
-
-    Requires k < N: at least one slot must actually be traced out.
-    """
-    n = state.n_particles
-    if not 1 <= k < n:
-        raise DomainError(f"k must be in 1..{n - 1}")
-    mat = state.tensor.reshape(state.dim**k, state.dim ** (n - k))
+def rdm(state: ManyBodyState) -> np.ndarray:
+    """One-particle reduced density matrix (trace normalized to 1)."""
+    mat = state.tensor.reshape(state.dim, -1)
     gamma = mat @ mat.conj().T
     return gamma / np.trace(gamma).real
 
@@ -604,7 +591,7 @@ def _lanczos_distance(state: ManyBodyState, orbital: np.ndarray,
         off.append(beta)
         basis[k + 1] = w / beta
         w = (mat @ (basis[k + 1].conj() @ mat).conj()) * scale
-    return trace_norm_vs_pure(rdm(state, 1), orb)
+    return trace_norm_vs_pure(rdm(state), orb)
 
 
 # ---------------------------------------------------------------------------
@@ -959,14 +946,14 @@ def random_pair_form(ham: HamiltonianSpec, corr: CorrectionProfile,
     sector.
 
     psi is G + G^T for a complex Gaussian d x d tensor G, the distribution of
-    ``random_symmetric_state(2, d, rng)``.  The change to relative
+    ``random_symmetric_states(2, d, rng)``.  The change to relative
     coordinates (see ``relative_pair_form``) is unitary, so it maps G to
     independent complex Gaussian sectors g_K, and G^T to e^{iK.r} g_K(-r).
     The sectors are drawn _BLOCK at a time, a ``_DrawHelper`` drawing the
     next block into a second buffer while the form sums this one, and
     h_K = g_K + e^{iK.r} g_K(-r) is formed in a third, with the phase as one
     factor per axis; psi itself is never formed.  The normals are taken from
-    the stream in another order than ``random_symmetric_state`` takes them,
+    the stream in another order than ``random_symmetric_states`` takes them,
     so the value is that of another state of the same distribution.
     """
     shape, d = ham.grid.shape, ham.dim

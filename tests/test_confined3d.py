@@ -166,7 +166,7 @@ def _unfused_strang(psi0, a, v_perp, v_par, t_final, dt, sample_stride):
     g = 8.0 * math.pi * a * grid.epsilon**2
     conf = confined3d._confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :]
     kin = np.exp(-1j * dt * grid.k_squared())
-    v_axial = confined3d._box_potential(v_par, grid)
+    v_axial = gpe1d._potential(v_par, grid)
     psi, t, samples = psi0.values.copy(), psi0.time, [psi0.values.copy()]
     for i in range(1, n_steps + 1):
         v = conf + np.asarray(v_axial(t + 0.5 * dt))
@@ -455,8 +455,8 @@ def test_slab_count_does_not_change_small_box_results(monkeypatch):
 
             def evolve():
                 return gpe1d._strang_loop(
-                    psi0, 0.02, 1e-3, box.k_squared(), v_static,
-                    lambda t: np.sin(40.0 * t) * x[:, :, 0], 1.0, 5,
+                    psi0, 0.02, 1e-3, v_static,
+                    lambda t, x, y1: np.sin(40.0 * t) * x, 1.0, 5,
                     sample_stride=7)
 
             by_slab_count(box.shape, evolve)
@@ -482,6 +482,39 @@ def test_slab_count_does_not_change_small_box_results(monkeypatch):
 
     check()
     assert not _slab_threads()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_slab", "two_slabs"])
+@pytest.mark.parametrize("plane", [True, False], ids=["plane", "box"])
+def test_time_reversal_off_the_line(monkeypatch, plane, cpus):
+    # the loop is exactly time reversible on the (x, y1) plane and in the
+    # box too, under an interaction, a confinement and a potential that
+    # varies along x and y1 and in time, at one slab and at two
+    monkeypatch.setattr(gpe1d, "SLAB_MIN_POINTS", 0)
+    monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: cpus)
+    grid = confined3d.make_grid(8.0, 16, 4.0, 12, 0.5)
+    x, y1, y2 = grid.mesh(sparse=True)
+    packet = np.exp(-x**2 - (y1 - 0.2) ** 2 / 0.1 - y2**2 / 0.1
+                    + 1j * (x + 4.0 * y1))
+    conf = confined3d._confinement(grid.axes[1], grid.epsilon,
+                                   transverse.harmonic_profile)
+    if plane:
+        box = gpe1d.ProductGrid(grid.axes[:2])
+        psi0 = gpe1d.Field(box, packet[:, :, grid.n_y // 2]).normalized()
+        v_static = conf[None, :, grid.n_y // 2]
+
+        def v_par(t, x, y1):
+            return _axial_shaking(t, x, y1, 0.0)
+    else:
+        psi0 = gpe1d.Field(grid, packet).normalized()
+        v_static, v_par = conf[None], _axial_shaking
+    assert gpe1d._slab_workers(psi0.values.shape) == cpus
+    forward = gpe1d._strang_loop(psi0, 0.05, 1e-3, v_static, v_par, 1.0, 16)
+    back = gpe1d._strang_loop(forward.final, -0.05, -1e-3, v_static, v_par,
+                              1.0, 16)
+    assert np.max(np.abs(forward.final.values - psi0.values)) > 1e-2
+    assert np.max(np.abs(back.final.values - psi0.values)) < 1e-10
+    assert abs(back.final.time) < 1e-12
 
 
 def test_small_grids_start_no_thread(monkeypatch):
@@ -575,9 +608,7 @@ def gate_profiles():
                 a=0.5, v_perp=v_perp, v_par=lambda t, x: 0.5 * x**2,
                 eps_list=(0.4, 0.2, 0.1), t_final=0.1, dt_ref=0.00625,
                 length_x=16.0, n_x=64, n_y=32)
-            mode = transverse.ground_state_2d(v_perp, extent=scen.base_extent_y,
-                                              n=scen.n_y)
-            cache[v_perp] = (scen, mode, confined3d.reduction_profiles(scen))
+            cache[v_perp] = (scen, *confined3d.reduction_profiles(scen))
         return cache[v_perp]
 
     return profiles
@@ -734,9 +765,8 @@ def _one_loop_sweep(scenario):
         # the 1d reference reads only its final field, so it runs with no
         # energy between its first and last step
         reference = gpe1d._strang_loop(
-            phi0, scenario.t_final, scenario.t_final / n_steps,
-            phi0.grid.k_squared(), 0.0,
-            lambda t: scenario.v_par(t, phi0.grid.x), b, n_steps + 1).final
+            phi0, scenario.t_final, scenario.t_final / n_steps, 0.0,
+            scenario.v_par, b, n_steps + 1).final
         rows.append(confined3d.ReductionRow(
             epsilon=eps, err_l2=gpe1d.phase_distance(phi_eff, reference),
             orthogonal_mass=orth, energy_drift=drift, steps=n_steps))
@@ -761,10 +791,8 @@ def test_sweep_stages_compose_to_the_one_loop_sweep(a, monkeypatch):
     assert table.rows == _one_loop_sweep(scen)
     assert [row.steps for row in table.rows] == [5, 20]
     # the stages apart give the same rows, and any b reuses the profiles
-    profiles = confined3d.reduction_profiles(scen)
-    b = transverse.coupling_b(
-        a, transverse.ground_state_2d(scen.v_perp, extent=scen.base_extent_y,
-                                      n=scen.n_y))
+    mode, profiles = confined3d.reduction_profiles(scen)
+    b = transverse.coupling_b(a, mode)
     assert confined3d.compare_profiles(scen, profiles, b).rows == table.rows
     other = confined3d.compare_profiles(scen, profiles, b + 1.0).rows
     assert [row.err_l2 for row in other] != [row.err_l2 for row in table.rows]

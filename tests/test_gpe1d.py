@@ -65,9 +65,9 @@ def test_time_reversal():
     start = phi.values.copy()
     v = lambda t, x: 0.3 * x**2
     for _ in range(100):
-        phi = gpe1d.strang_step(phi, 0.01, v, b=1.3)
+        phi = gpe1d._strang_loop(phi, 0.01, 0.01, 0.0, v, 1.3, 1).final
     for _ in range(100):
-        phi = gpe1d.strang_step(phi, -0.01, v, b=1.3)
+        phi = gpe1d._strang_loop(phi, -0.01, -0.01, 0.0, v, 1.3, 1).final
     assert np.max(np.abs(phi.values - start)) < 1e-10
     assert abs(phi.time) < 1e-12
 
@@ -549,9 +549,9 @@ def test_time_reversal_property():
         phi = start = _random_field(gpe1d.Grid1D(8.0, 2 * half_n), seed)
         v = lambda t, x: 0.3 * x**2 + np.sin(t) * x
         for _ in range(10):
-            phi = gpe1d.strang_step(phi, dt, v, b=b)
+            phi = gpe1d._strang_loop(phi, dt, dt, 0.0, v, b, 1).final
         for _ in range(10):
-            phi = gpe1d.strang_step(phi, -dt, v, b=b)
+            phi = gpe1d._strang_loop(phi, -dt, -dt, 0.0, v, b, 1).final
         assert np.max(np.abs(phi.values - start.values)) < 1e-10
         assert abs(phi.time - start.time) < 1e-12
 

@@ -944,6 +944,23 @@ def test_one_mu_scatter_fails_its_spread_assertions(tmp_path, capsys):
     assert summary["artifacts"] == ["sweep.csv", "radial_table.csv"]
 
 
+def test_cli_zero_halving_errors_fail_the_ratio_assertion(tmp_path, capsys):
+    # the flat field at b = 0 is a fixed point of every step, so both
+    # step-halving errors are 0: the ratio measures nothing, is null and fails
+    code = cli.main(["evolve1d", str(CONFIG_DIR / "gpe_convergence.ini"),
+                     "--output", str(tmp_path),
+                     "--set", "evolve1d.initial=constant",
+                     "--set", "evolve1d.b=0",
+                     "--set", "assert.halving_ratio=< 5"])
+    assert code == 1
+    assert "FAIL (2/3 assertions)" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "gpe_convergence" / "summary.json")
+                         .read_text(encoding="utf-8"))
+    assert summary["metrics"]["halving_ratio"] is None
+    assert [row["metric"] for row in summary["assertions"]
+            if not row["passed"]] == ["halving_ratio"]
+
+
 def test_multi_mu_scatter_needs_no_beta_tilde(tmp_path):
     # without beta_tilde a sweep reports the scattering length's spread
     # over mu and writes no table

@@ -43,7 +43,7 @@ def rng():
 
 
 def test_random_state_is_symmetric_and_normalized(rng):
-    state = manybody.random_symmetric_state(3, 5, rng)
+    state = next(manybody.random_symmetric_states(3, 5, rng, 1))
     assert np.linalg.norm(state.tensor) == pytest.approx(1.0, abs=1e-13)
     swapped = state.tensor.transpose(1, 0, 2)
     assert np.max(np.abs(swapped - state.tensor)) < 1e-13
@@ -62,7 +62,7 @@ def test_state_guards(rng):
 
 @pytest.mark.parametrize("n,dim", [(2, 12), (3, 6)])
 def test_counter_decomposition(rng, n, dim):
-    state = manybody.random_symmetric_state(n, dim, rng)
+    state = next(manybody.random_symmetric_states(n, dim, rng, 1))
     for orb in (unit_vector(dim, 0), random_orbital(np.random.default_rng(dim), dim)):
         resid_sq, gram = manybody._counter_sums(state, orb)
         assert gram.shape == (n + 1, n + 1)
@@ -87,7 +87,7 @@ def test_counter_decomposition(rng, n, dim):
 
 
 def test_orbital_guards(rng):
-    state = manybody.random_symmetric_state(2, 6, rng)
+    state = next(manybody.random_symmetric_states(2, 6, rng, 1))
     orb = unit_vector(6, 1)
     grid = gpe1d.Grid1D(6.0, 6)
     ham = manybody.line_hamiltonian(grid)
@@ -102,7 +102,7 @@ def test_orbital_guards(rng):
 def test_weighted_expectation_is_bounded_by_its_weights(rng):
     f = np.array([0.3, -1.2, 2.0])
     for _ in range(5):
-        state = manybody.random_symmetric_state(2, 8, rng)
+        state = next(manybody.random_symmetric_states(2, 8, rng, 1))
         orb = random_orbital(rng, 8)
         value = manybody.expectation_weighted(state, f, orb)
         assert np.min(f) - 1e-12 <= value <= np.max(f) + 1e-12
@@ -173,24 +173,17 @@ def test_weight_table_guards():
 def test_rdm_of_product_state():
     orb = unit_vector(5, 2)
     state = manybody.product_state_mb(orb, 3)
-    gamma = manybody.rdm(state, 1)
+    gamma = manybody.rdm(state)
     assert np.max(np.abs(gamma - np.outer(orb, orb.conj()))) < 1e-12
     assert np.trace(gamma).real == pytest.approx(1.0, abs=1e-13)
 
 
 def test_rdm_properties(rng):
-    state = manybody.random_symmetric_state(3, 6, rng)
-    gamma = manybody.rdm(state, 1)
+    state = next(manybody.random_symmetric_states(3, 6, rng, 1))
+    gamma = manybody.rdm(state)
     assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-13
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-12
-    # tracing one more slot out of the pair matrix gives the same one-body
-    gamma2 = manybody.rdm(state, 2).reshape(6, 6, 6, 6)
-    partial = np.trace(gamma2, axis1=1, axis2=3)
-    assert np.max(np.abs(partial - manybody.rdm(state, 1))) < 1e-10
-    with pytest.raises(DomainError):
-        manybody.rdm(state, 0)
-    with pytest.raises(DomainError):
-        manybody.rdm(state, 3)
+    assert np.trace(gamma).real == pytest.approx(1.0, abs=1e-13)
 
 
 def test_trace_norm_extremes():
@@ -216,7 +209,7 @@ def test_condensation_bounds_both_directions(rng):
     e_phi = gpe1d.energy_1d(phi, None, 1.0)
     slack = 1e-9
     for _ in range(5):
-        psi = manybody.random_symmetric_state(n, grid.n, rng)
+        psi = next(manybody.random_symmetric_states(n, grid.n, rng, 1))
         sample = manybody.counting_sample(psi, orb, table, ham, e_phi)
         alpha, gap, dist = sample.alpha, sample.gap, sample.trace_dist
         assert alpha == sample.counting + gap
@@ -252,7 +245,7 @@ def test_counter_completeness_and_orthogonality_property():
     def check(n, half_dim, seed):
         gen = np.random.default_rng(seed)
         grid = gpe1d.Grid1D(2.0 * math.pi, 2 * half_dim)
-        state = manybody.random_symmetric_state(n, grid.n, gen)
+        state = next(manybody.random_symmetric_states(n, grid.n, gen, 1))
         orb = random_orbital(gen, grid.n)
         resid_sq, gram = manybody._counter_sums(state, orb)
         assert math.sqrt(resid_sq) < 1e-12
@@ -287,9 +280,9 @@ def test_trace_distance_matches_eigvalsh_property():
                       seed=st.integers(0, 2**32 - 1))
     def check(n, dim, seed):
         gen = np.random.default_rng(seed)
-        state = manybody.random_symmetric_state(n, dim, gen)
+        state = next(manybody.random_symmetric_states(n, dim, gen, 1))
         orb = random_orbital(gen, dim)
-        ref = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
+        ref = manybody.trace_norm_vs_pure(manybody.rdm(state), orb)
         assert manybody.trace_distance(state, orb) == \
             pytest.approx(ref, rel=1e-12)
 
@@ -335,8 +328,8 @@ def test_counter_gram_gives_the_slot_zero_outside_weight(n):
     state, on random states and near products alike: each Gram term is
     formed from q-parts, so the sum keeps its relative precision."""
     gen = np.random.default_rng(30 + n)
-    cases = [(manybody.random_symmetric_state(n, 7, gen), random_orbital(gen, 7))
-             for _ in range(3)]
+    cases = [(next(manybody.random_symmetric_states(n, 7, gen, 1)),
+              random_orbital(gen, 7)) for _ in range(3)]
     cases += [two_orbital_state(gen, n, theta)
               for theta in (0.7, 1e-2, 1e-4, 1e-6)]
     for state, orb in cases:
@@ -359,11 +352,11 @@ def test_trace_distance_of_product_state(n):
 
 
 def test_trace_distance_falls_back_to_eigvalsh(rng, monkeypatch):
-    state = manybody.random_symmetric_state(2, 16, rng)
+    state = next(manybody.random_symmetric_states(2, 16, rng, 1))
     orb = random_orbital(rng, 16)
     lanczos = manybody.trace_distance(state, orb)
     monkeypatch.setattr(manybody, "_LANCZOS_STEPS", 2)
-    dense = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
+    dense = manybody.trace_norm_vs_pure(manybody.rdm(state), orb)
     assert manybody.trace_distance(state, orb) == dense
     assert lanczos == pytest.approx(dense, rel=1e-12)
 
@@ -468,7 +461,7 @@ def test_symmetrize_matches_permutation_sum(n, dim):
 
 @pytest.mark.parametrize("n,dim", [(2, 9), (3, 6), (4, 4)])
 def test_random_state_follows_seed_recipe(n, dim):
-    state = manybody.random_symmetric_state(n, dim, np.random.default_rng(5))
+    state = next(manybody.random_symmetric_states(n, dim, np.random.default_rng(5), 1))
     ref = permutation_average(complex_draw(np.random.default_rng(5),
                                            (dim,) * n))
     ref /= np.linalg.norm(ref.ravel())
@@ -518,7 +511,7 @@ def test_energy_per_particle_matches_fft_reference():
     cases = [(line, 2), (line, 3), (line, 4), (confined, 2),
              (confined_pair, 2), (box, 2), (box, 3)]
     for ham, n in cases:
-        state = manybody.random_symmetric_state(n, ham.dim, gen)
+        state = next(manybody.random_symmetric_states(n, ham.dim, gen, 1))
         ref = fft_energy_per_particle(state, ham)
         # a Fortran-ordered copy must read the same: buffers are C order
         fortran = manybody.ManyBodyState(n, ham.dim,
@@ -668,7 +661,7 @@ def unblocked(monkeypatch, block):
 def test_blocked_draw_is_the_seed_recipe_bitwise(monkeypatch, block, n, dim):
     unblocked(monkeypatch, block)
     gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
-    state = manybody.random_symmetric_state(n, dim, gen)
+    state = next(manybody.random_symmetric_states(n, dim, gen, 1))
     assert np.array_equal(state.tensor, seed_recipe_state(ref_gen, n, dim))
     # both consumed the same stretch of the stream
     assert gen.standard_normal() == ref_gen.standard_normal()
@@ -776,8 +769,8 @@ BOX_TENSOR_BYTES = 1728**2 * 16     # one N = 2 state on the 12^3 box
 
 
 def test_draw_holds_one_tensor():
-    peak, state = traced_peak(
-        lambda: manybody.random_symmetric_state(2, 1728, np.random.default_rng(1)))
+    peak, state = traced_peak(lambda: next(manybody.random_symmetric_states(
+        2, 1728, np.random.default_rng(1), 1)))
     assert state.tensor.nbytes == BOX_TENSOR_BYTES
     assert peak <= 1.1 * BOX_TENSOR_BYTES
 
@@ -892,7 +885,7 @@ def test_blocked_counter_sums_match_projector_components(monkeypatch, block,
                                                           n, dim):
     unblocked(monkeypatch, block)
     gen = np.random.default_rng(12)
-    state = manybody.random_symmetric_state(n, dim, gen)
+    state = next(manybody.random_symmetric_states(n, dim, gen, 1))
     orb = random_orbital(gen, dim)
     before = state.tensor.copy()
     resid_sq, gram = manybody._counter_sums(state, orb)
@@ -922,11 +915,11 @@ def test_blocked_energy_and_trace_distance(monkeypatch, block):
         gpe1d.Grid1D(6.0, 14), v_par=lambda t, x: 0.3 * np.cos(x),
         pair_potential=lambda r: np.exp(-r**2))
     for ham, n in [(line, 2), (confined, 2), (line_small, 3), (line_small, 4)]:
-        state = manybody.random_symmetric_state(n, ham.dim, gen)
+        state = next(manybody.random_symmetric_states(n, ham.dim, gen, 1))
         assert manybody.energy_per_particle(state, ham) == \
             pytest.approx(fft_energy_per_particle(state, ham), rel=1e-12)
         orb = random_orbital(gen, ham.dim)
-        dense = manybody.trace_norm_vs_pure(manybody.rdm(state, 1), orb)
+        dense = manybody.trace_norm_vs_pure(manybody.rdm(state), orb)
         assert manybody.trace_distance(state, orb) == pytest.approx(dense, rel=1e-10)
 
 
@@ -937,7 +930,7 @@ def test_counting_sample_takes_one_counter_pass(monkeypatch, block, n, dim):
     from one _counter_sums call, and equal the separate entry points."""
     unblocked(monkeypatch, block)
     gen = np.random.default_rng(14)
-    state = manybody.random_symmetric_state(n, dim, gen)
+    state = next(manybody.random_symmetric_states(n, dim, gen, 1))
     orb = random_orbital(gen, dim)
     table = manybody.WeightTable.build(n, 0.1)
     ham = manybody.line_hamiltonian(gpe1d.Grid1D(2.0 * math.pi, dim))
@@ -1063,7 +1056,7 @@ def test_warm_counting_sample_allocates_block_scratch_only(n, dim, nbytes):
                                     pair_range=1.0)
     table = manybody.WeightTable.build(n, 0.1)
     orb = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    state = manybody.random_symmetric_state(n, dim, np.random.default_rng(3))
+    state = next(manybody.random_symmetric_states(n, dim, np.random.default_rng(3), 1))
     assert state.tensor.nbytes == nbytes
     first = manybody.counting_sample(state, orb, table, ham, 0.5)
     peak, again = traced_peak(
