@@ -15,7 +15,6 @@ import argparse
 import configparser
 import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import ConfigError
 from .harness import (SCENARIO_KINDS, ScenarioConfig, apply_overrides,
@@ -123,6 +122,9 @@ def _cmd_run(args: argparse.Namespace, kind: str) -> int:
                             root=args.output)
     if args.jobs == 1 or len(paths) == 1:
         return _report_all(map(run, paths))
+    # imported here, not with the module: concurrent.futures pulls in
+    # logging, a cost to every process that runs one config
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         return _report_all(pool.map(run, paths))
 

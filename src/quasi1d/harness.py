@@ -625,13 +625,6 @@ class AdmissibilityReport:
     admissible: bool
     window: dict | None      # optional 5/6 < d < beta_tilde < 2/(2+delta)
 
-    def as_dict(self) -> dict:
-        return {"delta": self.delta, "n_values": list(self.n_values),
-                "eps_values": list(self.eps_values),
-                "products": list(self.products),
-                "strictly_decreasing": self.strictly_decreasing,
-                "admissible": self.admissible, "window": self.window}
-
 
 def validate_admissibility(sequence, delta: float, d: float | None = None,
                            beta_tilde: float | None = None) -> AdmissibilityReport:
@@ -1117,7 +1110,6 @@ class ScenarioResult:
     assertions: list
     out_dir: Path
     summary_path: Path
-    admissibility: AdmissibilityReport | None = None
 
 
 def run_scenario(cfg: ScenarioConfig, root: str | Path | None = None) -> ScenarioResult:
@@ -1149,11 +1141,10 @@ def run_scenario(cfg: ScenarioConfig, root: str | Path | None = None) -> Scenari
     if extra:
         summary["detail"] = extra
     if admissibility is not None:
-        summary["admissibility"] = admissibility.as_dict()
+        summary["admissibility"] = dataclasses.asdict(admissibility)
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(_to_jsonable(summary), indent=2,
                                        sort_keys=True, allow_nan=False) + "\n",
                             encoding="utf-8")
     return ScenarioResult(ok=ok, metrics=metrics, assertions=assertion_rows,
-                          out_dir=out_dir, summary_path=summary_path,
-                          admissibility=admissibility)
+                          out_dir=out_dir, summary_path=summary_path)

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterator
@@ -220,13 +222,6 @@ def _standard_normal_into(rng: np.random.Generator, part: np.ndarray) -> None:
         block[...] = chunk
 
 
-def _complex_normals_into(rng: np.random.Generator, tensor: np.ndarray) -> None:
-    """All real parts of ``tensor``, then all imaginary parts, from the
-    stream."""
-    _standard_normal_into(rng, tensor.real)
-    _standard_normal_into(rng, tensor.imag)
-
-
 def _openblas_threads() -> tuple | None:
     """The thread-count getter and setter of the OpenBLAS bundled with
     numpy, or None where there is none.
@@ -273,55 +268,56 @@ class _OneBlasThread:
             self._blas[1](self._threads)
 
 
-class _DrawHelper(_OneBlasThread):
-    """Draws on a second thread while the caller's kernels run on one.
+def _read_ahead(fill: Callable[[np.ndarray, int], None], buffers: list[np.ndarray],
+                count: int) -> Iterator[np.ndarray]:
+    """Yields a buffer after ``fill(buffer, i)``, for i < ``count``, with
+    OpenBLAS on one thread for the generator's whole life, so a fill does
+    not contend with a spinning BLAS thread; where numpy's bundled OpenBLAS
+    is not found, only the fills move.
 
-    Inside ``with``, OpenBLAS runs on one thread, so a draw does not contend
-    with a spinning BLAS thread; where numpy's bundled OpenBLAS is not
-    found, only the draws move.  ``start`` runs one draw, or a state's whole
-    preparation, on a thread named quasi1d-draw; ``wait`` joins it and
-    raises its exception, if any, in the caller.  numpy's generators hold a lock and release the GIL while they
-    fill, so the caller must not use the stream of a draw in flight.
+    The first fill runs on the caller's thread.  With two buffers, fill i + 1
+    runs on a thread named quasi1d-draw, into the buffer the caller is not
+    reading, while the caller reads fill i; its exception, if any, is raised
+    at the next ``next()``.  With one buffer, each fill runs when it is asked
+    for.  Closing the generator joins the thread.  numpy's generators hold a
+    lock and release the GIL while they fill, so the caller must not use the
+    stream of a fill in flight.
     """
+    errors = []
 
-    def __enter__(self) -> "_DrawHelper":
-        self._thread = self._error = None
-        return super().__enter__()
-
-    def start(self, draw: Callable, *args, **kwargs) -> None:
-        import threading
-
-        def run() -> None:
-            try:
-                draw(*args, **kwargs)
-            except BaseException as exc:    # raised again by wait()
-                self._error = exc
-
-        self._thread = threading.Thread(target=run, name="quasi1d-draw")
-        self._thread.start()
-
-    def wait(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def __exit__(self, exc_type, *rest) -> None:
+    def fill_ahead(buffer: np.ndarray, i: int) -> None:
         try:
-            self.wait()
-        except BaseException:
-            if exc_type is None:    # else the caller's exception goes on
-                raise
+            fill(buffer, i)
+        except BaseException as exc:    # raised again by the next next()
+            errors.append(exc)
+
+    thread = None
+    with _OneBlasThread():
+        try:
+            for i in range(count):
+                buffer = buffers[i % len(buffers)]
+                if thread is None:
+                    fill(buffer, i)
+                else:
+                    thread.join()
+                    if errors:
+                        raise errors.pop()
+                if len(buffers) == 2 and i + 1 < count:
+                    thread = threading.Thread(target=fill_ahead, name="quasi1d-draw",
+                                              args=(buffers[(i + 1) % 2], i + 1))
+                    thread.start()
+                yield buffer
         finally:
-            super().__exit__(exc_type, *rest)
+            if thread is not None:
+                thread.join()
 
 
 def _random_state_into(rng: np.random.Generator, tensor: np.ndarray,
                        bufs: list[np.ndarray]) -> None:
-    """One draw of ``random_symmetric_states`` into ``tensor``."""
-    _complex_normals_into(rng, tensor)
+    """One draw of ``random_symmetric_states`` into ``tensor``: all real
+    parts, then all imaginary parts, from the stream."""
+    _standard_normal_into(rng, tensor.real)
+    _standard_normal_into(rng, tensor.imag)
     _permutation_sum(tensor, bufs)
     # each real component divided by the real norm: cheaper than the complex
     # division, which scales by a reciprocal and can differ in the last bit
@@ -330,9 +326,9 @@ def _random_state_into(rng: np.random.Generator, tensor: np.ndarray,
 
 
 def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator,
-                            count: int | None = None) -> Iterator[ManyBodyState]:
+                            count: int) -> Iterator[ManyBodyState]:
     """``count`` symmetrized complex-Gaussian tensors, normalized, in one or
-    two buffers; endless when ``count`` is None.
+    two buffers.
 
     All real parts are drawn, then all imaginary parts, in the stream order
     of two ``standard_normal((dim,) * N)`` calls, but through a block-sized
@@ -343,26 +339,24 @@ def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator
     The tensors and the coset sum's buffers are allocated once: each step
     overwrites a state an earlier step yielded.
 
-    For N >= 3 there are two tensors, and a ``_DrawHelper`` prepares the
-    next state whole (draw, coset sum and normalization) in the one the
-    caller is not reading; the stream is read one state ahead, but never
-    past the ``count``-th, and must not be used elsewhere before the
-    iterator ends.  N = 2 keeps one tensor, as a second would cost a whole
-    state, and prepares each state when it is asked for.
+    For N >= 3 there are two tensors, and ``_read_ahead`` prepares the next
+    state whole (draw, coset sum and normalization) in the one the caller
+    is not reading; the stream is read one state ahead, but never past the
+    ``count``-th, and must not be used elsewhere before the iterator ends.
+    N = 2 keeps one tensor, as a second would cost a whole state, and
+    prepares each state when it is asked for.
     """
     shape = (dim,) * n_particles
     tensors = [np.empty(shape, dtype=complex)
                for _ in range(1 if n_particles == 2 else 2)]
     bufs = _coset_buffers(tensors[0])
-    with _DrawHelper() as helper:
-        for i in itertools.count() if count is None else range(count):
-            if i == 0 or len(tensors) == 1:
-                _random_state_into(rng, tensors[0], bufs)
-            helper.wait()
-            if len(tensors) == 2 and i + 1 != count:
-                helper.start(_random_state_into, rng, tensors[1], bufs)
-            yield ManyBodyState(n_particles, dim, tensors[0])
-            tensors.reverse()
+
+    def fill(tensor: np.ndarray, _: int) -> None:
+        _random_state_into(rng, tensor, bufs)
+
+    with closing(_read_ahead(fill, tensors, count)) as states:
+        for tensor in states:
+            yield ManyBodyState(n_particles, dim, tensor)
 
 
 def product_state_mb(orbital: np.ndarray, n_particles: int) -> ManyBodyState:
@@ -443,23 +437,17 @@ def _counter_sums(state: ManyBodyState,
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """m(k) and its discrete difference families on k = 0..N.
+    """m(k) on k = 0..N.
 
-    Differences are taken with the formula's natural extension past k = N,
-    so every array has length N + 1.  First differences (one or two steps)
-    stay below N^(xi - 1); the six second-difference combinations stay below
-    N^(3 xi - 2).
+    ``bounds_report`` takes its discrete difference families with the
+    formula's natural extension past k = N, so every family has length
+    N + 1.  First differences (one or two steps) stay below N^(xi - 1); the
+    six second-difference combinations stay below N^(3 xi - 2).
     """
 
     n_particles: int
     xi: float
     m: np.ndarray
-    m_a: np.ndarray   # m(k) - m(k+1)
-    m_b: np.ndarray   # m(k) - m(k+2)
-    m_c: np.ndarray   # m_a(k) - m_a(k+1)
-    m_d: np.ndarray   # m_a(k) - m_a(k+2)
-    m_e: np.ndarray   # m_b(k) - m_b(k+1)
-    m_f: np.ndarray   # m_b(k) - m_b(k+2)
 
     @staticmethod
     def m_value(k, n: int, xi: float) -> np.ndarray:
@@ -474,22 +462,20 @@ class WeightTable:
             raise DomainError(f"xi must lie in (0, 1/2), got {xi}")
         if n_particles < 1:
             raise DomainError("need at least one particle")
-        n = n_particles
-        mv = cls.m_value(np.arange(n + 5), n, xi)
-        a_full = mv[:-1] - mv[1:]
-        b_full = mv[:-2] - mv[2:]
-        return cls(n_particles=n, xi=xi, m=mv[:n + 1],
-                   m_a=a_full[:n + 1], m_b=b_full[:n + 1],
-                   m_c=a_full[:n + 1] - a_full[1:n + 2],
-                   m_d=a_full[:n + 1] - a_full[2:n + 3],
-                   m_e=b_full[:n + 1] - b_full[1:n + 2],
-                   m_f=b_full[:n + 1] - b_full[2:n + 3])
+        return cls(n_particles=n_particles, xi=xi,
+                   m=cls.m_value(np.arange(n_particles + 1), n_particles, xi))
 
     def bounds_report(self) -> dict:
-        first = self.n_particles ** (self.xi - 1.0)
-        second = self.n_particles ** (3.0 * self.xi - 2.0)
-        sups = {name: float(np.max(np.abs(getattr(self, name))))
-                for name in ("m_a", "m_b", "m_c", "m_d", "m_e", "m_f")}
+        n = self.n_particles
+        mv = self.m_value(np.arange(n + 5), n, self.xi)
+        a = mv[:-1] - mv[1:]    # m(k) - m(k+1)
+        b = mv[:-2] - mv[2:]    # m(k) - m(k+2)
+        families = {"m_a": a[:n + 1], "m_b": b[:n + 1],
+                    "m_c": a[:n + 1] - a[1:n + 2], "m_d": a[:n + 1] - a[2:n + 3],
+                    "m_e": b[:n + 1] - b[1:n + 2], "m_f": b[:n + 1] - b[2:n + 3]}
+        sups = {name: float(np.max(np.abs(f))) for name, f in families.items()}
+        first = n ** (self.xi - 1.0)
+        second = n ** (3.0 * self.xi - 2.0)
         slack = 1.0 + 1e-12
         return {"sups": sups, "first_bound": first, "second_bound": second,
                 "first_ok": sups["m_a"] <= first * slack
@@ -949,7 +935,7 @@ def random_pair_form(ham: HamiltonianSpec, corr: CorrectionProfile,
     ``random_symmetric_states(2, d, rng)``.  The change to relative
     coordinates (see ``relative_pair_form``) is unitary, so it maps G to
     independent complex Gaussian sectors g_K, and G^T to e^{iK.r} g_K(-r).
-    The sectors are drawn _BLOCK at a time, a ``_DrawHelper`` drawing the
+    The sectors are drawn _BLOCK at a time, ``_read_ahead`` drawing the
     next block into a second buffer while the form sums this one, and
     h_K = g_K + e^{iK.r} g_K(-r) is formed in a third, with the phase as one
     factor per axis; psi itself is never formed.  The normals are taken from
@@ -965,17 +951,15 @@ def random_pair_form(ham: HamiltonianSpec, corr: CorrectionProfile,
     rows = min(_BLOCK, d)
     raws = [np.empty((rows, 2 * d)), np.empty((rows, 2 * d))]
     h_buf = np.empty((rows, d), dtype=complex)
+    starts = range(0, d, rows)
+
+    def fill(raw: np.ndarray, i: int) -> None:
+        rng.standard_normal(out=raw[:min(rows, d - starts[i])])
+
     form = norm = 0.0
-    with _DrawHelper() as helper:
-        rng.standard_normal(out=raws[0][:rows])
-        for start in range(0, d, rows):
-            helper.wait()
-            draw = raws[0][:min(rows, d - start)]
-            raws.reverse()
-            if start + rows < d:    # the next block, while this one is summed
-                helper.start(rng.standard_normal,
-                             out=raws[0][:min(rows, d - start - rows)])
-            g = draw.view(complex)
+    with closing(_read_ahead(fill, raws, len(starts))) as blocks:
+        for start, raw in zip(starts, blocks):
+            g = raw[:min(rows, d - start)].view(complex)
             h = h_buf[:len(g)]
             # g_K(-r); mode="raise" would buffer the output, and no index clips
             np.take(g, reflected, axis=1, out=h, mode="clip")

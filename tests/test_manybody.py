@@ -7,6 +7,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -1043,6 +1044,55 @@ def test_failed_sector_draw_reaches_the_caller(bump_correction):
         assert set(stream.seen) == {1}
 
 
+def test_closing_the_draws_joins_the_helper_in_flight():
+    """Closed while the helper prepares the second N = 3 state, the draws
+    leave no helper thread and restore the BLAS thread count."""
+    blas = manybody._openblas_threads()
+    before = blas[0]() if blas is not None else None
+    gen = np.random.default_rng(11)
+    drawing = threading.Event()
+
+    class SlowStream:
+        def standard_normal(self, out):
+            if threading.current_thread().name == "quasi1d-draw":
+                drawing.set()
+                time.sleep(0.2)
+            gen.standard_normal(out=out)
+
+    draws = manybody.random_symmetric_states(3, 5, SlowStream(), 3)
+    next(draws)
+    assert drawing.wait(timeout=10)
+    assert [t for t in threading.enumerate()
+            if t.name == "quasi1d-draw" and t.is_alive()]
+    if blas is not None:
+        assert blas[0]() == 1
+    draws.close()
+    assert_helper_gone(blas, before)
+
+
+def test_draws_without_openblas_are_the_pinned_bits(monkeypatch, bump_correction):
+    """Where numpy's bundled OpenBLAS is not found, the draws and the pair
+    form give the bits they give with it pinned to one thread.  The second
+    run holds the sums on one thread from outside, so only the missing
+    library differs between the two."""
+    ham = manybody.box_hamiltonian(1.8, 6)     # d = 216: five sector blocks
+
+    def run():
+        states = [state.tensor.copy() for state in manybody.random_symmetric_states(
+            3, 9, np.random.default_rng(12), 3)]
+        pair = manybody.random_pair_form(ham, bump_correction,
+                                         np.random.default_rng(13))
+        return states, pair
+
+    pinned_states, pinned_pair = run()
+    with manybody._OneBlasThread():
+        monkeypatch.setattr(manybody, "_openblas_threads", lambda: None)
+        states, pair = run()
+    assert all(np.array_equal(a, b) for a, b in zip(states, pinned_states))
+    assert len(states) == 3
+    assert pair == pinned_pair
+
+
 LINE_256_BYTES = 256**2 * 16      # one N = 2 state on a 256-point line
 LINE_64_BYTES = 64**3 * 16        # one N = 3 state on a 64-point line
 
@@ -1074,7 +1124,8 @@ def test_second_counting_loop_allocates_no_tensor():
         ham = manybody.line_hamiltonian(grid)
         table = manybody.WeightTable.build(n, 0.2)
         orb = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-        draws = manybody.random_symmetric_states(n, dim, np.random.default_rng(4))
+        # five states, so the helper prepares one during each of the four samples
+        draws = manybody.random_symmetric_states(n, dim, np.random.default_rng(4), 5)
 
         def loop():
             return [manybody.counting_sample(next(draws), orb, table, ham, 0.5)
