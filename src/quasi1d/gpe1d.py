@@ -46,7 +46,7 @@ SLAB_MIN_POINTS = 200_000
 # The loop evaluates its recorded energies in stacks of max(1, BATCH_POINTS //
 # field size) fields: 32 on the 256-point line, 3 on the 48^2 plane, and on a
 # 3d box one, the loop's own psi.  BATCH_POINTS is the 128 KiB (of complex)
-# floor that manybody._LEAST sets for its blocked passes; below it numpy's
+# floor, also manybody._LEAST for its blocked passes; below it numpy's
 # per-call cost outweighs the arithmetic (on the 256-point line an energy
 # took 25-30 us alone and 5.4 us per field in a stack of 32, 2-vCPU Xeon,
 # numpy 2.4).

@@ -69,14 +69,10 @@ class ScenarioConfig:
     name: str
     seed: int
     path: str
-    text: str                     # the effective INI text the hash covers
+    sha256: str                   # of the effective config, canonically written
     spec: object                  # ScatterSpec, TrapSpec, ... by kind
     admissibility: AdmissibilityReport | None
     assertions: tuple             # (metric, op, threshold, tol) per row
-
-    @property
-    def sha256(self) -> str:
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 @dataclass(eq=False)
@@ -196,7 +192,8 @@ def _locate_key(text: str, section: str, key: str) -> int | None:
 
 
 def _serialize_parser(parser: configparser.ConfigParser) -> str:
-    """Canonical INI text; the reproducibility hash is taken over this."""
+    """Canonical INI text, without comments or layout; the reproducibility
+    hash is taken over this."""
     lines = []
     for section in parser.sections():
         lines.append(f"[{section}]")
@@ -222,7 +219,8 @@ def load_config(path: str | Path, overrides=None) -> ScenarioConfig:
     """Parse and statically validate a scenario file.
 
     ``overrides`` are 'section.key=value' strings layered on top of the file;
-    the reproducibility hash covers the effective (post-override) config.
+    the reproducibility hash covers the effective (post-override) config, so
+    an override that restates a file value keeps it.
     """
     p = Path(path)
     try:
@@ -236,22 +234,16 @@ def load_config(path: str | Path, overrides=None) -> ScenarioConfig:
         # configparser errors already carry line-level context
         raise ConfigError(f"config parse failure: {exc}") from exc
     apply_overrides(parser, overrides)
-    text = _serialize_parser(parser) if overrides else raw
-    return validate_config(parser, str(p), text, source=raw, name=p.stem)
+    return validate_config(parser, str(p), source=raw, name=p.stem)
 
 
 def from_mapping(kind: str, values: dict, name: str = "adhoc") -> ScenarioConfig:
     """Build a config from {section: {key: value}} without a file (the CLI's
-    runs from --set alone); `values` may override the kind and name.
-
-    The effective INI text is synthesized so the reproducibility hash is as
-    well-defined as for file-based runs.
-    """
+    runs from --set alone); `values` may override the kind and name."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({"scenario": {"kind": kind, "name": name}})
     parser.read_dict(values)
-    return validate_config(parser, "<flags>", _serialize_parser(parser),
-                           name=name)
+    return validate_config(parser, "<flags>", name=name)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -263,13 +255,14 @@ class _Header:
     seed: int = 0
 
 
-def validate_config(parser: configparser.ConfigParser, path: str, text: str,
+def validate_config(parser: configparser.ConfigParser, path: str,
                     source: str | None = None,
                     name: str = "adhoc") -> ScenarioConfig:
     """Parse every section into its typed value; the only check a config gets.
 
-    ``text`` is hashed for reproducibility, ``source`` (the file's own text)
-    gives diagnostics their lines and ``name`` is the default scenario name."""
+    The reproducibility hash is taken over the parser's canonical text,
+    ``source`` (the file's own text) gives diagnostics their lines and
+    ``name`` is the default scenario name."""
     section = functools.partial(_Section, parser, path, source)
     scen = section("scenario")
     header = scen.read(_Header)
@@ -287,8 +280,9 @@ def validate_config(parser: configparser.ConfigParser, path: str, text: str,
                      if parser.has_section("admissibility") else None)
     assertions = (_parse_assertions(section("assert"))
                   if parser.has_section("assert") else ())
+    digest = hashlib.sha256(_serialize_parser(parser).encode("utf-8")).hexdigest()
     return ScenarioConfig(kind=kind, name=header["name"] or name,
-                          seed=header["seed"], path=path, text=text, spec=spec,
+                          seed=header["seed"], path=path, sha256=digest, spec=spec,
                           admissibility=admissibility, assertions=assertions)
 
 
@@ -319,6 +313,17 @@ def _grid_size(sec: _Section, v: dict, *keys: str, least: int = 4) -> None:
     for key in keys:
         if v[key] < least or v[key] % 2:
             raise sec.fail(key, f"grid size must be even and at least {least}")
+
+
+def _finite_k(sec: _Section, key: str, length: float, n: int) -> None:
+    """The rule for every axis a run builds, of n points over `length`: its
+    largest k^2, (pi n / L)^2, must be finite, or the run's spectral steps
+    and ground state overflow and fail after load.  `key` is the key that
+    shrank the axis."""
+    k_max = math.pi * n / length
+    if not math.isfinite(k_max * k_max):
+        raise sec.fail(key, f"an axis of {n} points over {length:g} has an "
+                            f"infinite largest k^2 = (pi n / L)^2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,11 +362,14 @@ def _parse_trap(sec: _Section) -> TrapSpec:
     v["potential"] = _parse_v_perp(v["potential"] or "harmonic", sec)
     _grid_size(sec, v, "n", least=16)
     _positive(sec, v, "extent")
+    _finite_k(sec, "extent", v["extent"], v["n"])
     axis = gpe1d.Grid1D(v["extent"], v["n"])
     plane = gpe1d.ProductGrid((axis, axis))
     _resolved_potential(sec, "potential", plane,
                         lambda: v["potential"](*plane.mesh()))
     _check_window(sec, "epsilon", v["epsilon"], 0.0, math.inf, "(0, inf)")
+    if v["epsilon"] is not None:
+        _finite_k(sec, "epsilon", v["extent"] * v["epsilon"], v["n"])
     return TrapSpec(**v)
 
 
@@ -391,6 +399,7 @@ def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
                 "sample_stride")
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
     _grid_size(sec, v, "n")
+    _finite_k(sec, "length", v["length"], v["n"])
     v["initial"] = _parse_initial(sec, v["initial"] or "gaussian", v["n"],
                                   v["length"])
     return Evolve1dSpec(**v)
@@ -412,6 +421,9 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
               "phi0_sigma")
     v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
     _grid_size(sec, v, "n_x", "n_y")
+    _finite_k(sec, "length_x", v["length_x"], v["n_x"])
+    _finite_k(sec, "base_extent_y", v["base_extent_y"], v["n_y"])
+    _finite_k(sec, "eps_list", v["base_extent_y"] * eps_list[-1], v["n_y"])
     return confined3d.ReductionScenario(v_perp=transverse.harmonic_profile, **v)
 
 
@@ -472,6 +484,10 @@ def _parse_count(sec: _Section) -> CountSpec:
                             f"{_MAX_STATE_BYTES / 1e6:.0f} MB a counting run "
                             f"may hold")
     _positive(sec, v, "length", "extent", "epsilon")
+    _finite_k(sec, "length", v["length"], v["dim"])
+    if v["grid"] == "confined":     # the trap's plane and its rescaled one
+        _finite_k(sec, "extent", v["extent"], v["n_y"])
+        _finite_k(sec, "epsilon", v["extent"] * v["epsilon"], v["n_y"])
     if v["b"] < 0:      # a flat ground-state seed would be the flat saddle
         raise sec.fail("b", "the condensate's coupling b must be non-negative")
     for key in ("pair_height", "quad_height"):

@@ -51,7 +51,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError, InterfaceError, ResolutionError
-from .gpe1d import Field, Grid1D, ProductGrid
+from .gpe1d import BATCH_POINTS, Field, Grid1D, ProductGrid
 from .scattering import CorrectionProfile
 from .transverse import TransverseMode, _confinement
 
@@ -90,16 +90,16 @@ class ManyBodyState:
             raise DomainError("tensor shape does not match (dim,) * n_particles")
 
 
-# Sides of the square blocks of the first coset step, so it holds one state
-# plus scratch, and sectors per block of the pair-form draw, whose four
-# block buffers are 11% of an N = 2 state on the 12^3 box (d = 1728).  The
-# passes over a whole state (the draw, the counter sums, the energy,
+# Sectors per block of the pair-form draw, whose four block buffers are 11%
+# of an N = 2 state on the 12^3 box (d = 1728).  The passes over a whole
+# state (the draw, the coset steps, the counter sums, the energy,
 # ||q M||^2) split it instead into blocks of about 1/_BLOCK of the state, so
 # their scratch is a fixed share of it.  A pass's buffers together hold at
-# least _LEAST entries (128 KiB of complex), below which calls cost more
-# than arithmetic, and a state of at most _LEAST entries is one block.
+# least _LEAST entries, the 128 KiB (of complex) floor of gpe1d's energy
+# stacks, below which calls cost more than arithmetic, and a state of at
+# most _LEAST entries is one block.
 _BLOCK = 48
-_LEAST = 8192
+_LEAST = BATCH_POINTS
 
 
 def _block_rows(lead: int, size: int, buffers: int = 1) -> int:
@@ -109,25 +109,6 @@ def _block_rows(lead: int, size: int, buffers: int = 1) -> int:
         return lead
     row = size // lead
     return min(lead, max(lead // _BLOCK, -(-_LEAST // (buffers * row))))
-
-
-def _swap_sum_in_place(tensor: np.ndarray) -> None:
-    """tensor += tensor.swapaxes(0, 1), by square blocks of the first two axes.
-
-    Each pair of mirrored blocks is summed once and the sum is written to
-    both; a + b == b + a bit for bit, so this equals the out-of-place sum.
-    numpy copies the input of a diagonal block, which overlaps its output,
-    so a block holds at most as many (i, j) pairs as a pass's block: for
-    N >= 3 its side falls below _BLOCK.
-    """
-    d = tensor.shape[0]
-    side = min(_BLOCK, math.isqrt(_block_rows(d * d, tensor.size)))
-    for i in range(0, d, side):
-        for j in range(i, d, side):
-            upper = tensor[i:i + side, j:j + side]
-            lower = tensor[j:j + side, i:i + side]
-            np.add(upper, lower.swapaxes(0, 1), out=upper)
-            lower[...] = upper.swapaxes(0, 1)
 
 
 def _cycle_side(tensor: np.ndarray, m: int) -> int:
@@ -144,11 +125,10 @@ def _cycle_side(tensor: np.ndarray, m: int) -> int:
 
 def _coset_buffers(tensor: np.ndarray) -> list[np.ndarray]:
     """N + 1 flat buffers, each as large as a block of any coset step of
-    ``tensor``'s shape; none for N = 2."""
+    ``tensor``'s shape."""
     d, n = tensor.shape[0], tensor.ndim
-    size = max((_cycle_side(tensor, m) ** m * d ** (n - m) for m in range(3, n + 1)),
-               default=0)
-    return [np.empty(size, dtype=tensor.dtype) for _ in range(n + 1 if size else 0)]
+    size = max(_cycle_side(tensor, m) ** m * d ** (n - m) for m in range(2, n + 1))
+    return [np.empty(size, dtype=tensor.dtype) for _ in range(n + 1)]
 
 
 def _cycle_sum_in_place(tensor: np.ndarray, m: int, bufs: list[np.ndarray]) -> None:
@@ -158,12 +138,13 @@ def _cycle_sum_in_place(tensor: np.ndarray, m: int, bufs: list[np.ndarray]) -> N
     The first m axes are cut into cubic blocks (``_cycle_side``), which the
     shifts permute in orbits.  An orbit's blocks are copied, each in the
     coordinates of its first block, to m of ``bufs`` before any of them is
-    written; an entry x of the orbit is then ((x + x o s_1) + x o s_2)
-    (+ x o s_3), the association of the out-of-place sum, so the bits are
-    its.  Each sum is formed in one more buffer, or in place in the buffer
-    the orbit's last sum no longer needs, and copied back, so every add
-    runs over contiguous buffers.  A block that a shift maps to itself has
-    a shorter orbit.
+    written; an entry x of the orbit is then x + x o s_1 + ... + x o s_(m-1),
+    summed left to right, the association of the out-of-place sum, so the
+    bits are its; for m = 2 that is the swap of the first two axes.  Each
+    sum is formed in one more buffer, or in place in the buffer the orbit's
+    last sum no longer needs, and copied back, so every add runs over
+    contiguous buffers.  A block that a shift maps to itself has a shorter
+    orbit.
     """
     d, rest = tensor.shape[0], tensor.shape[m:]
     side = _cycle_side(tensor, m)
@@ -197,11 +178,10 @@ def _permutation_sum(tensor: np.ndarray, bufs: list[np.ndarray]) -> None:
     Built by cosets: once the sum is symmetric in the first m - 1 axes, the
     m cyclic shifts of the first m axes extend it to all of S_m, so the cost
     is 1, 3 or 6 full-size adds for N = 2, 3, 4 instead of N! strided ones.
-    Each step sums in place, and every entry keeps the association of the
-    out-of-place steps, so the bits are theirs.
+    Each step, m = 2 included, sums in place, and every entry keeps the
+    association of the out-of-place steps, so the bits are theirs.
     """
-    _swap_sum_in_place(tensor)
-    for m in range(3, tensor.ndim + 1):
+    for m in range(2, tensor.ndim + 1):
         _cycle_sum_in_place(tensor, m, bufs)
 
 
@@ -333,9 +313,9 @@ def random_symmetric_states(n_particles: int, dim: int, rng: np.random.Generator
     All real parts are drawn, then all imaginary parts, in the stream order
     of two ``standard_normal((dim,) * N)`` calls, but through a block-sized
     buffer straight into one complex tensor.  The coset sum runs in place
-    through block buffers (N + 1 of them for N >= 3, 16% of a state on the
-    64-point line at N = 3), and the 1/N! of the permutation average cancels
-    in the normalization, also done in place, so a state costs one tensor.
+    through N + 1 block buffers (16% of a state on the 64-point line at
+    N = 3), and the 1/N! of the permutation average cancels in the
+    normalization, also done in place, so a state costs one tensor.
     The tensors and the coset sum's buffers are allocated once: each step
     overwrites a state an earlier step yielded.
 

@@ -39,19 +39,16 @@ class Snapshot:
 
 def write_snapshot(path: str | Path, values: np.ndarray, spacings,
                    time: float) -> None:
-    arr = np.ascontiguousarray(values, dtype=complex)
+    arr = np.ascontiguousarray(values, dtype="<c16")    # (re, im) pairs
     spc = tuple(float(s) for s in spacings)
     if len(spc) != arr.ndim:
         raise InterfaceError("one spacing per array dimension required")
     header = " ".join([MAGIC, str(arr.ndim)]
                       + [str(n) for n in arr.shape]
                       + [repr(s) for s in spc] + [repr(float(time))])
-    interleaved = np.empty(arr.size * 2, dtype="<f8")
-    interleaved[0::2] = arr.real.ravel()
-    interleaved[1::2] = arr.imag.ravel()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(interleaved.tobytes())
+        fh.write(arr.tobytes())
 
 
 def read_snapshot(path: str | Path) -> Snapshot:

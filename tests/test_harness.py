@@ -184,6 +184,14 @@ def test_config_hash_tracks_effective_values(tmp_path):
     assert bumped != base
     assert harness.load_config(
         path, ["scatter.potential=square_barrier:12"]).sha256 == bumped
+    # the hash covers the effective values, not how the file states them: an
+    # override that restates a file value and a comment keep it
+    shipped = CONFIG_DIR / "barrier_scattering.ini"
+    assert harness.load_config(shipped, ["scatter.mu=1e-3"]).sha256 == \
+        harness.load_config(shipped).sha256
+    commented = write_ini(tmp_path, "# a comment\n" + SCATTER_INI,
+                          name="commented.ini")
+    assert harness.load_config(commented).sha256 == base
 
 
 def test_section_diagnostics_carry_file_and_line(tmp_path):
@@ -818,6 +826,12 @@ UNKNOWN_KEYS = (SECOND_SPELLINGS + FOLDED_KEYS
     ("harmonic_trap", "trap.potential=harmonic:1e4"),
     ("counting_pair", "count.v_par=cosine:1e9,1"),
     ("counting_pair", "count.b=-1000"),
+    # an axis whose largest k^2 is infinite, named by the key that shrank it
+    ("harmonic_trap", "trap.extent=1e-300"),
+    ("harmonic_trap", "trap.epsilon=1e-300"),
+    ("counting_pair", "count.length=1e-300"),
+    ("reduction_sweep", "reduce3d.base_extent_y=1e-300"),
+    ("reduction_sweep", "reduce3d.eps_list=1e-300"),
     # keys the run would ignore
     ("gpe_packet", "evolve1d.snapshots=true"),
     ("gpe_packet", "evolve1d.sample_stride=10"),

@@ -451,7 +451,9 @@ def permutation_sum(tensor):
     return out
 
 
-@pytest.mark.parametrize("n,dim", [(2, 7), (3, 5), (4, 4)])
+# (2, 257): at the default block rule, 4 blocks of side 65 an axis, the last
+# one 62 wide
+@pytest.mark.parametrize("n,dim", [(2, 7), (2, 257), (3, 5), (4, 4)])
 def test_symmetrize_matches_permutation_sum(n, dim):
     raw = complex_draw(np.random.default_rng(11), (dim,) * n)
     got = permutation_sum(raw)
