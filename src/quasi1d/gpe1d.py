@@ -63,14 +63,23 @@ POLISH_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
+    """Periodic axis of n points over `length`, centred on 0: the rule for
+    every axis a run builds.  n is even and at least 4, the length finite
+    and positive, and the largest k^2, (pi n / L)^2, finite, or the run's
+    spectral steps and ground state overflow."""
+
     length: float
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 4 or self.n % 2:
             raise DomainError("grid needs an even n >= 4")
-        if self.length <= 0.0:
-            raise DomainError("grid length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise DomainError(f"grid length must be finite and positive: {self.length}")
+        k_max = math.pi * self.n / self.length
+        if not math.isfinite(k_max * k_max):
+            raise DomainError(f"an axis of {self.n} points over {self.length:g} "
+                              f"has an infinite largest k^2 = (pi n / L)^2")
 
     @property
     def dx(self) -> float:
@@ -520,7 +529,7 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
     own second-order model.  A search vector that orthogonalization leaves
     below 1e-8 of its length lies in the span of the others and is dropped.
     Its transforms are rfftn/irfftn, since every vector is real.  Raises
-    ResolutionError after MAX_ITERS steps.
+    ResolutionError after MAX_ITERS steps or at a step with no direction.
 
     Returns the state and the energy of every iterate; the last is the
     state's own, at b = 0 its eigenvalue.
@@ -550,7 +559,8 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
         mu = dot(psi, h_psi)
         energies.append(mu - 0.5 * b * float(np.sum(psi**4)) * dvol)
         resid = h_psi - mu * psi
-        if math.sqrt(dot(resid, resid)) < POLISH_TOL:
+        resid_norm = math.sqrt(dot(resid, resid))
+        if resid_norm < POLISH_TOL:
             return psi, energies
         # the search space beyond psi: the residual under the spectral
         # preconditioner (kinetic shifted to stay positive definite) and the
@@ -579,6 +589,9 @@ def _ground_state(psi: np.ndarray, k2: np.ndarray, dvol: float, v: np.ndarray,
             ritz = -ritz
         d = sum(c * u for c, u in zip(ritz[1:], basis))
         d_norm = math.sqrt(dot(d, d))
+        if d_norm == 0.0:   # orthogonalization dropped every search vector
+            raise ResolutionError(f"ground-state step has no direction with the "
+                                  f"eigenresidual {resid_norm:g} > {POLISH_TOL:g}")
         direction = q = d / d_norm
         angle = math.atan2(d_norm, ritz[0])
         cand = math.cos(angle) * psi + math.sin(angle) * q

@@ -47,7 +47,7 @@ DELTA_WINDOW = "(0, 2/5)"
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "AdmissibilityReport",
            "load_config", "validate_config", "run_scenario",
-           "validate_admissibility", "output_root", "SCENARIO_KINDS"]
+           "output_root", "SCENARIO_KINDS"]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,8 @@ def validate_config(parser: configparser.ConfigParser, path: str,
     if kind not in SCENARIO_KINDS:
         raise scen.fail("kind", f"unknown kind {kind!r}; "
                                 f"expected one of {', '.join(SCENARIO_KINDS)}")
+    if header["seed"] < 0:      # numpy's generators take none
+        raise scen.fail("seed", "seed must be a non-negative integer")
     for title in parser.sections():
         if title not in ("scenario", kind, "admissibility", "assert"):
             raise ConfigError(f"{path}: unknown section [{title}]")
@@ -309,21 +311,19 @@ def _unused(sec: _Section, why: str, *keys: str) -> None:
             raise sec.fail(key, f"ignored: {why}")
 
 
-def _grid_size(sec: _Section, v: dict, *keys: str, least: int = 4) -> None:
-    for key in keys:
-        if v[key] < least or v[key] % 2:
-            raise sec.fail(key, f"grid size must be even and at least {least}")
-
-
-def _finite_k(sec: _Section, key: str, length: float, n: int) -> None:
-    """The rule for every axis a run builds, of n points over `length`: its
-    largest k^2, (pi n / L)^2, must be finite, or the run's spectral steps
-    and ground state overflow and fail after load.  `key` is the key that
-    shrank the axis."""
-    k_max = math.pi * n / length
-    if not math.isfinite(k_max * k_max):
-        raise sec.fail(key, f"an axis of {n} points over {length:g} has an "
-                            f"infinite largest k^2 = (pi n / L)^2")
+def _axes(sec: _Section, v: dict, n_key: str,
+          *lengths: tuple[str, float]) -> list[gpe1d.Grid1D]:
+    """The Grid1D axes of v[n_key] points a run builds, one per (key, length)
+    pair.  A refusal (or an n beyond float range) is cited at `n_key` if it
+    comes at unit spacing, on an axis of length n, else at the key that
+    set or shrank that axis."""
+    axes = []
+    for key, length in ((n_key, v[n_key]), *lengths):
+        try:
+            axes.append(gpe1d.Grid1D(length, v[n_key]))
+        except (DomainError, OverflowError) as exc:
+            raise sec.fail(key, str(exc)) from None
+    return axes[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,16 +360,13 @@ class TrapSpec:
 def _parse_trap(sec: _Section) -> TrapSpec:
     v = sec.read(TrapSpec)
     v["potential"] = _parse_v_perp(v["potential"] or "harmonic", sec)
-    _grid_size(sec, v, "n", least=16)
-    _positive(sec, v, "extent")
-    _finite_k(sec, "extent", v["extent"], v["n"])
-    axis = gpe1d.Grid1D(v["extent"], v["n"])
+    if v["n"] < 16:
+        raise sec.fail("n", "the trap's plane needs n >= 16")
+    scaled = () if v["epsilon"] is None else (("epsilon", v["extent"] * v["epsilon"]),)
+    axis, *_ = _axes(sec, v, "n", ("extent", v["extent"]), *scaled)
     plane = gpe1d.ProductGrid((axis, axis))
     _resolved_potential(sec, "potential", plane,
                         lambda: v["potential"](*plane.mesh()))
-    _check_window(sec, "epsilon", v["epsilon"], 0.0, math.inf, "(0, inf)")
-    if v["epsilon"] is not None:
-        _finite_k(sec, "epsilon", v["extent"] * v["epsilon"], v["n"])
     return TrapSpec(**v)
 
 
@@ -391,15 +388,14 @@ class Evolve1dSpec:
 
 def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
     v = sec.read(Evolve1dSpec)
-    _positive(sec, v, "length", "t_final", "dt")
+    _positive(sec, v, "t_final", "dt")
     if v["snapshots"] and v["sample_stride"] < 1:
         raise sec.fail("snapshots", "snapshots need sample_stride >= 1")
     if not v["snapshots"]:
         _unused(sec, "samples are read only to write snapshots",
                 "sample_stride")
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
-    _grid_size(sec, v, "n")
-    _finite_k(sec, "length", v["length"], v["n"])
+    _axes(sec, v, "n", ("length", v["length"]))
     v["initial"] = _parse_initial(sec, v["initial"] or "gaussian", v["n"],
                                   v["length"])
     return Evolve1dSpec(**v)
@@ -411,19 +407,16 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
     eps_list = v["eps_list"]
     if not eps_list:
         raise sec.fail("eps_list", "at least one epsilon required")
-    if any(e <= 0 for e in eps_list) or any(
-            b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
-        raise sec.fail("eps_list", "epsilons must be positive and strictly "
-                                   "decreasing")
+    if any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
+        raise sec.fail("eps_list", "epsilons must be strictly decreasing")
     if v["a"] < 0:
         raise sec.fail("a", "scattering length must be non-negative")
-    _positive(sec, v, "t_final", "dt_ref", "length_x", "base_extent_y",
-              "phi0_sigma")
+    _positive(sec, v, "t_final", "dt_ref", "phi0_sigma")
     v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
-    _grid_size(sec, v, "n_x", "n_y")
-    _finite_k(sec, "length_x", v["length_x"], v["n_x"])
-    _finite_k(sec, "base_extent_y", v["base_extent_y"], v["n_y"])
-    _finite_k(sec, "eps_list", v["base_extent_y"] * eps_list[-1], v["n_y"])
+    _axes(sec, v, "n_x", ("length_x", v["length_x"]))
+    # the trap's plane, solved once, and each epsilon's rescaled plane
+    _axes(sec, v, "n_y", ("base_extent_y", v["base_extent_y"]),
+          *[("eps_list", v["base_extent_y"] * eps) for eps in eps_list])
     return confined3d.ReductionScenario(v_perp=transverse.harmonic_profile, **v)
 
 
@@ -474,7 +467,11 @@ def _parse_count(sec: _Section) -> CountSpec:
                 "n_y", "extent", "epsilon")
     if v["dim"] is None:
         v["dim"] = 32 if v["grid"] == "line" else 16
-    _grid_size(sec, v, "dim", "n_y")
+    line, = _axes(sec, v, "dim", ("length", v["length"]))
+    axes = [line]       # the one-particle grid's: the line, the rescaled plane's
+    if v["grid"] == "confined":     # the trap's plane, then its rescaled one
+        axes.append(_axes(sec, v, "n_y", ("extent", v["extent"]),
+                          ("epsilon", v["extent"] * v["epsilon"]))[1])
     d = v["dim"] * (v["n_y"] ** 2 if v["grid"] == "confined" else 1)
     state_bytes = 16 * d ** v["n_particles"]
     if state_bytes > _MAX_STATE_BYTES:
@@ -483,11 +480,6 @@ def _parse_count(sec: _Section) -> CountSpec:
                             f"takes {state_bytes / 1e6:,.0f} MB, above the "
                             f"{_MAX_STATE_BYTES / 1e6:.0f} MB a counting run "
                             f"may hold")
-    _positive(sec, v, "length", "extent", "epsilon")
-    _finite_k(sec, "length", v["length"], v["dim"])
-    if v["grid"] == "confined":     # the trap's plane and its rescaled one
-        _finite_k(sec, "extent", v["extent"], v["n_y"])
-        _finite_k(sec, "epsilon", v["extent"] * v["epsilon"], v["n_y"])
     if v["b"] < 0:      # a flat ground-state seed would be the flat saddle
         raise sec.fail("b", "the condensate's coupling b must be non-negative")
     for key in ("pair_height", "quad_height"):
@@ -497,9 +489,6 @@ def _parse_count(sec: _Section) -> CountSpec:
         raise sec.fail("pair_mu" if v["pair_height"] is None else "pair_height",
                        "give both pair_height and pair_mu or neither")
     if v["pair_mu"] is not None:
-        axes = [gpe1d.Grid1D(v["length"], v["dim"])]
-        if v["grid"] == "confined":     # the rescaled mode's transverse axis
-            axes.append(gpe1d.Grid1D(v["extent"] * v["epsilon"], v["n_y"]))
         try:
             manybody.check_pair_range(v["pair_mu"], axes)
         except ResolutionError as exc:
@@ -509,7 +498,6 @@ def _parse_count(sec: _Section) -> CountSpec:
         if v["grid"] == "confined":
             raise sec.fail("v_par", "an axial potential applies on grid = line "
                                     "only")
-        line = gpe1d.Grid1D(v["length"], v["dim"])
         _resolved_potential(sec, "v_par", line, lambda: v["v_par"](0.0, line.x))
     return CountSpec(**v)
 
@@ -642,40 +630,6 @@ class AdmissibilityReport:
     window: dict | None      # optional 5/6 < d < beta_tilde < 2/(2+delta)
 
 
-def validate_admissibility(sequence, delta: float, d: float | None = None,
-                           beta_tilde: float | None = None) -> AdmissibilityReport:
-    """Report whether N eps^delta decreases toward zero along the sequence.
-
-    ``sequence`` is an iterable of (N, eps) pairs, strictly increasing in N
-    and decreasing in eps.  Optionally checks the interpolation window
-    5/6 < d < beta_tilde < 2/(2 + delta) for user-chosen exponents.
-    """
-    pairs = [(float(n), float(e)) for n, e in sequence]
-    if not pairs:
-        raise ConfigError("admissibility sequence is empty")
-    if not 0.0 < delta < 0.4:
-        raise ConfigError(f"delta = {delta} outside the admissible window "
-                          f"{DELTA_WINDOW}")
-    ns = [p[0] for p in pairs]
-    eps = [p[1] for p in pairs]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("sequence must be strictly increasing in N")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("sequence must be strictly decreasing in eps")
-    products = tuple(n * e**delta for n, e in pairs)
-    decreasing = all(b < a for a, b in zip(products, products[1:]))
-    window = None
-    if d is not None and beta_tilde is not None:
-        upper = 2.0 / (2.0 + delta)
-        window = {"d": d, "beta_tilde": beta_tilde, "upper": upper,
-                  "ok": 5.0 / 6.0 < d < beta_tilde < upper,
-                  "statement": f"5/6 < d < beta_tilde < {upper:.6f}"}
-    return AdmissibilityReport(delta=delta, n_values=tuple(ns),
-                               eps_values=tuple(eps), products=products,
-                               strictly_decreasing=decreasing,
-                               admissible=decreasing, window=window)
-
-
 @dataclass(init=False, repr=False, eq=False)
 class _AdmissibilityKeys:
     """The keys of [admissibility], as _Header."""
@@ -688,21 +642,36 @@ class _AdmissibilityKeys:
 
 
 def _parse_admissibility(sec: _Section) -> AdmissibilityReport:
+    """Whether N eps^delta decreases along the (N, eps) sequence, and with
+    d and beta_tilde whether 5/6 < d < beta_tilde < 2/(2 + delta); each
+    malformed key is a ConfigError of its own, a failing verdict is not."""
     v = sec.read(_AdmissibilityKeys)
-    if v["delta"] is None:
+    delta, ns, eps = v["delta"], v["n_values"], v["eps_values"]
+    if delta is None:
         raise sec.fail("delta", "delta required")
-    _check_window(sec, "delta", v["delta"], 0.0, 0.4, DELTA_WINDOW)
-    if len(v["n_values"]) != len(v["eps_values"]):
+    _check_window(sec, "delta", delta, 0.0, 0.4, DELTA_WINDOW)
+    if len(ns) != len(eps):
         raise sec.fail("eps_values", "n_values and eps_values lengths differ")
     if (v["d"] is None) != (v["beta_tilde"] is None):
         raise sec.fail("d", "d and beta_tilde must be given together")
-    try:
-        return validate_admissibility(zip(v["n_values"], v["eps_values"]),
-                                      v["delta"], d=v["d"],
-                                      beta_tilde=v["beta_tilde"])
-    except ConfigError as exc:
-        key = "eps_values" if str(exc).endswith("in eps") else "n_values"
-        raise sec.fail(key, str(exc)) from None
+    if not ns:
+        raise sec.fail("n_values", "admissibility sequence is empty")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise sec.fail("n_values", "sequence must be strictly increasing in N")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise sec.fail("eps_values", "sequence must be strictly decreasing in eps")
+    products = tuple(n * e**delta for n, e in zip(ns, eps))
+    decreasing = all(b < a for a, b in zip(products, products[1:]))
+    window = None
+    if v["d"] is not None:
+        upper = 2.0 / (2.0 + delta)
+        window = {"d": v["d"], "beta_tilde": v["beta_tilde"], "upper": upper,
+                  "ok": 5.0 / 6.0 < v["d"] < v["beta_tilde"] < upper,
+                  "statement": f"5/6 < d < beta_tilde < {upper:.6f}"}
+    return AdmissibilityReport(delta=delta, n_values=ns, eps_values=eps,
+                               products=products,
+                               strictly_decreasing=decreasing,
+                               admissible=decreasing, window=window)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ deliberately dumb: self-describing, endian-pinned, diffable with xxd.
 from __future__ import annotations
 
 import io
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,12 +39,22 @@ class Snapshot:
             raise InterfaceError("values shape does not match dims")
 
 
+def _check_header(dims: tuple, spacings: tuple, time: float) -> None:
+    if (any(n < 1 for n in dims) or not math.isfinite(time)
+            or not all(0.0 < s < math.inf for s in spacings)):
+        raise InterfaceError(f"snapshot header needs dims >= 1, finite positive "
+                             f"spacings and a finite time: dims {dims}, "
+                             f"spacings {spacings}, time {time}")
+
+
 def write_snapshot(path: str | Path, values: np.ndarray, spacings,
                    time: float) -> None:
+    """Write `values` at its spacings and time, refused as read_snapshot would."""
     arr = np.ascontiguousarray(values, dtype="<c16")    # (re, im) pairs
     spc = tuple(float(s) for s in spacings)
     if len(spc) != arr.ndim:
         raise InterfaceError("one spacing per array dimension required")
+    _check_header(arr.shape, spc, float(time))
     header = " ".join([MAGIC, str(arr.ndim)]
                       + [str(n) for n in arr.shape]
                       + [repr(s) for s in spc] + [repr(float(time))])
@@ -52,6 +64,9 @@ def write_snapshot(path: str | Path, values: np.ndarray, spacings,
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
+    """A snapshot file, outside input: InterfaceError unless its header has
+    dims >= 1, finite positive spacings and a finite time and claims exactly
+    the bytes left in the file, which is checked before any is read."""
     with open(path, "rb") as fh:
         header = _read_header_line(fh)
         parts = header.split()
@@ -66,12 +81,13 @@ def read_snapshot(path: str | Path) -> Snapshot:
             raise InterfaceError(f"malformed snapshot header: {header!r}") from exc
         if len(parts) != 3 + 2 * ndims:
             raise InterfaceError(f"malformed snapshot header: {header!r}")
-        size = 1
-        for n in dims:
-            size *= n
-        raw = fh.read(size * 16)
-        if len(raw) != size * 16:
-            raise InterfaceError(f"truncated snapshot payload in {path}")
+        _check_header(dims, spacings, time)
+        size = 16 * math.prod(dims)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            raise InterfaceError(f"truncated or overlong snapshot payload in "
+                                 f"{path}: {left} bytes for {size}")
+        raw = fh.read(size)
         # read as complex pairs, bit for bit: forming re + 1j * im would turn
         # (x, inf) into (nan, inf) and drop the sign of -0.0
         values = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dims)

@@ -263,6 +263,16 @@ def test_line_ground_state_needs_non_negative_coupling():
         gpe1d.ground_state_1d(gpe1d.Grid1D(2.0 * math.pi, 32), b=-1.0)
 
 
+@pytest.mark.parametrize("length, n", [(1e-10, 64), (1e-50, 64),
+                                       (1e-100, 64), (1e-20, 256)])
+def test_ground_state_without_a_search_direction_is_resolution_error(length, n):
+    # on lines this short at b = 1 orthogonalization drops every search
+    # vector; the step names its eigenresidual instead of dividing by zero
+    with pytest.raises(ResolutionError, match="no direction with the "
+                                              "eigenresidual"):
+        gpe1d.ground_state_1d(gpe1d.Grid1D(length, n), b=1.0)
+
+
 def test_ground_state_is_stationary():
     grid = gpe1d.Grid1D(16.0, 256)
     v = lambda t, x: x**2
@@ -340,8 +350,10 @@ def test_error_paths():
         gpe1d.Grid1D(16.0, 63)
     with pytest.raises(DomainError):
         gpe1d.Grid1D(16.0, 2)
-    with pytest.raises(DomainError):
-        gpe1d.Grid1D(-1.0, 64)
+    # a length must be finite and positive, and the largest k^2 finite
+    for length in (-1.0, math.nan, math.inf, 1e-300):
+        with pytest.raises(DomainError):
+            gpe1d.Grid1D(length, 64)
     grid = gpe1d.Grid1D(16.0, 64)
     phi0 = gpe1d.gaussian_packet(grid)
     with pytest.raises(DomainError):

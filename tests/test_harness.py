@@ -58,9 +58,20 @@ beta_tilde = 0.88
 # admissibility
 
 
+def admissibility(pairs, delta, **exponents):
+    """The report of an [admissibility] section over (N, eps) `pairs`."""
+    section = {"delta": repr(delta),
+               "n_values": " ".join(repr(n) for n, _ in pairs),
+               "eps_values": " ".join(repr(e) for _, e in pairs),
+               **{key: repr(value) for key, value in exponents.items()}}
+    return harness.from_mapping("scatter", {"scatter": {"mu": "1e-3"},
+                                            "admissibility": section}
+                                ).admissibility
+
+
 def test_admissible_sequence():
     pairs = [(n, 2.0 ** -n) for n in range(8, 13)]
-    report = harness.validate_admissibility(pairs, 0.2)
+    report = admissibility(pairs, 0.2)
     assert report.admissible and report.strictly_decreasing
     assert len(report.products) == 5
     assert all(b < a for a, b in zip(report.products, report.products[1:]))
@@ -69,7 +80,7 @@ def test_admissible_sequence():
 def test_inadmissible_sequence_is_reported_not_raised():
     # N eps^delta = n^0.1 creeps upward: valid input, failing verdict
     pairs = [(n, n ** -3.0) for n in range(2, 8)]
-    report = harness.validate_admissibility(pairs, 0.3)
+    report = admissibility(pairs, 0.3)
     assert not report.admissible
 
 
@@ -77,13 +88,13 @@ def test_admissibility_guards():
     pairs = [(2, 0.5), (3, 0.25)]
     for delta in (0.0, 0.4, 0.5, -0.1):
         with pytest.raises(ConfigError):
-            harness.validate_admissibility(pairs, delta)
+            admissibility(pairs, delta)
     with pytest.raises(ConfigError):
-        harness.validate_admissibility([], 0.2)
+        admissibility([], 0.2)
     with pytest.raises(ConfigError):
-        harness.validate_admissibility([(3, 0.5), (2, 0.25)], 0.2)
+        admissibility([(3, 0.5), (2, 0.25)], 0.2)
     with pytest.raises(ConfigError):
-        harness.validate_admissibility([(2, 0.25), (3, 0.25)], 0.2)
+        admissibility([(2, 0.25), (3, 0.25)], 0.2)
 
 
 def test_admissibility_order_errors_cite_their_key(capsys):
@@ -104,14 +115,14 @@ def test_admissibility_order_errors_cite_their_key(capsys):
 
 def test_admissibility_window():
     pairs = [(2, 0.5), (3, 0.25)]
-    report = harness.validate_admissibility(pairs, 0.2, d=0.85, beta_tilde=0.88)
+    report = admissibility(pairs, 0.2, d=0.85, beta_tilde=0.88)
     assert report.window["ok"]
     assert report.window["upper"] == pytest.approx(2.0 / 2.2)
-    report = harness.validate_admissibility(pairs, 0.2, d=0.8, beta_tilde=0.88)
+    report = admissibility(pairs, 0.2, d=0.8, beta_tilde=0.88)
     assert not report.window["ok"]
-    report = harness.validate_admissibility(pairs, 0.2, d=0.85, beta_tilde=0.95)
+    report = admissibility(pairs, 0.2, d=0.85, beta_tilde=0.95)
     assert not report.window["ok"]
-    assert harness.validate_admissibility(pairs, 0.2).window is None
+    assert admissibility(pairs, 0.2).window is None
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +556,32 @@ def test_snapshot_error_paths(tmp_path):
     runaway.write_bytes(b"GPR1 " + b"9" * 5000)
     with pytest.raises(InterfaceError, match="too long"):
         snapshots.read_snapshot(runaway)
+    # the header is outside input: a claimed size is checked against the
+    # bytes left before any is read, and dims, spacings and time are checked
+    for name, content, match in (
+            ("huge", b"GPR1 1 100000000000000 0.1 0.0\n" + b"\0" * 2,
+             "truncated"),
+            ("negative", b"GPR1 2 -4 -4 0.1 0.1 0.0\n" + b"\0" * 256,
+             r"dims \(-4, -4\)"),
+            ("mixed", b"GPR1 2 -4 4 0.1 0.1 0.0\n" + b"\0" * 256,
+             r"dims \(-4, 4\)"),
+            ("nan", b"GPR1 1 4 nan 0.0\n" + b"\0" * 64, r"spacings \(nan,\)"),
+            ("zero", b"GPR1 1 4 0.0 0.0\n" + b"\0" * 64, r"spacings \(0.0,\)"),
+            ("time", b"GPR1 1 4 0.5 inf\n" + b"\0" * 64, "time inf"),
+            ("overlong", b"GPR1 1 4 0.5 0.0\n" + b"\0" * 80, "overlong")):
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(content)
+        with pytest.raises(InterfaceError, match=match):
+            snapshots.read_snapshot(bad)
+    # and the writer refuses what the reader would
+    for spacing, time in ((math.nan, 0.0), (-0.1, 0.0), (math.inf, 0.0),
+                          (0.1, math.nan)):
+        with pytest.raises(InterfaceError, match="header needs"):
+            snapshots.write_snapshot(tmp_path / "x.bin", np.zeros(4, complex),
+                                     (spacing,), time)
+    with pytest.raises(InterfaceError, match=r"dims \(0, 4\)"):
+        snapshots.write_snapshot(tmp_path / "x.bin", np.zeros((0, 4), complex),
+                                 (0.1, 0.1), 0.0)
 
 
 def test_snapshot_dataclass_guards():
@@ -881,6 +918,104 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     if (section, key) in UNKNOWN_KEYS:
         assert f"{key}: unknown key" in err
     assert not (tmp_path / config).exists()
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    # numpy's generators take no negative seed: every kind refuses it at
+    # load, before any output exists
+    configs = sorted(CONFIG_DIR.glob("*.ini"))
+    for path in configs:
+        assert cli.main(["validate", str(path), "--set", "scenario.seed=-1"]) == 2
+        assert _config_error_at(path, "scenario", "seed") in \
+            capsys.readouterr().err
+    path = CONFIG_DIR / "counting_triplet.ini"
+    code = cli.main(["count", str(path), "--set", "scenario.seed=-1",
+                     "--output", str(tmp_path)])
+    assert code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "counting_triplet").exists()
+
+
+def test_cli_ground_state_without_a_search_direction_exits_1(tmp_path, capsys):
+    # the condensate on a line of length 1e-10 has no search direction at
+    # its first step: a named ResolutionError, not a ZeroDivisionError
+    path = str(CONFIG_DIR / "counting_triplet.ini")
+    code = cli.main(["count", path, "--set", "count.length=1e-10",
+                     "--output", str(tmp_path)])
+    assert code == 1
+    assert ("error [ResolutionError]: ground-state step has no direction with "
+            "the eigenresidual") in capsys.readouterr().err
+
+
+# the keys that set or shrink an axis, each on a shipped config that reads
+# it, with the keys a refusal may cite: the key itself, the epsilon key that
+# shrinks the plane it sets, and for the trap's extent also its potential,
+# which must stay within the plane's largest k^2
+AXIS_KEYS = [("harmonic_trap", "trap", "extent",
+              {"extent", "epsilon", "potential"}),
+             ("harmonic_trap", "trap", "epsilon", {"epsilon"}),
+             ("gpe_plane_wave", "evolve1d", "length", {"length"}),
+             ("reduction_sweep", "reduce3d", "length_x", {"length_x"}),
+             ("reduction_sweep", "reduce3d", "base_extent_y",
+              {"base_extent_y", "eps_list"}),
+             ("reduction_sweep", "reduce3d", "eps_list", {"eps_list"}),
+             ("counting_pair", "count", "length", {"length"}),
+             ("counting_confined", "count", "extent", {"extent", "epsilon"}),
+             ("counting_confined", "count", "epsilon", {"epsilon"})]
+
+
+def _run_axes(kind, spec):
+    """(length, n) of every axis a run of `spec` builds: the line, the trap's
+    plane and each epsilon-scaled plane."""
+    if kind == "trap":
+        scaled = [] if spec.epsilon is None else [spec.extent * spec.epsilon]
+        return [(length, spec.n) for length in [spec.extent, *scaled]]
+    if kind == "evolve1d":
+        return [(spec.length, spec.n)]
+    if kind == "reduce3d":
+        planes = [spec.base_extent_y * eps for eps in spec.eps_list]
+        return [(spec.length_x, spec.n_x)] + [
+            (length, spec.n_y) for length in [spec.base_extent_y, *planes]]
+    planes = ([spec.extent, spec.extent * spec.epsilon]
+              if spec.grid == "confined" else [])
+    return [(spec.length, spec.dim)] + [(length, spec.n_y) for length in planes]
+
+
+def test_axis_keys_property():
+    # at any magnitude of either sign, an axis key is refused at load naming
+    # its key, or every axis the run builds is a Grid1D
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(target=st.sampled_from(AXIS_KEYS),
+                      exponent=st.floats(-300.0, 300.0),
+                      sign=st.sampled_from([1.0, -1.0]))
+    def check(target, exponent, sign):
+        config, section, key, cited = target
+        path = CONFIG_DIR / f"{config}.ini"
+        value = sign * 10.0 ** exponent
+        try:
+            cfg = harness.load_config(path, [f"{section}.{key}={value!r}"])
+        except ConfigError as exc:
+            assert any(_config_error_at(path, section, name).removeprefix(
+                "config error: ") in str(exc) for name in cited), (value, exc)
+            return
+        for length, n in _run_axes(cfg.kind, cfg.spec):
+            gpe1d.Grid1D(length, n)
+
+    check()
+
+
+def test_grid_size_beyond_float_range_is_config_error(capsys):
+    # an axis of 10^400 points has no float spacing: exit 2 at its key
+    for config, key in (("gpe_packet", "evolve1d.n"),
+                        ("reduction_sweep", "reduce3d.n_x"),
+                        ("harmonic_trap", "trap.n")):
+        path = CONFIG_DIR / f"{config}.ini"
+        assert cli.main(["validate", str(path), "--set",
+                         f"{key}={10**400}"]) == 2
+        assert _config_error_at(path, *key.split(".")) in capsys.readouterr().err
 
 
 def test_pair_form_settings_are_constants(tmp_path, capsys):
