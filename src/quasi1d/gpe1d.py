@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -61,20 +62,21 @@ MAX_ITERS = 1_000
 POLISH_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid1D:
     """Periodic axis of n points over `length`, centred on 0: the rule for
-    every axis a run builds.  n is even and at least 4, the length finite
-    and positive, and the largest k^2, (pi n / L)^2, finite, or the run's
-    spectral steps and ground state overflow."""
+    every axis a run builds.  n is even and at least 4, n and the length
+    positive and within float range, and the largest k^2, (pi n / L)^2,
+    finite, or the run's spectral steps and ground state overflow.  Two
+    axes are equal when their length and n are."""
 
     length: float
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 4 or self.n % 2:
-            raise DomainError("grid needs an even n >= 4")
-        if not 0.0 < self.length < math.inf:
+        if not 4 <= self.n <= sys.float_info.max or self.n % 2:
+            raise DomainError("grid needs an even n >= 4 within float range")
+        if not 0.0 < self.length <= sys.float_info.max:
             raise DomainError(f"grid length must be finite and positive: {self.length}")
         k_max = math.pi * self.n / self.length
         if not math.isfinite(k_max * k_max):

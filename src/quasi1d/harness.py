@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import confined3d, gpe1d, manybody, scattering, snapshots, transverse
-from .errors import ConfigError, DomainError, ResolutionError
+from .errors import ConfigError, DomainError, GridTooSmallError, ResolutionError
 
 SCENARIO_KINDS = ("scatter", "trap", "evolve1d", "reduce3d", "count")
 
@@ -314,14 +314,13 @@ def _unused(sec: _Section, why: str, *keys: str) -> None:
 def _axes(sec: _Section, v: dict, n_key: str,
           *lengths: tuple[str, float]) -> list[gpe1d.Grid1D]:
     """The Grid1D axes of v[n_key] points a run builds, one per (key, length)
-    pair.  A refusal (or an n beyond float range) is cited at `n_key` if it
-    comes at unit spacing, on an axis of length n, else at the key that
-    set or shrank that axis."""
+    pair.  A refusal is cited at `n_key` if it comes at unit spacing, on an
+    axis of length n, else at the key that set or shrank that axis."""
     axes = []
     for key, length in ((n_key, v[n_key]), *lengths):
         try:
             axes.append(gpe1d.Grid1D(length, v[n_key]))
-        except (DomainError, OverflowError) as exc:
+        except DomainError as exc:
             raise sec.fail(key, str(exc)) from None
     return axes[1:]
 
@@ -377,6 +376,7 @@ class Evolve1dSpec:
     t_final: float
     dt: float
     initial: tuple  # gaussian[:sigma,x0,k0] (default), plane[:mode], constant
+    line: gpe1d.Grid1D            # Grid1D(length, n), built at load; no key
     length: float = 16.0
     n: int = 256
     b: float = 0.0                # 8 pi a int |chi|^4 of the paper
@@ -387,7 +387,7 @@ class Evolve1dSpec:
 
 
 def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
-    v = sec.read(Evolve1dSpec)
+    v = sec.read(Evolve1dSpec, omit=("line",))
     _positive(sec, v, "t_final", "dt")
     if v["snapshots"] and v["sample_stride"] < 1:
         raise sec.fail("snapshots", "snapshots need sample_stride >= 1")
@@ -395,10 +395,10 @@ def _parse_evolve1d(sec: _Section) -> Evolve1dSpec:
         _unused(sec, "samples are read only to write snapshots",
                 "sample_stride")
     v["v_par"] = _parse_v_par(v["v_par"], v["length"], sec)
-    _axes(sec, v, "n", ("length", v["length"]))
+    line, = _axes(sec, v, "n", ("length", v["length"]))
     v["initial"] = _parse_initial(sec, v["initial"] or "gaussian", v["n"],
                                   v["length"])
-    return Evolve1dSpec(**v)
+    return Evolve1dSpec(line=line, **v)
 
 
 def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
@@ -414,9 +414,16 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
     _positive(sec, v, "t_final", "dt_ref", "phi0_sigma")
     v["v_par"] = _parse_v_par(v["v_par"], v["length_x"], sec)
     _axes(sec, v, "n_x", ("length_x", v["length_x"]))
-    # the trap's plane, solved once, and each epsilon's rescaled plane
+    # the trap's plane, solved once, and each epsilon's rescaled plane and box
     _axes(sec, v, "n_y", ("base_extent_y", v["base_extent_y"]),
           *[("eps_list", v["base_extent_y"] * eps) for eps in eps_list])
+    for eps in eps_list:
+        try:
+            confined3d.make_grid(v["length_x"], v["n_x"], v["base_extent_y"],
+                                 v["n_y"], eps)
+        except GridTooSmallError as exc:
+            raise sec.fail("base_extent_y", f"{exc}, so base_extent_y must be "
+                                            f"at most n_y / 2 = {v['n_y'] / 2:g}") from None
     return confined3d.ReductionScenario(v_perp=transverse.harmonic_profile, **v)
 
 
@@ -436,6 +443,7 @@ class CountSpec:
 
     n_particles: int
     xi: float
+    line: gpe1d.Grid1D            # Grid1D(length, dim), built at load; no key
     samples: int = 100
     grid: str = "line"            # line or confined
     length: float = 2.0 * math.pi
@@ -451,7 +459,7 @@ class CountSpec:
 
 
 def _parse_count(sec: _Section) -> CountSpec:
-    v = sec.read(CountSpec)
+    v = sec.read(CountSpec, omit=("line",))
     if not 2 <= (v["n_particles"] or 0) <= manybody.MAX_PARTICLES:
         raise sec.fail("n_particles",
                        f"n_particles must be 2..{manybody.MAX_PARTICLES}")
@@ -499,7 +507,7 @@ def _parse_count(sec: _Section) -> CountSpec:
             raise sec.fail("v_par", "an axial potential applies on grid = line "
                                     "only")
         _resolved_potential(sec, "v_par", line, lambda: v["v_par"](0.0, line.x))
-    return CountSpec(**v)
+    return CountSpec(line=line, **v)
 
 
 def _resolved_potential(sec: _Section, key: str,
@@ -899,16 +907,16 @@ def _run_trap(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         metrics["e0_scaled"] = scaled.E0
         metrics["quartic_identity_err"] = abs(
             spec.epsilon**2 * scaled.quartic - mode.quartic)
-    mid = mode.n // 2
+    mid = mode.y.n // 2
     _write_csv(out_dir / "chi_slice.csv", ["y [length]", "chi [1/length]"],
-               [(float(y), float(c)) for y, c in zip(mode.axis(),
+               [(float(y), float(c)) for y, c in zip(mode.y.x,
                                                      mode.chi[:, mid])])
     return metrics, {}, ["chi_slice.csv"]
 
 
 def _run_evolve1d(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     spec = cfg.spec
-    grid = gpe1d.Grid1D(spec.length, spec.n)
+    grid = spec.line
     name, *params = spec.initial
     phi0 = {"gaussian": gpe1d.gaussian_packet, "plane": gpe1d.plane_wave,
             "constant": lambda grid: gpe1d.plane_wave(grid, 0)}[name](grid, *params)
@@ -981,7 +989,7 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
     n, xi, samples = spec.n_particles, spec.xi, spec.samples
     table = manybody.WeightTable.build(n, xi)
 
-    grid = gpe1d.Grid1D(spec.length, spec.dim)
+    grid = spec.line
     pair = pair_mu = None
     if spec.pair_height is not None:        # pair_mu is given with it
         w, pair_mu = scattering.smooth_bump(spec.pair_height), spec.pair_mu

@@ -714,7 +714,7 @@ def confined_hamiltonian(x_grid: Grid1D, mode: TransverseMode,
     """
     if mode.epsilon is None:
         raise InterfaceError("confined Hamiltonian needs a rescaled mode")
-    y = mode.y_grid()
+    y = mode.y
     conf = _confinement(y, mode.epsilon, v_perp)
     x = x_grid.x
     v_line = np.asarray(v_par(0.0, x), dtype=float) if v_par is not None \
@@ -731,7 +731,7 @@ def orbital_from_fields(phi: Field, mode: TransverseMode | None) -> np.ndarray:
     if mode is None:
         orb = line
     else:
-        orb = (line[:, None, None] * (mode.chi * mode.spacing)[None, :, :]).ravel()
+        orb = (line[:, None, None] * (mode.chi * mode.y.dx)[None, :, :]).ravel()
     return orb / np.linalg.norm(orb)
 
 

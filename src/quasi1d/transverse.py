@@ -32,29 +32,18 @@ def harmonic_profile(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TransverseMode:
-    """Ground mode of the transverse problem on its own square grid.
+    """Ground mode of the transverse problem on the square plane of axis y.
 
     ``quartic`` is int |chi|^4 for the stored chi.  Rescaled modes carry the
     eps they were built with and remember the parent's quartic integral.
     """
 
-    extent: float              # box side; grid spans [-extent/2, extent/2)
-    n: int
-    chi: np.ndarray            # (n, n) real, unit L2 norm on the grid
+    y: Grid1D                  # each side of the plane
+    chi: np.ndarray            # (y.n, y.n) real, unit L2 norm on the grid
     E0: float
     quartic: float
     epsilon: float | None = None
     base_quartic: float | None = None
-
-    def y_grid(self) -> Grid1D:
-        return Grid1D(self.extent, self.n)
-
-    @property
-    def spacing(self) -> float:
-        return self.y_grid().dx
-
-    def axis(self) -> np.ndarray:
-        return self.y_grid().x
 
 
 def _confinement(y: Grid1D, eps: float,
@@ -77,8 +66,8 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
     The result must have decayed at the box edge to ``boundary_tol``
     relative to its peak, otherwise the box does not contain the mode.
     """
-    axis = Grid1D(extent, n)            # DomainError unless n is even and >= 4
-    plane = ProductGrid((axis, axis))
+    y = Grid1D(extent, n)               # DomainError unless n is even and >= 4
+    plane = ProductGrid((y, y))
     y1, y2 = plane.mesh()
     v = np.asarray(v_perp(y1, y2), dtype=float)
     if not np.all(np.isfinite(v)):
@@ -98,7 +87,7 @@ def ground_state_2d(v_perp: Callable[[np.ndarray, np.ndarray], np.ndarray],
             f"{boundary_tol:.1e} of its peak; enlarge the transverse box")
 
     quartic = float(np.sum(chi**4)) * da
-    return TransverseMode(extent=extent, n=n, chi=chi, E0=energies[-1], quartic=quartic)
+    return TransverseMode(y=y, chi=chi, E0=energies[-1], quartic=quartic)
 
 
 def coupling_b(a: float, mode: TransverseMode) -> float:
@@ -121,14 +110,13 @@ def coupling_b(a: float, mode: TransverseMode) -> float:
 
 
 def rescale_mode(mode: TransverseMode, epsilon: float) -> TransverseMode:
-    """chi_eps(y) = chi(y / eps) / eps on the grid scaled by eps."""
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    """chi_eps(y) = chi(y / eps) / eps on the axis scaled by eps (eps > 0)."""
     if mode.epsilon is not None:
         raise InterfaceError("mode was already rescaled; start from the base mode")
+    y = Grid1D(mode.y.length * epsilon, mode.y.n)
     chi_eps = mode.chi / epsilon
-    da = (epsilon * mode.spacing) ** 2
+    da = (epsilon * mode.y.dx) ** 2
     quartic = float(np.sum(chi_eps**4)) * da
-    return replace(mode, extent=mode.extent * epsilon, chi=chi_eps,
+    return replace(mode, y=y, chi=chi_eps,
                    E0=mode.E0 / epsilon**2, quartic=quartic,
                    epsilon=epsilon, base_quartic=mode.quartic)

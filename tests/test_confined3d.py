@@ -732,7 +732,7 @@ def _one_loop_sweep(scenario):
     b of the mode those runs rescale."""
     factorized = scenario.a == 0.0
     phi0 = gpe1d.gaussian_packet(gpe1d.Grid1D(scenario.length_x, scenario.n_x),
-                                 sigma=scenario.phi0_sigma, k0=scenario.phi0_k0)
+                                 sigma=scenario.phi0_sigma)
     mode_grid = transverse.ground_state_2d(scenario.v_perp,
                                            extent=scenario.base_extent_y,
                                            n=scenario.n_y)

@@ -354,6 +354,10 @@ def test_error_paths():
     for length in (-1.0, math.nan, math.inf, 1e-300):
         with pytest.raises(DomainError):
             gpe1d.Grid1D(length, 64)
+    # an n or length beyond float range
+    for length, n in ((1.0, 10**400), (10**400, 10**400)):
+        with pytest.raises(DomainError):
+            gpe1d.Grid1D(length, n)
     grid = gpe1d.Grid1D(16.0, 64)
     phi0 = gpe1d.gaussian_packet(grid)
     with pytest.raises(DomainError):

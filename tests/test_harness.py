@@ -13,7 +13,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from quasi1d import cli, gpe1d, harness, manybody, snapshots, transverse
+from quasi1d import cli, confined3d, gpe1d, harness, manybody, snapshots, transverse
 from quasi1d.errors import ConfigError, InterfaceError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -920,6 +920,21 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     assert not (tmp_path / config).exists()
 
 
+def test_cli_coarse_transverse_spacing_exits_2(tmp_path, capsys):
+    # 4 n_y / base_extent_y < 8 points across the eps-wide mode: the box
+    # each eps's run builds is refused at load, citing base_extent_y and
+    # naming n_y, before any output exists
+    path = CONFIG_DIR / "reduction_sweep.ini"
+    for override in ("reduce3d.base_extent_y=30", "reduce3d.n_y=20"):
+        code = cli.main(["reduce3d", str(path), "--set", override,
+                         "--output", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert _config_error_at(path, "reduce3d", "base_extent_y") in err
+        assert "need at least 8, so base_extent_y must be at most n_y / 2" in err
+        assert not (tmp_path / "reduction_sweep").exists()
+
+
 def test_cli_negative_seed_exits_2(tmp_path, capsys):
     # numpy's generators take no negative seed: every kind refuses it at
     # load, before any output exists
@@ -983,7 +998,8 @@ def _run_axes(kind, spec):
 
 def test_axis_keys_property():
     # at any magnitude of either sign, an axis key is refused at load naming
-    # its key, or every axis the run builds is a Grid1D
+    # its key, or every axis the run builds is a Grid1D, every reduce3d box
+    # a Grid3D, and the line a spec holds is the Grid1D of its length and n
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
@@ -1001,8 +1017,14 @@ def test_axis_keys_property():
             assert any(_config_error_at(path, section, name).removeprefix(
                 "config error: ") in str(exc) for name in cited), (value, exc)
             return
-        for length, n in _run_axes(cfg.kind, cfg.spec):
-            gpe1d.Grid1D(length, n)
+        spec = cfg.spec
+        axes = [gpe1d.Grid1D(length, n) for length, n in _run_axes(cfg.kind, spec)]
+        if cfg.kind in ("evolve1d", "count"):
+            assert spec.line == axes[0]
+        if cfg.kind == "reduce3d":
+            for eps in spec.eps_list:
+                confined3d.make_grid(spec.length_x, spec.n_x, spec.base_extent_y,
+                                     spec.n_y, eps)
 
     check()
 

@@ -83,9 +83,9 @@ def test_hamiltonian_grids_match_hand_built_tables():
     x_grid = gpe1d.Grid1D(6.0, 4)
     ham = manybody.confined_hamiltonian(x_grid, mode, transverse.harmonic_profile,
                                         v_par=lambda t, x: 0.5 * x**2)
-    x, y = hand_axis(6.0, 4), hand_axis(mode.extent, mode.n)
-    np.testing.assert_array_equal(mode.axis(), y)
-    kx, ky = hand_k(6.0, 4), hand_k(mode.extent, mode.n)
+    x, y = hand_axis(6.0, 4), hand_axis(mode.y.length, mode.y.n)
+    np.testing.assert_array_equal(mode.y.x, y)
+    kx, ky = hand_k(6.0, 4), hand_k(mode.y.length, mode.y.n)
     assert ham.grid.shape == (4, 12, 12)
     np.testing.assert_array_equal(
         ham.grid.k_squared(),
@@ -96,7 +96,7 @@ def test_hamiltonian_grids_match_hand_built_tables():
         ham.v_diag, (0.5 * x[:, None, None] ** 2 + conf[None, :, :]).ravel())
     np.testing.assert_array_equal(
         offset_distances(ham),
-        hand_distances(coords_of(x, y, y), (6.0, mode.extent, mode.extent)))
+        hand_distances(coords_of(x, y, y), (6.0, mode.y.length, mode.y.length)))
 
     # the bare cube: the hand-built sites start at 0 and the table takes each
     # offset as a whole number of spacings, so the distances differ by

@@ -91,6 +91,26 @@ def test_artifact_diff_exits_1_unless_byte_identical(tmp_path, monkeypatch,
     assert "a/t.csv: only in old" in out
 
 
+def test_artifact_diff_names_a_failing_config_and_runs_the_rest(tmp_path,
+                                                                capfd):
+    # a tree whose first config raises at load: it is named, the configs
+    # after it still run and compare, and the tool exits 1
+    tree = tmp_path / "tree"
+    (tree / "configs").mkdir(parents=True)
+    (tree / "src").symlink_to(TOOLS.parent / "src")
+    text = BARRIER.read_text(encoding="utf-8")
+    (tree / "configs" / "a_bad.ini").write_text(
+        text.replace("name = barrier_scattering", "name = a_bad") + "\n[bogus]\n",
+        encoding="utf-8")
+    (tree / "configs" / BARRIER.name).write_text(text, encoding="utf-8")
+    assert _load("artifact_diff").main([str(tree), str(tree)]) == 1
+    out, err = capfd.readouterr()
+    assert f"{tree / 'configs' / 'a_bad.ini'}: ConfigError: " in err
+    assert "unknown section [bogus]" in err
+    assert "barrier_scattering/summary.json: identical" in out
+    assert "a_bad" not in out
+
+
 def _peak_rss(tmp_path, *args):
     """tools/peak_rss.py on barrier_scattering.ini, in a process of its own,
     so that its only child is the CLI's run."""

@@ -17,10 +17,10 @@ def harmonic_mode():
 
 
 def grid_quantities(mode):
-    h = mode.spacing
-    k = 2.0 * math.pi * np.fft.fftfreq(mode.n, h)
+    h = mode.y.dx
+    k = 2.0 * math.pi * np.fft.fftfreq(mode.y.n, h)
     k2 = k[:, None] ** 2 + k[None, :] ** 2
-    y = mode.axis()
+    y = mode.y.x
     y1, y2 = np.meshgrid(y, y, indexing="ij")
     return h * h, k2, y1, y2
 
@@ -102,9 +102,9 @@ def test_rescale_identities(harmonic_mode):
     eps = 0.1
     scaled = transverse.rescale_mode(harmonic_mode, eps)
     assert scaled.E0 == harmonic_mode.E0 / eps**2
-    assert scaled.extent == pytest.approx(harmonic_mode.extent * eps)
+    assert scaled.y.length == pytest.approx(harmonic_mode.y.length * eps)
     assert abs(eps**2 * scaled.quartic - harmonic_mode.quartic) < 1e-12
-    da = scaled.spacing**2
+    da = scaled.y.dx**2
     assert abs(float(np.sum(scaled.chi**2)) * da - 1.0) < 1e-12
     with pytest.raises(InterfaceError):
         transverse.rescale_mode(scaled, 0.5)    # already rescaled

@@ -10,9 +10,10 @@ artifact path, sorted: `identical` when the two files hold the same bytes,
 and otherwise the largest relative and absolute move of each CSV column or
 JSON key whose values moved.  A value that is not a number, a changed
 header or row count, a key or file on one side only and a file that is
-neither CSV nor JSON are reported as such.  Exits 0 when every artifact is
-identical and 1 otherwise, so that an identical config and seed giving
-other bytes fails.
+neither CSV nor JSON are reported as such.  A config that raises is named
+on stderr with its error, and the tree's other configs still run.  Exits 0
+when every config ran and every artifact is identical and 1 otherwise, so
+that an identical config and seed giving other bytes fails.
 
 Sums through a threaded BLAS can move in their last bits with its thread
 count, so compare trees on one machine with one thread count.  The counting
@@ -34,16 +35,23 @@ RUN_CONFIGS = """\
 import sys
 from pathlib import Path
 from quasi1d.harness import load_config, run_scenario
+failed = 0
 for path in sorted(Path("configs").glob("*.ini")):
-    run_scenario(load_config(path), sys.argv[1])
+    try:
+        run_scenario(load_config(path), sys.argv[1])
+    except Exception as exc:
+        print(f"{path.resolve()}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        failed = 1
+sys.exit(failed)
 """
 
 
-def run_configs(tree: Path, root: Path) -> None:
-    """Every config of `tree`, run by that tree's code, into `root`."""
+def run_configs(tree: Path, root: Path) -> int:
+    """Every config of `tree`, run by that tree's code, into `root`; 0 when
+    each ran, else 1, each config that raised named on stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    subprocess.run([sys.executable, "-c", RUN_CONFIGS, str(root)], cwd=tree,
-                   env=env, check=True)
+    return subprocess.run([sys.executable, "-c", RUN_CONFIGS, str(root)], cwd=tree,
+                          env=env, check=False).returncode
 
 
 def _number(value) -> float | None:
@@ -137,11 +145,12 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         roots = [Path(tmp) / "old", Path(tmp) / "new"]
-        for tree, root in zip(argv, roots):
-            run_configs(Path(tree).resolve(), root)
+        failed = [run_configs(Path(tree).resolve(), root)
+                  for tree, root in zip(argv, roots)]
         lines = compare_roots(*roots)
     print("\n".join(lines))
-    return 0 if all(line.endswith(": identical") for line in lines) else 1
+    return 0 if not any(failed) and all(line.endswith(": identical")
+                                        for line in lines) else 1
 
 
 if __name__ == "__main__":
