@@ -633,8 +633,7 @@ class AdmissibilityReport:
     n_values: tuple
     eps_values: tuple
     products: tuple          # N * eps^delta per pair
-    strictly_decreasing: bool
-    admissible: bool
+    admissible: bool         # the products strictly decrease
     window: dict | None      # optional 5/6 < d < beta_tilde < 2/(2+delta)
 
 
@@ -677,9 +676,8 @@ def _parse_admissibility(sec: _Section) -> AdmissibilityReport:
                   "ok": 5.0 / 6.0 < v["d"] < v["beta_tilde"] < upper,
                   "statement": f"5/6 < d < beta_tilde < {upper:.6f}"}
     return AdmissibilityReport(delta=delta, n_values=ns, eps_values=eps,
-                               products=products,
-                               strictly_decreasing=decreasing,
-                               admissible=decreasing, window=window)
+                               products=products, admissible=decreasing,
+                               window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,13 +1020,11 @@ def _run_count(cfg: ScenarioConfig, out_dir: Path) -> tuple:
         completeness_max = max(completeness_max, check.completeness)
         orthogonality_max = max(orthogonality_max, check.orthogonality)
         all_pass = all_pass and check.passed
-        rows.append((idx, check.alpha, check.trace_dist, check.trace_dist,
-                     check.bound_rhs, check.alpha, check.reverse_rhs,
-                     int(check.passed)))
+        rows.append((idx, check.alpha, check.trace_dist, check.bound_rhs,
+                     check.reverse_rhs, int(check.passed)))
     _write_csv(out_dir / "samples.csv",
-               ["sample [1]", "alpha [1]", "trace_dist [1]",
-                "bound_lhs [1]", "bound_rhs [1]",
-                "reverse_lhs [1]", "reverse_rhs [1]", "passed [bool]"], rows)
+               ["sample [1]", "alpha [1]", "trace_dist [1]", "bound_rhs [1]",
+                "reverse_rhs [1]", "passed [bool]"], rows)
 
     draws.close()       # frees the draw buffers before the product state
     with manybody._OneBlasThread():     # the BLAS sum order of the samples

@@ -72,7 +72,7 @@ def admissibility(pairs, delta, **exponents):
 def test_admissible_sequence():
     pairs = [(n, 2.0 ** -n) for n in range(8, 13)]
     report = admissibility(pairs, 0.2)
-    assert report.admissible and report.strictly_decreasing
+    assert report.admissible
     assert len(report.products) == 5
     assert all(b < a for a, b in zip(report.products, report.products[1:]))
 
@@ -462,7 +462,7 @@ def test_admissibility_flows_into_metrics(tmp_path):
     assert result.metrics["admissible"] == 1.0
     assert result.metrics["window_ok"] == 1.0
     summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
-    assert summary["admissibility"]["strictly_decreasing"]
+    assert summary["admissibility"]["admissible"]
 
 
 def test_output_root_resolution(tmp_path, monkeypatch):

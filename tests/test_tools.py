@@ -1,11 +1,8 @@
 """Repository tools: the artifact comparer on hand-written artifact roots,
-and the peak-RSS gate on a short CLI run."""
+and its runs and peak-RSS caps on a scratch tree."""
 
 import importlib.util
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -111,33 +108,47 @@ def test_artifact_diff_names_a_failing_config_and_runs_the_rest(tmp_path,
     assert "a_bad" not in out
 
 
-def _peak_rss(tmp_path, *args):
-    """tools/peak_rss.py on barrier_scattering.ini, in a process of its own,
-    so that its only child is the CLI's run."""
-    env = dict(os.environ, QUASI1D_OUTPUT_ROOT=str(tmp_path))
-    return subprocess.run([sys.executable, str(TOOLS / "peak_rss.py"),
-                           str(BARRIER), *args],
-                          env=env, capture_output=True, text=True, check=False)
+def _barrier_tree(tmp_path):
+    """A scratch tree of this tree's src and barrier_scattering.ini alone."""
+    tree = tmp_path / "tree"
+    (tree / "configs").mkdir(parents=True)
+    (tree / "src").symlink_to(TOOLS.parent / "src")
+    (tree / "configs" / BARRIER.name).write_text(
+        BARRIER.read_text(encoding="utf-8"), encoding="utf-8")
+    return tree
 
 
-def test_peak_rss_passes_under_its_cap(tmp_path):
-    run = _peak_rss(tmp_path, "1000")
-    assert run.returncode == 0, run.stderr
-    assert re.search(r"peak RSS of scatter \S*barrier_scattering\.ini: "
-                     r"\d+\.\d MB \(cap 1000 MB\)", run.stdout)
-    assert (tmp_path / "barrier_scattering" / "summary.json").exists()
+def test_artifact_diff_prints_each_peak_rss_under_its_cap(tmp_path,
+                                                         monkeypatch, capfd):
+    artifact_diff = _load("artifact_diff")
+    monkeypatch.setattr(artifact_diff, "PEAK_RSS_CAPS_MB",
+                        {"barrier_scattering": 1000})
+    tree = _barrier_tree(tmp_path)
+    assert artifact_diff.main([str(tree), str(tree)]) == 0
+    out, err = capfd.readouterr()
+    line = (re.escape(f"{tree / 'configs' / BARRIER.name}: exit 0, peak RSS ")
+            + r"\d+\.\d MB \(cap 1000 MB\)\n")
+    assert len(re.findall(line, err)) == 2      # one line per run
+    assert "barrier_scattering/summary.json: identical" in out
+    assert "above" not in err
 
 
-def test_peak_rss_above_its_cap_exits_1(tmp_path):
-    run = _peak_rss(tmp_path, "1")
-    assert run.returncode == 1
-    assert "barrier_scattering: PASS" in run.stdout
-    assert "peak RSS above 1 MB" in run.stderr
+def test_artifact_diff_exits_1_above_a_peak_rss_cap(tmp_path, monkeypatch,
+                                                   capfd):
+    # the config still runs and compares; its peak and cap name it
+    artifact_diff = _load("artifact_diff")
+    monkeypatch.setattr(artifact_diff, "PEAK_RSS_CAPS_MB",
+                        {"barrier_scattering": 1})
+    tree = _barrier_tree(tmp_path)
+    assert artifact_diff.main([str(tree), str(tree)]) == 1
+    out, err = capfd.readouterr()
+    line = (re.escape(f"{tree / 'configs' / BARRIER.name}: peak RSS ")
+            + r"\d+\.\d MB above its 1 MB cap\n")
+    assert len(re.findall(line, err)) == 2      # over the cap on either run
+    assert "barrier_scattering/summary.json: identical" in out
 
 
-def test_peak_rss_passes_a_failed_run_code_through(tmp_path):
-    # the CLI refuses the override with exit 2, which wins over the cap
-    run = _peak_rss(tmp_path, "1", "--set", "scatter.mu=-1")
-    assert run.returncode == 2
-    assert "[scatter] mu: positive mu required" in run.stderr
-    assert not (tmp_path / "barrier_scattering").exists()
+def test_peak_rss_caps_name_shipped_configs():
+    # renaming a config cannot silently drop its cap
+    stems = {path.stem for path in (TOOLS.parent / "configs").glob("*.ini")}
+    assert set(_load("artifact_diff").PEAK_RSS_CAPS_MB) <= stems

@@ -1,19 +1,23 @@
-"""Compare the artifacts that two checkouts write from their configs.
+"""Compare the artifacts that two checkouts write from their configs, and
+hold the heaviest configs to a peak-RSS cap.
 
     python3 tools/artifact_diff.py OLD_TREE NEW_TREE
     python3 tools/artifact_diff.py . .      # two fresh runs of one tree
 
 Runs every `configs/*.ini` of each tree through that tree's own
 `src/quasi1d` (`harness.load_config` and `harness.run_scenario`, one fresh
-process per tree) into a temporary root.  Then prints one block per
-artifact path, sorted: `identical` when the two files hold the same bytes,
+process per config) into a temporary root.  Each run prints the config's
+path on stderr with its process's exit code and peak RSS and, if
+`PEAK_RSS_CAPS_MB` caps it, the cap.  Then prints one block per artifact
+path on stdout, sorted: `identical` when the two files hold the same bytes,
 and otherwise the largest relative and absolute move of each CSV column or
 JSON key whose values moved.  A value that is not a number, a changed
 header or row count, a key or file on one side only and a file that is
-neither CSV nor JSON are reported as such.  A config that raises is named
-on stderr with its error, and the tree's other configs still run.  Exits 0
-when every config ran and every artifact is identical and 1 otherwise, so
-that an identical config and seed giving other bytes fails.
+neither CSV nor JSON are reported as such.  A config that raises, or whose
+peak RSS is above its cap on either run, is named on stderr, and the tree's
+other configs still run.  Exits 0 when every config ran under its cap and
+every artifact is identical and 1 otherwise, so that an identical config
+and seed giving other bytes fails.
 
 Sums through a threaded BLAS can move in their last bits with its thread
 count, so compare trees on one machine with one thread count.  The counting
@@ -31,27 +35,44 @@ import sys
 import tempfile
 from pathlib import Path
 
-RUN_CONFIGS = """\
+# peak RSS caps in MB, by config stem, held on each tree's run
+PEAK_RSS_CAPS_MB = {"counting_confined": 160, "reduction_sweep": 72,
+                    "counting_pair": 50, "counting_triplet": 51}
+
+RUN_CONFIG = """\
 import sys
-from pathlib import Path
 from quasi1d.harness import load_config, run_scenario
-failed = 0
-for path in sorted(Path("configs").glob("*.ini")):
-    try:
-        run_scenario(load_config(path), sys.argv[1])
-    except Exception as exc:
-        print(f"{path.resolve()}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        failed = 1
-sys.exit(failed)
+try:
+    run_scenario(load_config(sys.argv[1]), sys.argv[2])
+except Exception as exc:
+    print(f"{sys.argv[1]}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    sys.exit(1)
 """
 
 
 def run_configs(tree: Path, root: Path) -> int:
-    """Every config of `tree`, run by that tree's code, into `root`; 0 when
-    each ran, else 1, each config that raised named on stderr."""
+    """Every config of `tree`, each run by that tree's code in a process of
+    its own, into `root`; 0 when each ran under its cap, else 1, each config
+    that raised or went over its cap named on stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-c", RUN_CONFIGS, str(root)], cwd=tree,
-                          env=env, check=False).returncode
+    failed = 0
+    for path in sorted(tree.joinpath("configs").glob("*.ini")):
+        path = path.resolve()
+        child = subprocess.Popen([sys.executable, "-c", RUN_CONFIG, str(path),
+                                  str(root)], cwd=tree, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+        # wait4 reaped the child, so Popen must not wait for it again
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        peak_mb = usage.ru_maxrss / 1024
+        cap_mb = PEAK_RSS_CAPS_MB.get(path.stem)
+        over = cap_mb is not None and peak_mb > cap_mb
+        print(f"{path}: exit {code}, peak RSS {peak_mb:.1f} MB"
+              + ("" if cap_mb is None else f" (cap {cap_mb} MB)"), file=sys.stderr)
+        if over:
+            print(f"{path}: peak RSS {peak_mb:.1f} MB above its {cap_mb} MB cap",
+                  file=sys.stderr)
+        failed = failed or code != 0 or over
+    return int(failed)
 
 
 def _number(value) -> float | None:
