@@ -36,8 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError, InterfaceError
-from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _energy, _potential,
-                    _strang_loop, evolve_1d, gaussian_packet, phase_distance)
+from .gpe1d import (Field, Grid1D, ProductGrid, Trajectory, _axis_k2, _energy,
+                    _potential, _strang_loop, evolve_1d, gaussian_packet,
+                    phase_distance)
 from .transverse import (TransverseMode, _confinement, coupling_b, ground_state_2d,
                          rescale_mode)
 
@@ -119,7 +120,7 @@ def energy_3d(psi: Field, a: float,
               v_par: Potential3D = None) -> float:
     """<psi, (-Laplace + V_conf + V_par + (g/2)|psi|^2) psi>, g = 8 pi a eps^2."""
     grid = psi.grid
-    return float(_energy(psi.values[None], grid.k_squared(), grid.dvol,
+    return float(_energy(psi.values[None], _axis_k2(grid), grid.dvol,
                          _confinement(grid.axes[1], grid.epsilon, v_perp)[None, :, :],
                          _potential(v_par, grid)(psi.time),
                          8.0 * math.pi * a * grid.epsilon**2)[0])

@@ -92,6 +92,11 @@ class Grid1D:
         return self.dx
 
     @property
+    def axes(self) -> tuple["Grid1D"]:
+        """(self,), as a ProductGrid holds its axes."""
+        return (self,)
+
+    @property
     def x(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dx
 
@@ -134,8 +139,8 @@ class ProductGrid:
 
 @dataclass(eq=False)
 class Field:
-    """Values on a grid with `dvol`, `k_squared()` and `mesh()`: a Grid1D or a
-    ProductGrid."""
+    """Values on a grid with `axes`, `dvol`, `k_squared()` and `mesh()`: a
+    Grid1D or a ProductGrid."""
 
     grid: Any
     values: np.ndarray
@@ -182,21 +187,30 @@ def plane_wave(grid: Grid1D, mode: int) -> Field:
     return Field(grid, psi.astype(complex))
 
 
-def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
+def _axis_k2(grid) -> list[np.ndarray]:
+    """The grid's k^2 of each axis, in axis order: _energy's kinetic weights."""
+    return [axis.k_squared() for axis in grid.axes]
+
+
+def _energy(values: np.ndarray, k2s: list[np.ndarray], dvol: float, v_static,
             v_t, g: float, spectrum: np.ndarray | None = None,
             real: np.ndarray | None = None) -> np.ndarray:
     """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi> of each field
-    psi = values[j] of a stack, one energy per field.  v_t broadcasts
-    against the stack, so each field may have its own v(t).  The kinetic
-    part is sum k^2 |fftn psi|^2 dV / size (Parseval), and the two
-    potentials are weighted separately, so no full-grid sum of them is
-    formed.  Transforms and sums run over the trailing (field) axes; they
-    give the bits of the same calls on one field alone.
+    psi = values[j] of a stack, one energy per field.  k2s holds the k^2 of
+    each field axis (_axis_k2).  v_t broadcasts against the stack, so each
+    field may have its own v(t).  The kinetic part is sum k^2 |fftn psi|^2
+    dV / size (Parseval), taken axis by axis: sum_a sum k_a^2 times
+    |psi_hat|^2 summed over the other axes, so no k^2 of the box is formed;
+    on one axis it is the product and sum themselves.  The two potentials
+    are weighted separately, so no full-grid sum of them is formed.
+    Transforms and sums run over the trailing (field) axes; they give the
+    bits of the same calls on one field alone.
 
     Runs in two scratch arrays of the stack's shape, allocated if not given:
     `spectrum` (complex) holds the transform, then the density in the first
-    half of its float64 view; `real` holds k^2 |psi_hat|^2, then each
-    potential and interaction integrand.
+    half of its float64 view; `real` holds |psi_hat|^2, then each potential
+    and interaction integrand.  Only the per-axis sums of |psi_hat|^2 are
+    allocated.
     """
     if spectrum is None:
         spectrum = np.empty(values.shape, dtype=complex)
@@ -205,8 +219,12 @@ def _energy(values: np.ndarray, k2: np.ndarray, dvol: float, v_static,
     np.fft.fftn(values, axes=axes, out=spectrum)
     np.abs(spectrum, out=real)
     np.square(real, out=real)
-    np.multiply(k2, real, out=real)
-    kinetic = np.add.reduce(real, axis=axes) * dvol / values[0].size
+    kinetic = 0.0
+    for axis, k2 in zip(axes, k2s):
+        others = tuple(other for other in axes if other != axis)
+        power = np.add.reduce(real, axis=others) if others else real
+        kinetic = kinetic + np.add.reduce(np.multiply(k2, power, out=power), axis=-1)
+    kinetic = kinetic * dvol / values[0].size
     density = spectrum.reshape(-1).view(np.float64)[:values.size].reshape(values.shape)
     np.abs(values, out=density)
     np.square(density, out=density)
@@ -287,7 +305,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     0 for v_par None.  dt is adjusted to divide span; both may be negative.
 
     Step i is the phase half-step with V_i = V_static + v(t_{i-1} + dt/2),
-    the kinetic step exp(-i dt k2) by FFTs, and a second phase half-step
+    the kinetic step exp(-i dt k^2) by FFTs, and a second phase half-step
     with V_i.  A phase factor keeps |psi|, so the closing half-step of step
     i and the opening half-step of step i+1 are applied as one factor
     exp(-i dt ((V_i + V_{i+1})/2 + g|psi|^2)).  Each factor exp(-i h Theta)
@@ -312,8 +330,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     (A) on slabs along axis 0, the phase and the forward FFT over the other
     axes; (B) on slabs along axis 1, the FFT along axis 0 from psi into
     the slab's own consecutive chunk of factor, so each line's spectrum is
-    contiguous, the factor exp(-i dt k2) there (kin is stored with axis 0
-    last, in the order the chunks read it) and the inverse FFT back into
+    contiguous, the kinetic factor there and the inverse FFT back into
     psi; (C) on slabs along axis 0 again, the inverse FFT over the other
     axes, |psi|^2 and its sum over each axis-0 row.  The line, with no
     other axes, runs (B) in place on psi.  The step mass is the sum of
@@ -321,9 +338,15 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     depend on the number of slabs.  Slab 0 runs on the calling thread, the
     others on helper threads (_slab_workers).
 
-    The loop holds six arrays of the box: psi, kin and factor (complex) and
-    k2, rho and theta (real).  factor holds the phase factor in stage A and
-    at a closing half-step, and the spectrum in stage B.  For B = 1 the
+    exp(-i dt k^2) factors exactly per axis, so stage B multiplies each
+    line's spectrum by exp(-i dt k_0^2) along the line, then by the line's
+    value of exp(-i dt sum_{a>=1} k_a^2), an array over the other axes cut
+    with the slab; the energy takes k^2 per axis too (_energy).
+
+    The loop holds four arrays of the box: psi and factor (complex) and rho
+    and theta (real), plus the per-axis factors, a line and an array over
+    the other axes.  factor holds the phase factor in stage A and at a
+    closing half-step, and the spectrum in stage B.  For B = 1 the
     energy writes only into factor and theta, so recording it allocates
     nothing of the box's size; for B > 1 the stack, v(t), the closing
     potentials (then the closing phase, then _energy's real scratch) and
@@ -334,13 +357,11 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     dt = span / n_steps
     grid = psi0.grid
     dvol = grid.dvol
-    k2 = grid.k_squared()
+    k2s = _axis_k2(grid)
     v_axial = _potential(v_par, grid)
-    # exp(-i dt k2) in (axes 1.., axis 0) order, the order stage B reads
-    # it in, formed in its own memory
-    k2_b = np.moveaxis(k2, 0, -1)
-    kin = np.multiply(-1j * dt, k2_b, out=np.empty(k2_b.shape, dtype=complex))
-    np.exp(kin, out=kin)
+    # exp(-i dt k^2) = exp(-i dt k_0^2) along each x line times, on more
+    # axes, exp(-i dt sum_{a>=1} k_a^2) over the others, one value a line
+    kin_x = np.exp(-1j * dt * k2s[0])
 
     psi = np.array(psi0.values, dtype=complex, order="C")
     rho = psi.real**2 + psi.imag**2
@@ -352,19 +373,21 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     workers = _slab_workers(psi.shape)
     # each slab's views, cut once: x slabs hold (index, psi, rho, theta,
     # factor, rows, V_static), y slabs (psi with axis 0 last, its spectrum
-    # in the next chunk of factor, kin)
+    # in the next chunk of factor, the kinetic factors)
     x_slabs = [(index, psi[index], rho[index], theta[index], factor[index],
                 rows[index], _slab_of(v_static, index, ndim))
                for index in _slabs(psi.shape, 0, workers)]
     if ndim == 1:
-        y_slabs = [(psi, psi, kin)]
+        y_slabs = [(psi, psi, (kin_x,))]
     else:
+        kin_t = np.exp(-1j * dt * ProductGrid(grid.axes[1:]).k_squared())[..., None]
         y_slabs, start = [], 0
         for index, kin_index in zip(_slabs(psi.shape, 1, workers),
-                                    _slabs(kin.shape, 0, workers)):
+                                    _slabs(kin_t.shape, 0, workers)):
             lines = np.moveaxis(psi[index], 0, -1)
             spectrum = factor.reshape(-1)[start:start + lines.size]
-            y_slabs.append((lines, spectrum.reshape(lines.shape), kin[kin_index]))
+            y_slabs.append((lines, spectrum.reshape(lines.shape),
+                            (kin_x, kin_t[kin_index])))
             start += lines.size
 
     def apply_phase(slab: tuple, h: float, vp) -> None:
@@ -383,9 +406,10 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
             np.fft.fftn(slab[1], axes=trailing, out=slab[1])
 
     def kinetic(slab: tuple) -> None:                               # stage B
-        lines, spec, kin_slab = slab
+        lines, spec, kins = slab
         np.fft.fft(lines, axis=-1, out=spec)
-        np.multiply(spec, kin_slab, out=spec)
+        for kin in kins:
+            np.multiply(spec, kin, out=spec)
         np.fft.ifft(spec, axis=-1, out=lines)
 
     def inverse_density(slab: tuple) -> None:                       # stage C
@@ -429,7 +453,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
         _phase_factor(phase, fac)
         np.multiply(fields, fac, out=fields)
         energies[evaluated:recorded] = _energy(
-            fields, k2, dvol, v_static, stack_v[:rows], g, fac, phase)
+            fields, k2s, dvol, v_static, stack_v[:rows], g, fac, phase)
         evaluated = recorded
 
     def record_energy(t: float, h_close: float, v_close) -> None:
@@ -437,7 +461,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
         nonlocal recorded, evaluated
         energy_times[recorded] = t
         if batch == 1:
-            energies[recorded] = _energy(psi[None], k2, dvol, v_static,
+            energies[recorded] = _energy(psi[None], k2s, dvol, v_static,
                                          v_axial(t), g, factor[None], theta[None])[0]
             recorded = evaluated = recorded + 1
             return
@@ -503,7 +527,7 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
 def energy_1d(phi: Field, v_par: Potential1D = None, b: float = 0.0) -> float:
     """<Phi, (-d^2/dx^2 + V + b/2 |Phi|^2) Phi>, manifestly real."""
     grid = phi.grid
-    return float(_energy(phi.values[None], grid.k_squared(), grid.dvol, 0.0,
+    return float(_energy(phi.values[None], _axis_k2(grid), grid.dvol, 0.0,
                          _potential(v_par, grid)(phi.time), b)[0])
 
 

@@ -363,6 +363,10 @@ def _parse_trap(sec: _Section) -> TrapSpec:
         raise sec.fail("n", "the trap's plane needs n >= 16")
     scaled = () if v["epsilon"] is None else (("epsilon", v["extent"] * v["epsilon"]),)
     axis, *_ = _axes(sec, v, "n", ("extent", v["extent"]), *scaled)
+    eps2 = 1.0 if v["epsilon"] is None else v["epsilon"] * v["epsilon"]
+    if not np.finfo(float).tiny <= eps2 <= np.finfo(float).max:
+        raise sec.fail("epsilon", f"eps^2 = {eps2:g} leaves the normal float range, "
+                       f"in which E0 / eps^2 and the rescaled quartic are formed")
     plane = gpe1d.ProductGrid((axis, axis))
     _resolved_potential(sec, "potential", plane,
                         lambda: v["potential"](*plane.mesh()))

@@ -110,13 +110,17 @@ def coupling_b(a: float, mode: TransverseMode) -> float:
 
 
 def rescale_mode(mode: TransverseMode, epsilon: float) -> TransverseMode:
-    """chi_eps(y) = chi(y / eps) / eps on the axis scaled by eps (eps > 0)."""
+    """chi_eps(y) = chi(y / eps) / eps on the axis scaled by eps (eps > 0).
+
+    Its quartic integral sum chi_eps^4 (eps dy)^2 is formed as sum chi^4
+    (dy / eps)^2: (chi / eps)^4 overflows for eps below about 1e-77 and
+    underflows above about 1e77.
+    """
     if mode.epsilon is not None:
         raise InterfaceError("mode was already rescaled; start from the base mode")
     y = Grid1D(mode.y.length * epsilon, mode.y.n)
     chi_eps = mode.chi / epsilon
-    da = (epsilon * mode.y.dx) ** 2
-    quartic = float(np.sum(chi_eps**4)) * da
+    quartic = float(np.sum(mode.chi**4)) * (mode.y.dx / epsilon) ** 2
     return replace(mode, y=y, chi=chi_eps,
                    E0=mode.E0 / epsilon**2, quartic=quartic,
                    epsilon=epsilon, base_quartic=mode.quartic)

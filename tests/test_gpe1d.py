@@ -531,6 +531,38 @@ def test_energy_batch_scratch_does_not_grow_with_the_steps():
     assert long < 512 * 1024
 
 
+def test_per_axis_kinetic_energy_is_the_box_formula():
+    # _energy's kinetic term, taken axis by axis, against sum k^2
+    # |psi_hat|^2 dV / size on the box's own k^2: within round-off on 2 and
+    # 3 axes, and the same operations, so the same bits, on one axis
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(half_ns=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+                      lengths=st.lists(st.floats(0.5, 50.0), min_size=3, max_size=3),
+                      fields=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def check(half_ns, lengths, fields, seed):
+        axes = tuple(gpe1d.Grid1D(length, 2 * half_n)
+                     for length, half_n in zip(lengths, half_ns))
+        grid = axes[0] if len(axes) == 1 else gpe1d.ProductGrid(axes)
+        rng = np.random.default_rng(seed)
+        shape = (fields, *(axis.n for axis in axes))
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        trailing = tuple(range(1, values.ndim))
+        power = np.abs(np.fft.fftn(values, axes=trailing)) ** 2
+        box = (np.add.reduce(grid.k_squared() * power, axis=trailing)
+               * grid.dvol / values[0].size)
+        kinetic = gpe1d._energy(values, gpe1d._axis_k2(grid), grid.dvol,
+                                0.0, 0.0, 0.0)
+        if len(axes) == 1:
+            np.testing.assert_array_equal(kinetic, box)
+        else:
+            assert np.max(np.abs(kinetic - box) / box) <= 1e-13
+
+    check()
+
+
 def _random_field(grid, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)

@@ -866,6 +866,8 @@ UNKNOWN_KEYS = (SECOND_SPELLINGS + FOLDED_KEYS
     # an axis whose largest k^2 is infinite, named by the key that shrank it
     ("harmonic_trap", "trap.extent=1e-300"),
     ("harmonic_trap", "trap.epsilon=1e-300"),
+    # eps^2 beyond float range
+    ("harmonic_trap", "trap.epsilon=1e200"),
     ("counting_pair", "count.length=1e-300"),
     ("reduction_sweep", "reduce3d.base_extent_y=1e-300"),
     ("reduction_sweep", "reduce3d.eps_list=1e-300"),
@@ -918,6 +920,36 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, config, override):
     if (section, key) in UNKNOWN_KEYS:
         assert f"{key}: unknown key" in err
     assert not (tmp_path / config).exists()
+
+
+@pytest.mark.parametrize("epsilon, e0_scaled", [("1e-150", "~ 2e300 1e294"),
+                                                ("1e150", "~ 2e-300 1e-306")])
+def test_cli_trap_rescales_at_extreme_epsilon(tmp_path, epsilon, e0_scaled):
+    # the rescaled quartic is formed without (chi / eps)^4, so eps^2 times
+    # it is the base quartic to round-off wherever eps^2 is a normal float;
+    # e0_scaled is asserted at 2 / eps^2, within the base e0's 1e-6 / eps^2
+    path = CONFIG_DIR / "harmonic_trap.ini"
+    code = cli.main(["trap", str(path), "--set", f"trap.epsilon={epsilon}",
+                     "--set", f"assert.e0_scaled={e0_scaled}",
+                     "--output", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "harmonic_trap" / "summary.json").read_text())
+    metrics = summary["metrics"]
+    assert metrics["quartic_identity_err"] <= 4 * sys.float_info.epsilon * metrics["quartic"]
+
+
+def test_cli_trap_subnormal_epsilon_squared_exits_2(tmp_path, capsys):
+    # on a plane wide enough for the scaled axis to pass, eps^2 is
+    # subnormal: refused at load, at the epsilon key
+    path = CONFIG_DIR / "harmonic_trap.ini"
+    code = cli.main(["trap", str(path), "--set", "trap.epsilon=1e-156",
+                     "--set", "trap.n=16", "--set", "trap.extent=1e6",
+                     "--output", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert _config_error_at(path, "trap", "epsilon") in err
+    assert "eps^2 = 1e-312 leaves the normal float range" in err
+    assert not (tmp_path / "harmonic_trap").exists()
 
 
 def test_cli_coarse_transverse_spacing_exits_2(tmp_path, capsys):

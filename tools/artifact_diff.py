@@ -36,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 # peak RSS caps in MB, by config stem, held on each tree's run
-PEAK_RSS_CAPS_MB = {"counting_confined": 160, "reduction_sweep": 72,
+PEAK_RSS_CAPS_MB = {"counting_confined": 160, "reduction_sweep": 64,
                     "counting_pair": 50, "counting_triplet": 51}
 
 RUN_CONFIG = """\
