@@ -14,11 +14,13 @@ b = 8 pi a int |chi|^4.
 
 The 3d dynamics uses the time-splitting spectral scheme of Bao, Jaksch &
 Markowich (J. Comput. Phys. 187, 2003), on the fused Strang loop of gpe1d:
-one phase and a forward and an inverse 3d FFT per step, the transverse axes
-transformed in place and the x lines gathered into a spare buffer of the
-box's size, and the energy every ENERGY_STRIDE steps.  Every operation of
-the step is pointwise or a batch of 1d FFTs along one axis, so the loop runs
-it on slabs of the box, one per usable CPU.
+one phase and a forward and an inverse 3d FFT per step, and the energy
+every ENERGY_STRIDE steps.  Every operation of the step is pointwise or a
+batch of 1d FFTs along one axis, so the loop runs it on slabs of the box,
+one per usable CPU, each in chunks of whole rows: the transverse axes are
+transformed in place, and the x lines of a few columns at a time are
+gathered into a chunk buffer.  The box itself is the loop's one array of
+the box's size.
 
 Without interaction (a = 0) every factor of that step acts on x alone
 (V_par, k_x^2) or on y alone (V_perp / eps^2, k_y^2), so from a product
@@ -52,10 +54,12 @@ __all__ = ["ENERGY_STRIDE", "Grid3D", "make_grid",
 # ignore the trailing arguments.
 Potential3D = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None
 
-# evolve_3d records energy_3d, which costs more than a two-slab step (4.9 ms
-# against 3.3 ms on 128x48x48, medians of 8 runs on a 2-vCPU AMD EPYC, numpy
-# 2.4), every this many steps, plus at the start, at every sample and at the
-# last step.
+# evolve_3d records the energy every this many steps, plus at the start, at
+# every sample and at the last step.  A recorded step closes the field, takes
+# the energy on the step's slabs and opens the next step: on 128x48x48 in two
+# slabs that added 12.0-13.6 ms to a 13.7-15.5 ms step (17.5-17.9 ms while
+# the energy ran one whole-box fftn on the calling thread), medians of 6
+# alternating 64-step runs on a 2-vCPU Intel Xeon VM, numpy 2.4.
 ENERGY_STRIDE = 16
 
 

@@ -53,6 +53,15 @@ SLAB_MIN_POINTS = 200_000
 # numpy 2.4).
 BATCH_POINTS = 8192
 
+# The Strang loop's stages and _energy walk each slab in chunks of about this
+# many points, whole axis-0 rows or the x lines of whole axis-1 columns (at
+# least one), so that psi is the loop's one array of the box's size.  On
+# 128x48x48 (a row of 2304 points, 14 rows a chunk) chunks of 8192 points
+# made a step 1.8x as long, while 16 384 to 65 536 points read within the
+# host's noise of each other (128-step runs, two rounds, 2-vCPU Intel Xeon
+# VM, numpy 2.4).
+CHUNK_POINTS = 32_768
+
 # _ground_state's step cap and the eigenresidual that ends it.  The most
 # steps any ground state of the tests or the shipped configs takes is 215
 # (the 128^2 trap plane under well:1260,2, just below the load bound); the
@@ -192,45 +201,139 @@ def _axis_k2(grid) -> list[np.ndarray]:
     return [axis.k_squared() for axis in grid.axes]
 
 
+@dataclass(frozen=True, eq=False)
+class _Slab:
+    """One slab of a box: the axis-0 rows its row stages walk, the axis-1
+    columns whose x lines it transforms (None on the line), and the chunk
+    buffers, complex and real, that both share."""
+
+    rows: slice
+    cols: slice | None
+    spare: np.ndarray
+    real: np.ndarray
+
+
+def _pieces(part: slice, unit: int) -> list[slice]:
+    """`part` of an axis cut into runs of as many indices of `unit` points
+    each as fit in CHUNK_POINTS, at least one."""
+    step = max(1, CHUNK_POINTS // unit)
+    return [slice(i, min(i + step, part.stop)) for i in range(part.start, part.stop, step)]
+
+
+def _slab_set(shape: tuple[int, ...], workers: int) -> list[_Slab]:
+    """The box of `shape` in `workers` slabs, cut along axis 0 for the rows
+    and along axis 1 for the x lines, each with chunk buffers for the
+    largest chunk of either.  A line is one slab, its buffers a line long,
+    since _energy takes each line whole."""
+    if len(shape) == 1:
+        return [_whole(shape, np.empty(shape[0], dtype=complex), np.empty(shape[0]))]
+    row = math.prod(shape[1:])
+    column = shape[0] * math.prod(shape[2:])
+    slabs = []
+    for i in range(workers):
+        rows = slice(shape[0] * i // workers, shape[0] * (i + 1) // workers)
+        cols = slice(shape[1] * i // workers, shape[1] * (i + 1) // workers)
+        points = max(unit * min(part.stop - part.start, max(1, CHUNK_POINTS // unit))
+                     for part, unit in ((rows, row), (cols, column)))
+        slabs.append(_Slab(rows, cols, np.empty(points, dtype=complex),
+                           np.empty(points)))
+    return slabs
+
+
+def _whole(shape: tuple[int, ...], spare: np.ndarray, real: np.ndarray) -> _Slab:
+    """The box of `shape` as one slab, with the given chunk buffers."""
+    return _Slab(slice(0, shape[0]), slice(0, shape[1]) if len(shape) > 1 else None,
+                 spare, real)
+
+
+def _serial(stage, slabs: list[_Slab], *args) -> None:
+    """Runs `stage` on each slab in turn, on the calling thread."""
+    for slab in slabs:
+        stage(slab, *args)
+
+
 def _energy(values: np.ndarray, k2s: list[np.ndarray], dvol: float, v_static,
-            v_t, g: float, spectrum: np.ndarray | None = None,
-            real: np.ndarray | None = None) -> np.ndarray:
+            v_t, g: float, slabs: list[_Slab] | None = None,
+            run=_serial) -> np.ndarray:
     """<psi, (-Laplace + V_static + v(t) + (g/2)|psi|^2) psi> of each field
     psi = values[j] of a stack, one energy per field.  k2s holds the k^2 of
     each field axis (_axis_k2).  v_t broadcasts against the stack, so each
-    field may have its own v(t).  The kinetic part is sum k^2 |fftn psi|^2
-    dV / size (Parseval), taken axis by axis: sum_a sum k_a^2 times
-    |psi_hat|^2 summed over the other axes, so no k^2 of the box is formed;
-    on one axis it is the product and sum themselves.  The two potentials
-    are weighted separately, so no full-grid sum of them is formed.
-    Transforms and sums run over the trailing (field) axes; they give the
-    bits of the same calls on one field alone.
+    field may have its own v(t).
 
-    Runs in two scratch arrays of the stack's shape, allocated if not given:
-    `spectrum` (complex) holds the transform, then the density in the first
-    half of its float64 view; `real` holds |psi_hat|^2, then each potential
-    and interaction integrand.  Only the per-axis sums of |psi_hat|^2 are
-    allocated.
+    The kinetic part is Parseval's sum k^2 |fftn psi|^2 dV / size taken axis
+    by axis, sum_a (dV / n_a) sum k_a^2 |fft_a psi|^2, from 1d transforms:
+    no k^2 and no transform of the box is formed.  Each term is summed
+    within each axis-0 row (the axis-0 kinetic term within each axis-1
+    column, from the x lines of a few columns at a time), and these
+    partials are then summed in index order, so an energy depends on
+    neither the slab count nor the chunk size.  A line is one row, so on a
+    stack of lines these are one transform and one sum a line, the
+    operations of one line alone.
+
+    The chunks of rows and of columns run in the chunk buffers of `slabs`
+    (_slab_set of the field shape for one field, or one _whole slab with
+    buffers of the stack's size), one slab a run(stage, slabs) task, so the
+    loop's helper threads take their share.  Without slabs the energy runs
+    as one slab on the calling thread, in buffers of the stack's size.
     """
-    if spectrum is None:
-        spectrum = np.empty(values.shape, dtype=complex)
-        real = np.empty(values.shape)
-    axes = tuple(range(1, values.ndim))
-    np.fft.fftn(values, axes=axes, out=spectrum)
-    np.abs(spectrum, out=real)
-    np.square(real, out=real)
-    kinetic = 0.0
-    for axis, k2 in zip(axes, k2s):
-        others = tuple(other for other in axes if other != axis)
+    fields, shape = values.shape[0], values.shape[1:]
+    if slabs is None:
+        slabs = [_whole(shape, np.empty(values.size, dtype=complex),
+                        np.empty(values.size))]
+    ndim = len(shape)
+    line = ndim == 1
+    within = (1,) if line else tuple(range(2, ndim + 1))    # a row's own axes
+    in_rows = range(0 if line else 1, ndim)     # the axes transformed within rows
+    # per row: each kinetic term of in_rows, V_static, v(t), |psi|^4
+    parts = np.empty((len(in_rows) + 3, fields, 1 if line else shape[0]))
+    x_parts = None if line else np.empty((fields, shape[1]))
+
+    def kinetic_sum(spectrum, real, axis: int, k2, out) -> None:
+        # sum k^2 |spectrum|^2 within each row (column), k^2 along `axis`:
+        # |spectrum|^2 summed over the other axes first, then times k^2
+        np.abs(spectrum, out=real)
+        np.square(real, out=real)
+        others = tuple(other for other in within if other != axis)
         power = np.add.reduce(real, axis=others) if others else real
-        kinetic = kinetic + np.add.reduce(np.multiply(k2, power, out=power), axis=-1)
-    kinetic = kinetic * dvol / values[0].size
-    density = spectrum.reshape(-1).view(np.float64)[:values.size].reshape(values.shape)
-    np.abs(values, out=density)
-    np.square(density, out=density)
-    potential = (np.add.reduce(np.multiply(v_static, density, out=real), axis=axes)
-                 + np.add.reduce(np.multiply(v_t, density, out=real), axis=axes))
-    interaction = 0.5 * g * np.add.reduce(np.square(density, out=real), axis=axes)
+        np.add.reduce(np.multiply(k2, power, out=power), axis=-1, out=out)
+
+    def by_rows(slab: _Slab) -> None:
+        for cut in [Ellipsis] if line else _pieces(slab.rows, fields * values[0, 0].size):
+            chunk = values if line else values[:, cut]
+            out = (slice(None), 0) if line else (slice(None), cut)
+            spectrum = slab.spare[:chunk.size].reshape(chunk.shape)
+            real = slab.real[:chunk.size].reshape(chunk.shape)
+            for part, axis in zip(parts, in_rows):
+                np.fft.fft(chunk, axis=axis + 1, out=spectrum)
+                kinetic_sum(spectrum, real, axis + 1, k2s[axis], part[out])
+            density = spectrum.reshape(-1).view(np.float64)[:chunk.size].reshape(chunk.shape)
+            np.abs(chunk, out=density)
+            np.square(density, out=density)
+            for part, v in zip(parts[len(in_rows):], (v_static, v_t)):
+                np.add.reduce(np.multiply(_slab_of(v, cut, ndim), density, out=real),
+                              axis=within, out=part[out])
+            np.add.reduce(np.square(density, out=real), axis=within, out=parts[-1][out])
+
+    def by_columns(slab: _Slab) -> None:
+        for cut in _pieces(slab.cols, fields * values[0, :, 0].size):
+            lines = np.moveaxis(values[:, :, cut], 1, -1)
+            spectrum = slab.spare[:lines.size].reshape(lines.shape)
+            real = slab.real[:lines.size].reshape(lines.shape)
+            np.fft.fft(lines, axis=-1, out=spectrum)
+            kinetic_sum(spectrum, real, ndim, k2s[0], x_parts[:, cut])
+
+    def stage(slab: _Slab) -> None:
+        by_rows(slab)
+        if not line:
+            by_columns(slab)
+
+    run(stage, slabs)
+    sums = np.add.reduce(parts, axis=-1)
+    kinetic = 0.0 if line else np.add.reduce(x_parts, axis=-1) * dvol / shape[0]
+    for axis, total in zip(in_rows, sums):
+        kinetic = kinetic + total * dvol / shape[axis]
+    potential = sums[-3] + sums[-2]
+    interaction = 0.5 * g * sums[-1]
     return kinetic + (potential + interaction) * dvol
 
 
@@ -259,22 +362,15 @@ def _slab_pool(workers: int):
     return ThreadPoolExecutor(workers - 1, "quasi1d-slab")
 
 
-def _slabs(shape: tuple[int, ...], axis: int, workers: int) -> list:
-    """Indices cutting the box into `workers` slabs along `axis` (0 or 1);
-    one slab is the whole box."""
-    if workers == 1:
-        return [Ellipsis]
-    n = shape[axis]
-    cuts = [slice(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-    return cuts if axis == 0 else [(slice(None), cut) for cut in cuts]
-
-
 def _slab_of(values, index, ndim: int):
-    """The part of a potential over x slab `index`: an array that varies
-    along axis 0 is cut with the slab, anything else is shared."""
-    if index is Ellipsis or getattr(values, "ndim", 0) != ndim or values.shape[0] == 1:
+    """The part of a potential over the axis-0 rows `index` (a slice, or
+    Ellipsis for all) of a field of ndim axes: an array that varies along
+    the field's axis 0 is cut there, whether or not it leads with a stack
+    axis; anything else is shared."""
+    lead = getattr(values, "ndim", 0) - ndim
+    if index is Ellipsis or lead not in (0, 1) or values.shape[lead] == 1:
         return values
-    return values[index]
+    return values[(slice(None),) * lead + (index,)]
 
 
 def _phase_factor(alpha: np.ndarray, fac: np.ndarray) -> None:
@@ -312,7 +408,8 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     comes from tan(-h Theta/2) alone (_phase_factor), so a non-finite angle
     still gives a non-finite factor.  The half-step is closed in place only
     at each sample and at the last step, and on a 3d box also every
-    `energy_stride` steps.  Norms are recorded at every step, energies at
+    `energy_stride` steps; the step after a closed one opens with |psi|^2
+    of the closed field.  Norms are recorded at every step, energies at
     `energy_times` only; a non-finite field raises ResolutionError at the
     step where it appears.
 
@@ -324,34 +421,36 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     by exp(-i dt/2 (V_i + g|row|^2)) (|row|^2 is the open field's density,
     which the phase keeps) and then gives B energies with one _energy call.
     For B = 1 (3d boxes) the stack is psi itself, closed and evaluated at
-    once.
+    once, on the step's slabs.
 
-    A step runs in three stages, each on independent slabs of the box:
-    (A) on slabs along axis 0, the phase and the forward FFT over the other
-    axes; (B) on slabs along axis 1, the FFT along axis 0 from psi into
-    the slab's own consecutive chunk of factor, so each line's spectrum is
-    contiguous, the kinetic factor there and the inverse FFT back into
-    psi; (C) on slabs along axis 0 again, the inverse FFT over the other
-    axes, |psi|^2 and its sum over each axis-0 row.  The line, with no
-    other axes, runs (B) in place on psi.  The step mass is the sum of
-    those row sums, and every row lies in one slab, so results do not
-    depend on the number of slabs.  Slab 0 runs on the calling thread, the
-    others on helper threads (_slab_workers).
+    A step runs in two stages, each on independent slabs of the box, one
+    per _slab_workers.  (B), on slabs along axis 1: the x lines of a few
+    columns at a time are transformed from psi into the slab's complex
+    chunk buffer, multiplied there by exp(-i dt k_0^2) along the line and
+    by the line's value of exp(-i dt sum_{a>=1} k_a^2) (the kinetic factor
+    is exact per axis), and transformed back into psi.  (X), on slabs
+    along axis 0, in chunks of whole rows of about CHUNK_POINTS points (a
+    line is one row): the inverse FFT over the other axes, |psi|^2 into
+    the real chunk buffer and its sum over each row, the phase factor into
+    the complex chunk buffer and the multiply, and the forward FFT over
+    the other axes, which a closing stage leaves out.  The opening phase
+    of the first step, and of each step after a closed one, is (X)
+    without the inverse FFT.  An open field that is recorded (B > 1) is
+    copied chunk by chunk into its stack row before the phase.  The line,
+    with no other axes, runs (B) in place on psi.  The step mass is the
+    sum of the row sums, and every row and every x line lies in one chunk
+    of one slab, so results depend on neither the number of slabs nor the
+    chunk size.  Slab 0 runs on the calling thread, the others on helper
+    threads.
 
-    exp(-i dt k^2) factors exactly per axis, so stage B multiplies each
-    line's spectrum by exp(-i dt k_0^2) along the line, then by the line's
-    value of exp(-i dt sum_{a>=1} k_a^2), an array over the other axes cut
-    with the slab; the energy takes k^2 per axis too (_energy).
-
-    The loop holds four arrays of the box: psi and factor (complex) and rho
-    and theta (real), plus the per-axis factors, a line and an array over
-    the other axes.  factor holds the phase factor in stage A and at a
-    closing half-step, and the spectrum in stage B.  For B = 1 the
-    energy writes only into factor and theta, so recording it allocates
-    nothing of the box's size; for B > 1 the stack, v(t), the closing
+    psi is the loop's one array of the box's size.  Beside it each slab
+    holds a complex and a real chunk buffer, which stage B, stage X and
+    the energy share, plus the per-axis kinetic factors, a line and an
+    array over the other axes.  For B > 1 the stack, v(t), the closing
     potentials (then the closing phase, then _energy's real scratch) and
     _energy's complex scratch hold four arrays of at most BATCH_POINTS
-    points (384 KiB), whatever the number of steps.
+    points (384 KiB), whatever the number of steps; that energy runs on
+    the calling thread.
     """
     n_steps = max(1, round(span / dt))
     dt = span / n_steps
@@ -364,62 +463,66 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     kin_x = np.exp(-1j * dt * k2s[0])
 
     psi = np.array(psi0.values, dtype=complex, order="C")
-    rho = psi.real**2 + psi.imag**2
-    theta = np.empty_like(rho)
-    factor = np.empty_like(psi)
     rows = np.empty(psi.shape[0])
     ndim = psi.ndim
     trailing = tuple(range(1, ndim))
     workers = _slab_workers(psi.shape)
-    # each slab's views, cut once: x slabs hold (index, psi, rho, theta,
-    # factor, rows, V_static), y slabs (psi with axis 0 last, its spectrum
-    # in the next chunk of factor, the kinetic factors)
-    x_slabs = [(index, psi[index], rho[index], theta[index], factor[index],
-                rows[index], _slab_of(v_static, index, ndim))
-               for index in _slabs(psi.shape, 0, workers)]
+    batch = max(1, BATCH_POINTS // psi.size)
+    slabs = _slab_set(psi.shape, workers)
+    # each slab's chunks, cut once: for stage X, whole rows (their index,
+    # psi, the row sums, the |psi|^2 buffer, the factor buffer and the
+    # first half of its float64 view, V_static); for stage B, the x lines
+    # of whole columns (psi with axis 0 last, the spectrum buffer, the
+    # kinetic factors).  The line is one chunk, its stage B in place on psi.
+    row_chunks, line_chunks = [], []
+    for slab in slabs:
+        chunks = []
+        for cut in [Ellipsis] if ndim == 1 else _pieces(slab.rows, psi[0].size):
+            p = psi[cut]
+            chunks.append((cut, p, rows[cut], slab.real[:p.size].reshape(p.shape),
+                           slab.spare[:p.size].reshape(p.shape),
+                           slab.spare.view(np.float64)[:p.size].reshape(p.shape),
+                           _slab_of(v_static, cut, ndim)))
+        row_chunks.append(chunks)
     if ndim == 1:
-        y_slabs = [(psi, psi, (kin_x,))]
+        line_chunks.append([(psi, psi, (kin_x,))])
     else:
         kin_t = np.exp(-1j * dt * ProductGrid(grid.axes[1:]).k_squared())[..., None]
-        y_slabs, start = [], 0
-        for index, kin_index in zip(_slabs(psi.shape, 1, workers),
-                                    _slabs(kin_t.shape, 0, workers)):
-            lines = np.moveaxis(psi[index], 0, -1)
-            spectrum = factor.reshape(-1)[start:start + lines.size]
-            y_slabs.append((lines, spectrum.reshape(lines.shape),
-                            (kin_x, kin_t[kin_index])))
-            start += lines.size
+        for slab in slabs:
+            chunks = []
+            for cut in _pieces(slab.cols, psi[:, 0].size):
+                lines = np.moveaxis(psi[:, cut], 0, -1)
+                chunks.append((lines, slab.spare[:lines.size].reshape(lines.shape),
+                               (kin_x, kin_t[cut])))
+            line_chunks.append(chunks)
 
-    def apply_phase(slab: tuple, h: float, vp) -> None:
-        # psi *= exp(-i h (V_static + vp + g rho)); rho is |psi|^2 and stays valid
-        index, p, r, th, fac, _, vs = slab
-        np.multiply(r, g, out=th)
-        np.add(th, vs, out=th)
-        np.add(th, _slab_of(vp, index, ndim), out=th)
-        np.multiply(th, -0.5 * h, out=th)
-        _phase_factor(th, fac)
-        np.multiply(p, fac, out=p)
+    def kinetic(chunks: list[tuple]) -> None:                       # stage B
+        for lines, spectrum, kins in chunks:
+            np.fft.fft(lines, axis=-1, out=spectrum)
+            for kin in kins:
+                np.multiply(spectrum, kin, out=spectrum)
+            np.fft.ifft(spectrum, axis=-1, out=lines)
 
-    def phase_forward(slab: tuple, h: float, vp) -> None:           # stage A
-        apply_phase(slab, h, vp)
-        if trailing:
-            np.fft.fftn(slab[1], axes=trailing, out=slab[1])
-
-    def kinetic(slab: tuple) -> None:                               # stage B
-        lines, spec, kins = slab
-        np.fft.fft(lines, axis=-1, out=spec)
-        for kin in kins:
-            np.multiply(spec, kin, out=spec)
-        np.fft.ifft(spec, axis=-1, out=lines)
-
-    def inverse_density(slab: tuple) -> None:                       # stage C
-        _, p, r, th, _, rw, _ = slab
-        if trailing:
-            np.fft.ifftn(p, axes=trailing, out=p)
-        np.square(p.real, out=r)
-        np.square(p.imag, out=th)
-        np.add(r, th, out=r)
-        np.add.reduce(r, axis=trailing, out=rw)
+    def by_rows(chunks: list[tuple], h: float, v, inverse: bool, forward: bool,
+                record: np.ndarray | None = None) -> None:          # stage X
+        # psi *= exp(-i h (V_static + v + g|psi|^2)) between the transforms
+        for cut, p, row_sums, density, factor, spare, vs in chunks:
+            if inverse and trailing:
+                np.fft.ifftn(p, axes=trailing, out=p)
+            np.square(p.real, out=density)
+            np.square(p.imag, out=spare)
+            np.add(density, spare, out=density)
+            np.add.reduce(density, axis=trailing, out=row_sums)
+            if record is not None:
+                record[cut] = p
+            np.multiply(density, g, out=density)
+            np.add(density, vs, out=density)
+            np.add(density, _slab_of(v, cut, ndim), out=density)
+            np.multiply(density, -0.5 * h, out=density)
+            _phase_factor(density, factor)
+            np.multiply(p, factor, out=p)
+            if forward and trailing:
+                np.fft.fftn(p, axes=trailing, out=p)
 
     t = psi0.time
     times = np.empty(n_steps + 1)
@@ -427,99 +530,105 @@ def _strang_loop(psi0: Field, span: float, dt: float, v_static, v_par,
     energies = np.empty(n_steps + 1)
     energy_times = np.empty(n_steps + 1)
     recorded = evaluated = 0        # energy times taken, energies evaluated
-    batch = max(1, BATCH_POINTS // psi.size)
     if batch > 1:
         stack = np.empty((batch, *psi.shape), dtype=complex)
         stack_v = np.empty((batch, *psi.shape))
         stack_phase = np.empty((batch, *psi.shape))
         stack_h = np.empty((batch,) + (1,) * ndim)
         spectrum = np.empty_like(stack)
-
-    def evaluate() -> None:
-        # close every row, fields *= exp(-i h (V_static + v_close + g|field|^2))
-        # with the row's own h (0 for a row recorded closed); the phase is
-        # formed in place of v_close, and the density and factor in spectrum,
-        # which with stack_phase is then _energy's scratch
-        nonlocal evaluated
-        rows = recorded - evaluated
-        fields, phase, fac = stack[:rows], stack_phase[:rows], spectrum[:rows]
-        np.square(fields.real, out=fac.real)
-        np.square(fields.imag, out=fac.imag)
-        np.add(fac.real, fac.imag, out=fac.real)
-        np.multiply(fac.real, g, out=fac.real)
-        np.add(fac.real, v_static, out=fac.real)
-        np.add(fac.real, phase, out=phase)
-        np.multiply(phase, -0.5 * stack_h[:rows], out=phase)
-        _phase_factor(phase, fac)
-        np.multiply(fields, fac, out=fields)
-        energies[evaluated:recorded] = _energy(
-            fields, k2s, dvol, v_static, stack_v[:rows], g, fac, phase)
-        evaluated = recorded
-
-    def record_energy(t: float, h_close: float, v_close) -> None:
-        # psi is closed, or open by the half step h_close under v_close
-        nonlocal recorded, evaluated
-        energy_times[recorded] = t
-        if batch == 1:
-            energies[recorded] = _energy(psi[None], k2s, dvol, v_static,
-                                         v_axial(t), g, factor[None], theta[None])[0]
-            recorded = evaluated = recorded + 1
-            return
-        row = recorded - evaluated
-        stack[row] = psi
-        stack_v[row] = v_axial(t)
-        stack_phase[row] = v_close
-        stack_h[row] = h_close
-        recorded += 1
-        if row + 1 == batch:
-            evaluate()
-
-    times[0] = t
-    norms[0] = math.sqrt(float(np.sum(rho)) * dvol)
-    record_energy(t, 0.0, 0.0)
-    samples = [Field(grid, psi.copy(), t)] if sample_stride else []
+        # _energy's chunk buffers for a stack: spectrum, and stack_phase
+        # once the rows are closed
+        stack_slab = [_whole(psi.shape, spectrum.reshape(-1), stack_phase.reshape(-1))]
 
     with _slab_pool(workers) as pool:
 
-        def run(stage, slabs: list[tuple], *args) -> None:
+        def run(stage, parts: list, *args) -> None:
+            # stage(part, *args) for each slab's part, slab 0's on this thread
             if pool is None:
-                return stage(slabs[0], *args)
-            futures = [pool.submit(stage, slab, *args) for slab in slabs[1:]]
+                return stage(parts[0], *args)
+            futures = [pool.submit(stage, part, *args) for part in parts[1:]]
             try:
-                stage(slabs[0], *args)
+                stage(parts[0], *args)
             finally:
                 for future in futures:
                     future.exception()      # waits until the slab is done
             for future in futures:
                 future.result()
 
+        def evaluate() -> None:
+            # close every row, fields *= exp(-i h (V_static + v_close + g|field|^2))
+            # with the row's own h (0 for a row recorded closed); the phase is
+            # formed in place of v_close, and the density and factor in
+            # spectrum, which with stack_phase is then _energy's scratch
+            nonlocal evaluated
+            n = recorded - evaluated
+            fields, phase, fac = stack[:n], stack_phase[:n], spectrum[:n]
+            np.square(fields.real, out=fac.real)
+            np.square(fields.imag, out=fac.imag)
+            np.add(fac.real, fac.imag, out=fac.real)
+            np.multiply(fac.real, g, out=fac.real)
+            np.add(fac.real, v_static, out=fac.real)
+            np.add(fac.real, phase, out=phase)
+            np.multiply(phase, -0.5 * stack_h[:n], out=phase)
+            _phase_factor(phase, fac)
+            np.multiply(fields, fac, out=fields)
+            energies[evaluated:recorded] = _energy(
+                fields, k2s, dvol, v_static, stack_v[:n], g, stack_slab)
+            evaluated = recorded
+
+        def record_energy(t: float, h_close: float, v_close) -> None:
+            # psi is closed, or open by the half step h_close under v_close
+            # and already copied into its stack row by stage X
+            nonlocal recorded, evaluated
+            energy_times[recorded] = t
+            if batch == 1:
+                energies[recorded] = _energy(psi[None], k2s, dvol, v_static,
+                                             v_axial(t), g, slabs, run)[0]
+                recorded = evaluated = recorded + 1
+                return
+            slot = recorded - evaluated
+            if not h_close:
+                stack[slot] = psi
+            stack_v[slot] = v_axial(t)
+            stack_phase[slot] = v_close
+            stack_h[slot] = h_close
+            recorded += 1
+            if slot + 1 == batch:
+                evaluate()
+
+        times[0] = t
+        record_energy(t, 0.0, 0.0)
+        samples = [Field(grid, psi.copy(), t)] if sample_stride else []
         v_cur = v_axial(t + 0.5 * dt)
-        h, v = 0.5 * dt, v_cur
+        run(by_rows, row_chunks, 0.5 * dt, v_cur, False, True)
+        norms[0] = math.sqrt(float(rows.sum()) * dvol)
         for i in range(1, n_steps + 1):
-            run(phase_forward, x_slabs, h, v)
-            run(kinetic, y_slabs)
-            run(inverse_density, x_slabs)
-            mass = float(rows.sum())
+            run(kinetic, line_chunks)
             t = psi0.time + i * dt
+            last = i == n_steps
+            sample = bool(sample_stride) and (i % sample_stride == 0 or last)
+            due = sample or last or i % energy_stride == 0
+            closed = sample or last or (due and batch == 1)
+            v_next = None if last else v_axial(t + 0.5 * dt)
+            if closed:
+                run(by_rows, row_chunks, 0.5 * dt, v_cur, True, False)
+            else:
+                run(by_rows, row_chunks, dt, 0.5 * (v_cur + v_next), True, True,
+                    stack[recorded - evaluated] if due else None)
+            mass = float(rows.sum())
             if not math.isfinite(mass):
                 raise ResolutionError(f"non-finite field at step {i} (t = {t:g})")
             times[i] = t
             norms[i] = math.sqrt(mass * dvol)
-            last = i == n_steps
-            sample = bool(sample_stride) and (i % sample_stride == 0 or last)
-            v_next = None if last else v_axial(t + 0.5 * dt)
-            due = sample or last or i % energy_stride == 0
-            closed = sample or last or (due and batch == 1)
-            if closed:
-                run(apply_phase, x_slabs, 0.5 * dt, v_cur)
             if due:
                 record_energy(t, 0.0 if closed else 0.5 * dt, v_cur)
             if sample:
                 samples.append(Field(grid, psi.copy(), t))
-            h, v = (0.5 * dt, v_next) if closed else (dt, 0.5 * (v_cur + v_next))
+            if closed and not last:
+                run(by_rows, row_chunks, 0.5 * dt, v_next, False, True)
             v_cur = v_next
-    if evaluated < recorded:
-        evaluate()
+        if evaluated < recorded:
+            evaluate()
     return Trajectory(times, norms, energies[:recorded], energy_times[:recorded],
                       Field(grid, psi, t), samples)
 

@@ -428,6 +428,12 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
         except GridTooSmallError as exc:
             raise sec.fail("base_extent_y", f"{exc}, so base_extent_y must be "
                                             f"at most n_y / 2 = {v['n_y'] / 2:g}") from None
+    box_bytes = 16 * v["n_x"] * v["n_y"] ** 2
+    if box_bytes > _MAX_BOX_BYTES:      # n_y when no n_x of 4 or more fits
+        key = "n_y" if 16 * 4 * v["n_y"] ** 2 > _MAX_BOX_BYTES else "n_x"
+        raise sec.fail(key, f"a {v['n_x']} x {v['n_y']} x {v['n_y']} box takes "
+                            f"{box_bytes / 1e6:,.0f} MB, above the "
+                            f"{_MAX_BOX_BYTES / 1e6:.0f} MB a box may take")
     return confined3d.ReductionScenario(v_perp=transverse.harmonic_profile, **v)
 
 
@@ -437,6 +443,10 @@ def _parse_reduce3d(sec: _Section) -> confined3d.ReductionScenario:
 # 85 MB.  2^28 bytes (268 MB) is N = 3 on the shipped 256-point counting
 # line, and 3.2 times that state as headroom.
 _MAX_STATE_BYTES = 2**28
+
+# The largest reduce3d box, 16 n_x n_y^2 bytes (4.7 MB shipped): a sweep
+# holds two, an epsilon's product state and psi, within _MAX_STATE_BYTES.
+_MAX_BOX_BYTES = 2**27
 
 
 @dataclass(frozen=True, eq=False)

@@ -277,27 +277,44 @@ def small_box():
 
 
 def test_evolve_3d_holds_its_buffers_and_the_input(small_box):
-    # the loop's psi and factor (2 boxes) and rho and theta (1), with no k^2
-    # of the box and nothing of the box's size for the energy: 3.16 boxes
-    # measured, 4.58 while the loop kept exp(-i dt k^2) and k^2 as boxes,
-    # 6.52 while the energy allocated its own temporaries
+    # the loop's psi (1 box) and its one slab's chunk buffers, 32 rows of
+    # complex and real (0.75 box here, where a chunk is half the box), and
+    # nothing of the box's size for the energy: 1.92 boxes measured, 3.16 while
+    # the loop kept factor, rho and theta as boxes, 4.58 while it also kept
+    # exp(-i dt k^2) and k^2, 6.52 while the energy allocated its own
+    # temporaries
     peak = _peak_boxes(lambda: confined3d.evolve_3d(
         small_box, 0.5, transverse.harmonic_profile, _axial_static, 0.02, 1e-3),
         small_box.values.nbytes)
-    assert peak <= 3.5
+    assert peak <= 2.1
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_slab", "two_slabs"])
+def test_criterion_6_box_holds_psi_and_chunk_buffers(slab_box, monkeypatch, cpus):
+    # on criterion 6's 128 x 48 x 48 box a slab's chunk buffers, 14 rows of
+    # complex and real, are 0.16 box: 1.21 boxes measured on one slab and
+    # 1.38-1.41 on two (with the helper pool's first import traced), 3.2
+    # while the loop kept factor, rho and theta as boxes
+    monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: cpus)
+    assert gpe1d._slab_workers(slab_box.values.shape) == cpus
+    peak = _peak_boxes(lambda: confined3d.evolve_3d(
+        slab_box, 0.5, transverse.harmonic_profile, _axial_static, 0.02, 1e-3),
+        slab_box.values.nbytes)
+    assert peak <= 1.6
 
 
 def test_sweep_holds_one_eps_box_at_a_time(small_box):
-    # one eps's product state beside the loop's buffers: 4.19 boxes
-    # measured, 5.61 while the loop kept k^2 boxes, 8.55 while the previous
-    # eps's state and trajectory lived on
+    # one eps's product state beside the loop's psi and chunk buffers:
+    # 2.94 boxes measured, 4.19 while the loop kept factor, rho and theta as
+    # boxes, 5.61 while it kept k^2 boxes, 8.55 while the previous eps's
+    # state and trajectory lived on
     scen = confined3d.ReductionScenario(
         a=0.5, v_perp=transverse.harmonic_profile, v_par=lambda t, x: 0.5 * x**2,
         eps_list=(0.5, 0.25), t_final=0.02, dt_ref=0.005,
         length_x=16.0, n_x=64, n_y=32)
     peak = _peak_boxes(lambda: confined3d.reduction_sweep(scen),
                        small_box.values.nbytes)
-    assert peak <= 4.5
+    assert peak <= 3.2
 
 
 def test_non_finite_field_names_its_step(separable_setup):
@@ -422,8 +439,8 @@ def _assert_same_bits(one, other):
 
 def test_slab_count_does_not_change_small_box_results(monkeypatch):
     # with no size floor the loop cuts even small boxes into 1-4 slabs: the
-    # 2d plane too, and y1 cuts of unequal widths, so that stage B's
-    # spectra start at uneven offsets of the factor buffer
+    # 2d plane too, and x and y1 cuts of unequal widths, so that the slabs'
+    # chunk buffers hold pieces of unequal sizes
     st = hypothesis.strategies
     monkeypatch.setattr(gpe1d, "SLAB_MIN_POINTS", 0)
 
@@ -481,6 +498,65 @@ def test_slab_count_does_not_change_small_box_results(monkeypatch):
         assert len(traj.samples) == len(ref_samples) == 4
         for sample, ref in zip(traj.samples, ref_samples):
             assert rel(sample.values, ref) <= 1e-12
+
+    check()
+    assert not _slab_threads()
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    # the row stages walk whole rows and the x-line stage whole columns in
+    # chunks, and _energy sums its per-row (per-column) partials in index
+    # order, so chunks of one row, of an odd number of rows and of the
+    # whole box, on one slab or two, give the same bits: on the line, the
+    # plane and the box, with energies recorded open into a stack (boxes
+    # of 4096 points or fewer) and closed in place
+    st = hypothesis.strategies
+    monkeypatch.setattr(gpe1d, "SLAB_MIN_POINTS", 0)
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(half_n_x=st.integers(2, 12), half_n_y=st.integers(4, 9),
+                      dims=st.sampled_from([1, 2, 3]), x0=st.floats(-1.0, 1.0),
+                      k0=st.floats(-2.0, 2.0))
+    def check(half_n_x, half_n_y, dims, x0, k0):
+        n_x, n_y = 2 * half_n_x, 2 * half_n_y
+        grid = confined3d.make_grid(8.0, n_x, 4.0, n_y, 0.5)
+        x, y1, y2 = grid.mesh(sparse=True)
+        packet = np.exp(-(x - x0) ** 2 - (y1 - 0.2) ** 2 / 0.1 - y2**2 / 0.1
+                        + 1j * k0 * (x + 4.0 * y1))
+        conf = confined3d._confinement(grid.axes[1], grid.epsilon,
+                                       transverse.harmonic_profile)
+        if dims == 1:
+            box = grid.axes[0]
+            values, v_static = packet[:, n_y // 2, n_y // 2], 0.5 * x[:, 0, 0] ** 2
+
+            def v_par(t, x):
+                return np.sin(40.0 * t) * x
+        elif dims == 2:
+            box = gpe1d.ProductGrid(grid.axes[:2])
+            values = packet[:, :, n_y // 2]
+            v_static = 0.5 * (x[:, :, 0] ** 2 + 4.0 * y1[:, :, 0] ** 2)
+
+            def v_par(t, x, y1):
+                return _axial_shaking(t, x, y1, 0.0)
+        else:
+            box, values, v_static, v_par = grid, packet, conf[None], _axial_shaking
+        psi0 = gpe1d.Field(box, values).normalized()
+        shape = values.shape
+        row = math.prod(shape[1:])
+        runs = []
+        for chunk in (row, 3 * row, math.prod(shape)):
+            for cpus in (1, 2):
+                monkeypatch.setattr(gpe1d, "CHUNK_POINTS", chunk)
+                monkeypatch.setattr(gpe1d, "_usable_cpus", lambda: cpus)
+                assert gpe1d._slab_workers(shape) == (1 if dims == 1 else cpus)
+                runs.append(gpe1d._strang_loop(psi0, 0.02, 1e-3, v_static, v_par,
+                                               1.0, 5, sample_stride=7))
+        for other in runs[1:]:
+            _assert_same_bits(runs[0], other)
+        assert len(runs[0].samples) == 4
+        np.testing.assert_array_equal(runs[0].energy_times,
+                                      runs[0].times[[0, 5, 7, 10, 14, 15, 20]])
 
     check()
     assert not _slab_threads()

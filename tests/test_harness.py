@@ -773,6 +773,23 @@ def test_counting_state_beyond_memory_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "counting_pair").exists()
 
 
+@pytest.mark.parametrize("override, key, box", [
+    ("reduce3d.n_x=100000", "n_x", "a 100000 x 48 x 48 box"),
+    ("reduce3d.n_y=4000", "n_y", "a 128 x 4000 x 4000 box"),
+])
+def test_reduce3d_box_beyond_memory_is_config_error(tmp_path, capsys,
+                                                    override, key, box):
+    # 3.7 GB and 33 GB a box, of which a sweep holds two: the loader
+    # refuses them before any output exists
+    path = str(CONFIG_DIR / "reduction_sweep.ini")
+    assert cli.main(["validate", path, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert path in err and f"[reduce3d] {key}: {box} takes " in err
+    code = cli.main(["reduce3d", path, "--set", override, "--output", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "reduction_sweep").exists()
+
+
 def test_every_shipped_config_validates(capsys):
     # the largest shipped counting state, counting_confined.ini's, fits
     configs = sorted(str(path) for path in CONFIG_DIR.glob("*.ini"))
